@@ -16,8 +16,8 @@ Config schema:
 
 Everything is deterministic given (config, seed): no timestamps, seeded
 generators only, file writes are atomic (temp file + rename), and repeated
-runs produce byte-identical bytes. Exit codes: 0 all checks pass, 1 a check
-or probe failed, 2 invalid input.
+runs produce byte-identical bytes. Exit codes: 0 all checks pass, 1 a check,
+probe or numerical step failed, 2 invalid input (ConfigError, GridError).
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ import numpy as np
 
 from ewlab import __version__
 from ewlab.construct import potential_asymptotics, sample_grid
-from ewlab.kernel import ConfigError, ModelConfig
-from ewlab.oracle import GridError, GridSpec
+from ewlab.kernel import ConfigError, GridError, GridSpec, ModelConfig
 from ewlab.spectral_probe import (
-    NoConvergenceError,
     aligned_correlation,
     free_hamiltonian,
     free_laplacian_eigenvalue,
@@ -55,7 +53,6 @@ class RunConfig:
     model: ModelConfig
     grid: GridSpec
     output_path: str | None
-    report_format: str        # "csv" for build, "json" for the report commands
     seed: int
 
 
@@ -76,7 +73,6 @@ def _parse_complex_list(raw) -> list:
 
 
 def load_config(path: str, out: str | None = None,
-                report_format: str = "json",
                 grid_override: str | None = None) -> RunConfig:
     """Parse and validate a config file; raises ConfigError/GridError."""
     try:
@@ -121,8 +117,7 @@ def load_config(path: str, out: str | None = None,
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError('"seed" must be a non-negative integer')
-    return RunConfig(model=model, grid=grid, output_path=out,
-                     report_format=report_format, seed=seed)
+    return RunConfig(model=model, grid=grid, output_path=out, seed=seed)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -233,7 +228,6 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
         worst = max(m["abs_error"] for m in doc["free_modes"])
         return 0 if worst <= 1e-10 else 1
     results = probe_embedded(rc.model, rc.grid)
-    ps = sample_grid(rc.model, rc.grid.radii())
     out = []
     for res in results:
         out.append({
@@ -247,7 +241,7 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
             "iterations": res.iterations,
             "start_mode": res.start_mode,
             "correlation_vs_sampled": aligned_correlation(
-                res.vector, ps.v[1:-1, res.j]),
+                res.vector, res.start_vector),
         })
     doc["results"] = out
     if sweep > 0:
@@ -286,15 +280,16 @@ def cmd_expand(rc: RunConfig, radii: list) -> int:
             raise ConfigError(f"expansion radius {r} must be positive")
     cols = ("r", "V_re", "V_im", "leading", "second_re", "second_im",
             "|remainder|", "|remainder|*r^3", "W")
+    values = sample_grid(rc.model, np.array(radii)).V
+    terms = potential_asymptotics(rc.model, radii)
     rows = [cols]
-    for r in radii:
-        value = sample_grid(rc.model, np.array([r])).V[0]
-        terms = potential_asymptotics(rc.model, r)
-        rem = abs(value - terms.leading - terms.second)
+    for k, r in enumerate(radii):
+        value = values[k]
+        rem = abs(value - terms.leading[k] - terms.second[k])
         rows.append((f"{r:g}", f"{value.real:.10e}", f"{value.imag:.10e}",
-                     f"{terms.leading:.10e}", f"{terms.second.real:.10e}",
-                     f"{terms.second.imag:.10e}", f"{rem:.10e}",
-                     f"{rem * r**3:.10e}", f"{terms.w_value:.10e}"))
+                     f"{terms.leading[k]:.10e}", f"{terms.second[k].real:.10e}",
+                     f"{terms.second[k].imag:.10e}", f"{rem:.10e}",
+                     f"{rem * r**3:.10e}", f"{terms.w_value[k]:.10e}"))
     widths = [max(len(row[c]) for row in rows) for c in range(len(cols))]
     text = "\n".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
@@ -338,11 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        rc = load_config(
-            args.config, out=args.out,
-            report_format="csv" if args.command == "build" else "json",
-            grid_override=args.grid_override,
-        )
+        rc = load_config(args.config, out=args.out,
+                         grid_override=args.grid_override)
         if args.command == "build":
             return cmd_build(rc)
         if args.command == "verify":
@@ -353,12 +345,11 @@ def main(argv=None) -> int:
     except (ConfigError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoConvergenceError as exc:
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        # every numerical failure: singular or failed invariants, no
+        # convergence, unstable steps, unfittable data
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -19,32 +19,31 @@ so H(r) is uniformly bounded in r while G(r) grows linearly on the diagonal.
 The closed forms are used everywhere; quadrature exists only as an oracle in
 the `oracle` module.
 
-Entries are accurate to about machine epsilon in absolute terms at moderate
-radii; near-equal frequencies need no special treatment because the
-off-diagonal denominators are r-independent single terms, not cancellations.
+Every function takes an array of K radii and stacks its results along the
+first axis; a single radius is K = 1. Entries are accurate to about machine
+epsilon in absolute terms at moderate radii; near-equal frequencies need no
+special treatment because the off-diagonal denominators are r-independent
+single terms, not cancellations. `GridSpec` is the radius grid of every layer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BoundedPart",
     "ConfigError",
     "Couplings",
     "Frequencies",
-    "GramMatrix",
+    "GridError",
+    "GridSpec",
     "ModelConfig",
     "PositivityError",
-    "gram_entry",
-    "gram_matrix",
     "gram_matrix_stack",
     "gram_positivity_check",
     "h_bound",
-    "h_entry",
-    "h_matrix",
     "h_matrix_stack",
     "trig_c",
     "trig_s",
@@ -57,6 +56,10 @@ class ConfigError(ValueError):
 
 class PositivityError(ArithmeticError):
     """The Gram quadratic form came out non-positive: a kernel defect."""
+
+
+class GridError(ValueError):
+    """Grid specification violates its invariants or is too coarse."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,78 +155,55 @@ class ModelConfig:
         return np.diag(self.mu)
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Value of G at a fixed radius; real symmetric, G(0) = 0."""
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform radius grid [r_start, r_end] with the given step."""
 
-    g: np.ndarray
-    r: float
+    r_start: float
+    r_end: float
+    step: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.r_start) and math.isfinite(self.r_end)
+                and math.isfinite(self.step)):
+            raise GridError("grid parameters must be finite")
+        if self.r_start < 0.0:
+            raise GridError("r_start < 0")
+        if self.step <= 0.0:
+            raise GridError("step <= 0")
+        if self.r_start >= self.r_end:
+            raise GridError("r_start >= r_end")
+        if (self.r_end - self.r_start) / self.step > 1e7:
+            raise GridError("more than 1e7 grid points")
 
-@dataclass(frozen=True, eq=False)
-class BoundedPart:
-    """Value of H at a fixed radius; g_ij = h_ij + (r/2) delta_ij."""
+    @property
+    def count(self) -> int:
+        return int(round((self.r_end - self.r_start) / self.step)) + 1
 
-    h: np.ndarray
-    r: float
+    def radii(self) -> np.ndarray:
+        return self.r_start + self.step * np.arange(self.count)
 
-
-def trig_s(freqs: Frequencies, r: float) -> np.ndarray:
-    """Sine vector s(r), component j equal to sin(mu_j r)."""
-    return np.sin(freqs.mu * r)
-
-
-def trig_c(freqs: Frequencies, r: float) -> np.ndarray:
-    """Cosine vector c(r), component j equal to cos(mu_j r)."""
-    return np.cos(freqs.mu * r)
-
-
-def h_entry(mu_i: float, mu_j: float, r: float) -> float:
-    """Bounded part h_ij(r); the i == j branch is selected by mu_i == mu_j."""
-    if mu_i == mu_j:
-        return -np.sin(2.0 * mu_i * r) / (4.0 * mu_i)
-    diff = mu_i - mu_j
-    total = mu_i + mu_j
-    return np.sin(diff * r) / (2.0 * diff) - np.sin(total * r) / (2.0 * total)
+    def halved(self) -> "GridSpec":
+        return GridSpec(self.r_start, self.r_end, self.step / 2.0)
 
 
-def gram_entry(mu_i: float, mu_j: float, r: float) -> float:
-    """Closed form of integral_0^r sin(mu_i rho) sin(mu_j rho) drho."""
-    if mu_i <= 0.0 or mu_j <= 0.0:
-        raise ValueError("frequencies must be positive")
-    value = h_entry(mu_i, mu_j, r)
-    if mu_i == mu_j:
-        value += 0.5 * r
-    return value
+def trig_s(freqs: Frequencies, radii: np.ndarray) -> np.ndarray:
+    """Sine vectors s(r), shape (K, n): entry (k, j) is sin(mu_j r_k)."""
+    return np.sin(np.outer(radii, freqs.mu))
 
 
-def h_bound(mu_i: float, mu_j: float) -> float:
-    """Uniform-in-r bound on |h_ij|: triangle inequality on the closed form."""
-    if mu_i == mu_j:
-        return 1.0 / (4.0 * mu_i)
-    return 1.0 / (2.0 * abs(mu_i - mu_j)) + 1.0 / (2.0 * (mu_i + mu_j))
+def trig_c(freqs: Frequencies, radii: np.ndarray) -> np.ndarray:
+    """Cosine vectors c(r), shape (K, n): entry (k, j) is cos(mu_j r_k)."""
+    return np.cos(np.outer(radii, freqs.mu))
 
 
-def h_matrix(freqs: Frequencies, r: float) -> BoundedPart:
-    """H(r) assembled entrywise; symmetric because h_entry is."""
+def h_bound(freqs: Frequencies) -> np.ndarray:
+    """Uniform-in-r bounds on |h_ij|, shape (n, n): triangle inequality."""
     mu = freqs.mu
-    n = freqs.n
-    h = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i, n):
-            h[i, j] = h[j, i] = h_entry(mu[i], mu[j], r)
-    return BoundedPart(h=h, r=r)
-
-
-def gram_matrix(freqs: Frequencies, r: float) -> GramMatrix:
-    """G(r) assembled entrywise from gram_entry; symmetric by construction."""
-    mu = freqs.mu
-    n = freqs.n
-    g = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = gram_entry(mu[i], mu[j], r)
-    return GramMatrix(g=g, r=r)
+    diff = np.abs(np.subtract.outer(mu, mu))
+    with np.errstate(divide="ignore"):
+        off = 1.0 / (2.0 * diff) + 1.0 / (2.0 * np.add.outer(mu, mu))
+    return np.where(diff == 0.0, 1.0 / (4.0 * mu), off)
 
 
 def h_matrix_stack(freqs: Frequencies, radii: np.ndarray) -> np.ndarray:
@@ -251,22 +231,27 @@ def gram_matrix_stack(freqs: Frequencies, radii: np.ndarray) -> np.ndarray:
     return g
 
 
-def gram_positivity_check(freqs: Frequencies, r: float, xi: np.ndarray) -> float:
-    """Quadratic form <xi, G(r) xi> for r > 0 and xi != 0; must be positive.
+def gram_positivity_check(freqs: Frequencies, radii: np.ndarray,
+                          xi: np.ndarray) -> np.ndarray:
+    """Quadratic forms <xi_k, G(r_k) xi_k> for r_k > 0, xi_k != 0; all positive.
 
-    The value is real up to round-off because G is real symmetric. A
-    non-positive result cannot happen for exact arithmetic and is raised as
-    a PositivityError (kernel defect).
+    xi has shape (K, n), one vector per radius. The values are real up to
+    round-off because G is real symmetric. A non-positive result cannot
+    happen for exact arithmetic and is raised as a PositivityError (kernel
+    defect).
     """
-    if not r > 0.0:
+    radii = np.asarray(radii, dtype=float)
+    if not np.all(radii > 0.0):
         raise ValueError("positivity check requires r > 0")
     xi = np.asarray(xi, dtype=complex)
-    if not np.any(xi != 0):
+    if not np.all(np.any(xi != 0, axis=1)):
         raise ValueError("positivity check requires xi != 0")
-    g = gram_matrix(freqs, r).g
-    value = float(np.real(np.vdot(xi, g @ xi)))
-    if value <= 0.0:
+    g = gram_matrix_stack(freqs, radii)
+    values = np.real(np.einsum("ki,kij,kj->k", xi.conj(), g, xi))
+    if np.any(values <= 0.0):
+        k = int(np.argmax(values <= 0.0))
         raise PositivityError(
-            f"<xi, G({r}) xi> = {value} is not positive: kernel defect"
+            f"<xi, G({radii[k]}) xi> = {values[k]} is not positive: "
+            "kernel defect"
         )
-    return value
+    return values

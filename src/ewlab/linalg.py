@@ -6,6 +6,11 @@ the error contract (SingularMatrixError at a relative pivot threshold) is
 part of the API. Sizes are modest: dense systems are the coupling dimension
 (n <= ~50), tridiagonal systems are discretization grids (up to ~10^6).
 
+There is one dense LU, `DenseLU`, over a (K, n, n) stack vectorized across
+the stack index (one system per radius; a single matrix is K = 1). Its
+factors serve solves, the adjoint solves of Hager's 1-norm estimator and
+determinants; `batched_solve` is the one-shot factor-and-solve.
+
 Dense systems A + G(r) are non-Hermitian whenever the couplings are complex,
 and tridiagonal shifts can sit close to discrete eigenvalues, so partial
 pivoting is used everywhere; the tridiagonal factorization carries the usual
@@ -26,7 +31,6 @@ __all__ = [
     "TridiagonalLU",
     "batched_solve",
     "condition_estimate",
-    "dense_solve",
     "tridiag_solve",
 ]
 
@@ -39,119 +43,88 @@ class SingularMatrixError(ArithmeticError):
 
 
 class DenseLU:
-    """LU factorization with partial pivoting of a square complex matrix.
+    """LU factorization with partial pivoting of a stack of square matrices.
 
-    P A = L U with unit lower triangular L. Row scales are taken from the
-    input matrix and permuted along with the rows, so the singularity test
+    P_k A_k = L_k U_k for every k of a (K, n, n) stack, with unit lower
+    triangular L_k stored below the diagonal of `lu` and U_k on and above
+    it; perm[k] lists the rows of A_k in pivot order. Row scales are taken
+    from the input and swapped along with the rows, so the singularity test
     is relative to the data, not absolute.
     """
 
-    def __init__(self, a) -> None:
-        lu = np.array(a, dtype=complex)
-        if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
-            raise ValueError("matrix must be square")
-        n = lu.shape[0]
-        scale = np.max(np.abs(lu), axis=1)
-        piv = np.arange(n)
-        parity = 1.0
+    def __init__(self, mats) -> None:
+        lu = np.array(mats, dtype=complex)
+        if lu.ndim != 3 or lu.shape[1] != lu.shape[2]:
+            raise ValueError("mats must have shape (K, n, n)")
+        nbatch, n = lu.shape[0], lu.shape[1]
+        scale = np.max(np.abs(lu), axis=2)
+        rows = np.arange(nbatch)
+        perm = np.tile(np.arange(n), (nbatch, 1))
+        swaps = np.zeros(nbatch, dtype=int)
         for k in range(n):
-            p = k + int(np.argmax(np.abs(lu[k:, k])))
-            if np.abs(lu[p, k]) <= PIVOT_RTOL * scale[p]:
+            p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
+            bad = np.abs(lu[rows, p, k]) <= PIVOT_RTOL * scale[rows, p]
+            if np.any(bad):
+                first = int(np.argmax(bad))
                 raise SingularMatrixError(
-                    f"pivot {k} at or below {PIVOT_RTOL} times its row scale"
+                    f"pivot {k} below threshold in batch entry {first}"
                 )
-            if p != k:
-                lu[[k, p]] = lu[[p, k]]
-                scale[[k, p]] = scale[[p, k]]
-                piv[[k, p]] = piv[[p, k]]
-                parity = -parity
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+            # swap rows k and p in every system; p == k entries are no-ops
+            for block in (lu, scale, perm):
+                tmp = block[rows, k].copy()
+                block[rows, k] = block[rows, p]
+                block[rows, p] = tmp
+            swaps += p != k
+            lu[:, k + 1:, k] /= lu[:, k, k][:, None]
+            lu[:, k + 1:, k + 1:] -= (lu[:, k + 1:, k, None]
+                                      * lu[:, k, None, k + 1:])
         self.lu = lu
-        self.piv = piv
-        self.parity = parity
-        self.n = n
+        self.perm = perm
+        self.swaps = swaps
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b for b of shape (n,) or (n, m)."""
-        b = np.asarray(b, dtype=complex)
-        x = b[self.piv].astype(complex, copy=True)
+    def solve(self, b) -> np.ndarray:
+        """Solve A_k x_k = b_k for right-hand sides b of shape (K, n, m)."""
         lu = self.lu
-        for k in range(1, self.n):
-            x[k] -= lu[k, :k] @ x[:k]
-        for k in range(self.n - 1, -1, -1):
-            x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-        return x
+        n = lu.shape[1]
+        y = np.asarray(b, dtype=complex)[np.arange(lu.shape[0])[:, None],
+                                         self.perm]
+        for k in range(n):
+            y[:, k + 1:, :] -= lu[:, k + 1:, k, None] * y[:, k, None, :]
+        for k in range(n - 1, -1, -1):
+            acc = y[:, k, :] - np.sum(lu[:, k, k + 1:, None] * y[:, k + 1:, :],
+                                      axis=1)
+            y[:, k, :] = acc / lu[:, k, k][:, None]
+        return y
 
-    def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        """Solve A^H x = b; drives the transposed sweep of the norm estimator.
+    def solve_adjoint(self, b) -> np.ndarray:
+        """Solve A_k^H x_k = b_k, b of shape (K, n, m); Hager's transposed sweep.
 
         With P A = L U one has A^H = U^H L^H P, so the sweeps run in the
         opposite order: forward with U^H (lower triangular), backward with
         L^H (unit upper triangular), then undo the permutation.
         """
-        b = np.asarray(b, dtype=complex)
-        lu = self.lu
-        y = b.astype(complex, copy=True)
-        for k in range(self.n):
-            y[k] = (y[k] - np.conj(lu[:k, k]) @ y[:k]) / np.conj(lu[k, k])
-        for k in range(self.n - 2, -1, -1):
-            y[k] -= np.conj(lu[k + 1:, k]) @ y[k + 1:]
+        y = np.array(b, dtype=complex)
+        lu = self.lu.conj()
+        n = lu.shape[1]
+        for k in range(n):
+            acc = y[:, k, :] - np.sum(lu[:, :k, k, None] * y[:, :k, :], axis=1)
+            y[:, k, :] = acc / lu[:, k, k][:, None]
+        for k in range(n - 2, -1, -1):
+            y[:, k, :] -= np.sum(lu[:, k + 1:, k, None] * y[:, k + 1:, :],
+                                 axis=1)
         x = np.empty_like(y)
-        x[self.piv] = y
+        x[np.arange(lu.shape[0])[:, None], self.perm] = y
         return x
 
-    def det(self) -> complex:
-        """det A = (pivot parity) * prod(diag U)."""
-        return complex(self.parity * np.prod(np.diag(self.lu)))
-
-
-def dense_solve(a, b) -> np.ndarray:
-    """One-shot solve A x = b via DenseLU."""
-    return DenseLU(a).solve(b)
+    def det(self) -> np.ndarray:
+        """det A_k = (pivot parity) * prod(diag U_k), shape (K,)."""
+        sign = np.where(self.swaps % 2 == 0, 1.0, -1.0)
+        return sign * np.prod(np.diagonal(self.lu, axis1=1, axis2=2), axis=1)
 
 
 def batched_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A_k x_k = b_k for a stack of systems, shapes (K,n,n) and (K,n).
-
-    Gaussian elimination with partial pivoting, vectorized across the batch
-    index; the arithmetic per system is identical to DenseLU. Used by the
-    grid samplers, where K is the number of radii and n stays tiny.
-    """
-    a = np.array(mats, dtype=complex)
-    b = np.array(rhs, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("mats must have shape (K, n, n)")
-    nbatch, n = a.shape[0], a.shape[1]
-    vector_rhs = b.ndim == 2
-    if vector_rhs:
-        b = b[:, :, None]
-    scale = np.max(np.abs(a), axis=2)
-    rows = np.arange(nbatch)
-    for k in range(n):
-        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        bad = np.abs(a[rows, p, k]) <= PIVOT_RTOL * scale[rows, p]
-        if np.any(bad):
-            first = int(np.argmax(bad))
-            raise SingularMatrixError(
-                f"pivot {k} below threshold in batch entry {first}"
-            )
-        # swap rows k and p in every system; p == k entries are no-ops
-        for block in (a, b):
-            tmp = block[rows, k].copy()
-            block[rows, k] = block[rows, p]
-            block[rows, p] = tmp
-        tmp = scale[rows, k].copy()
-        scale[rows, k] = scale[rows, p]
-        scale[rows, p] = tmp
-        fac = a[:, k + 1:, k] / a[:, k, k][:, None]
-        a[:, k + 1:, k + 1:] -= fac[:, :, None] * a[:, k, None, k + 1:]
-        b[:, k + 1:, :] -= fac[:, :, None] * b[:, k, None, :]
-    x = np.empty_like(b)
-    for k in range(n - 1, -1, -1):
-        acc = b[:, k, :] - np.sum(a[:, k, k + 1:, None] * x[:, k + 1:, :], axis=1)
-        x[:, k, :] = acc / a[:, k, k][:, None]
-    return x[:, :, 0] if vector_rhs else x
+    """One-shot solve A_k x_k = b_k, shapes (K, n, n) and (K, n, m)."""
+    return DenseLU(mats).solve(rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,33 +244,35 @@ def tridiag_solve(t: ComplexTridiagonal, b: np.ndarray) -> np.ndarray:
     return TridiagonalLU(t).solve(b)
 
 
-def condition_estimate(a) -> float:
-    """1-norm condition estimate ||A||_1 * est(||A^-1||_1).
+def condition_estimate(mats) -> np.ndarray:
+    """1-norm condition estimates ||A_k||_1 * est(||A_k^-1||_1), shape (K,).
 
     The inverse norm comes from Hager's method driven by solve and
-    solve_adjoint; the returned value is a lower bound on kappa_1, in
-    practice within a small factor of it.
+    solve_adjoint, run on the whole (K, n, n) stack at once; each entry
+    stops on its own test. The returned values are lower bounds on kappa_1,
+    in practice within a small factor of it.
     """
-    a = np.asarray(a, dtype=complex)
-    lu = DenseLU(a)
-    n = lu.n
-    norm_a = float(np.max(np.sum(np.abs(a), axis=0)))
-    x = np.full(n, 1.0 / n, dtype=complex)
-    best = 0.0
-    last_j = -1
+    mats = np.asarray(mats, dtype=complex)
+    lu = DenseLU(mats)
+    nbatch, n = mats.shape[0], mats.shape[1]
+    norm_a = np.max(np.sum(np.abs(mats), axis=1), axis=1)
+    x = np.full((nbatch, n, 1), 1.0 / n, dtype=complex)
+    best = np.zeros(nbatch)
+    last_j = np.full(nbatch, -1)
+    active = np.ones(nbatch, dtype=bool)
     for _ in range(5):
         y = lu.solve(x)
-        est = float(np.sum(np.abs(y)))
-        if est <= best and last_j >= 0:
-            break
-        best = max(best, est)
+        est = np.sum(np.abs(y), axis=(1, 2))
+        # the first estimate is positive, so this stops only later sweeps
+        active &= est > best
+        best = np.where(active, est, best)
         ay = np.abs(y)
         xi = np.where(ay == 0.0, 1.0 + 0j, y / np.where(ay == 0.0, 1.0, ay))
-        z = lu.solve_adjoint(xi)
-        j = int(np.argmax(np.abs(z)))
-        if j == last_j:
+        j = np.argmax(np.abs(lu.solve_adjoint(xi)[:, :, 0]), axis=1)
+        active &= j != last_j
+        if not np.any(active):
             break
         last_j = j
-        x = np.zeros(n, dtype=complex)
-        x[j] = 1.0
+        x = np.zeros_like(x)
+        x[np.arange(nbatch), j, 0] = 1.0
     return norm_a * best

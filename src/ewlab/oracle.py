@@ -2,7 +2,8 @@
 
 Three oracles that never reuse the closed form they check:
 
-  * adaptive Simpson quadrature for the Gram integrals (checks gram_entry);
+  * adaptive Simpson quadrature for the Gram integrals (checks the closed
+    forms of G in the kernel module);
   * finite differences for derivatives (checks v', G' = s.ts, and the
     eigen-equation residual (-v_j'' + V v_j - mu_j^2 v_j));
   * classical Runge-Kutta shooting for the ODE itself (checks that the
@@ -27,16 +28,22 @@ import numpy as np
 from ewlab.construct import (
     eigenfunction_large_r,
     potential_asymptotics,
+    resolvent_apply,
     sample_grid,
-    system_matrix,
 )
-from ewlab.kernel import Frequencies, ModelConfig, gram_matrix, h_matrix, trig_s
-from ewlab.linalg import DenseLU
+from ewlab.kernel import (
+    Frequencies,
+    GridError,
+    GridSpec,
+    ModelConfig,
+    gram_matrix_stack,
+    h_matrix_stack,
+    trig_c,
+    trig_s,
+)
 
 __all__ = [
     "FitReport",
-    "GridError",
-    "GridSpec",
     "MaxDepthExceededError",
     "ResidualReport",
     "SLOPE_TOL",
@@ -58,48 +65,12 @@ __all__ = [
 SLOPE_TOL = 0.2
 
 
-class GridError(ValueError):
-    """Grid specification violates its invariants or is too coarse."""
-
-
 class MaxDepthExceededError(ArithmeticError):
     """Adaptive quadrature exceeded the recursion-depth cap."""
 
 
 class StepTooLargeError(ValueError):
     """RK4 step fails the |V - mu^2| h^2 stability guard."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform radius grid [r_start, r_end] with the given step."""
-
-    r_start: float
-    r_end: float
-    step: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_start) and math.isfinite(self.r_end)
-                and math.isfinite(self.step)):
-            raise GridError("grid parameters must be finite")
-        if self.r_start < 0.0:
-            raise GridError("r_start < 0")
-        if self.step <= 0.0:
-            raise GridError("step <= 0")
-        if self.r_start >= self.r_end:
-            raise GridError("r_start >= r_end")
-        if (self.r_end - self.r_start) / self.step > 1e7:
-            raise GridError("more than 1e7 grid points")
-
-    @property
-    def count(self) -> int:
-        return int(round((self.r_end - self.r_start) / self.step)) + 1
-
-    def radii(self) -> np.ndarray:
-        return self.r_start + self.step * np.arange(self.count)
-
-    def halved(self) -> "GridSpec":
-        return GridSpec(self.r_start, self.r_end, self.step / 2.0)
 
 
 @dataclass(frozen=True)
@@ -148,11 +119,16 @@ def quadrature_gram(mu_i: float, mu_j: float, r: float,
                     tol: float = 1e-12) -> float:
     """integral_0^r sin(mu_i rho) sin(mu_j rho) drho by adaptive Simpson.
 
-    Independent of the closed form in the kernel module; refines until the
-    local Richardson error estimate drops below tol.
+    Independent of the closed form in the kernel module. [0, r] is first cut
+    into equal panels no wider than pi/(mu_i + mu_j): a wider start lets all
+    five first nodes land on zeros of the integrand (r = 8 pi, mu = (1, 1)
+    returns 0), which fakes convergence. Each panel then refines until its
+    local Richardson error estimate drops below its share of tol.
     """
     if tol < 1e-13:
         raise ValueError("tolerance below the double-precision floor")
+    if mu_i <= 0.0 or mu_j <= 0.0:
+        raise ValueError("frequencies must be positive")
     if r < 0.0:
         raise ValueError("negative radius")
     if r == 0.0:
@@ -161,28 +137,38 @@ def quadrature_gram(mu_i: float, mu_j: float, r: float,
     def f(rho: float) -> float:
         return math.sin(mu_i * rho) * math.sin(mu_j * rho)
 
-    a, b = 0.0, r
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, fa, m, fm, b, fb, whole, tol, 0)
+    panels = math.ceil(r * (mu_i + mu_j) / math.pi)
+    total = 0.0
+    a, fa = 0.0, f(0.0)
+    for k in range(1, panels + 1):
+        b = r if k == panels else r * k / panels
+        m = 0.5 * (a + b)
+        fm, fb = f(m), f(b)
+        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        total += _simpson_step(f, a, fa, m, fm, b, fb, whole,
+                               tol * (b - a) / r, 0)
+        a, fa = b, fb
+    return total
 
 
-def gram_derivative_defect(freqs: Frequencies, r: float, h: float) -> float:
-    """Max-entry distance between the central FD of G at r and s(r) ts(r).
+def gram_derivative_defect(freqs: Frequencies, radii: np.ndarray,
+                           h: float) -> float:
+    """Max-entry distance between the central FD of G and s ts over radii.
 
     G'(r) = s(r) ts(r) exactly; the FD defect is O(h^2), so halving h should
     shrink the return value by about 4.
     """
     if not h > 0.0:
         raise ValueError("step must be positive")
-    fd = (gram_matrix(freqs, r + h).g - gram_matrix(freqs, r - h).g) / (2.0 * h)
-    s = trig_s(freqs, r)
-    return float(np.max(np.abs(fd - np.outer(s, s))))
+    radii = np.asarray(radii, dtype=float)
+    fd = (gram_matrix_stack(freqs, radii + h)
+          - gram_matrix_stack(freqs, radii - h)) / (2.0 * h)
+    s = trig_s(freqs, radii)
+    return float(np.max(np.abs(fd - s[:, :, None] * s[:, None, :])))
 
 
 def fd_second_derivative(values: np.ndarray, step: float) -> np.ndarray:
-    """3-point second derivative at the interior points (length K-2).
+    """3-point second derivative along axis 0 at the interior points (K-2).
 
     Boundary points are dropped rather than one-sided so the truncation
     order stays uniformly O(h^2).
@@ -193,56 +179,44 @@ def fd_second_derivative(values: np.ndarray, step: float) -> np.ndarray:
     return (values[:-2] - 2.0 * values[1:-1] + values[2:]) / step**2
 
 
-def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
-                            j: int) -> ResidualReport:
+def residual_eigen_equation(config: ModelConfig,
+                            grid: GridSpec) -> list[ResidualReport]:
     """Sup of |-v_j'' + V v_j - mu_j^2 v_j| on the grid interior, FD v_j''.
 
-    The report's convergence_ratio is sup(h)/sup(h/2) from a second pass on
-    the halved grid; the stencil is O(h^2), so the ratio should be near 4.
+    One report per eigen-index j, all from one sample per grid. Each
+    report's convergence_ratio is sup(h)/sup(h/2) from a second pass on the
+    halved grid; the stencil is O(h^2), so the ratio should be near 4.
     """
 
-    def _sup(g: GridSpec) -> float:
+    def _sups(g: GridSpec) -> np.ndarray:
         radii = g.radii()
         if radii.size - 2 < 8:
             raise GridError("fewer than 8 interior points")
         ps = sample_grid(config, radii)
-        vj = ps.v[:, j]
-        second = fd_second_derivative(vj, g.step)
-        residual = -second + (ps.V[1:-1] - config.mu[j] ** 2) * vj[1:-1]
-        return float(np.max(np.abs(residual)))
+        second = fd_second_derivative(ps.v, g.step)
+        residual = -second + (ps.V[1:-1, None] - config.mu**2) * ps.v[1:-1]
+        return np.max(np.abs(residual), axis=0)
 
-    sup_h = _sup(grid)
-    sup_half = _sup(grid.halved())
-    ratio = sup_h / sup_half if sup_half > 0.0 else math.inf
-    return ResidualReport(j=j, sup_residual=sup_h, grid=grid,
-                          convergence_ratio=ratio)
+    sup_h = _sups(grid)
+    sup_half = _sups(grid.halved())
+    reports = []
+    for j in range(config.n):
+        ratio = sup_h[j] / sup_half[j] if sup_half[j] > 0.0 else math.inf
+        reports.append(ResidualReport(j=j, sup_residual=float(sup_h[j]),
+                                      grid=grid, convergence_ratio=float(ratio)))
+    return reports
 
 
-def shooting_compare(config: ModelConfig, grid: GridSpec, j: int) -> float:
-    """Max |u - v_j| after integrating -u'' + (V - mu_j^2) u = 0 by RK4.
-
-    The integration starts at delta = grid.r_start > 0 from the closed-form
-    data (v_j(delta), v_j'(delta)): the solution is fixed by that frame, so
-    the comparison tests the ODE, not the initial condition. V is evaluated
-    exactly on the half-step grid, keeping the classical O(h^4) order intact.
-    """
-    if not grid.r_start > 0.0:
-        raise GridError("shooting starts at r_start > 0")
-    h = grid.step
-    count = grid.count
-    half_radii = grid.r_start + 0.5 * h * np.arange(2 * count - 1)
-    ps = sample_grid(config, half_radii)
-    q = ps.V - config.mu[j] ** 2
-    if float(np.max(np.abs(q))) * h * h > 0.1:
-        raise StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step")
-    vj = [complex(z) for z in ps.v[::2, j]]
+def _rk4_deviation(q: np.ndarray, v: np.ndarray, p: complex,
+                   h: float) -> float:
+    """Max |u - v[::2]| along RK4 for u'' = q u from (v[0], p); half-step q, v."""
+    vj = [complex(z) for z in v[::2]]
     qh = [complex(z) for z in q]
-    u = complex(ps.v[0, j])
-    p = complex(ps.v_prime[0, j])
+    u = vj[0]
     hh = 0.5 * h
     h6 = h / 6.0
     worst = 0.0
-    for k in range(count - 1):
+    for k in range(len(vj) - 1):
         q0 = qh[2 * k]
         qm = qh[2 * k + 1]
         q1 = qh[2 * k + 2]
@@ -260,6 +234,29 @@ def shooting_compare(config: ModelConfig, grid: GridSpec, j: int) -> float:
         if dev > worst:
             worst = dev
     return worst
+
+
+def shooting_compare(config: ModelConfig, grid: GridSpec) -> np.ndarray:
+    """Max |u - v_j| per j after integrating -u'' + (V - mu_j^2) u = 0 by RK4.
+
+    The integration starts at delta = grid.r_start > 0 from the closed-form
+    data (v_j(delta), v_j'(delta)): the solution is fixed by that frame, so
+    the comparison tests the ODE, not the initial condition. V is evaluated
+    exactly on the half-step grid, keeping the classical O(h^4) order intact;
+    that grid is sampled once for every eigen-index.
+    """
+    if not grid.r_start > 0.0:
+        raise GridError("shooting starts at r_start > 0")
+    h = grid.step
+    half_radii = grid.r_start + 0.5 * h * np.arange(2 * grid.count - 1)
+    ps = sample_grid(config, half_radii)
+    q = ps.V[:, None] - config.mu**2
+    if float(np.max(np.abs(q))) * h * h > 0.1:
+        raise StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step")
+    return np.array([
+        _rk4_deviation(q[:, j], ps.v[:, j], complex(ps.v_prime[0, j]), h)
+        for j in range(config.n)
+    ])
 
 
 def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,
@@ -292,9 +289,24 @@ def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,
                      intercept=float(intercept), points=len(log_r))
 
 
-def _fit_radii(r_lo: float = 50.0, r_hi: float = 400.0,
-               points: int = 200) -> np.ndarray:
-    return np.geomspace(r_lo, r_hi, points)
+def _fit_radii(radii: np.ndarray | None) -> np.ndarray:
+    """Radii of a large-r fit: 200 log-spaced on [50, 400] unless given."""
+    if radii is None:
+        return np.geomspace(50.0, 400.0, 200)
+    radii = np.asarray(radii, dtype=float)
+    if radii.min() < 50.0:
+        raise ValueError("large-r fits need radii >= 50")
+    return radii
+
+
+def _expansion_fits(radii: np.ndarray, one_term: np.ndarray,
+                    two_term: np.ndarray, what: str,
+                    leading: str = "leading term") -> list[FitReport]:
+    """Fits of the defects after one term (order r^-2) and two (r^-3)."""
+    return [
+        fit_decay_slope(radii, one_term, -2.0, f"{what} minus {leading}"),
+        fit_decay_slope(radii, two_term, -3.0, f"{what} minus two terms"),
+    ]
 
 
 def potential_expansion_fits(config: ModelConfig,
@@ -303,42 +315,37 @@ def potential_expansion_fits(config: ModelConfig,
 
     |V - leading| should fall like r^-2 and |V - leading - second| like r^-3.
     """
-    radii = _fit_radii() if radii is None else np.asarray(radii, dtype=float)
-    ps = sample_grid(config, radii)
-    lead = np.empty(radii.size)
-    second = np.empty(radii.size, dtype=complex)
-    for k, r in enumerate(radii):
-        terms = potential_asymptotics(config, r)
-        lead[k] = terms.leading
-        second[k] = terms.second
-    one_term = np.abs(ps.V - lead)
-    two_term = np.abs(ps.V - lead - second)
-    return [
-        fit_decay_slope(radii, one_term, -2.0, "V minus leading term"),
-        fit_decay_slope(radii, two_term, -3.0, "V minus two terms"),
-    ]
+    radii = _fit_radii(radii)
+    big_v = sample_grid(config, radii).V
+    terms = potential_asymptotics(config, radii)
+    return _expansion_fits(radii, np.abs(big_v - terms.leading),
+                           np.abs(big_v - terms.leading - terms.second), "V")
 
 
-def eigenfunction_asymptotics(config: ModelConfig, j: int,
-                              radii: np.ndarray | None = None) -> list[FitReport]:
-    """Decay fits for the large-r expansion of v_j: orders r^-2 and r^-3."""
-    radii = _fit_radii() if radii is None else np.asarray(radii, dtype=float)
-    ps = sample_grid(config, radii)
-    vj = ps.v[:, j]
-    mu_j = config.mu[j]
-    one_term = np.abs(vj + (2.0 / radii) * np.sin(mu_j * radii))
-    two_term = np.abs(
-        vj - np.array([eigenfunction_large_r(config, j, r) for r in radii])
-    )
-    return [
-        fit_decay_slope(radii, one_term, -2.0, f"v_{j + 1} minus leading term"),
-        fit_decay_slope(radii, two_term, -3.0, f"v_{j + 1} minus two terms"),
-    ]
+def eigenfunction_asymptotics(config: ModelConfig,
+                              radii: np.ndarray | None = None) -> list[list]:
+    """Decay fits for the large-r expansion of each v_j: orders r^-2, r^-3.
+
+    One [one-term, two-term] pair of FitReports per eigen-index j, all from
+    one sample.
+    """
+    radii = _fit_radii(radii)
+    v = sample_grid(config, radii).v
+    one_term = np.abs(v + (2.0 / radii[:, None]) * trig_s(config.freqs, radii))
+    two_term = np.abs(v - eigenfunction_large_r(config, radii))
+    return [_expansion_fits(radii, one_term[:, j], two_term[:, j],
+                            f"v_{j + 1}") for j in range(config.n)]
 
 
-def _inverse(config: ModelConfig, r: float) -> np.ndarray:
+def _inverse(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
+    """(A + G(r))^{-1} for every radius, a (K, n, n) stack."""
     eye = np.eye(config.n, dtype=complex)
-    return DenseLU(system_matrix(config, r)).solve(eye)
+    return resolvent_apply(config, radii,
+                           np.broadcast_to(eye, (radii.size,) + eye.shape))
+
+
+def _max_entry(stack: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(stack), axis=(1, 2))
 
 
 def inverse_matrix_asymptotics(config: ModelConfig,
@@ -348,24 +355,13 @@ def inverse_matrix_asymptotics(config: ModelConfig,
     The bare defect against (2/r) I falls like r^-2; after the Neumann
     refinement the defect falls like r^-3.
     """
-    radii = _fit_radii() if radii is None else np.asarray(radii, dtype=float)
-    if radii.min() < 50.0:
-        raise ValueError("large-r fits need radii >= 50")
-    eye = np.eye(config.n)
-    a_diag = np.diag(config.a)
-    bare = np.empty(radii.size)
-    refined = np.empty(radii.size)
-    for k, r in enumerate(radii):
-        inv = _inverse(config, r)
-        h = h_matrix(config.freqs, r).h
-        bare[k] = float(np.max(np.abs(inv - (2.0 / r) * eye)))
-        refined[k] = float(np.max(np.abs(
-            inv - (2.0 / r) * eye + (4.0 / r**2) * (a_diag + h)
-        )))
-    return [
-        fit_decay_slope(radii, bare, -2.0, "resolvent minus 2/r"),
-        fit_decay_slope(radii, refined, -3.0, "resolvent minus two terms"),
-    ]
+    radii = _fit_radii(radii)
+    rr = radii[:, None, None]
+    bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
+    refined = bare + (4.0 / rr**2) * (np.diag(config.a)
+                                      + h_matrix_stack(config.freqs, radii))
+    return _expansion_fits(radii, _max_entry(bare), _max_entry(refined),
+                           "resolvent", leading="2/r")
 
 
 def inverse_small_r_slope(config: ModelConfig,
@@ -377,10 +373,7 @@ def inverse_small_r_slope(config: ModelConfig,
         radii = np.asarray(radii, dtype=float)
     if radii.max() > 1.0 or radii.min() <= 0.0:
         raise ValueError("small-r fits need radii in (0, 1]")
-    inv_a = np.diag(1.0 / config.a)
-    defect = np.array([
-        float(np.max(np.abs(_inverse(config, r) - inv_a))) for r in radii
-    ])
+    defect = _max_entry(_inverse(config, radii) - np.diag(1.0 / config.a))
     return fit_decay_slope(radii, defect, 3.0, "resolvent minus A^{-1}", bins=12)
 
 
@@ -390,22 +383,13 @@ def vprime_asymptotics(config: ModelConfig,
 
     v'(r) = -(2/r) M c + (4/r^2) ((ts s) s + A M c + H M c) + O(r^-3).
     """
-    radii = _fit_radii() if radii is None else np.asarray(radii, dtype=float)
-    if radii.min() < 50.0:
-        raise ValueError("large-r fits need radii >= 50")
-    ps = sample_grid(config, radii)
-    mu = config.mu
-    bare = np.empty(radii.size)
-    refined = np.empty(radii.size)
-    for k, r in enumerate(radii):
-        s = np.sin(mu * r)
-        mc = mu * np.cos(mu * r)
-        h = h_matrix(config.freqs, r).h
-        lead = -(2.0 / r) * mc
-        nxt = (4.0 / r**2) * ((s @ s) * s + config.a * mc + h @ mc)
-        bare[k] = float(np.max(np.abs(ps.v_prime[k] - lead)))
-        refined[k] = float(np.max(np.abs(ps.v_prime[k] - lead - nxt)))
-    return [
-        fit_decay_slope(radii, bare, -2.0, "v' minus leading term"),
-        fit_decay_slope(radii, refined, -3.0, "v' minus two terms"),
-    ]
+    radii = _fit_radii(radii)
+    v_prime = sample_grid(config, radii).v_prime
+    s = trig_s(config.freqs, radii)
+    mc = config.mu * trig_c(config.freqs, radii)
+    h_mc = np.einsum("kij,kj->ki", h_matrix_stack(config.freqs, radii), mc)
+    lead = -(2.0 / radii[:, None]) * mc
+    nxt = (4.0 / radii[:, None] ** 2) * (
+        np.sum(s * s, axis=1)[:, None] * s + config.a * mc + h_mc)
+    return _expansion_fits(radii, np.max(np.abs(v_prime - lead), axis=1),
+                           np.max(np.abs(v_prime - lead - nxt), axis=1), "v'")

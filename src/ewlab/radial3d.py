@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ewlab.construct import sample_grid
-from ewlab.kernel import ModelConfig
-from ewlab.oracle import GridError, GridSpec, fd_second_derivative
+from ewlab.kernel import GridError, GridSpec, ModelConfig
+from ewlab.oracle import fd_second_derivative
 
 __all__ = [
     "RadialLift",

@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ewlab.construct import sample_grid
-from ewlab.kernel import ModelConfig
+from ewlab.kernel import GridError, GridSpec, ModelConfig
 from ewlab.linalg import ComplexTridiagonal, SingularMatrixError, TridiagonalLU
-from ewlab.oracle import GridError, GridSpec
 
 __all__ = [
     "DiscreteHamiltonian",
@@ -78,16 +77,19 @@ class ProbeResult:
     iterations: int
     start_mode: str           # "sampled eigenfunction" or "seeded random"
     vector: np.ndarray
+    start_vector: np.ndarray  # the iteration's start, before normalization
 
 
-def build_hamiltonian(config: ModelConfig, grid: GridSpec) -> DiscreteHamiltonian:
-    """Discretize -d^2/dr^2 + V(r) with Dirichlet walls at 0 and r_end."""
+def build_hamiltonian(grid: GridSpec,
+                      v_interior: np.ndarray) -> DiscreteHamiltonian:
+    """Discretize -d^2/dr^2 + V(r) with Dirichlet walls at 0 and r_end.
+
+    v_interior holds V at the interior nodes r_1 .. r_{K-1} of the grid.
+    """
     if grid.r_start != 0.0:
         raise GridError("probe grids start at r = 0")
-    radii = grid.radii()
     h = grid.step
-    v_interior = sample_grid(config, radii[1:-1]).V
-    diag = 2.0 / h**2 + v_interior
+    diag = 2.0 / h**2 + np.asarray(v_interior, dtype=complex)
     off = np.full(diag.size - 1, -1.0 / h**2, dtype=complex)
     op = ComplexTridiagonal(sub=off, diag=diag, super=off.copy())
     return DiscreteHamiltonian(grid=grid, operator=op)
@@ -95,15 +97,7 @@ def build_hamiltonian(config: ModelConfig, grid: GridSpec) -> DiscreteHamiltonia
 
 def free_hamiltonian(grid: GridSpec) -> DiscreteHamiltonian:
     """Test hook: the V = 0 discretization, whose spectrum is known exactly."""
-    if grid.r_start != 0.0:
-        raise GridError("probe grids start at r = 0")
-    h = grid.step
-    k = grid.count - 2
-    diag = np.full(k, 2.0 / h**2, dtype=complex)
-    off = np.full(k - 1, -1.0 / h**2, dtype=complex)
-    return DiscreteHamiltonian(
-        grid=grid, operator=ComplexTridiagonal(sub=off, diag=diag, super=off.copy())
-    )
+    return build_hamiltonian(grid, np.zeros(grid.count - 2))
 
 
 def free_laplacian_eigenvalue(grid: GridSpec, k: int) -> float:
@@ -169,15 +163,15 @@ def inverse_iteration(hd: DiscreteHamiltonian, shift: complex,
         raise ValueError("tolerance must be positive")
     k = hd.operator.size
     if start is None:
-        x = np.random.default_rng(seed).standard_normal(k).astype(complex)
+        start = np.random.default_rng(seed).standard_normal(k).astype(complex)
         start_mode = "seeded random"
     else:
-        x = np.asarray(start, dtype=complex).copy()
+        start = np.asarray(start, dtype=complex)
         start_mode = "sampled eigenfunction"
-    norm = float(np.linalg.norm(x))
+    norm = float(np.linalg.norm(start))
     if norm == 0.0:
         raise ValueError("zero start vector")
-    x /= norm
+    x = start / norm
 
     lu = None
     for attempt in range(3):
@@ -204,7 +198,7 @@ def inverse_iteration(hd: DiscreteHamiltonian, shift: complex,
             return ProbeResult(
                 j=-1, shift=float(np.real(shift)), eigval_estimate=lam,
                 residual=residual, boundary_leak=math.nan, iterations=it,
-                start_mode=start_mode, vector=x,
+                start_mode=start_mode, vector=x, start_vector=start,
             )
     raise NoConvergenceError(
         f"no convergence to {tol} within {max_iter} iterations"
@@ -215,13 +209,13 @@ def probe_embedded(config: ModelConfig, grid: GridSpec,
                    tol: float = 1e-10, max_iter: int = 50) -> list[ProbeResult]:
     """Run the probe at every prescribed eigenvalue mu_j^2.
 
-    Start vectors are the sampled eigenfunctions v_j at the interior nodes;
+    The grid is sampled once: V at the interior nodes builds the Hamiltonian,
+    the sampled eigenfunctions v_j there are the start vectors, and
     boundary_leak records |v_j(R)|, the size of the domain-truncation error
     committed by the hard wall.
     """
-    hd = build_hamiltonian(config, grid)
-    radii = grid.radii()
-    ps = sample_grid(config, radii)
+    ps = sample_grid(config, grid.radii())
+    hd = build_hamiltonian(grid, ps.V[1:-1])
     results = []
     for j in range(config.n):
         raw = inverse_iteration(

@@ -23,27 +23,25 @@ import numpy as np
 
 from ewlab import __version__
 from ewlab.construct import (
-    eigenfunction_values,
     log_det_derivative,
     log_det_second_difference,
     potential_asymptotics,
-    potential_value,
     resolvent_apply,
     sample_grid,
+    system_matrix,
 )
 from ewlab.kernel import (
+    GridSpec,
     ModelConfig,
-    gram_entry,
-    gram_matrix,
+    gram_matrix_stack,
     gram_positivity_check,
     h_bound,
-    h_matrix,
+    h_matrix_stack,
     trig_c,
     trig_s,
 )
 from ewlab.linalg import condition_estimate
 from ewlab.oracle import (
-    GridSpec,
     eigenfunction_asymptotics,
     gram_derivative_defect,
     inverse_matrix_asymptotics,
@@ -156,93 +154,88 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     n = config.n
 
     # --- kernel: closed form vs quadrature on seeded (i, j, r) triples
-    worst = 0.0
+    triples = []
     for _ in range(20):
         i, j = (int(x) for x in rng.integers(0, n, size=2))
-        r = float(rng.uniform(0.0, 30.0))
-        worst = max(worst, abs(gram_entry(mu[i], mu[j], r)
-                               - quadrature_gram(mu[i], mu[j], r, 1e-12)))
+        triples.append((i, j, float(rng.uniform(0.0, 30.0))))
+    g = gram_matrix_stack(config.freqs, [r for _, _, r in triples])
+    worst = max(abs(g[k, i, j] - quadrature_gram(mu[i], mu[j], r, 1e-12))
+                for k, (i, j, r) in enumerate(triples))
     checks.append(_upper("gram_vs_quadrature", worst, 1e-10, triples=20))
 
-    # --- kernel: positivity of the Gram quadratic form
-    low = np.inf
-    for r in (0.1, 1.0, 10.0, 100.0):
-        for _ in range(100):
-            xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            low = min(low, gram_positivity_check(config.freqs, r, xi))
+    # --- kernel: positivity of the Gram quadratic form, 100 trials per radius
+    pos_radii = np.repeat([0.1, 1.0, 10.0, 100.0], 100)
+    z = rng.standard_normal((pos_radii.size, 2, n))
+    low = np.min(gram_positivity_check(config.freqs, pos_radii,
+                                       z[:, 0] + 1j * z[:, 1]))
     checks.append(_lower("gram_positivity", low, 0.0, radii=4, trials=100))
 
     # --- kernel: |g_ij| <= mu_i mu_j r^3 and the uniform h bounds
     sweep = np.linspace(0.01, 5.0, 200)
-    outer_mu = np.outer(mu, mu)
-    ratio = max(float(np.max(np.abs(gram_matrix(config.freqs, r).g)
-                             / (outer_mu * r**3))) for r in sweep)
+    ratio = np.max(np.abs(gram_matrix_stack(config.freqs, sweep))
+                   / (np.outer(mu, mu) * sweep[:, None, None] ** 3))
     checks.append(_upper("gram_entry_cubic_bound", ratio, 1.0))
-    bounds = np.array([[h_bound(mu[i], mu[j]) for j in range(n)]
-                       for i in range(n)])
-    hsweep = np.arange(0.05, 400.0, 0.05)
-    hratio = max(float(np.max(np.abs(h_matrix(config.freqs, r).h) / bounds))
-                 for r in hsweep[:: 40])
+    hsweep = np.arange(0.05, 400.0, 0.05)[::40]
+    hratio = np.max(np.abs(h_matrix_stack(config.freqs, hsweep))
+                    / h_bound(config.freqs))
     # the diagonal ratio is |sin|, which can graze 1; allow rounding slack
     checks.append(_upper("h_entry_uniform_bound", hratio, 1.0 + 1e-12))
 
     # --- kernel: G' = s.ts by central FD, O(h^2)
     radii_fd = rng.uniform(0.5, 50.0, 5)
-    d_h = max(gram_derivative_defect(config.freqs, r, 1e-4) for r in radii_fd)
-    d_half = max(gram_derivative_defect(config.freqs, r, 5e-5)
-                 for r in radii_fd)
+    d_h = gram_derivative_defect(config.freqs, radii_fd, 1e-4)
+    d_half = gram_derivative_defect(config.freqs, radii_fd, 5e-5)
     checks.append(_upper("gram_derivative_defect", d_h, 1e-6, step=1e-4))
     checks.append(_band("gram_derivative_order", d_h / d_half, 3.0, 5.0))
 
     # --- construct: commutator identity [G, M^2] = -s.t(Mc) + (Mc).t(s)
     m2 = np.diag(mu**2)
-    worst = 0.0
-    for r in rng.uniform(0.0, 100.0, 50):
-        g = gram_matrix(config.freqs, r).g
-        s = trig_s(config.freqs, r)
-        sp = mu * trig_c(config.freqs, r)
-        defect = g @ m2 - m2 @ g + np.outer(s, sp) - np.outer(sp, s)
-        worst = max(worst, float(np.max(np.abs(defect))))
-    checks.append(_upper("commutator_identity", worst, 1e-12, radii=50))
+    com_radii = rng.uniform(0.0, 100.0, 50)
+    g = gram_matrix_stack(config.freqs, com_radii)
+    s = trig_s(config.freqs, com_radii)
+    sp = mu * trig_c(config.freqs, com_radii)
+    defect = (g @ m2 - m2 @ g + s[:, :, None] * sp[:, None, :]
+              - sp[:, :, None] * s[:, None, :])
+    checks.append(_upper("commutator_identity", np.max(np.abs(defect)), 1e-12,
+                         radii=50))
 
     # --- construct: resolvent at the origin is A^{-1}
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    origin_defect = float(np.max(np.abs(resolvent_apply(config, 0.0, b)
-                                        - b / config.a)))
+    origin_defect = np.max(np.abs(
+        resolvent_apply(config, [0.0], b[None, :, None])[0, :, 0]
+        - b / config.a))
     checks.append(_upper("resolvent_origin", origin_defect, 1e-15))
 
     # --- construct: Dirichlet data at 0 are exact
-    v0 = eigenfunction_values(config, 0.0)
-    big_v0 = potential_value(config, 0.0).V
+    ps0 = sample_grid(config, [0.0])
     checks.append(_upper("dirichlet_origin",
-                         float(np.max(np.abs(v0)) + abs(big_v0)), 0.0))
+                         np.max(np.abs(ps0.v)) + abs(ps0.V[0]), 0.0))
 
     # --- construct: log-det identities
-    ld_radii = (0.9, 7.7, 31.0)
-    d1 = max(abs(log_det_derivative(config, r, 1e-4)
-                 + trig_s(config.freqs, r) @ eigenfunction_values(config, r))
-             for r in ld_radii)
+    ld_radii = np.array([0.9, 7.7, 31.0])
+    ps_ld = sample_grid(config, ld_radii)
+    d1 = np.max(np.abs(log_det_derivative(config, ld_radii, 1e-4)
+                       + np.sum(trig_s(config.freqs, ld_radii) * ps_ld.v,
+                                axis=1)))
     checks.append(_upper("log_det_first_derivative", d1, 1e-6, step=1e-4))
-    d2 = max(abs(potential_value(config, r).V
-                 + 2.0 * log_det_second_difference(config, r, 1e-3))
-             for r in ld_radii)
-    d2_half = max(abs(potential_value(config, r).V
-                      + 2.0 * log_det_second_difference(config, r, 5e-4))
-                  for r in ld_radii)
+    d2 = np.max(np.abs(ps_ld.V + 2.0 * log_det_second_difference(
+        config, ld_radii, 1e-3)))
+    d2_half = np.max(np.abs(ps_ld.V + 2.0 * log_det_second_difference(
+        config, ld_radii, 5e-4)))
     checks.append(_upper("log_det_second_defect", d2, 1e-4, step=1e-3))
     checks.append(_band("log_det_second_order", d2 / d2_half, 3.0, 5.0))
 
     # --- oracle: eigen-equation residual and RK4 shooting, per eigenvalue
     res_grid = GridSpec(0.0, 50.0, 1e-3)
     shoot_grid = GridSpec(0.1, 30.0, 1e-3)
-    for j in range(n):
-        rep = residual_eigen_equation(config, res_grid, j)
+    residuals = residual_eigen_equation(config, res_grid)
+    devs = shooting_compare(config, shoot_grid)
+    devs_half = shooting_compare(config, shoot_grid.halved())
+    for j, (rep, dev, dev_half) in enumerate(zip(residuals, devs, devs_half)):
         checks.append(_upper(f"eigen_residual_v{j + 1}", rep.sup_residual,
                              1e-4, step=res_grid.step))
         checks.append(_band(f"eigen_residual_order_v{j + 1}",
                             rep.convergence_ratio, 3.0, 5.0))
-        dev = shooting_compare(config, shoot_grid, j)
-        dev_half = shooting_compare(config, shoot_grid.halved(), j)
         checks.append(_upper(f"shooting_v{j + 1}", dev, 1e-7,
                              step=shoot_grid.step))
         checks.append(_band(f"shooting_order_v{j + 1}",
@@ -265,74 +258,69 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
         checks.append(_lower("potential_complexity", max_im, 0.0))
 
     # --- small-r orders of v: sin form is O(r^4), linear form O(r^3)
-    def _small(form, r):
-        v = eigenfunction_values(config, r)
-        ref = np.sin(mu * r) if form == "sin" else mu * r
-        return float(np.max(np.abs(v + ref / config.a)))
-
     r0 = 0.02
+    small = np.array([r0, r0 / 2])
+    v_small = sample_grid(config, small).v
+
+    def _small(ref):
+        d = np.max(np.abs(v_small + ref / config.a), axis=1)
+        return d[0] / d[1]
+
     checks.append(_band("small_r_sin_form_order",
-                        _small("sin", r0) / _small("sin", r0 / 2),
+                        _small(np.sin(np.outer(small, mu))),
                         12.0, 20.0, order="r^4"))
     checks.append(_band("small_r_linear_form_order",
-                        _small("lin", r0) / _small("lin", r0 / 2),
+                        _small(np.outer(small, mu)),
                         6.0, 10.0, order="r^3"))
 
     # --- decay bound certificates, stability under grid refinement
-    inner = grid.radii()[1:]
-    ps_half = sample_grid(config, GridSpec(0.0, 400.0, 0.025).radii())
-    inner_half = GridSpec(0.0, 400.0, 0.025).radii()[1:]
-    c_v = float(np.max(np.abs(ps.v[1:]) * ((1 + inner**2) / inner)[:, None]))
-    c_v_half = float(np.max(np.abs(ps_half.v[1:])
-                            * ((1 + inner_half**2) / inner_half)[:, None]))
+    def _bound_constants(sample):
+        """C_v in |v| <= C_v r/(1+r^2) and C_p in |v'| <= C_p/(1+r), r > 0."""
+        r = sample.radii[1:, None]
+        return (float(np.max(np.abs(sample.v[1:]) * ((1 + r**2) / r))),
+                float(np.max(np.abs(sample.v_prime[1:]) * (1 + r))))
+
+    c_v, c_p = _bound_constants(ps)
+    c_v_half, c_p_half = _bound_constants(
+        sample_grid(config, GridSpec(0.0, 400.0, 0.025).radii()))
     checks.append(_upper("eigenfunction_bound_stable",
                          abs(c_v - c_v_half) / c_v, 0.02, constant=c_v))
-    c_p = float(np.max(np.abs(ps.v_prime[1:]) * (1 + inner)[:, None]))
-    c_p_half = float(np.max(np.abs(ps_half.v_prime[1:])
-                            * (1 + inner_half)[:, None]))
     checks.append(_upper("derivative_bound_stable",
                          abs(c_p - c_p_half) / c_p, 0.02, constant=c_p))
 
     # --- W is independent of the couplings (identical formula, no a)
-    from ewlab.construct import w_function
     alt = ModelConfig.from_values(mu, config.a + 1.0)
-    w_diff = max(abs(w_function(config, r) - w_function(alt, r))
-                 for r in (0.5, 2.0, 11.0, 77.0))
+    w_radii = np.array([0.5, 2.0, 11.0, 77.0])
+    w_diff = np.max(np.abs(sample_grid(config, w_radii).w
+                           - sample_grid(alt, w_radii).w))
     checks.append(_upper("w_coupling_independent", w_diff, 0.0))
 
-    # --- asymptotic decay fits
-    for name, rep in zip(("fit_potential_one_term", "fit_potential_two_term"),
-                         potential_expansion_fits(config)):
-        checks.append(_fit_check(name, rep))
-    for name, rep in zip(("fit_resolvent_one_term", "fit_resolvent_two_term"),
-                         inverse_matrix_asymptotics(config)):
-        checks.append(_fit_check(name, rep))
+    # --- asymptotic decay fits, one-term and two-term defect per quantity
+    def _fit_pair(stem, reports):
+        for suffix, rep in zip(("one_term", "two_term"), reports):
+            checks.append(_fit_check(f"fit_{stem}_{suffix}", rep))
+
+    _fit_pair("potential", potential_expansion_fits(config))
+    _fit_pair("resolvent", inverse_matrix_asymptotics(config))
     checks.append(_fit_check("fit_resolvent_small_r",
                              inverse_small_r_slope(config)))
-    for name, rep in zip(("fit_vprime_one_term", "fit_vprime_two_term"),
-                         vprime_asymptotics(config)):
-        checks.append(_fit_check(name, rep))
-    for j in range(n):
-        names = (f"fit_v{j + 1}_one_term", f"fit_v{j + 1}_two_term")
-        for name, rep in zip(names, eigenfunction_asymptotics(config, j)):
-            checks.append(_fit_check(name, rep))
+    _fit_pair("vprime", vprime_asymptotics(config))
+    for j, reps in enumerate(eigenfunction_asymptotics(config)):
+        _fit_pair(f"v{j + 1}", reps)
 
     # --- two-term remainder of V scaled by r^3 stays bounded
     fit_radii = np.geomspace(50.0, 400.0, 200)
-    ps_fit = sample_grid(config, fit_radii)
-    rem = np.empty(fit_radii.size)
-    for k, r in enumerate(fit_radii):
-        terms = potential_asymptotics(config, r)
-        rem[k] = abs(ps_fit.V[k] - terms.leading - terms.second) * r**3
-    checks.append(_upper("potential_remainder_r3", float(np.max(rem)), 1e3))
+    terms = potential_asymptotics(config, fit_radii)
+    rem = (np.abs(sample_grid(config, fit_radii).V - terms.leading
+                  - terms.second) * fit_radii**3)
+    checks.append(_upper("potential_remainder_r3", np.max(rem), 1e3))
 
+    cond_radii = (1.0, 10.0, 100.0, 400.0)
+    conds = condition_estimate(system_matrix(config, cond_radii))
     diagnostics = {
         "sup_V_on_grid": max_v,
-        "condition_estimates": {
-            str(r): condition_estimate(
-                gram_matrix(config.freqs, r).g + np.diag(config.a))
-            for r in (1.0, 10.0, 100.0, 400.0)
-        },
+        "condition_estimates": {str(r): float(c)
+                                for r, c in zip(cond_radii, conds)},
         "bound_constant_v": c_v,
         "bound_constant_v_prime": c_p,
     }

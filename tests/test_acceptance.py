@@ -14,12 +14,10 @@ from ewlab.cli import main as cli_main
 from ewlab.construct import (
     log_det_second_difference,
     potential_asymptotics,
-    potential_value,
     sample_grid,
 )
-from ewlab.kernel import ModelConfig, gram_entry, gram_matrix, trig_s
+from ewlab.kernel import GridSpec, ModelConfig, gram_matrix_stack, trig_s
 from ewlab.oracle import (
-    GridSpec,
     eigenfunction_asymptotics,
     gram_derivative_defect,
     inverse_matrix_asymptotics,
@@ -50,12 +48,11 @@ def _report(num: int, desc: str, ok: bool, detail: str) -> None:
 def test_criterion_1_gram_closed_form_vs_quadrature():
     rng = np.random.default_rng(101)
     mu = np.array([3.0, 2.0, 1.0])
-    worst = 0.0
-    for _ in range(20):
-        i, j = rng.integers(0, 3, size=2)
-        r = float(rng.uniform(0.0, 25.0))
-        closed = gram_entry(mu[i], mu[j], r)
-        worst = max(worst, abs(closed - quadrature_gram(mu[i], mu[j], r)))
+    triples = [(int(i), int(j), float(rng.uniform(0.0, 25.0)))
+               for i, j in (rng.integers(0, 3, size=2) for _ in range(20))]
+    g = gram_matrix_stack(REAL3.freqs, [r for _, _, r in triples])
+    worst = max(abs(g[k, i, j] - quadrature_gram(mu[i], mu[j], r))
+                for k, (i, j, r) in enumerate(triples))
     _report(1, "Gram closed form vs quadrature", worst <= 1e-10,
             f"max defect {worst:.3e} <= 1e-10 over 20 seeded triples")
 
@@ -65,8 +62,7 @@ def test_criterion_2_eigen_equation_residual():
     worst_sup = 0.0
     ratios = []
     for cfg in STOCK:
-        for j in range(cfg.n):
-            rep = residual_eigen_equation(cfg, grid, j)
+        for rep in residual_eigen_equation(cfg, grid):
             worst_sup = max(worst_sup, rep.sup_residual)
             ratios.append(rep.convergence_ratio)
     ok = worst_sup <= 1e-4 and all(3.0 <= q <= 5.0 for q in ratios)
@@ -80,11 +76,9 @@ def test_criterion_3_shooting_reproduction():
     worst = 0.0
     ratios = []
     for cfg in STOCK:
-        for j in range(cfg.n):
-            dev = shooting_compare(cfg, grid, j)
-            dev_half = shooting_compare(cfg, grid.halved(), j)
-            worst = max(worst, dev)
-            ratios.append(dev / dev_half)
+        devs = shooting_compare(cfg, grid)
+        worst = max(worst, float(np.max(devs)))
+        ratios.extend(devs / shooting_compare(cfg, grid.halved()))
     ok = worst <= 1e-7 and all(10.0 <= q <= 24.0 for q in ratios)
     _report(3, "independent RK4 shooting", ok,
             f"max deviation {worst:.3e} <= 1e-7, "
@@ -96,23 +90,24 @@ def test_criterion_4_matrix_identities():
     worst_comm = 0.0
     for cfg in (REAL3, CPLX2):
         m2 = cfg.frequency_matrix() ** 2
-        for r in rng.uniform(0.0, 100.0, size=50):
-            g = gram_matrix(cfg.freqs, r).g
-            s = trig_s(cfg.freqs, r)
-            mc = cfg.mu * np.cos(cfg.mu * r)
-            defect = g @ m2 - m2 @ g + np.outer(s, mc) - np.outer(mc, s)
-            worst_comm = max(worst_comm, float(np.max(np.abs(defect))))
+        radii = rng.uniform(0.0, 100.0, size=50)
+        g = gram_matrix_stack(cfg.freqs, radii)
+        s = trig_s(cfg.freqs, radii)
+        mc = cfg.mu * np.cos(np.outer(radii, cfg.mu))
+        defect = (g @ m2 - m2 @ g + s[:, :, None] * mc[:, None, :]
+                  - mc[:, :, None] * s[:, None, :])
+        worst_comm = max(worst_comm, float(np.max(np.abs(defect))))
 
-    d1 = gram_derivative_defect(REAL3.freqs, 2.7, 1e-4)
-    d2 = gram_derivative_defect(REAL3.freqs, 2.7, 5e-5)
+    d1 = gram_derivative_defect(REAL3.freqs, [2.7], 1e-4)
+    d2 = gram_derivative_defect(REAL3.freqs, [2.7], 5e-5)
     gram_ratio = d1 / d2
 
     log_ratios = []
     for cfg in (REAL3, CPLX2):
-        v = potential_value(cfg, 5.3).V
+        v = sample_grid(cfg, [5.3]).V[0]
 
         def defect(h, cfg=cfg, v=v):
-            return abs(-2.0 * log_det_second_difference(cfg, 5.3, h) - v)
+            return abs(-2.0 * log_det_second_difference(cfg, [5.3], h)[0] - v)
 
         log_ratios.append(defect(1e-3) / defect(5e-4))
 
@@ -131,16 +126,14 @@ def test_criterion_5_large_r_expansions():
         fits.extend(inverse_matrix_asymptotics(cfg))
         fits.append(inverse_small_r_slope(cfg))
         fits.extend(vprime_asymptotics(cfg))
-        for j in range(cfg.n):
-            fits.extend(eigenfunction_asymptotics(cfg, j))
+        for reps in eigenfunction_asymptotics(cfg):
+            fits.extend(reps)
     gap = max(abs(f.slope - f.expected_slope) for f in fits)
 
     radii = np.geomspace(50.0, 400.0, 200)
     ps = sample_grid(REAL3, radii)
-    scaled = 0.0
-    for k, r in enumerate(radii):
-        t = potential_asymptotics(REAL3, r)
-        scaled = max(scaled, abs(ps.V[k] - t.leading - t.second) * r**3)
+    t = potential_asymptotics(REAL3, radii)
+    scaled = float(np.max(np.abs(ps.V - t.leading - t.second) * radii**3))
 
     ok = gap <= 0.2 and scaled <= 1e3
     _report(5, "large-r expansion slopes", ok,

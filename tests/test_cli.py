@@ -6,9 +6,13 @@ import json
 import numpy as np
 import pytest
 
+import ewlab.cli
 from ewlab.cli import main
-from ewlab.construct import potential_value
-from ewlab.kernel import ModelConfig
+from ewlab.construct import InvertibilityError, sample_grid
+from ewlab.kernel import ConfigError, GridError, ModelConfig, PositivityError
+from ewlab.linalg import SingularMatrixError
+from ewlab.oracle import MaxDepthExceededError, StepTooLargeError
+from ewlab.spectral_probe import NoConvergenceError
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -102,7 +106,7 @@ def test_build_csv_round_trips_doubles(tmp_path):
     model = ModelConfig.from_values([1.0], [1.0])
     for k in (137, 500, 1000):
         r = float(rows[k]["r"])
-        want = potential_value(model, r).V
+        want = sample_grid(model, [r]).V[0]
         assert float(rows[k]["V_re"]) == want.real
         assert float(rows[k]["V_im"]) == want.imag
 
@@ -202,3 +206,25 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+@pytest.mark.parametrize("exc, code", [
+    (InvertibilityError("A+G(r) numerically singular"), 1),
+    (PositivityError("<xi, G xi> = -1 is not positive"), 1),
+    (MaxDepthExceededError("adaptive Simpson exceeded depth 60"), 1),
+    (StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step"), 1),
+    (SingularMatrixError("pivot 0 below threshold in batch entry 3"), 1),
+    (NoConvergenceError("no convergence"), 1),
+    (ValueError("too few nonzero envelope points to fit"), 1),
+    (ConfigError("bad input"), 2),
+    (GridError("bad grid"), 2),
+])
+def test_exit_codes_by_failure_class(tmp_path, capsys, monkeypatch, exc, code):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(ewlab.cli, "run_verification", fail)
+    assert main(["verify", "--config", write_config(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exc}\n"

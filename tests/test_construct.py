@@ -9,24 +9,25 @@ import pytest
 
 from ewlab.construct import (
     InvertibilityError,
-    eigenfunction_derivative,
-    eigenfunction_frame,
     eigenfunction_large_r,
-    eigenfunction_values,
     log_det_derivative,
     log_det_second_difference,
     potential_asymptotics,
-    potential_value,
     resolvent_apply,
     sample_grid,
     system_matrix,
-    w_function,
 )
-from ewlab.kernel import Couplings, ModelConfig, gram_entry, gram_matrix, trig_s
+from ewlab.kernel import (
+    ModelConfig,
+    gram_matrix_stack,
+    h_matrix_stack,
+    trig_s,
+)
 
 CFG1 = ModelConfig.from_values([1.0], [1.0])
 CFG3 = ModelConfig.from_values([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
 CFGC = ModelConfig.from_values([2.0, 1.0], [1.0 + 1.0j, 2.0])
+RADII = np.array([0.3, 1.0, 4.4, 17.0])
 
 
 def denom(r):
@@ -34,55 +35,58 @@ def denom(r):
 
 
 def test_system_matrix_is_coupling_plus_gram():
-    r = 3.1
-    m = system_matrix(CFG3, r)
-    assert np.array_equal(m, np.diag(CFG3.a) + gram_matrix(CFG3.freqs, r).g)
+    radii = np.array([3.1, 0.2])
+    m = system_matrix(CFG3, radii)
+    assert np.array_equal(m, np.diag(CFG3.a) + gram_matrix_stack(CFG3.freqs, radii))
 
 
 def test_resolvent_at_origin_is_coupling_inverse():
-    b = np.array([2.0, -1.0, 0.5], dtype=complex)
-    assert np.allclose(resolvent_apply(CFG3, 0.0, b), b, atol=1e-16, rtol=0.0)
-    got = resolvent_apply(CFGC, 0.0, np.array([1.0, 1.0], dtype=complex))
-    assert np.allclose(got, [1.0 / (1.0 + 1.0j), 0.5], atol=1e-16, rtol=0.0)
+    b = np.array([[[2.0], [-1.0], [0.5]]], dtype=complex)
+    assert np.allclose(resolvent_apply(CFG3, [0.0], b), b, atol=1e-16, rtol=0.0)
+    got = resolvent_apply(CFGC, [0.0], np.ones((1, 2, 1), dtype=complex))
+    assert np.allclose(got[0, :, 0], [1.0 / (1.0 + 1.0j), 0.5], atol=1e-16,
+                       rtol=0.0)
 
 
 def test_resolvent_single_frequency():
-    for r in (0.5, 2.0, 9.7):
-        got = resolvent_apply(CFG1, r, np.array([1.0], dtype=complex))
-        assert got[0] == pytest.approx(1.0 / denom(r), abs=1e-15)
+    radii = np.array([0.5, 2.0, 9.7])
+    got = resolvent_apply(CFG1, radii, np.ones((3, 1, 1), dtype=complex))
+    for k, r in enumerate(radii):
+        assert got[k, 0, 0] == pytest.approx(1.0 / denom(r), abs=1e-15)
 
 
 def test_resolvent_large_r_decay():
     # || (A+G)^-1 b - (2/r) b || <= C / r^2; measured C stays below 20
+    radii = np.array([100.0, 200.0, 400.0])
     b = np.array([1.0, -2.0, 0.5], dtype=complex)
-    for r in (100.0, 200.0, 400.0):
-        d = np.max(np.abs(resolvent_apply(CFG3, r, b) - (2.0 / r) * b))
-        assert d * r * r <= 20.0
+    got = resolvent_apply(CFG3, radii, np.tile(b[:, None], (3, 1, 1)))[:, :, 0]
+    d = np.max(np.abs(got - (2.0 / radii[:, None]) * b), axis=1)
+    assert np.all(d * radii**2 <= 20.0)
 
 
 def test_eigenfunction_closed_form():
-    for r in (0.3, 1.0, 4.4, 17.0):
-        v = eigenfunction_values(CFG1, r)
-        assert v[0] == pytest.approx(-np.sin(r) / denom(r), abs=1e-14)
+    v = sample_grid(CFG1, RADII).v[:, 0]
+    for k, r in enumerate(RADII):
+        assert v[k] == pytest.approx(-np.sin(r) / denom(r), abs=1e-14)
 
 
 def test_eigenfunction_vanishes_at_origin():
-    assert np.all(eigenfunction_values(CFG3, 0.0) == 0.0)
-    assert np.all(eigenfunction_values(CFGC, 0.0) == 0.0)
+    assert np.all(sample_grid(CFG3, [0.0]).v == 0.0)
+    assert np.all(sample_grid(CFGC, [0.0]).v == 0.0)
 
 
 def test_derivative_closed_form():
-    for r in (0.3, 1.0, 4.4, 17.0):
+    vp = sample_grid(CFG1, RADII).v_prime[:, 0]
+    for k, r in enumerate(RADII):
         d = denom(r)
         want = -np.cos(r) / d + np.sin(r) ** 3 / d**2
-        assert eigenfunction_derivative(CFG1, r)[0] == pytest.approx(
-            want, abs=1e-13)
+        assert vp[k] == pytest.approx(want, abs=1e-13)
 
 
 def test_derivative_at_origin():
-    got = eigenfunction_derivative(CFG3, 0.0)
+    got = sample_grid(CFG3, [0.0]).v_prime[0]
     assert np.allclose(got, -CFG3.mu / CFG3.a, atol=1e-16, rtol=0.0)
-    got = eigenfunction_derivative(CFGC, 0.0)
+    got = sample_grid(CFGC, [0.0]).v_prime[0]
     assert np.allclose(got, -CFGC.mu / CFGC.a, atol=1e-16, rtol=0.0)
 
 
@@ -90,27 +94,22 @@ def test_derivative_matches_finite_difference():
     r = 2.6
 
     def defect(h):
-        fd = (eigenfunction_values(CFG3, r + h)
-              - eigenfunction_values(CFG3, r - h)) / (2 * h)
-        return np.max(np.abs(fd - eigenfunction_derivative(CFG3, r)))
+        ps = sample_grid(CFG3, [r - h, r, r + h])
+        fd = (ps.v[2] - ps.v[0]) / (2 * h)
+        return np.max(np.abs(fd - ps.v_prime[1]))
 
     d1, d2 = defect(1e-4), defect(5e-5)
     assert d1 <= 1e-7
     assert 3.0 <= d1 / d2 <= 5.0
 
 
-def test_frame_bundles_consistent_values():
-    frame = eigenfunction_frame(CFGC, 1.9)
-    assert np.array_equal(frame.v, eigenfunction_values(CFGC, 1.9))
-    assert np.array_equal(frame.v_prime, eigenfunction_derivative(CFGC, 1.9))
-
-
 def test_potential_closed_form():
-    for r in (0.3, 1.0, 4.4, 17.0):
+    big_v = sample_grid(CFG1, RADII).V
+    for k, r in enumerate(RADII):
         d = denom(r)
         want = -2.0 * (np.sin(2 * r) / d - np.sin(r) ** 4 / d**2)
-        assert potential_value(CFG1, r).V == pytest.approx(want, abs=1e-13)
-    assert potential_value(CFG3, 0.0).V == 0.0
+        assert big_v[k] == pytest.approx(want, abs=1e-13)
+    assert sample_grid(CFG3, [0.0]).V[0] == 0.0
 
 
 def test_commutator_identity():
@@ -118,58 +117,62 @@ def test_commutator_identity():
     rng = np.random.default_rng(29)
     for cfg in (CFG3, CFGC):
         m2 = cfg.frequency_matrix() ** 2
-        for r in rng.uniform(0.0, 100.0, size=50):
-            g = gram_matrix(cfg.freqs, r).g
-            s = trig_s(cfg.freqs, r)
-            mc = cfg.mu * np.cos(cfg.mu * r)
-            defect = g @ m2 - m2 @ g + np.outer(s, mc) - np.outer(mc, s)
-            assert np.max(np.abs(defect)) <= 1e-12
+        radii = rng.uniform(0.0, 100.0, size=50)
+        g = gram_matrix_stack(cfg.freqs, radii)
+        s = trig_s(cfg.freqs, radii)
+        mc = cfg.mu * np.cos(np.outer(radii, cfg.mu))
+        defect = (g @ m2 - m2 @ g + s[:, :, None] * mc[:, None, :]
+                  - mc[:, :, None] * s[:, None, :])
+        assert np.max(np.abs(defect)) <= 1e-12
 
 
 def test_w_closed_form_and_origin():
-    for r in (0.7, 2.0, 5.5):
+    radii = np.array([0.7, 2.0, 5.5])
+    w = sample_grid(CFG1, radii).w
+    for k, r in enumerate(radii):
         want = np.sin(r) ** 4 - np.sin(r) ** 2 * np.cos(r) ** 2
-        assert w_function(CFG1, r) == pytest.approx(want, abs=1e-14)
-    assert w_function(CFG3, 0.0) == 0.0
+        assert w[k] == pytest.approx(want, abs=1e-14)
+    assert sample_grid(CFG3, [0.0]).w[0] == 0.0
 
 
 def test_w_ignores_couplings():
     other = ModelConfig.from_values([3.0, 2.0, 1.0], [7.0 + 2.0j, 0.1, 4.0])
-    for r in (0.4, 3.0, 62.0):
-        assert w_function(CFG3, r) == w_function(other, r)
+    radii = np.array([0.4, 3.0, 62.0])
+    assert np.array_equal(sample_grid(CFG3, radii).w,
+                          sample_grid(other, radii).w)
 
 
 def test_leading_term_ignores_couplings():
-    for r in (5.0, 80.0):
-        t1 = potential_asymptotics(CFG3, r)
-        t2 = potential_asymptotics(
-            ModelConfig.from_values([3.0, 2.0, 1.0], [2.0, 1j, 5.0]), r)
-        assert t1.leading == t2.leading
-        assert t1.w_value == t2.w_value
+    radii = np.array([5.0, 80.0])
+    t1 = potential_asymptotics(CFG3, radii)
+    t2 = potential_asymptotics(
+        ModelConfig.from_values([3.0, 2.0, 1.0], [2.0, 1j, 5.0]), radii)
+    assert np.array_equal(t1.leading, t2.leading)
+    assert np.array_equal(t1.w_value, t2.w_value)
 
 
 def test_second_term_is_affine_in_couplings():
     # second(2a) - 2 second(a) = -(8/r^2) W, exactly
     doubled = ModelConfig.from_values([3.0, 2.0, 1.0], [2.0, 2.0, 2.0])
-    for r in (7.3, 41.0):
-        s1 = potential_asymptotics(CFG3, r).second
-        s2 = potential_asymptotics(doubled, r).second
-        w = w_function(CFG3, r)
-        assert abs(s2 - 2.0 * s1 + 8.0 * w / r**2) <= 1e-15
+    radii = np.array([7.3, 41.0])
+    t1 = potential_asymptotics(CFG3, radii)
+    s2 = potential_asymptotics(doubled, radii).second
+    assert np.all(np.abs(s2 - 2.0 * t1.second + 8.0 * t1.w_value / radii**2)
+                  <= 1e-15)
 
 
 def test_asymptotics_requires_positive_radius():
     with pytest.raises(ValueError):
-        potential_asymptotics(CFG3, 0.0)
+        potential_asymptotics(CFG3, [1.0, 0.0])
     with pytest.raises(ValueError):
-        eigenfunction_large_r(CFG3, 0, -1.0)
+        eigenfunction_large_r(CFG3, [-1.0])
 
 
 def test_remainder_after_leading_term():
     # |V - leading| * r^2 measured <= 59.1 over [50, 400]; frozen margin 80
     radii = np.geomspace(50.0, 400.0, 500)
     ps = sample_grid(CFG3, radii)
-    lead = np.array([potential_asymptotics(CFG3, r).leading for r in radii])
+    lead = potential_asymptotics(CFG3, radii).leading
     assert np.max(np.abs(ps.V - lead) * radii**2) <= 80.0
 
 
@@ -177,31 +180,22 @@ def test_remainder_after_two_terms():
     # |V - leading - second| * r^3 measured <= 209.9; frozen margin 300
     radii = np.geomspace(50.0, 400.0, 500)
     ps = sample_grid(CFG3, radii)
-    worst = 0.0
-    for k, r in enumerate(radii):
-        t = potential_asymptotics(CFG3, r)
-        worst = max(worst, abs(ps.V[k] - t.leading - t.second) * r**3)
-    assert worst <= 300.0
+    t = potential_asymptotics(CFG3, radii)
+    assert np.max(np.abs(ps.V - t.leading - t.second) * radii**3) <= 300.0
 
 
 def test_eigenfunction_expansion_error_decays_cubically():
-    worst = 0.0
-    for r in np.geomspace(50.0, 400.0, 200):
-        v = eigenfunction_values(CFG3, r)
-        for j in range(3):
-            err = abs(v[j] - eigenfunction_large_r(CFG3, j, r))
-            worst = max(worst, err * r**3)
-    assert worst <= 60.0
+    radii = np.geomspace(50.0, 400.0, 200)
+    err = np.abs(sample_grid(CFG3, radii).v - eigenfunction_large_r(CFG3, radii))
+    assert np.max(err * radii[:, None] ** 3) <= 60.0
 
 
 def test_expansion_at_sine_zero_reduces_to_h_sum():
     # mu_0 = 2 and r = pi: the leading sine term drops out
-    from ewlab.kernel import h_matrix
-
     r = np.pi
-    got = eigenfunction_large_r(CFGC, 0, r)
-    s2 = trig_s(CFGC.freqs, r)
-    h2 = h_matrix(CFGC.freqs, r).h
+    got = eigenfunction_large_r(CFGC, [r])[0, 0]
+    s2 = trig_s(CFGC.freqs, [r])[0]
+    h2 = h_matrix_stack(CFGC.freqs, [r])[0]
     want = (4.0 / r**2) * (h2[0] @ s2)
     assert abs(got - want) <= 1e-15
     assert abs(s2[0]) <= 1e-15  # sin(2 pi)
@@ -209,62 +203,48 @@ def test_expansion_at_sine_zero_reduces_to_h_sum():
 
 def test_small_r_sine_form_is_fourth_order():
     # v_j + sin(mu_j r)/a_j = O(r^4): quartering under r -> r/2 gives ~16
-    r0 = 0.02
-    d1 = np.max(np.abs(eigenfunction_values(CFG3, r0)
-                       + np.sin(CFG3.mu * r0) / CFG3.a))
-    d2 = np.max(np.abs(eigenfunction_values(CFG3, r0 / 2)
-                       + np.sin(CFG3.mu * r0 / 2) / CFG3.a))
-    assert 12.0 <= d1 / d2 <= 20.0
+    radii = np.array([0.02, 0.01])
+    v = sample_grid(CFG3, radii).v
+    d = np.max(np.abs(v + np.sin(np.outer(radii, CFG3.mu)) / CFG3.a), axis=1)
+    assert 12.0 <= d[0] / d[1] <= 20.0
 
 
 def test_small_r_linear_form_is_third_order():
     # v_j + mu_j r / a_j = O(r^3) only; halving ratio sits near 8
-    r0 = 0.02
-    d1 = np.max(np.abs(eigenfunction_values(CFG3, r0) + CFG3.mu * r0 / CFG3.a))
-    d2 = np.max(np.abs(eigenfunction_values(CFG3, r0 / 2)
-                       + CFG3.mu * (r0 / 2) / CFG3.a))
-    assert 6.0 <= d1 / d2 <= 10.0
+    radii = np.array([0.02, 0.01])
+    v = sample_grid(CFG3, radii).v
+    d = np.max(np.abs(v + np.outer(radii, CFG3.mu) / CFG3.a), axis=1)
+    assert 6.0 <= d[0] / d[1] <= 10.0
 
 
 def test_log_det_derivative_identity():
     # (log det(A+G))' = -ts v, via branch-safe determinant ratios
+    radii = np.array([0.9, 7.7, 31.0])
     for cfg in (CFG3, CFGC):
-        for r in (0.9, 7.7, 31.0):
-            s = trig_s(cfg.freqs, r)
-            want = -(s @ eigenfunction_values(cfg, r))
-            assert abs(log_det_derivative(cfg, r) - want) <= 1e-7
+        want = -np.sum(trig_s(cfg.freqs, radii) * sample_grid(cfg, radii).v,
+                       axis=1)
+        assert np.all(np.abs(log_det_derivative(cfg, radii) - want) <= 1e-7)
 
 
 def test_log_det_derivative_single_frequency():
     # D' = sin^2 r, so (log D)' = sin^2 r / D
-    for r in (0.5, 3.0):
-        want = np.sin(r) ** 2 / denom(r)
-        assert log_det_derivative(CFG1, r) == pytest.approx(want, abs=1e-8)
+    radii = np.array([0.5, 3.0])
+    got = log_det_derivative(CFG1, radii)
+    want = np.sin(radii) ** 2 / denom(radii)
+    assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_potential_is_second_log_det_derivative():
     # V = -2 (log det)''; the second difference converges at order h^2
     for cfg in (CFG3, CFGC):
-        v = potential_value(cfg, 5.3).V
+        v = sample_grid(cfg, [5.3]).V[0]
 
         def defect(h):
-            return abs(-2.0 * log_det_second_difference(cfg, 5.3, h) - v)
+            return abs(-2.0 * log_det_second_difference(cfg, [5.3], h)[0] - v)
 
         d1, d2 = defect(1e-3), defect(5e-4)
         assert d1 <= 1e-4
         assert 3.0 <= d1 / d2 <= 5.0
-
-
-def test_sample_grid_matches_scalar_path():
-    radii = np.array([0.0, 0.02, 1.3, 17.9, 260.0])
-    for cfg in (CFG3, CFGC):
-        ps = sample_grid(cfg, radii)
-        for k, r in enumerate(radii):
-            frame = eigenfunction_frame(cfg, r)
-            assert np.max(np.abs(ps.v[k] - frame.v)) <= 1e-13
-            assert np.max(np.abs(ps.v_prime[k] - frame.v_prime)) <= 1e-13
-            assert abs(ps.V[k] - potential_value(cfg, r).V) <= 1e-13
-            assert abs(ps.w[k] - w_function(cfg, r)) <= 1e-12
 
 
 def test_sample_grid_reality_dichotomy():
@@ -286,9 +266,9 @@ def test_singular_system_is_reported():
     # force A + G(r) = 0 for n = 1 by planting an inadmissible coupling
     r = 2.0
     cfg = ModelConfig.from_values([1.0], [1.0])
-    object.__setattr__(cfg.couplings, "a",
-                       np.array([-gram_entry(1.0, 1.0, r)], dtype=complex))
+    g = gram_matrix_stack(cfg.freqs, [r])[0, 0, 0]
+    object.__setattr__(cfg.couplings, "a", np.array([-g], dtype=complex))
     with pytest.raises(InvertibilityError, match="singular"):
-        resolvent_apply(cfg, r, np.array([1.0], dtype=complex))
+        resolvent_apply(cfg, [r], np.ones((1, 1, 1), dtype=complex))
     with pytest.raises(InvertibilityError):
         sample_grid(cfg, np.array([0.5, r]))

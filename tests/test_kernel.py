@@ -8,13 +8,9 @@ from ewlab.kernel import (
     Couplings,
     Frequencies,
     ModelConfig,
-    gram_entry,
-    gram_matrix,
     gram_matrix_stack,
     gram_positivity_check,
     h_bound,
-    h_entry,
-    h_matrix,
     h_matrix_stack,
     trig_c,
     trig_s,
@@ -44,68 +40,74 @@ def taylor_cos(x: float) -> float:
 
 
 MU3 = Frequencies(np.array([3.0, 2.0, 1.0]))
+MU1 = Frequencies(np.array([1.0]))
+MU21 = Frequencies(np.array([2.0, 1.0]))
 
 
 def test_trig_s_special_values():
-    assert trig_s(Frequencies(np.array([1.0])), 0.0)[0] == 0.0
-    assert trig_s(Frequencies(np.array([1.0])), np.pi / 2)[0] == 1.0
+    assert trig_s(MU1, [0.0])[0, 0] == 0.0
+    assert trig_s(MU1, [np.pi / 2])[0, 0] == 1.0
 
 
 def test_trig_c_special_values():
-    assert trig_c(Frequencies(np.array([1.0])), 0.0)[0] == 1.0
-    got = trig_c(Frequencies(np.array([2.0, 1.0])), np.pi)
+    assert trig_c(MU1, [0.0])[0, 0] == 1.0
+    got = trig_c(MU21, [np.pi])[0]
     assert abs(got[0] - 1.0) <= 1e-15
     assert abs(got[1] + 1.0) <= 1e-15
 
 
 def test_trig_vectors_match_series_oracle():
-    s = trig_s(MU3, 0.7)
-    c = trig_c(MU3, 0.7)
-    for j, mu in enumerate((3.0, 2.0, 1.0)):
-        assert abs(s[j] - taylor_sin(mu * 0.7)) <= 5e-16
-        assert abs(c[j] - taylor_cos(mu * 0.7)) <= 5e-16
+    s = trig_s(MU3, [0.7, 1.1])
+    c = trig_c(MU3, [0.7, 1.1])
+    assert s.shape == c.shape == (2, 3)
+    for k, r in enumerate((0.7, 1.1)):
+        for j, mu in enumerate((3.0, 2.0, 1.0)):
+            assert abs(s[k, j] - taylor_sin(mu * r)) <= 5e-16
+            assert abs(c[k, j] - taylor_cos(mu * r)) <= 5e-16
 
 
 def test_gram_entry_diagonal_formula():
-    for r in (0.3, 1.0, np.pi, 12.5):
-        assert gram_entry(1.0, 1.0, r) == pytest.approx(
-            r / 2 - np.sin(2 * r) / 4, abs=1e-15)
+    radii = np.array([0.3, 1.0, np.pi, 12.5])
+    g = gram_matrix_stack(MU1, radii)
+    for k, r in enumerate(radii):
+        assert g[k, 0, 0] == pytest.approx(r / 2 - np.sin(2 * r) / 4,
+                                           abs=1e-15)
 
 
 def test_gram_entry_zero_radius():
-    assert gram_entry(2.0, 1.0, 0.0) == 0.0
-    assert gram_entry(1.0, 1.0, 0.0) == 0.0
+    assert np.all(gram_matrix_stack(MU21, [0.0]) == 0.0)
+    assert np.all(gram_matrix_stack(MU1, [0.0]) == 0.0)
 
 
 def test_gram_entry_off_diagonal_closed_form():
     want = np.sin(1.0) / 2 - np.sin(3.0) / 6
-    assert gram_entry(2.0, 1.0, 1.0) == pytest.approx(want, abs=1e-15)
-    assert abs(gram_entry(2.0, 1.0, 1.0)
-               - quadrature_gram(2.0, 1.0, 1.0, 1e-12)) <= 1e-10
+    got = gram_matrix_stack(MU21, [1.0])[0, 0, 1]
+    assert got == pytest.approx(want, abs=1e-15)
+    assert abs(got - quadrature_gram(2.0, 1.0, 1.0, 1e-12)) <= 1e-10
 
 
 def test_gram_entry_rejects_bad_frequencies():
     with pytest.raises(ValueError):
-        gram_entry(0.0, 1.0, 1.0)
+        gram_matrix_stack(Frequencies(np.array([1.0, 0.0])), [1.0])
     with pytest.raises(ValueError):
-        gram_entry(1.0, -2.0, 1.0)
+        gram_matrix_stack(Frequencies(np.array([1.0, -2.0])), [1.0])
 
 
 def test_gram_matrix_zero_and_symmetry():
-    assert np.all(gram_matrix(MU3, 0.0).g == 0.0)
-    g = gram_matrix(MU3, 2.5).g
-    assert np.array_equal(g, g.T)
+    assert np.all(gram_matrix_stack(MU3, [0.0]) == 0.0)
+    g = gram_matrix_stack(MU3, [2.5, 40.1])
+    assert np.array_equal(g, g.transpose(0, 2, 1))
 
 
 def test_gram_matrix_single_frequency():
     r = 1.7
-    g = gram_matrix(Frequencies(np.array([1.0])), r).g
-    assert g.shape == (1, 1)
-    assert g[0, 0] == pytest.approx(r / 2 - np.sin(2 * r) / 4, abs=1e-15)
+    g = gram_matrix_stack(MU1, [r])
+    assert g.shape == (1, 1, 1)
+    assert g[0, 0, 0] == pytest.approx(r / 2 - np.sin(2 * r) / 4, abs=1e-15)
 
 
 def test_gram_matrix_against_quadrature():
-    g = gram_matrix(MU3, 2.5).g
+    g = gram_matrix_stack(MU3, [2.5])[0]
     for i in range(3):
         for j in range(3):
             q = quadrature_gram(MU3.mu[i], MU3.mu[j], 2.5, 1e-12)
@@ -114,60 +116,55 @@ def test_gram_matrix_against_quadrature():
 
 def test_quadrature_agreement_on_seeded_triples():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        i, j = rng.integers(0, 3, size=2)
-        r = float(rng.uniform(0.0, 20.0))
-        closed = gram_entry(MU3.mu[i], MU3.mu[j], r)
-        assert abs(closed - quadrature_gram(MU3.mu[i], MU3.mu[j], r)) <= 1e-10
+    triples = [(int(i), int(j), float(rng.uniform(0.0, 20.0)))
+               for i, j in (rng.integers(0, 3, size=2) for _ in range(20))]
+    g = gram_matrix_stack(MU3, [r for _, _, r in triples])
+    for k, (i, j, r) in enumerate(triples):
+        assert abs(g[k, i, j]
+                   - quadrature_gram(MU3.mu[i], MU3.mu[j], r)) <= 1e-10
 
 
 def test_h_matrix_values():
     r = 0.9
-    h = h_matrix(Frequencies(np.array([1.0])), r).h
-    assert h[0, 0] == pytest.approx(-np.sin(2 * r) / 4, abs=1e-16)
-    assert np.all(h_matrix(MU3, 0.0).h == 0.0)
+    h = h_matrix_stack(MU1, [r])
+    assert h[0, 0, 0] == pytest.approx(-np.sin(2 * r) / 4, abs=1e-16)
+    assert np.all(h_matrix_stack(MU3, [0.0]) == 0.0)
 
 
 def test_h_relation_to_gram():
     # g_ij = h_ij off the diagonal, g_ii = r/2 + h_ii
     r = 3.3
-    g = gram_matrix(MU3, r).g
-    h = h_matrix(MU3, r).h
+    g = gram_matrix_stack(MU3, [r])[0]
+    h = h_matrix_stack(MU3, [r])[0]
     assert np.allclose(g - h, np.diag([r / 2] * 3), atol=1e-15, rtol=0.0)
 
 
 def test_h_uniform_bound_two_frequencies():
     cap = 0.5 + 1.0 / 6.0  # 1/(2|2-1|) + 1/(2(2+1))
-    freqs = Frequencies(np.array([2.0, 1.0]))
-    worst = max(abs(h_matrix(freqs, r).h[0, 1])
-                for r in np.linspace(0.0, 200.0, 4001))
-    assert worst <= cap
-    assert h_bound(2.0, 1.0) == pytest.approx(cap, abs=1e-16)
-    assert h_bound(3.0, 3.0) == pytest.approx(1.0 / 12.0, abs=1e-16)
-
-
-def test_h_entry_matches_matrix():
-    r = 1.234
-    h = h_matrix(MU3, r).h
-    for i in range(3):
-        for j in range(3):
-            assert h[i, j] == h_entry(MU3.mu[i], MU3.mu[j], r)
+    h = h_matrix_stack(MU21, np.linspace(0.0, 200.0, 4001))
+    assert np.max(np.abs(h[:, 0, 1])) <= cap
+    assert h_bound(MU21)[0, 1] == pytest.approx(cap, abs=1e-16)
+    assert h_bound(MU21)[1, 0] == pytest.approx(cap, abs=1e-16)
+    assert h_bound(MU3)[0, 0] == pytest.approx(1.0 / 12.0, abs=1e-16)
 
 
 def test_gram_cubic_bound():
     # |g_ij(r)| <= mu_i mu_j r^3 on a grid
     outer = np.outer(MU3.mu, MU3.mu)
-    for r in np.linspace(0.01, 5.0, 100):
-        assert np.all(np.abs(gram_matrix(MU3, r).g) <= outer * r**3)
+    radii = np.linspace(0.01, 5.0, 100)
+    g = gram_matrix_stack(MU3, radii)
+    assert np.all(np.abs(g) <= outer * radii[:, None, None] ** 3)
 
 
 def test_gram_derivative_is_rank_one():
     # central FD of G tends to s.ts at order h^2
     r = 2.7
-    target = np.outer(trig_s(MU3, r), trig_s(MU3, r))
+    s = trig_s(MU3, [r])[0]
+    target = np.outer(s, s)
 
     def defect(h):
-        fd = (gram_matrix(MU3, r + h).g - gram_matrix(MU3, r - h).g) / (2 * h)
+        fd = (gram_matrix_stack(MU3, [r + h])[0]
+              - gram_matrix_stack(MU3, [r - h])[0]) / (2 * h)
         return np.max(np.abs(fd - target))
 
     d1, d2 = defect(1e-4), defect(5e-5)
@@ -175,43 +172,33 @@ def test_gram_derivative_is_rank_one():
     assert 3.0 <= d1 / d2 <= 5.0
 
 
-def test_stacked_builders_match_entrywise():
-    radii = np.array([0.0, 0.3, 1.7, 10.0, 123.4])
-    gs = gram_matrix_stack(MU3, radii)
-    hs = h_matrix_stack(MU3, radii)
-    for k, r in enumerate(radii):
-        assert np.array_equal(gs[k], gram_matrix(MU3, r).g)
-        assert np.array_equal(hs[k], h_matrix(MU3, r).h)
-
-
 def test_positivity_single_frequency_at_pi():
-    got = gram_positivity_check(Frequencies(np.array([1.0])), np.pi,
-                                np.array([1.0]))
-    assert got == pytest.approx(np.pi / 2, abs=1e-15)
+    got = gram_positivity_check(MU1, [np.pi], np.array([[1.0]]))
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(np.pi / 2, abs=1e-15)
 
 
 def test_positivity_two_frequency_combination():
-    freqs = Frequencies(np.array([2.0, 1.0]))
-    g = gram_matrix(freqs, 1.0).g
+    g = gram_matrix_stack(MU21, [1.0])[0]
     want = g[0, 0] + g[1, 1] - 2 * g[0, 1]
-    got = gram_positivity_check(freqs, 1.0, np.array([1.0, -1.0]))
+    got = gram_positivity_check(MU21, [1.0], np.array([[1.0, -1.0]]))[0]
     assert got > 0.0
     assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_positivity_seeded_trials():
     rng = np.random.default_rng(17)
-    for r in (0.1, 1.0, 10.0, 100.0):
-        for _ in range(100):
-            xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            assert gram_positivity_check(MU3, r, xi) > 0.0
+    radii = np.repeat([0.1, 1.0, 10.0, 100.0], 100)
+    xi = rng.standard_normal((400, 3)) + 1j * rng.standard_normal((400, 3))
+    assert np.all(gram_positivity_check(MU3, radii, xi) > 0.0)
 
 
 def test_positivity_rejects_degenerate_input():
     with pytest.raises(ValueError):
-        gram_positivity_check(MU3, 0.0, np.array([1.0, 0.0, 0.0]))
+        gram_positivity_check(MU3, [0.0], np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
-        gram_positivity_check(MU3, 1.0, np.zeros(3))
+        gram_positivity_check(MU3, [1.0, 2.0],
+                              np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def test_frequency_validation_messages():

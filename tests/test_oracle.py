@@ -5,10 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ewlab.kernel import Frequencies, ModelConfig
+from ewlab.kernel import Frequencies, GridError, GridSpec, ModelConfig
 from ewlab.oracle import (
-    GridError,
-    GridSpec,
     MaxDepthExceededError,
     StepTooLargeError,
     _simpson_step,
@@ -37,11 +35,32 @@ def test_quadrature_known_values():
     assert abs(quadrature_gram(2.0, 1.0, 1.0) - want) <= 1e-10
 
 
+def test_quadrature_does_not_stop_on_zero_nodes():
+    # r = 8 pi puts all five first Simpson nodes of [0, r] on zeros of sin^2
+    r = 8.0 * math.pi
+    want = r / 2 - math.sin(2 * r) / 4
+    assert abs(quadrature_gram(1.0, 1.0, r) - want) <= 1e-10
+
+
+def test_quadrature_equal_frequencies_near_eight_pi():
+    r = 25.12861895876397
+    want = r / 2 - math.sin(2 * r) / 4
+    assert abs(quadrature_gram(1.0, 1.0, r, 1e-12) - want) <= 1e-10
+
+
+def test_quadrature_distinct_frequencies_near_eight_pi():
+    r = 25.129990038890405
+    want = math.sin(2 * r) / 4 - math.sin(4 * r) / 8
+    assert abs(quadrature_gram(3.0, 1.0, r, 1e-12) - want) <= 1e-10
+
+
 def test_quadrature_input_validation():
     with pytest.raises(ValueError):
         quadrature_gram(1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         quadrature_gram(1.0, 1.0, 1.0, tol=1e-14)
+    with pytest.raises(ValueError):
+        quadrature_gram(0.0, 1.0, 1.0)
 
 
 def test_simpson_gives_up_at_depth_cap():
@@ -95,46 +114,48 @@ def test_fd_second_derivative_order():
 
 def test_gram_derivative_defect_order():
     freqs = Frequencies(np.array([3.0, 2.0, 1.0]))
-    d1 = gram_derivative_defect(freqs, 2.7, 1e-4)
-    d2 = gram_derivative_defect(freqs, 2.7, 5e-5)
+    d1 = gram_derivative_defect(freqs, [2.7], 1e-4)
+    d2 = gram_derivative_defect(freqs, [2.7], 5e-5)
     assert d1 <= 1e-6
     assert 3.0 <= d1 / d2 <= 5.0
     with pytest.raises(ValueError):
-        gram_derivative_defect(freqs, 2.7, 0.0)
+        gram_derivative_defect(freqs, [2.7], 0.0)
 
 
 def test_residual_eigen_equation_converges():
-    rep = residual_eigen_equation(CFG1, GridSpec(0.0, 20.0, 2e-3), 0)
+    (rep,) = residual_eigen_equation(CFG1, GridSpec(0.0, 20.0, 2e-3))
     assert rep.j == 0
     assert rep.sup_residual <= 1e-3
     assert 3.0 <= rep.convergence_ratio <= 5.0
 
 
 def test_residual_eigen_equation_all_indices():
-    for j in range(3):
-        rep = residual_eigen_equation(CFG3, GridSpec(0.0, 10.0, 2e-3), j)
+    reports = residual_eigen_equation(CFG3, GridSpec(0.0, 10.0, 2e-3))
+    assert [rep.j for rep in reports] == [0, 1, 2]
+    for rep in reports:
         assert rep.sup_residual <= 1e-2
         assert 3.0 <= rep.convergence_ratio <= 5.0
 
 
 def test_residual_needs_enough_interior_points():
     with pytest.raises(GridError):
-        residual_eigen_equation(CFG1, GridSpec(0.0, 1.0, 0.2), 0)
+        residual_eigen_equation(CFG1, GridSpec(0.0, 1.0, 0.2))
 
 
 def test_shooting_reproduces_eigenfunction():
-    dev = shooting_compare(CFG1, GridSpec(0.1, 10.0, 1e-3), 0)
-    assert dev <= 1e-8
+    dev = shooting_compare(CFG1, GridSpec(0.1, 10.0, 1e-3))
+    assert dev.shape == (1,)
+    assert dev[0] <= 1e-8
 
 
 def test_shooting_requires_positive_start():
     with pytest.raises(GridError):
-        shooting_compare(CFG1, GridSpec(0.0, 10.0, 1e-3), 0)
+        shooting_compare(CFG1, GridSpec(0.0, 10.0, 1e-3))
 
 
 def test_shooting_rejects_unstable_step():
     with pytest.raises(StepTooLargeError):
-        shooting_compare(CFG3, GridSpec(0.1, 10.0, 0.5), 0)
+        shooting_compare(CFG3, GridSpec(0.1, 10.0, 0.5))
 
 
 def test_fit_recovers_synthetic_power_law():
@@ -166,7 +187,7 @@ def test_potential_expansion_fits():
 
 
 def test_eigenfunction_asymptotics_fits():
-    one, two = eigenfunction_asymptotics(CFG1, 0)
+    ((one, two),) = eigenfunction_asymptotics(CFG1)
     assert one.ok and two.ok
 
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from ewlab.kernel import ModelConfig
-from ewlab.oracle import GridError, GridSpec
+from ewlab.kernel import GridError, GridSpec, ModelConfig
 from ewlab.radial3d import (
     dimension_obstruction,
     lift_to_3d,

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from ewlab.kernel import ModelConfig
-from ewlab.construct import potential_value
+from ewlab.kernel import GridError, GridSpec, ModelConfig
+from ewlab.construct import sample_grid
 from ewlab.linalg import ComplexTridiagonal
-from ewlab.oracle import GridError, GridSpec
 from ewlab.spectral_probe import (
     DiscreteHamiltonian,
     IsotropicVectorError,
@@ -26,7 +25,7 @@ GRID = GridSpec(0.0, 40.0, 0.01)
 
 
 def test_build_hamiltonian_structure():
-    hd = build_hamiltonian(CFG2, GRID)
+    hd = build_hamiltonian(GRID, sample_grid(CFG2, GRID.radii()[1:-1]).V)
     t = hd.operator
     inv_h2 = 1.0 / hd.step**2
     assert np.all(t.sub == t.super)
@@ -36,16 +35,18 @@ def test_build_hamiltonian_structure():
 
 
 def test_diagonal_carries_the_potential():
-    hd = build_hamiltonian(CFG2, GridSpec(0.0, 2.0, 0.1))
+    grid = GridSpec(0.0, 2.0, 0.1)
+    hd = build_hamiltonian(grid, sample_grid(CFG2, grid.radii()[1:-1]).V)
     inv_h2 = 1.0 / hd.step**2
-    for k, r in enumerate(hd.interior_radii()):
-        want = 2.0 * inv_h2 + potential_value(CFG2, r).V
+    big_v = sample_grid(CFG2, hd.interior_radii()).V
+    for k in range(hd.operator.size):
+        want = 2.0 * inv_h2 + big_v[k]
         assert abs(hd.operator.diag[k] - want) <= 1e-13 * inv_h2
 
 
 def test_build_hamiltonian_needs_origin():
     with pytest.raises(GridError):
-        build_hamiltonian(CFG2, GridSpec(0.1, 40.0, 0.01))
+        build_hamiltonian(GridSpec(0.1, 40.0, 0.01), np.zeros(3989))
 
 
 def test_free_spectrum_matches_dense_reference():
