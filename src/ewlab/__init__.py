@@ -9,6 +9,6 @@ a discretized spectral probe, and the spherically symmetric 3D lift.
 
 __version__ = "0.1.0"
 
-from ewlab.kernel import Couplings, Frequencies, ModelConfig
+from ewlab.kernel import ModelConfig
 
-__all__ = ["Couplings", "Frequencies", "ModelConfig", "__version__"]
+__all__ = ["ModelConfig", "__version__"]

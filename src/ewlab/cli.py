@@ -36,7 +36,7 @@ from ewlab.construct import potential_asymptotics, sample_grid
 from ewlab.kernel import ConfigError, GridError, GridSpec, ModelConfig
 from ewlab.spectral_probe import (
     aligned_correlation,
-    free_hamiltonian,
+    build_hamiltonian,
     free_laplacian_eigenvalue,
     inverse_iteration,
     probe_embedded,
@@ -92,8 +92,7 @@ def load_config(path: str, out: str | None = None,
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                        for x in mu)):
         raise ConfigError('"mu" must be a non-empty list of numbers')
-    model = ModelConfig.from_values([float(x) for x in mu],
-                                    _parse_complex_list(doc["a"]))
+    model = ModelConfig([float(x) for x in mu], _parse_complex_list(doc["a"]))
     if grid_override is not None:
         parts = grid_override.split(",")
         if len(parts) != 3:
@@ -190,11 +189,11 @@ def cmd_verify(rc: RunConfig) -> int:
 
 
 def _probe_free(rc: RunConfig) -> dict:
-    hd = free_hamiltonian(rc.grid)
+    t = build_hamiltonian(rc.grid, np.zeros(rc.grid.count - 2))
     modes = []
     for k in (1, 2, 3):
         analytic = free_laplacian_eigenvalue(rc.grid, k)
-        res = inverse_iteration(hd, analytic + 1e-6 * max(analytic, 1e-3),
+        res = inverse_iteration(t, analytic + 1e-6 * max(analytic, 1e-3),
                                 seed=rc.seed)
         modes.append({
             "k": k,
@@ -249,7 +248,7 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
         couplings = [_sample_couplings(rng, rc.model.n) for _ in range(sweep)]
         estimates: dict = {str(j + 1): [] for j in range(rc.model.n)}
         for a in couplings:
-            swept = ModelConfig.from_values(rc.model.mu, a)
+            swept = ModelConfig(rc.model.mu, a)
             for res in probe_embedded(swept, rc.grid):
                 estimates[str(res.j + 1)].append(res.eigval_estimate)
         sweep_doc: dict = {

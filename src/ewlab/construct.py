@@ -109,7 +109,7 @@ def _with_couplings(config: ModelConfig, radii: np.ndarray,
 def system_matrix(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """A + G(r) for every radius, a (K, n, n) complex stack."""
     radii = np.asarray(radii, dtype=float)
-    return _with_couplings(config, radii, h_matrix_stack(config.freqs, radii))
+    return _with_couplings(config, radii, h_matrix_stack(config, radii))
 
 
 def _factor(config: ModelConfig, radii: np.ndarray) -> DenseLU:
@@ -147,9 +147,9 @@ def potential_asymptotics(config: ModelConfig,
     mu = config.mu
     sin2 = np.sin(np.outer(radii, 2.0 * mu))
     leading = -(4.0 / radii) * (sin2 @ mu)
-    s = trig_s(config.freqs, radii)
-    mc = trig_c(config.freqs, radii) * mu
-    w = _w(s, mc, h_matrix_stack(config.freqs, radii))
+    s = trig_s(config, radii)
+    mc = trig_c(config, radii) * mu
+    w = _w(s, mc, h_matrix_stack(config, radii))
     second = (8.0 / radii**2) * (sin2 @ (config.a * mu) + w)
     return AsymptoticTerms(leading=leading, second=second, w_value=w)
 
@@ -162,8 +162,8 @@ def eigenfunction_large_r(config: ModelConfig,
              + (4/r^2) (a_j sin(mu_j r) + sum_l h_jl(r) sin(mu_l r)).
     """
     radii = _positive(radii)
-    s = trig_s(config.freqs, radii)
-    hs = np.einsum("kjl,kl->kj", h_matrix_stack(config.freqs, radii), s)
+    s = trig_s(config, radii)
+    hs = np.einsum("kjl,kl->kj", h_matrix_stack(config, radii), s)
     r = radii[:, None]
     return -(2.0 / r) * s + (4.0 / r**2) * (config.a * s + hs)
 
@@ -176,8 +176,7 @@ def _log_det_ratio(config: ModelConfig, base_lu: DenseLU, r_base: np.ndarray,
     for the small increments used here det(I+X) stays near 1, so the principal
     logarithm is branch-safe where the raw log det is not.
     """
-    dg = (gram_matrix_stack(config.freqs, r_to)
-          - gram_matrix_stack(config.freqs, r_base))
+    dg = gram_matrix_stack(config, r_to) - gram_matrix_stack(config, r_base)
     x = base_lu.solve(dg)
     x[:, np.arange(config.n), np.arange(config.n)] += 1.0
     return np.log(DenseLU(x).det())
@@ -224,9 +223,9 @@ def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:
     deterministic and a radius gives the same bits in any grid.
     """
     radii = np.asarray(radii, dtype=float)
-    s = trig_s(config.freqs, radii)
-    mc = trig_c(config.freqs, radii) * config.mu
-    h = h_matrix_stack(config.freqs, radii)
+    s = trig_s(config, radii)
+    mc = trig_c(config, radii) * config.mu
+    h = h_matrix_stack(config, radii)
     w = _w(s, mc, h)
     mats = _with_couplings(config, radii, h)
     # drop H before the solve: at n = 24 it is 46 MB per 10^4 radii

@@ -35,8 +35,6 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
-    "Couplings",
-    "Frequencies",
     "GridError",
     "GridSpec",
     "ModelConfig",
@@ -63,10 +61,15 @@ class GridError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Frequencies:
-    """Strictly decreasing positive wavenumbers; the eigenvalues are mu_j^2."""
+class ModelConfig:
+    """The full input of the construction: frequencies mu and couplings a.
+
+    mu is strictly decreasing and positive (the eigenvalues are mu_j^2); a is
+    the diagonal of the coupling matrix A, with a_j != 0 and Re(a_j) >= 0.
+    """
 
     mu: np.ndarray
+    a: np.ndarray
 
     def __post_init__(self) -> None:
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
@@ -79,19 +82,6 @@ class Frequencies:
         for j in range(1, mu.size):
             if mu[j - 1] <= mu[j]:
                 raise ConfigError(f"mu_{j} <= mu_{j + 1}")
-
-    @property
-    def n(self) -> int:
-        return self.mu.size
-
-
-@dataclass(frozen=True, eq=False)
-class Couplings:
-    """Diagonal of the coupling matrix A: a_j != 0 with Re(a_j) >= 0."""
-
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
         a = np.atleast_1d(np.asarray(self.a, dtype=complex))
         object.__setattr__(self, "a", a)
         if a.ndim != 1 or a.size == 0:
@@ -103,56 +93,16 @@ class Couplings:
                 raise ConfigError(f"a_{j} == 0")
             if value.real < 0.0:
                 raise ConfigError(f"Re(a_{j}) < 0")
+        if mu.size != a.size:
+            raise ConfigError(f"len(mu) = {mu.size} but len(a) = {a.size}")
 
     @property
     def n(self) -> int:
-        return self.a.size
+        return self.mu.size
 
     @property
     def is_real(self) -> bool:
         return bool(np.all(self.a.imag == 0.0))
-
-
-@dataclass(frozen=True, eq=False)
-class ModelConfig:
-    """The full input of the construction: frequencies mu and couplings a."""
-
-    freqs: Frequencies
-    couplings: Couplings
-
-    def __post_init__(self) -> None:
-        if self.freqs.n != self.couplings.n:
-            raise ConfigError(
-                f"len(mu) = {self.freqs.n} but len(a) = {self.couplings.n}"
-            )
-
-    @classmethod
-    def from_values(cls, mu, a) -> "ModelConfig":
-        return cls(Frequencies(np.asarray(mu)), Couplings(np.asarray(a)))
-
-    @property
-    def n(self) -> int:
-        return self.freqs.n
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.freqs.mu
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.couplings.a
-
-    @property
-    def is_real(self) -> bool:
-        return self.couplings.is_real
-
-    def coupling_matrix(self) -> np.ndarray:
-        """A = Diag(a_1, ..., a_n)."""
-        return np.diag(self.a)
-
-    def frequency_matrix(self) -> np.ndarray:
-        """M = Diag(mu_1, ..., mu_n)."""
-        return np.diag(self.mu)
 
 
 @dataclass(frozen=True)
@@ -187,29 +137,29 @@ class GridSpec:
         return GridSpec(self.r_start, self.r_end, self.step / 2.0)
 
 
-def trig_s(freqs: Frequencies, radii: np.ndarray) -> np.ndarray:
+def trig_s(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """Sine vectors s(r), shape (K, n): entry (k, j) is sin(mu_j r_k)."""
-    return np.sin(np.outer(radii, freqs.mu))
+    return np.sin(np.outer(radii, config.mu))
 
 
-def trig_c(freqs: Frequencies, radii: np.ndarray) -> np.ndarray:
+def trig_c(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """Cosine vectors c(r), shape (K, n): entry (k, j) is cos(mu_j r_k)."""
-    return np.cos(np.outer(radii, freqs.mu))
+    return np.cos(np.outer(radii, config.mu))
 
 
-def h_bound(freqs: Frequencies) -> np.ndarray:
+def h_bound(config: ModelConfig) -> np.ndarray:
     """Uniform-in-r bounds on |h_ij|, shape (n, n): triangle inequality."""
-    mu = freqs.mu
+    mu = config.mu
     diff = np.abs(np.subtract.outer(mu, mu))
     with np.errstate(divide="ignore"):
         off = 1.0 / (2.0 * diff) + 1.0 / (2.0 * np.add.outer(mu, mu))
     return np.where(diff == 0.0, 1.0 / (4.0 * mu), off)
 
 
-def h_matrix_stack(freqs: Frequencies, radii: np.ndarray) -> np.ndarray:
+def h_matrix_stack(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """H(r) for every radius at once, shape (len(radii), n, n)."""
-    mu = freqs.mu
-    n = freqs.n
+    mu = config.mu
+    n = config.n
     radii = np.asarray(radii, dtype=float)
     diff = np.subtract.outer(mu, mu)
     total = np.add.outer(mu, mu)
@@ -222,16 +172,16 @@ def h_matrix_stack(freqs: Frequencies, radii: np.ndarray) -> np.ndarray:
     return h
 
 
-def gram_matrix_stack(freqs: Frequencies, radii: np.ndarray) -> np.ndarray:
+def gram_matrix_stack(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """G(r) for every radius at once, shape (len(radii), n, n)."""
     radii = np.asarray(radii, dtype=float)
-    g = h_matrix_stack(freqs, radii)
-    idx = np.arange(freqs.n)
+    g = h_matrix_stack(config, radii)
+    idx = np.arange(config.n)
     g[:, idx, idx] += 0.5 * radii[:, None]
     return g
 
 
-def gram_positivity_check(freqs: Frequencies, radii: np.ndarray,
+def gram_positivity_check(config: ModelConfig, radii: np.ndarray,
                           xi: np.ndarray) -> np.ndarray:
     """Quadratic forms <xi_k, G(r_k) xi_k> for r_k > 0, xi_k != 0; all positive.
 
@@ -246,7 +196,7 @@ def gram_positivity_check(freqs: Frequencies, radii: np.ndarray,
     xi = np.asarray(xi, dtype=complex)
     if not np.all(np.any(xi != 0, axis=1)):
         raise ValueError("positivity check requires xi != 0")
-    g = gram_matrix_stack(freqs, radii)
+    g = gram_matrix_stack(config, radii)
     values = np.real(np.einsum("ki,kij,kj->k", xi.conj(), g, xi))
     if np.any(values <= 0.0):
         k = int(np.argmax(values <= 0.0))

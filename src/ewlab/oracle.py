@@ -32,7 +32,6 @@ from ewlab.construct import (
     sample_grid,
 )
 from ewlab.kernel import (
-    Frequencies,
     GridError,
     GridSpec,
     ModelConfig,
@@ -43,6 +42,7 @@ from ewlab.kernel import (
 )
 
 __all__ = [
+    "FIT_RADII",
     "FitReport",
     "MaxDepthExceededError",
     "ResidualReport",
@@ -63,6 +63,10 @@ __all__ = [
 
 # Decay exponents are asymptotic statements; fitted slopes get this margin.
 SLOPE_TOL = 0.2
+
+# Radii of every large-r fit: 200 log-spaced on [50, 400].
+FIT_RADII = np.geomspace(50.0, 400.0, 200)
+FIT_RADII.setflags(write=False)
 
 
 class MaxDepthExceededError(ArithmeticError):
@@ -151,7 +155,7 @@ def quadrature_gram(mu_i: float, mu_j: float, r: float,
     return total
 
 
-def gram_derivative_defect(freqs: Frequencies, radii: np.ndarray,
+def gram_derivative_defect(config: ModelConfig, radii: np.ndarray,
                            h: float) -> float:
     """Max-entry distance between the central FD of G and s ts over radii.
 
@@ -161,9 +165,9 @@ def gram_derivative_defect(freqs: Frequencies, radii: np.ndarray,
     if not h > 0.0:
         raise ValueError("step must be positive")
     radii = np.asarray(radii, dtype=float)
-    fd = (gram_matrix_stack(freqs, radii + h)
-          - gram_matrix_stack(freqs, radii - h)) / (2.0 * h)
-    s = trig_s(freqs, radii)
+    fd = (gram_matrix_stack(config, radii + h)
+          - gram_matrix_stack(config, radii - h)) / (2.0 * h)
+    s = trig_s(config, radii)
     return float(np.max(np.abs(fd - s[:, :, None] * s[:, None, :])))
 
 
@@ -289,16 +293,6 @@ def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,
                      intercept=float(intercept), points=len(log_r))
 
 
-def _fit_radii(radii: np.ndarray | None) -> np.ndarray:
-    """Radii of a large-r fit: 200 log-spaced on [50, 400] unless given."""
-    if radii is None:
-        return np.geomspace(50.0, 400.0, 200)
-    radii = np.asarray(radii, dtype=float)
-    if radii.min() < 50.0:
-        raise ValueError("large-r fits need radii >= 50")
-    return radii
-
-
 def _expansion_fits(radii: np.ndarray, one_term: np.ndarray,
                     two_term: np.ndarray, what: str,
                     leading: str = "leading term") -> list[FitReport]:
@@ -309,29 +303,27 @@ def _expansion_fits(radii: np.ndarray, one_term: np.ndarray,
     ]
 
 
-def potential_expansion_fits(config: ModelConfig,
-                             radii: np.ndarray | None = None) -> list[FitReport]:
+def potential_expansion_fits(config: ModelConfig) -> list[FitReport]:
     """Decay fits for the two-term large-r expansion of V.
 
     |V - leading| should fall like r^-2 and |V - leading - second| like r^-3.
     """
-    radii = _fit_radii(radii)
+    radii = FIT_RADII
     big_v = sample_grid(config, radii).V
     terms = potential_asymptotics(config, radii)
     return _expansion_fits(radii, np.abs(big_v - terms.leading),
                            np.abs(big_v - terms.leading - terms.second), "V")
 
 
-def eigenfunction_asymptotics(config: ModelConfig,
-                              radii: np.ndarray | None = None) -> list[list]:
+def eigenfunction_asymptotics(config: ModelConfig) -> list[list]:
     """Decay fits for the large-r expansion of each v_j: orders r^-2, r^-3.
 
     One [one-term, two-term] pair of FitReports per eigen-index j, all from
     one sample.
     """
-    radii = _fit_radii(radii)
+    radii = FIT_RADII
     v = sample_grid(config, radii).v
-    one_term = np.abs(v + (2.0 / radii[:, None]) * trig_s(config.freqs, radii))
+    one_term = np.abs(v + (2.0 / radii[:, None]) * trig_s(config, radii))
     two_term = np.abs(v - eigenfunction_large_r(config, radii))
     return [_expansion_fits(radii, one_term[:, j], two_term[:, j],
                             f"v_{j + 1}") for j in range(config.n)]
@@ -348,46 +340,38 @@ def _max_entry(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(stack), axis=(1, 2))
 
 
-def inverse_matrix_asymptotics(config: ModelConfig,
-                               radii: np.ndarray | None = None) -> list[FitReport]:
+def inverse_matrix_asymptotics(config: ModelConfig) -> list[FitReport]:
     """Decay fits for the resolvent: (A+G(r))^{-1} = (2/r) I - (4/r^2)(A+H) + ...
 
     The bare defect against (2/r) I falls like r^-2; after the Neumann
     refinement the defect falls like r^-3.
     """
-    radii = _fit_radii(radii)
+    radii = FIT_RADII
     rr = radii[:, None, None]
     bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
     refined = bare + (4.0 / rr**2) * (np.diag(config.a)
-                                      + h_matrix_stack(config.freqs, radii))
+                                      + h_matrix_stack(config, radii))
     return _expansion_fits(radii, _max_entry(bare), _max_entry(refined),
                            "resolvent", leading="2/r")
 
 
-def inverse_small_r_slope(config: ModelConfig,
-                          radii: np.ndarray | None = None) -> FitReport:
+def inverse_small_r_slope(config: ModelConfig) -> FitReport:
     """Small-r branch: ||(A+G(r))^{-1} - A^{-1}|| = O(r^3) as r -> 0."""
-    if radii is None:
-        radii = np.geomspace(1e-3, 0.3, 60)
-    else:
-        radii = np.asarray(radii, dtype=float)
-    if radii.max() > 1.0 or radii.min() <= 0.0:
-        raise ValueError("small-r fits need radii in (0, 1]")
+    radii = np.geomspace(1e-3, 0.3, 60)
     defect = _max_entry(_inverse(config, radii) - np.diag(1.0 / config.a))
     return fit_decay_slope(radii, defect, 3.0, "resolvent minus A^{-1}", bins=12)
 
 
-def vprime_asymptotics(config: ModelConfig,
-                       radii: np.ndarray | None = None) -> list[FitReport]:
+def vprime_asymptotics(config: ModelConfig) -> list[FitReport]:
     """Decay fits for v': leading term -(2/r) M c, then the full r^-2 term.
 
     v'(r) = -(2/r) M c + (4/r^2) ((ts s) s + A M c + H M c) + O(r^-3).
     """
-    radii = _fit_radii(radii)
+    radii = FIT_RADII
     v_prime = sample_grid(config, radii).v_prime
-    s = trig_s(config.freqs, radii)
-    mc = config.mu * trig_c(config.freqs, radii)
-    h_mc = np.einsum("kij,kj->ki", h_matrix_stack(config.freqs, radii), mc)
+    s = trig_s(config, radii)
+    mc = config.mu * trig_c(config, radii)
+    h_mc = np.einsum("kij,kj->ki", h_matrix_stack(config, radii), mc)
     lead = -(2.0 / radii[:, None]) * mc
     nxt = (4.0 / radii[:, None] ** 2) * (
         np.sum(s * s, axis=1)[:, None] * s + config.a * mc + h_mc)

@@ -21,6 +21,7 @@ under refinement for every other d > 1.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,16 +59,17 @@ def lift_to_3d(config: ModelConfig, j: int, grid: GridSpec) -> RadialLift:
     return RadialLift(j=j, radii=radii, values=values, origin_value=origin)
 
 
-def radial_laplacian_residual(config: ModelConfig, j: int, grid: GridSpec,
-                              d: int) -> float:
-    """Sup FD residual of the dimension-d radial eigen-equation for the lift.
+def radial_laplacian_residual(config: ModelConfig, grid: GridSpec,
+                              dims: Sequence[int]) -> np.ndarray:
+    """Sup FD residuals of the radial eigen-equations, shape (len(dims), n).
 
-    u = r^{(1-d)/2} v_j; returns sup over interior nodes of
-    |-u'' - ((d-1)/r) u' + (V - mu_j^2) u| with 3-point u'' and central u'.
+    Entry (i, j) lifts v_j to u = r^{(1-d)/2} v_j with d = dims[i] and is the
+    sup over interior nodes of |-u'' - ((d-1)/r) u' + (V - mu_j^2) u| with
+    3-point u'' and central u'; the grid is sampled once for every d and j.
     For d = 3 (and d = 1) this is pure truncation error; otherwise it
     approaches the obstructing term |(d-1)(d-3)/4| r^{-2} |u| as h -> 0.
     """
-    if d < 1:
+    if any(d < 1 for d in dims):
         raise ValueError("dimension must be >= 1")
     if grid.r_start <= 0.0:
         raise GridError("residual grid must start at r > 0")
@@ -75,14 +77,17 @@ def radial_laplacian_residual(config: ModelConfig, j: int, grid: GridSpec,
     if radii.size - 2 < 8:
         raise GridError("fewer than 8 interior points")
     ps = sample_grid(config, radii)
-    u = radii ** ((1.0 - d) / 2.0) * ps.v[:, j]
     h = grid.step
-    second = fd_second_derivative(u, h)
-    first = (u[2:] - u[:-2]) / (2.0 * h)
-    inner_r = radii[1:-1]
-    residual = (-second - (d - 1.0) / inner_r * first
-                + (ps.V[1:-1] - config.mu[j] ** 2) * u[1:-1])
-    return float(np.max(np.abs(residual)))
+    inner_r = radii[1:-1, None]
+    out = np.empty((len(dims), config.n))
+    for i, d in enumerate(dims):
+        u = radii[:, None] ** ((1.0 - d) / 2.0) * ps.v
+        second = fd_second_derivative(u, h)
+        first = (u[2:] - u[:-2]) / (2.0 * h)
+        residual = (-second - (d - 1.0) / inner_r * first
+                    + (ps.V[1:-1, None] - config.mu ** 2) * u[1:-1])
+        out[i] = np.max(np.abs(residual), axis=0)
+    return out
 
 
 def dimension_obstruction(d: int) -> float:

@@ -13,6 +13,11 @@ cleanly: O(h^2) stencil truncation, and the domain-truncation error set by
 the boundary leak |v_j(R)| ~ 2/R. Estimates should therefore approach
 mu_j^2 as R grows at fixed small h, and be independent of the couplings A
 (the eigenvalues persist while eigenvectors and V change).
+
+Every reduction (norms, inner products, the Rayleigh quotient) is a numpy
+ufunc sum, never a BLAS call: BLAS splits dot products across its threads,
+which reorders the additions, so probe output would change in the last
+digits with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,13 +32,11 @@ from ewlab.kernel import GridError, GridSpec, ModelConfig
 from ewlab.linalg import ComplexTridiagonal, SingularMatrixError, TridiagonalLU
 
 __all__ = [
-    "DiscreteHamiltonian",
     "IsotropicVectorError",
     "NoConvergenceError",
     "ProbeResult",
     "aligned_correlation",
     "build_hamiltonian",
-    "free_hamiltonian",
     "free_laplacian_eigenvalue",
     "inverse_iteration",
     "phase_align",
@@ -48,21 +51,6 @@ class IsotropicVectorError(ArithmeticError):
 
 class NoConvergenceError(RuntimeError):
     """Inverse iteration failed to reach the residual tolerance."""
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteHamiltonian:
-    """FD matrix of -d^2/dr^2 + V on the interior nodes of [0, R]."""
-
-    grid: GridSpec
-    operator: ComplexTridiagonal
-
-    @property
-    def step(self) -> float:
-        return self.grid.step
-
-    def interior_radii(self) -> np.ndarray:
-        return self.grid.radii()[1:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,23 +69,18 @@ class ProbeResult:
 
 
 def build_hamiltonian(grid: GridSpec,
-                      v_interior: np.ndarray) -> DiscreteHamiltonian:
+                      v_interior: np.ndarray) -> ComplexTridiagonal:
     """Discretize -d^2/dr^2 + V(r) with Dirichlet walls at 0 and r_end.
 
-    v_interior holds V at the interior nodes r_1 .. r_{K-1} of the grid.
+    v_interior holds V at the interior nodes r_1 .. r_{K-1} of the grid;
+    zeros give the free Laplacian, whose spectrum is known exactly.
     """
     if grid.r_start != 0.0:
         raise GridError("probe grids start at r = 0")
     h = grid.step
     diag = 2.0 / h**2 + np.asarray(v_interior, dtype=complex)
     off = np.full(diag.size - 1, -1.0 / h**2, dtype=complex)
-    op = ComplexTridiagonal(sub=off, diag=diag, super=off.copy())
-    return DiscreteHamiltonian(grid=grid, operator=op)
-
-
-def free_hamiltonian(grid: GridSpec) -> DiscreteHamiltonian:
-    """Test hook: the V = 0 discretization, whose spectrum is known exactly."""
-    return build_hamiltonian(grid, np.zeros(grid.count - 2))
+    return ComplexTridiagonal(sub=off, diag=diag, super=off.copy())
 
 
 def free_laplacian_eigenvalue(grid: GridSpec, k: int) -> float:
@@ -110,44 +93,43 @@ def free_laplacian_eigenvalue(grid: GridSpec, k: int) -> float:
     return (2.0 / h**2) * (1.0 - math.cos(k * math.pi * h / length))
 
 
-def rayleigh_quotient(hd: DiscreteHamiltonian, x: np.ndarray) -> complex:
+def _norm(x: np.ndarray) -> float:
+    """2-norm of a complex vector as a fixed-order ufunc sum."""
+    return math.sqrt(float(np.sum(x.real**2 + x.imag**2)))
+
+
+def rayleigh_quotient(t: ComplexTridiagonal, x: np.ndarray) -> complex:
     """Bilinear quotient txHx / txx (no conjugation)."""
     x = np.asarray(x, dtype=complex)
-    txx = complex(x @ x)
-    norm2 = float(np.real(np.vdot(x, x)))
+    txx = complex(np.sum(x * x))
+    norm2 = float(np.sum(x.real**2 + x.imag**2))
     if norm2 == 0.0:
         raise ValueError("zero vector")
     if abs(txx) <= 1e-12 * norm2:
         raise IsotropicVectorError("txx vanishes relative to |x|^2")
-    return complex(x @ hd.operator.matvec(x)) / txx
+    return complex(np.sum(x * t.matvec(x))) / txx
 
 
 def phase_align(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Rotate x by the unit scalar making <ref, x> real and nonnegative."""
-    c = complex(np.vdot(ref, x))
+    x = np.asarray(x, dtype=complex)
+    c = complex(np.sum(np.conj(ref) * x))
     if c == 0.0:
-        return np.asarray(x, dtype=complex)
-    return np.asarray(x, dtype=complex) * (c.conjugate() / abs(c))
+        return x
+    return x * (c.conjugate() / abs(c))
 
 
 def aligned_correlation(x: np.ndarray, ref: np.ndarray) -> float:
     """|<ref, x>| / (|ref| |x|); insensitive to phase and scale."""
     x = np.asarray(x, dtype=complex)
     ref = np.asarray(ref, dtype=complex)
-    denom = float(np.linalg.norm(x) * np.linalg.norm(ref))
+    denom = _norm(x) * _norm(ref)
     if denom == 0.0:
         raise ValueError("zero vector")
-    return float(abs(np.vdot(ref, x)) / denom)
+    return float(abs(np.sum(ref.conj() * x)) / denom)
 
 
-def _shifted_factor(hd: DiscreteHamiltonian, shift: complex) -> TridiagonalLU:
-    op = hd.operator
-    return TridiagonalLU(
-        ComplexTridiagonal(sub=op.sub, diag=op.diag - shift, super=op.super)
-    )
-
-
-def inverse_iteration(hd: DiscreteHamiltonian, shift: complex,
+def inverse_iteration(t: ComplexTridiagonal, shift: complex,
                       tol: float = 1e-10, max_iter: int = 50,
                       start: np.ndarray | None = None,
                       seed: int = 0) -> ProbeResult:
@@ -161,14 +143,14 @@ def inverse_iteration(hd: DiscreteHamiltonian, shift: complex,
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    k = hd.operator.size
+    k = t.size
     if start is None:
         start = np.random.default_rng(seed).standard_normal(k).astype(complex)
         start_mode = "seeded random"
     else:
         start = np.asarray(start, dtype=complex)
         start_mode = "sampled eigenfunction"
-    norm = float(np.linalg.norm(start))
+    norm = _norm(start)
     if norm == 0.0:
         raise ValueError("zero start vector")
     x = start / norm
@@ -176,7 +158,8 @@ def inverse_iteration(hd: DiscreteHamiltonian, shift: complex,
     lu = None
     for attempt in range(3):
         try:
-            lu = _shifted_factor(hd, shift)
+            lu = TridiagonalLU(ComplexTridiagonal(
+                sub=t.sub, diag=t.diag - shift, super=t.super))
             break
         except SingularMatrixError:
             shift = shift * (1.0 + 1e-10)
@@ -185,15 +168,15 @@ def inverse_iteration(hd: DiscreteHamiltonian, shift: complex,
 
     for it in range(1, max_iter + 1):
         y = lu.solve(x)
-        x = y / float(np.linalg.norm(y))
+        x = y / _norm(y)
         try:
-            lam = rayleigh_quotient(hd, x)
+            lam = rayleigh_quotient(t, x)
         except IsotropicVectorError:
             # quasi-isotropic iterate: perturb deterministically and continue
             x = x + 1e-8 * np.cos(np.arange(k))
-            x /= float(np.linalg.norm(x))
+            x /= _norm(x)
             continue
-        residual = float(np.linalg.norm(hd.operator.matvec(x) - lam * x))
+        residual = _norm(t.matvec(x) - lam * x)
         if residual <= tol:
             return ProbeResult(
                 j=-1, shift=float(np.real(shift)), eigval_estimate=lam,
@@ -205,8 +188,7 @@ def inverse_iteration(hd: DiscreteHamiltonian, shift: complex,
     )
 
 
-def probe_embedded(config: ModelConfig, grid: GridSpec,
-                   tol: float = 1e-10, max_iter: int = 50) -> list[ProbeResult]:
+def probe_embedded(config: ModelConfig, grid: GridSpec) -> list[ProbeResult]:
     """Run the probe at every prescribed eigenvalue mu_j^2.
 
     The grid is sampled once: V at the interior nodes builds the Hamiltonian,
@@ -215,13 +197,10 @@ def probe_embedded(config: ModelConfig, grid: GridSpec,
     committed by the hard wall.
     """
     ps = sample_grid(config, grid.radii())
-    hd = build_hamiltonian(grid, ps.V[1:-1])
+    t = build_hamiltonian(grid, ps.V[1:-1])
     results = []
     for j in range(config.n):
-        raw = inverse_iteration(
-            hd, config.mu[j] ** 2, tol=tol, max_iter=max_iter,
-            start=ps.v[1:-1, j],
-        )
+        raw = inverse_iteration(t, config.mu[j] ** 2, start=ps.v[1:-1, j])
         results.append(replace(
             raw, j=j, boundary_leak=float(abs(ps.v[-1, j])),
         ))

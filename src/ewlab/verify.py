@@ -42,6 +42,7 @@ from ewlab.kernel import (
 )
 from ewlab.linalg import condition_estimate
 from ewlab.oracle import (
+    FIT_RADII,
     eigenfunction_asymptotics,
     gram_derivative_defect,
     inverse_matrix_asymptotics,
@@ -158,7 +159,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     for _ in range(20):
         i, j = (int(x) for x in rng.integers(0, n, size=2))
         triples.append((i, j, float(rng.uniform(0.0, 30.0))))
-    g = gram_matrix_stack(config.freqs, [r for _, _, r in triples])
+    g = gram_matrix_stack(config, [r for _, _, r in triples])
     worst = max(abs(g[k, i, j] - quadrature_gram(mu[i], mu[j], r, 1e-12))
                 for k, (i, j, r) in enumerate(triples))
     checks.append(_upper("gram_vs_quadrature", worst, 1e-10, triples=20))
@@ -166,34 +167,33 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     # --- kernel: positivity of the Gram quadratic form, 100 trials per radius
     pos_radii = np.repeat([0.1, 1.0, 10.0, 100.0], 100)
     z = rng.standard_normal((pos_radii.size, 2, n))
-    low = np.min(gram_positivity_check(config.freqs, pos_radii,
+    low = np.min(gram_positivity_check(config, pos_radii,
                                        z[:, 0] + 1j * z[:, 1]))
     checks.append(_lower("gram_positivity", low, 0.0, radii=4, trials=100))
 
     # --- kernel: |g_ij| <= mu_i mu_j r^3 and the uniform h bounds
     sweep = np.linspace(0.01, 5.0, 200)
-    ratio = np.max(np.abs(gram_matrix_stack(config.freqs, sweep))
+    ratio = np.max(np.abs(gram_matrix_stack(config, sweep))
                    / (np.outer(mu, mu) * sweep[:, None, None] ** 3))
     checks.append(_upper("gram_entry_cubic_bound", ratio, 1.0))
     hsweep = np.arange(0.05, 400.0, 0.05)[::40]
-    hratio = np.max(np.abs(h_matrix_stack(config.freqs, hsweep))
-                    / h_bound(config.freqs))
+    hratio = np.max(np.abs(h_matrix_stack(config, hsweep)) / h_bound(config))
     # the diagonal ratio is |sin|, which can graze 1; allow rounding slack
     checks.append(_upper("h_entry_uniform_bound", hratio, 1.0 + 1e-12))
 
     # --- kernel: G' = s.ts by central FD, O(h^2)
     radii_fd = rng.uniform(0.5, 50.0, 5)
-    d_h = gram_derivative_defect(config.freqs, radii_fd, 1e-4)
-    d_half = gram_derivative_defect(config.freqs, radii_fd, 5e-5)
+    d_h = gram_derivative_defect(config, radii_fd, 1e-4)
+    d_half = gram_derivative_defect(config, radii_fd, 5e-5)
     checks.append(_upper("gram_derivative_defect", d_h, 1e-6, step=1e-4))
     checks.append(_band("gram_derivative_order", d_h / d_half, 3.0, 5.0))
 
     # --- construct: commutator identity [G, M^2] = -s.t(Mc) + (Mc).t(s)
     m2 = np.diag(mu**2)
     com_radii = rng.uniform(0.0, 100.0, 50)
-    g = gram_matrix_stack(config.freqs, com_radii)
-    s = trig_s(config.freqs, com_radii)
-    sp = mu * trig_c(config.freqs, com_radii)
+    g = gram_matrix_stack(config, com_radii)
+    s = trig_s(config, com_radii)
+    sp = mu * trig_c(config, com_radii)
     defect = (g @ m2 - m2 @ g + s[:, :, None] * sp[:, None, :]
               - sp[:, :, None] * s[:, None, :])
     checks.append(_upper("commutator_identity", np.max(np.abs(defect)), 1e-12,
@@ -215,8 +215,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     ld_radii = np.array([0.9, 7.7, 31.0])
     ps_ld = sample_grid(config, ld_radii)
     d1 = np.max(np.abs(log_det_derivative(config, ld_radii, 1e-4)
-                       + np.sum(trig_s(config.freqs, ld_radii) * ps_ld.v,
-                                axis=1)))
+                       + np.sum(trig_s(config, ld_radii) * ps_ld.v, axis=1)))
     checks.append(_upper("log_det_first_derivative", d1, 1e-6, step=1e-4))
     d2 = np.max(np.abs(ps_ld.V + 2.0 * log_det_second_difference(
         config, ld_radii, 1e-3)))
@@ -289,7 +288,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
                          abs(c_p - c_p_half) / c_p, 0.02, constant=c_p))
 
     # --- W is independent of the couplings (identical formula, no a)
-    alt = ModelConfig.from_values(mu, config.a + 1.0)
+    alt = ModelConfig(mu, config.a + 1.0)
     w_radii = np.array([0.5, 2.0, 11.0, 77.0])
     w_diff = np.max(np.abs(sample_grid(config, w_radii).w
                            - sample_grid(alt, w_radii).w))
@@ -309,10 +308,9 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
         _fit_pair(f"v{j + 1}", reps)
 
     # --- two-term remainder of V scaled by r^3 stays bounded
-    fit_radii = np.geomspace(50.0, 400.0, 200)
-    terms = potential_asymptotics(config, fit_radii)
-    rem = (np.abs(sample_grid(config, fit_radii).V - terms.leading
-                  - terms.second) * fit_radii**3)
+    terms = potential_asymptotics(config, FIT_RADII)
+    rem = (np.abs(sample_grid(config, FIT_RADII).V - terms.leading
+                  - terms.second) * FIT_RADII**3)
     checks.append(_upper("potential_remainder_r3", np.max(rem), 1e3))
 
     cond_radii = (1.0, 10.0, 100.0, 400.0)

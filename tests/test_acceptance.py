@@ -31,9 +31,9 @@ from ewlab.oracle import (
 from ewlab.radial3d import dimension_obstruction, radial_laplacian_residual
 from ewlab.spectral_probe import aligned_correlation, probe_embedded
 
-REAL1 = ModelConfig.from_values([1.0], [1.0])
-REAL3 = ModelConfig.from_values([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
-CPLX2 = ModelConfig.from_values([2.0, 1.0], [1.0 + 1.0j, 2.0])
+REAL1 = ModelConfig([1.0], [1.0])
+REAL3 = ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+CPLX2 = ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0])
 STOCK = (REAL1, REAL3, CPLX2)
 
 # max |Im V| of CPLX2 on [0, 400] step 0.05, frozen once measured
@@ -50,7 +50,7 @@ def test_criterion_1_gram_closed_form_vs_quadrature():
     mu = np.array([3.0, 2.0, 1.0])
     triples = [(int(i), int(j), float(rng.uniform(0.0, 25.0)))
                for i, j in (rng.integers(0, 3, size=2) for _ in range(20))]
-    g = gram_matrix_stack(REAL3.freqs, [r for _, _, r in triples])
+    g = gram_matrix_stack(REAL3, [r for _, _, r in triples])
     worst = max(abs(g[k, i, j] - quadrature_gram(mu[i], mu[j], r))
                 for k, (i, j, r) in enumerate(triples))
     _report(1, "Gram closed form vs quadrature", worst <= 1e-10,
@@ -89,17 +89,17 @@ def test_criterion_4_matrix_identities():
     rng = np.random.default_rng(104)
     worst_comm = 0.0
     for cfg in (REAL3, CPLX2):
-        m2 = cfg.frequency_matrix() ** 2
+        m2 = np.diag(cfg.mu) ** 2
         radii = rng.uniform(0.0, 100.0, size=50)
-        g = gram_matrix_stack(cfg.freqs, radii)
-        s = trig_s(cfg.freqs, radii)
+        g = gram_matrix_stack(cfg, radii)
+        s = trig_s(cfg, radii)
         mc = cfg.mu * np.cos(np.outer(radii, cfg.mu))
         defect = (g @ m2 - m2 @ g + s[:, :, None] * mc[:, None, :]
                   - mc[:, :, None] * s[:, None, :])
         worst_comm = max(worst_comm, float(np.max(np.abs(defect))))
 
-    d1 = gram_derivative_defect(REAL3.freqs, [2.7], 1e-4)
-    d2 = gram_derivative_defect(REAL3.freqs, [2.7], 5e-5)
+    d1 = gram_derivative_defect(REAL3, [2.7], 1e-4)
+    d2 = gram_derivative_defect(REAL3, [2.7], 5e-5)
     gram_ratio = d1 / d2
 
     log_ratios = []
@@ -157,7 +157,7 @@ def test_criterion_6_reality_dichotomy():
 
 
 def test_criterion_7_spectral_probe():
-    cfg = ModelConfig.from_values([2.0, 1.0], [1.0, 1.0])
+    cfg = ModelConfig([2.0, 1.0], [1.0, 1.0])
     base = probe_embedded(cfg, GridSpec(0.0, 200.0, 0.01))
     wide = probe_embedded(cfg, GridSpec(0.0, 400.0, 0.01))
     ps = sample_grid(cfg, GridSpec(0.0, 200.0, 0.01).radii())
@@ -173,7 +173,7 @@ def test_criterion_7_spectral_probe():
     sweep: list = []
     for _ in range(5):
         a = rng.uniform(0.5, 2.5, size=2) + 1j * rng.uniform(-1.0, 1.0, size=2)
-        swept = ModelConfig.from_values([2.0, 1.0], list(a))
+        swept = ModelConfig([2.0, 1.0], list(a))
         sweep.append([res.eigval_estimate
                       for res in probe_embedded(swept, GridSpec(0.0, 200.0, 0.01))])
     arr = np.array(sweep)
@@ -193,16 +193,16 @@ def test_criterion_7_spectral_probe():
 
 
 def test_criterion_8_dimension_dichotomy():
-    cfg = ModelConfig.from_values([2.0, 1.0], [1.0, 1.0])
+    cfg = ModelConfig([2.0, 1.0], [1.0, 1.0])
     grid = GridSpec(1.0, 30.0, 1e-3)
-    r3 = radial_laplacian_residual(cfg, 0, grid, 3)
-    r3h = radial_laplacian_residual(cfg, 0, grid.halved(), 3)
+    # rows d = 3, 2, 4, 5; column 0 is the eigen-index j = 0
+    res = radial_laplacian_residual(cfg, grid, (3, 2, 4, 5))[:, 0]
+    res_half = radial_laplacian_residual(cfg, grid.halved(), (3, 2, 4, 5))[:, 0]
+    r3, r3h = res[0], res_half[0]
     vanish_ok = r3 <= 1e-4 and 3.0 <= r3 / r3h <= 5.0
 
     stuck = []
-    for d in (2, 4, 5):
-        rd = radial_laplacian_residual(cfg, 0, grid, d)
-        rdh = radial_laplacian_residual(cfg, 0, grid.halved(), d)
+    for rd, rdh in zip(res[1:], res_half[1:]):
         stuck.append(rd > 0.05 and 0.9 <= rd / rdh <= 1.1)
 
     table = [dimension_obstruction(d) for d in (1, 3, 5, 2)]

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,7 +107,7 @@ def test_build_csv_round_trips_doubles(tmp_path):
     main(["build", "--config", cfg, "--out", str(out)])
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    model = ModelConfig.from_values([1.0], [1.0])
+    model = ModelConfig([1.0], [1.0])
     for k in (137, 500, 1000):
         r = float(rows[k]["r"])
         want = sample_grid(model, [r]).V[0]
@@ -183,6 +187,23 @@ def test_probe_free_modes(tmp_path):
     assert len(doc["free_modes"]) == 3
     for mode in doc["free_modes"]:
         assert mode["abs_error"] <= 1e-10
+
+
+def test_probe_bytes_independent_of_blas_threads(tmp_path):
+    # the thread count is read when numpy loads, so each run is a new process
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"probe-{threads}.json"
+        subprocess.run([sys.executable, "-m", "ewlab.cli", "probe", "--config",
+                        str(root / "configs" / "probe.json"), "--out", str(out)],
+                       env=env, check=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_small_config(tmp_path, capsys):

@@ -5,8 +5,6 @@ import pytest
 
 from ewlab.kernel import (
     ConfigError,
-    Couplings,
-    Frequencies,
     ModelConfig,
     gram_matrix_stack,
     gram_positivity_check,
@@ -39,9 +37,9 @@ def taylor_cos(x: float) -> float:
     return total
 
 
-MU3 = Frequencies(np.array([3.0, 2.0, 1.0]))
-MU1 = Frequencies(np.array([1.0]))
-MU21 = Frequencies(np.array([2.0, 1.0]))
+MU3 = ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+MU1 = ModelConfig([1.0], [1.0])
+MU21 = ModelConfig([2.0, 1.0], [1.0, 1.0])
 
 
 def test_trig_s_special_values():
@@ -88,9 +86,9 @@ def test_gram_entry_off_diagonal_closed_form():
 
 def test_gram_entry_rejects_bad_frequencies():
     with pytest.raises(ValueError):
-        gram_matrix_stack(Frequencies(np.array([1.0, 0.0])), [1.0])
+        gram_matrix_stack(ModelConfig([1.0, 0.0], [1.0, 1.0]), [1.0])
     with pytest.raises(ValueError):
-        gram_matrix_stack(Frequencies(np.array([1.0, -2.0])), [1.0])
+        gram_matrix_stack(ModelConfig([1.0, -2.0], [1.0, 1.0]), [1.0])
 
 
 def test_gram_matrix_zero_and_symmetry():
@@ -203,30 +201,37 @@ def test_positivity_rejects_degenerate_input():
 
 def test_frequency_validation_messages():
     with pytest.raises(ConfigError, match=r"mu_1 <= mu_2"):
-        Frequencies(np.array([1.0, 2.0, 3.0]))
+        ModelConfig([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
     with pytest.raises(ConfigError, match=r"mu_2 <= 0"):
-        Frequencies(np.array([3.0, -2.0]))
+        ModelConfig([3.0, -2.0], [1.0, 1.0])
     with pytest.raises(ConfigError, match=r"mu_1 <= 0"):
-        Frequencies(np.array([0.0]))
+        ModelConfig([0.0], [1.0])
 
 
 def test_coupling_validation_messages():
     with pytest.raises(ConfigError, match=r"a_1 == 0"):
-        Couplings(np.array([0.0, 1.0]))
+        ModelConfig([2.0, 1.0], [0.0, 1.0])
     with pytest.raises(ConfigError, match=r"Re\(a_2\) < 0"):
-        Couplings(np.array([1.0, -0.5 + 1j]))
+        ModelConfig([2.0, 1.0], [1.0, -0.5 + 1j])
     # purely imaginary couplings are admissible
-    Couplings(np.array([1j, 2.0]))
+    ModelConfig([2.0, 1.0], [1j, 2.0])
 
 
 def test_model_config_length_mismatch():
     with pytest.raises(ConfigError, match="len"):
-        ModelConfig.from_values([2.0, 1.0], [1.0])
+        ModelConfig([2.0, 1.0], [1.0])
+    # mu is checked first, then a, then the lengths
+    with pytest.raises(ConfigError, match=r"mu_1 <= mu_2"):
+        ModelConfig([1.0, 2.0], [0.0])
+    with pytest.raises(ConfigError, match=r"a_1 == 0"):
+        ModelConfig([2.0, 1.0], [0.0])
 
 
-def test_model_config_matrices():
-    cfg = ModelConfig.from_values([2.0, 1.0], [1.0 + 1j, 2.0])
-    assert np.array_equal(cfg.frequency_matrix(), np.diag([2.0, 1.0]))
-    assert np.array_equal(cfg.coupling_matrix(), np.diag([1.0 + 1j, 2.0]))
+def test_model_config_arrays():
+    cfg = ModelConfig([2, 1], [1.0 + 1j, 2.0])
+    assert cfg.mu.dtype == float and cfg.a.dtype == complex
+    assert np.array_equal(cfg.mu, [2.0, 1.0])
+    assert np.array_equal(cfg.a, [1.0 + 1j, 2.0])
+    assert cfg.n == 2
     assert not cfg.is_real
-    assert ModelConfig.from_values([1.0], [3.0]).is_real
+    assert ModelConfig([1.0], [3.0]).is_real

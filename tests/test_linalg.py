@@ -78,18 +78,6 @@ def test_dense_lu_determinant():
     assert np.array_equal(DenseLU(swapped).det(), [-1.0, 1.0])
 
 
-def test_solve_adjoint():
-    rng = np.random.default_rng(14)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x = DenseLU(a[None]).solve_adjoint(b[None, :, None])[0, :, 0]
-    assert np.max(np.abs(a.conj().T @ x - b)) <= 1e-12
-    mats = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
-    rhs = rng.standard_normal((4, 6, 2)) + 1j * rng.standard_normal((4, 6, 2))
-    x = DenseLU(mats).solve_adjoint(rhs)
-    assert np.max(np.abs(mats.conj().transpose(0, 2, 1) @ x - rhs)) <= 1e-12
-
-
 def test_batched_solve_matches_lapack():
     rng = np.random.default_rng(15)
     mats = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
@@ -187,6 +175,4 @@ def test_condition_estimate_within_factor_of_truth():
     mats = rng.standard_normal((10, 5, 5)) + 1j * rng.standard_normal((10, 5, 5))
     true = (np.abs(mats).sum(axis=1).max(axis=1)
             * np.abs(np.linalg.inv(mats)).sum(axis=1).max(axis=1))
-    est = condition_estimate(mats)
-    assert np.all(true / 5.0 <= est)
-    assert np.all(est <= true * (1.0 + 1e-10))
+    assert np.allclose(condition_estimate(mats), true, rtol=1e-12, atol=0.0)

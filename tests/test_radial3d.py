@@ -10,8 +10,8 @@ from ewlab.radial3d import (
     radial_laplacian_residual,
 )
 
-CFG2 = ModelConfig.from_values([2.0, 1.0], [1.0, 1.0])
-CFGC = ModelConfig.from_values([2.0, 1.0], [1.0 + 1.0j, 2.0])
+CFG2 = ModelConfig([2.0, 1.0], [1.0, 1.0])
+CFGC = ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0])
 
 
 def test_lift_origin_value():
@@ -41,16 +41,16 @@ def test_lift_decays_quadratically():
 
 def test_residual_vanishes_in_dimension_three():
     grid = GridSpec(1.0, 30.0, 1e-3)
-    r1 = radial_laplacian_residual(CFG2, 0, grid, 3)
-    r2 = radial_laplacian_residual(CFG2, 0, grid.halved(), 3)
+    r1 = radial_laplacian_residual(CFG2, grid, [3])[0, 0]
+    r2 = radial_laplacian_residual(CFG2, grid.halved(), [3])[0, 0]
     assert r1 <= 1e-4
     assert 3.0 <= r1 / r2 <= 5.0
 
 
 def test_residual_vanishes_in_dimension_one():
     grid = GridSpec(1.0, 30.0, 1e-3)
-    r1 = radial_laplacian_residual(CFG2, 1, grid, 1)
-    r2 = radial_laplacian_residual(CFG2, 1, grid.halved(), 1)
+    r1 = radial_laplacian_residual(CFG2, grid, [1])[0, 1]
+    r2 = radial_laplacian_residual(CFG2, grid.halved(), [1])[0, 1]
     assert r1 <= 1e-4
     assert 3.0 <= r1 / r2 <= 5.0
 
@@ -61,9 +61,11 @@ def test_residual_stabilizes_at_obstruction_size():
     lift = lift_to_3d(CFG2, 0, grid)
     interior = lift.radii[1:-1]
     u3 = np.abs(lift.values[1:-1])
-    for d in (2, 4, 5):
-        r1 = radial_laplacian_residual(CFG2, 0, grid, d)
-        r2 = radial_laplacian_residual(CFG2, 0, grid.halved(), d)
+    dims = (2, 4, 5)
+    res = radial_laplacian_residual(CFG2, grid, dims)
+    res_half = radial_laplacian_residual(CFG2, grid.halved(), dims)
+    assert res.shape == (3, 2)
+    for d, r1, r2 in zip(dims, res[:, 0], res_half[:, 0]):
         assert r1 > 0.05
         assert 0.9 <= r1 / r2 <= 1.1
         # u_d = r^{(3-d)/2} u_3, so the obstructing term has a known sup
@@ -90,11 +92,11 @@ def test_dimension_validation():
     with pytest.raises(ValueError):
         dimension_obstruction(0)
     with pytest.raises(ValueError):
-        radial_laplacian_residual(CFG2, 0, GridSpec(1.0, 30.0, 1e-3), 0)
+        radial_laplacian_residual(CFG2, GridSpec(1.0, 30.0, 1e-3), [3, 0])
 
 
 def test_residual_grid_validation():
     with pytest.raises(GridError):
-        radial_laplacian_residual(CFG2, 0, GridSpec(0.0, 30.0, 1e-3), 3)
+        radial_laplacian_residual(CFG2, GridSpec(0.0, 30.0, 1e-3), [3])
     with pytest.raises(GridError):
-        radial_laplacian_residual(CFG2, 0, GridSpec(1.0, 1.5, 0.1), 3)
+        radial_laplacian_residual(CFG2, GridSpec(1.0, 1.5, 0.1), [3])

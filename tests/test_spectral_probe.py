@@ -7,12 +7,10 @@ from ewlab.kernel import GridError, GridSpec, ModelConfig
 from ewlab.construct import sample_grid
 from ewlab.linalg import ComplexTridiagonal
 from ewlab.spectral_probe import (
-    DiscreteHamiltonian,
     IsotropicVectorError,
     NoConvergenceError,
     aligned_correlation,
     build_hamiltonian,
-    free_hamiltonian,
     free_laplacian_eigenvalue,
     inverse_iteration,
     phase_align,
@@ -20,28 +18,30 @@ from ewlab.spectral_probe import (
     rayleigh_quotient,
 )
 
-CFG2 = ModelConfig.from_values([2.0, 1.0], [1.0, 1.0])
+CFG2 = ModelConfig([2.0, 1.0], [1.0, 1.0])
 GRID = GridSpec(0.0, 40.0, 0.01)
 
 
+def free_laplacian(grid):
+    return build_hamiltonian(grid, np.zeros(grid.count - 2))
+
+
 def test_build_hamiltonian_structure():
-    hd = build_hamiltonian(GRID, sample_grid(CFG2, GRID.radii()[1:-1]).V)
-    t = hd.operator
-    inv_h2 = 1.0 / hd.step**2
+    t = build_hamiltonian(GRID, sample_grid(CFG2, GRID.radii()[1:-1]).V)
+    inv_h2 = 1.0 / GRID.step**2
     assert np.all(t.sub == t.super)
     assert np.all(t.sub == -inv_h2)
     assert t.size == GRID.count - 2
-    assert np.allclose(hd.interior_radii()[0], GRID.step)
 
 
 def test_diagonal_carries_the_potential():
     grid = GridSpec(0.0, 2.0, 0.1)
-    hd = build_hamiltonian(grid, sample_grid(CFG2, grid.radii()[1:-1]).V)
-    inv_h2 = 1.0 / hd.step**2
-    big_v = sample_grid(CFG2, hd.interior_radii()).V
-    for k in range(hd.operator.size):
+    t = build_hamiltonian(grid, sample_grid(CFG2, grid.radii()[1:-1]).V)
+    inv_h2 = 1.0 / grid.step**2
+    big_v = sample_grid(CFG2, grid.radii()[1:-1]).V
+    for k in range(t.size):
         want = 2.0 * inv_h2 + big_v[k]
-        assert abs(hd.operator.diag[k] - want) <= 1e-13 * inv_h2
+        assert abs(t.diag[k] - want) <= 1e-13 * inv_h2
 
 
 def test_build_hamiltonian_needs_origin():
@@ -51,8 +51,7 @@ def test_build_hamiltonian_needs_origin():
 
 def test_free_spectrum_matches_dense_reference():
     grid = GridSpec(0.0, 5.0, 0.1)
-    hd = free_hamiltonian(grid)
-    dense = hd.operator.dense().real
+    dense = free_laplacian(grid).dense().real
     eigs = np.sort(np.linalg.eigvalsh(dense))
     for k in (1, 2, 3, 10):
         assert abs(free_laplacian_eigenvalue(grid, k) - eigs[k - 1]) <= 1e-10
@@ -60,19 +59,17 @@ def test_free_spectrum_matches_dense_reference():
 
 def test_rayleigh_quotient_on_eigenvector():
     t = ComplexTridiagonal(np.full(2, -1.0), np.full(3, 2.0), np.full(2, -1.0))
-    hd = DiscreteHamiltonian(GridSpec(0.0, 4.0, 1.0), t)
     x = np.array([1.0, np.sqrt(2.0), 1.0], dtype=complex)  # eigenvalue 2-sqrt(2)
-    lam = rayleigh_quotient(hd, x)
+    lam = rayleigh_quotient(t, x)
     assert abs(lam - (2.0 - np.sqrt(2.0))) <= 1e-14
     # bilinear form: invariant under complex scaling, not just unitary
-    assert abs(rayleigh_quotient(hd, (0.3 - 2.1j) * x) - lam) <= 1e-13
+    assert abs(rayleigh_quotient(t, (0.3 - 2.1j) * x) - lam) <= 1e-13
 
 
 def test_rayleigh_quotient_rejects_isotropic_vector():
     t = ComplexTridiagonal(np.zeros(1), np.ones(2), np.zeros(1))
-    hd = DiscreteHamiltonian(GridSpec(0.0, 3.0, 1.0), t)
     with pytest.raises(IsotropicVectorError):
-        rayleigh_quotient(hd, np.array([1.0, 1.0j]))
+        rayleigh_quotient(t, np.array([1.0, 1.0j]))
 
 
 def test_phase_align_and_correlation():
@@ -92,23 +89,22 @@ def test_phase_align_and_correlation():
 
 def test_inverse_iteration_free_ground_state():
     grid = GridSpec(0.0, 10.0, 0.01)
-    hd = free_hamiltonian(grid)
     lam1 = free_laplacian_eigenvalue(grid, 1)
-    res = inverse_iteration(hd, lam1 * 1.001)
+    res = inverse_iteration(free_laplacian(grid), lam1 * 1.001)
     assert abs(res.eigval_estimate - lam1) <= 1e-10
     assert res.residual <= 1e-10
     assert res.start_mode == "seeded random"
     # the converged mode is one arch of a sine
-    want = np.sin(np.pi * hd.interior_radii() / 10.0)
+    want = np.sin(np.pi * grid.radii()[1:-1] / 10.0)
     assert aligned_correlation(res.vector, want.astype(complex)) >= 1.0 - 1e-8
 
 
 def test_inverse_iteration_is_deterministic():
     grid = GridSpec(0.0, 10.0, 0.01)
-    hd = free_hamiltonian(grid)
+    t = free_laplacian(grid)
     shift = free_laplacian_eigenvalue(grid, 2) * 1.001
-    a = inverse_iteration(hd, shift, seed=7)
-    b = inverse_iteration(hd, shift, seed=7)
+    a = inverse_iteration(t, shift, seed=7)
+    b = inverse_iteration(t, shift, seed=7)
     assert a.eigval_estimate == b.eigval_estimate
     assert np.array_equal(a.vector, b.vector)
 
@@ -116,17 +112,16 @@ def test_inverse_iteration_is_deterministic():
 def test_inverse_iteration_retries_exactly_singular_shift():
     # diagonal operator: shift == eigenvalue gives an exactly singular solve
     t = ComplexTridiagonal(np.zeros(2), np.array([1.0, 2.0, 3.0]), np.zeros(2))
-    hd = DiscreteHamiltonian(GridSpec(0.0, 4.0, 1.0), t)
-    res = inverse_iteration(hd, 2.0)
+    res = inverse_iteration(t, 2.0)
     assert abs(res.eigval_estimate - 2.0) <= 1e-12
     assert res.shift != 2.0  # nudged before factoring succeeded
 
 
 def test_inverse_iteration_reports_no_convergence():
     grid = GridSpec(0.0, 10.0, 0.1)
-    hd = free_hamiltonian(grid)
     with pytest.raises(NoConvergenceError):
-        inverse_iteration(hd, free_laplacian_eigenvalue(grid, 1), tol=1e-30,
+        inverse_iteration(free_laplacian(grid),
+                          free_laplacian_eigenvalue(grid, 1), tol=1e-30,
                           max_iter=5)
 
 
@@ -161,6 +156,6 @@ def test_probe_error_shrinks_with_domain():
 def test_probe_estimate_insensitive_to_couplings():
     grid = GridSpec(0.0, 100.0, 0.01)
     base = probe_embedded(CFG2, grid)
-    other = probe_embedded(ModelConfig.from_values([2.0, 1.0], [2.5, 0.7]), grid)
+    other = probe_embedded(ModelConfig([2.0, 1.0], [2.5, 0.7]), grid)
     for res_b, res_o in zip(base, other):
         assert abs(res_b.eigval_estimate - res_o.eigval_estimate) <= 5e-3

@@ -10,12 +10,12 @@ from ewlab.verify import CheckResult, run_verification
 
 @pytest.fixture(scope="module")
 def real_report():
-    return run_verification(ModelConfig.from_values([1.0], [1.0]), seed=0)
+    return run_verification(ModelConfig([1.0], [1.0]), seed=0)
 
 
 @pytest.fixture(scope="module")
 def complex_report():
-    return run_verification(ModelConfig.from_values([2.0, 1.0], [1.0 + 1.0j, 2.0]),
+    return run_verification(ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0]),
                             seed=0)
 
 
@@ -77,7 +77,7 @@ def test_report_json_is_strict(real_report):
 
 
 def test_suite_is_deterministic(real_report):
-    again = run_verification(ModelConfig.from_values([1.0], [1.0]), seed=0)
+    again = run_verification(ModelConfig([1.0], [1.0]), seed=0)
     assert again.to_json() == real_report.to_json()
 
 
