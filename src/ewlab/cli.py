@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -162,18 +163,11 @@ def cmd_build(rc: RunConfig) -> int:
     n = rc.model.n
     header = "r,V_re,V_im," + ",".join(
         f"v{j}_re,v{j}_im" for j in range(1, n + 1)) + ",W"
-
-    def fmt(x: float) -> str:
-        return f"{x + 0.0:.17g}"  # + 0.0 folds -0.0 into 0
-
-    lines = [header]
-    for k, r in enumerate(ps.radii):
-        cells = [fmt(r), fmt(ps.V[k].real), fmt(ps.V[k].imag)]
-        for j in range(n):
-            cells.append(fmt(ps.v[k, j].real))
-            cells.append(fmt(ps.v[k, j].imag))
-        cells.append(fmt(ps.w[k]))
-        lines.append(",".join(cells))
+    # v.view(float) interleaves (re, im); + 0.0 folds -0.0 into 0
+    table = np.column_stack([ps.radii, ps.V.real, ps.V.imag,
+                             ps.v.view(float), ps.w]) + 0.0
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [header] + [row % tuple(cells) for cells in table.tolist()]
     _emit("\n".join(lines) + "\n", rc.output_path)
     return 0
 
@@ -218,6 +212,8 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
     next to the single-run error floor (the estimates should agree: the
     eigenvalues do not depend on the couplings).
     """
+    if sweep < 0:
+        raise ConfigError(f"--sweep {sweep} must be non-negative")
     doc = _config_echo(rc)
     doc["note"] = ("truncated-grid probe: locates discrete eigenpairs near "
                    "each shift; the essential spectrum is not visible here")
@@ -275,8 +271,9 @@ def cmd_expand(rc: RunConfig, radii: list) -> int:
     if not radii:
         radii = [50.0, 100.0, 200.0]
     for r in radii:
-        if not r > 0.0:
-            raise ConfigError(f"expansion radius {r} must be positive")
+        if not 0.0 < r < math.inf:
+            raise ConfigError(
+                f"expansion radius {r} must be positive and finite")
     cols = ("r", "V_re", "V_im", "leading", "second_re", "second_im",
             "|remainder|", "|remainder|*r^3", "W")
     values = sample_grid(rc.model, np.array(radii)).V

@@ -57,7 +57,6 @@ __all__ = [
     "AsymptoticTerms",
     "InvertibilityError",
     "PotentialSample",
-    "eigenfunction_large_r",
     "log_det_derivative",
     "log_det_second_difference",
     "potential_asymptotics",
@@ -78,11 +77,15 @@ class InvertibilityError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticTerms:
-    """First two large-r terms of V per radius; leading is A-independent, real."""
+    """First two large-r terms of V per radius, and v to two terms.
+
+    leading is A-independent and real; v errs by O(r^-3).
+    """
 
     leading: np.ndarray    # (K,) real
     second: np.ndarray     # (K,) complex
     w_value: np.ndarray    # (K,) real
+    v: np.ndarray          # (K, n) complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,30 +145,25 @@ def _positive(radii) -> np.ndarray:
 
 def potential_asymptotics(config: ModelConfig,
                           radii: np.ndarray) -> AsymptoticTerms:
-    """Leading and second large-r terms of V, evaluated exactly at each r."""
+    """Leading and second large-r terms of V, and v to two terms, at each r.
+
+    v_j(r) ~ -(2/r) sin(mu_j r)
+             + (4/r^2) (a_j sin(mu_j r) + sum_l h_jl(r) sin(mu_l r)),
+    from the same s and H that give W.
+    """
     radii = _positive(radii)
     mu = config.mu
     sin2 = np.sin(np.outer(radii, 2.0 * mu))
     leading = -(4.0 / radii) * (sin2 @ mu)
     s = trig_s(config, radii)
     mc = trig_c(config, radii) * mu
-    w = _w(s, mc, h_matrix_stack(config, radii))
+    h = h_matrix_stack(config, radii)
+    w = _w(s, mc, h)
     second = (8.0 / radii**2) * (sin2 @ (config.a * mu) + w)
-    return AsymptoticTerms(leading=leading, second=second, w_value=w)
-
-
-def eigenfunction_large_r(config: ModelConfig,
-                          radii: np.ndarray) -> np.ndarray:
-    """Two-term large-r expansion of v, shape (K, n); error is O(r^-3).
-
-    v_j(r) ~ -(2/r) sin(mu_j r)
-             + (4/r^2) (a_j sin(mu_j r) + sum_l h_jl(r) sin(mu_l r)).
-    """
-    radii = _positive(radii)
-    s = trig_s(config, radii)
-    hs = np.einsum("kjl,kl->kj", h_matrix_stack(config, radii), s)
+    hs = np.einsum("kjl,kl->kj", h, s)
     r = radii[:, None]
-    return -(2.0 / r) * s + (4.0 / r**2) * (config.a * s + hs)
+    v = -(2.0 / r) * s + (4.0 / r**2) * (config.a * s + hs)
+    return AsymptoticTerms(leading=leading, second=second, w_value=w, v=v)
 
 
 def _log_det_ratio(config: ModelConfig, base_lu: DenseLU, r_base: np.ndarray,

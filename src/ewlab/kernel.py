@@ -123,8 +123,12 @@ class GridSpec:
             raise GridError("step <= 0")
         if self.r_start >= self.r_end:
             raise GridError("r_start >= r_end")
-        if (self.r_end - self.r_start) / self.step > 1e7:
+        steps = (self.r_end - self.r_start) / self.step
+        if steps > 1e7:
             raise GridError("more than 1e7 grid points")
+        # count rounds steps, so a misaligned span would move r_end
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise GridError("r_end - r_start is not a whole number of steps")
 
     @property
     def count(self) -> int:

@@ -15,7 +15,8 @@ on a log-spaced radius grid and asserting it lands within SLOPE_TOL of -k.
 Defects here are oscillatory, with exact zeros at special radii, so the fit
 runs on the bin-wise envelope (max |defect| per log-spaced bin) rather than
 on raw points; raw points put log|defect| dips of -30 at the zeros and wreck
-the regression.
+the regression. `large_r_fits` runs every large-r fit (V, the resolvent, v'
+and each v_j) and V's scaled remainder from one sample of FIT_RADII.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ewlab.construct import (
-    eigenfunction_large_r,
     potential_asymptotics,
     resolvent_apply,
     sample_grid,
@@ -45,20 +45,16 @@ __all__ = [
     "FIT_RADII",
     "FitReport",
     "MaxDepthExceededError",
-    "ResidualReport",
     "SLOPE_TOL",
     "StepTooLargeError",
-    "eigenfunction_asymptotics",
     "fd_second_derivative",
     "fit_decay_slope",
     "gram_derivative_defect",
-    "inverse_matrix_asymptotics",
     "inverse_small_r_slope",
-    "potential_expansion_fits",
+    "large_r_fits",
     "quadrature_gram",
     "residual_eigen_equation",
     "shooting_compare",
-    "vprime_asymptotics",
 ]
 
 # Decay exponents are asymptotic statements; fitted slopes get this margin.
@@ -75,16 +71,6 @@ class MaxDepthExceededError(ArithmeticError):
 
 class StepTooLargeError(ValueError):
     """RK4 step fails the |V - mu^2| h^2 stability guard."""
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Sup of an FD residual on a grid plus its step-halving ratio."""
-
-    j: int
-    sup_residual: float
-    grid: GridSpec
-    convergence_ratio: float
 
 
 @dataclass(frozen=True)
@@ -184,12 +170,12 @@ def fd_second_derivative(values: np.ndarray, step: float) -> np.ndarray:
 
 
 def residual_eigen_equation(config: ModelConfig,
-                            grid: GridSpec) -> list[ResidualReport]:
+                            grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Sup of |-v_j'' + V v_j - mu_j^2 v_j| on the grid interior, FD v_j''.
 
-    One report per eigen-index j, all from one sample per grid. Each
-    report's convergence_ratio is sup(h)/sup(h/2) from a second pass on the
-    halved grid; the stencil is O(h^2), so the ratio should be near 4.
+    Returns (sup, ratio), each of shape (n,), from one sample per grid:
+    ratio is sup(h)/sup(h/2) from a second pass on the halved grid (inf if
+    that sup is 0); the stencil is O(h^2), so the ratio should be near 4.
     """
 
     def _sups(g: GridSpec) -> np.ndarray:
@@ -203,12 +189,8 @@ def residual_eigen_equation(config: ModelConfig,
 
     sup_h = _sups(grid)
     sup_half = _sups(grid.halved())
-    reports = []
-    for j in range(config.n):
-        ratio = sup_h[j] / sup_half[j] if sup_half[j] > 0.0 else math.inf
-        reports.append(ResidualReport(j=j, sup_residual=float(sup_h[j]),
-                                      grid=grid, convergence_ratio=float(ratio)))
-    return reports
+    return sup_h, np.divide(sup_h, sup_half, out=np.full(config.n, math.inf),
+                            where=sup_half > 0.0)
 
 
 def _rk4_deviation(q: np.ndarray, v: np.ndarray, p: complex,
@@ -293,42 +275,6 @@ def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,
                      intercept=float(intercept), points=len(log_r))
 
 
-def _expansion_fits(radii: np.ndarray, one_term: np.ndarray,
-                    two_term: np.ndarray, what: str,
-                    leading: str = "leading term") -> list[FitReport]:
-    """Fits of the defects after one term (order r^-2) and two (r^-3)."""
-    return [
-        fit_decay_slope(radii, one_term, -2.0, f"{what} minus {leading}"),
-        fit_decay_slope(radii, two_term, -3.0, f"{what} minus two terms"),
-    ]
-
-
-def potential_expansion_fits(config: ModelConfig) -> list[FitReport]:
-    """Decay fits for the two-term large-r expansion of V.
-
-    |V - leading| should fall like r^-2 and |V - leading - second| like r^-3.
-    """
-    radii = FIT_RADII
-    big_v = sample_grid(config, radii).V
-    terms = potential_asymptotics(config, radii)
-    return _expansion_fits(radii, np.abs(big_v - terms.leading),
-                           np.abs(big_v - terms.leading - terms.second), "V")
-
-
-def eigenfunction_asymptotics(config: ModelConfig) -> list[list]:
-    """Decay fits for the large-r expansion of each v_j: orders r^-2, r^-3.
-
-    One [one-term, two-term] pair of FitReports per eigen-index j, all from
-    one sample.
-    """
-    radii = FIT_RADII
-    v = sample_grid(config, radii).v
-    one_term = np.abs(v + (2.0 / radii[:, None]) * trig_s(config, radii))
-    two_term = np.abs(v - eigenfunction_large_r(config, radii))
-    return [_expansion_fits(radii, one_term[:, j], two_term[:, j],
-                            f"v_{j + 1}") for j in range(config.n)]
-
-
 def _inverse(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """(A + G(r))^{-1} for every radius, a (K, n, n) stack."""
     eye = np.eye(config.n, dtype=complex)
@@ -340,21 +286,6 @@ def _max_entry(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(stack), axis=(1, 2))
 
 
-def inverse_matrix_asymptotics(config: ModelConfig) -> list[FitReport]:
-    """Decay fits for the resolvent: (A+G(r))^{-1} = (2/r) I - (4/r^2)(A+H) + ...
-
-    The bare defect against (2/r) I falls like r^-2; after the Neumann
-    refinement the defect falls like r^-3.
-    """
-    radii = FIT_RADII
-    rr = radii[:, None, None]
-    bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
-    refined = bare + (4.0 / rr**2) * (np.diag(config.a)
-                                      + h_matrix_stack(config, radii))
-    return _expansion_fits(radii, _max_entry(bare), _max_entry(refined),
-                           "resolvent", leading="2/r")
-
-
 def inverse_small_r_slope(config: ModelConfig) -> FitReport:
     """Small-r branch: ||(A+G(r))^{-1} - A^{-1}|| = O(r^3) as r -> 0."""
     radii = np.geomspace(1e-3, 0.3, 60)
@@ -362,18 +293,50 @@ def inverse_small_r_slope(config: ModelConfig) -> FitReport:
     return fit_decay_slope(radii, defect, 3.0, "resolvent minus A^{-1}", bins=12)
 
 
-def vprime_asymptotics(config: ModelConfig) -> list[FitReport]:
-    """Decay fits for v': leading term -(2/r) M c, then the full r^-2 term.
+def large_r_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
+    """Decay fits of every large-r expansion, from one sample of FIT_RADII.
 
-    v'(r) = -(2/r) M c + (4/r^2) ((ts s) s + A M c + H M c) + O(r^-3).
+    Returns (fits, remainder). fits maps "potential", "resolvent", "vprime",
+    "v1".."vn", in that order, to a [one-term, two-term] pair of FitReports:
+    the defect after the first term should fall like r^-2, after the second
+    like r^-3. remainder is |V - leading - second| r^3 per radius.
+
+      V:     the two terms of construct.potential_asymptotics;
+      (A+G)^{-1} = (2/r) I - (4/r^2)(A+H) + ..., max entry;
+      v' = -(2/r) M c + (4/r^2) ((ts s) s + A M c + H M c) + ..., max entry;
+      v_j:   -(2/r) sin(mu_j r), then AsymptoticTerms.v.
+
+    s, M c and H are built once here and shared by the v', resolvent and
+    v_j defects.
     """
     radii = FIT_RADII
-    v_prime = sample_grid(config, radii).v_prime
+    r = radii[:, None]
+    rr = radii[:, None, None]
+    ps = sample_grid(config, radii)
+    terms = potential_asymptotics(config, radii)
     s = trig_s(config, radii)
     mc = config.mu * trig_c(config, radii)
-    h_mc = np.einsum("kij,kj->ki", h_matrix_stack(config, radii), mc)
-    lead = -(2.0 / radii[:, None]) * mc
-    nxt = (4.0 / radii[:, None] ** 2) * (
-        np.sum(s * s, axis=1)[:, None] * s + config.a * mc + h_mc)
-    return _expansion_fits(radii, np.max(np.abs(v_prime - lead), axis=1),
-                           np.max(np.abs(v_prime - lead - nxt), axis=1), "v'")
+    h = h_matrix_stack(config, radii)
+
+    def pair(what, one, two, leading="leading term"):
+        return [fit_decay_slope(radii, one, -2.0, f"{what} minus {leading}"),
+                fit_decay_slope(radii, two, -3.0, f"{what} minus two terms")]
+
+    v_rest = np.abs(ps.V - terms.leading - terms.second)
+    bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
+    refined = bare + (4.0 / rr**2) * (np.diag(config.a) + h)
+    lead = -(2.0 / r) * mc
+    nxt = (4.0 / r ** 2) * (np.sum(s * s, axis=1)[:, None] * s
+                            + config.a * mc + np.einsum("kij,kj->ki", h, mc))
+    fits = {
+        "potential": pair("V", np.abs(ps.V - terms.leading), v_rest),
+        "resolvent": pair("resolvent", _max_entry(bare), _max_entry(refined),
+                          leading="2/r"),
+        "vprime": pair("v'", np.max(np.abs(ps.v_prime - lead), axis=1),
+                       np.max(np.abs(ps.v_prime - lead - nxt), axis=1)),
+    }
+    one_v = np.abs(ps.v + (2.0 / r) * s)
+    two_v = np.abs(ps.v - terms.v)
+    for j in range(config.n):
+        fits[f"v{j + 1}"] = pair(f"v_{j + 1}", one_v[:, j], two_v[:, j])
+    return fits, v_rest * radii**3

@@ -25,7 +25,6 @@ from ewlab import __version__
 from ewlab.construct import (
     log_det_derivative,
     log_det_second_difference,
-    potential_asymptotics,
     resolvent_apply,
     sample_grid,
     system_matrix,
@@ -42,16 +41,13 @@ from ewlab.kernel import (
 )
 from ewlab.linalg import condition_estimate
 from ewlab.oracle import (
-    FIT_RADII,
-    eigenfunction_asymptotics,
+    SLOPE_TOL,
     gram_derivative_defect,
-    inverse_matrix_asymptotics,
     inverse_small_r_slope,
-    potential_expansion_fits,
+    large_r_fits,
     quadrature_gram,
     residual_eigen_equation,
     shooting_compare,
-    vprime_asymptotics,
 )
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
@@ -142,8 +138,8 @@ def _not_applicable(name, value, note, **aux) -> CheckResult:
 
 
 def _fit_check(name: str, report) -> CheckResult:
-    return _band(name, report.slope, report.expected_slope - 0.2,
-                 report.expected_slope + 0.2, fitted=report.name,
+    return _band(name, report.slope, report.expected_slope - SLOPE_TOL,
+                 report.expected_slope + SLOPE_TOL, fitted=report.name,
                  intercept=report.intercept, points=report.points)
 
 
@@ -227,14 +223,14 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     # --- oracle: eigen-equation residual and RK4 shooting, per eigenvalue
     res_grid = GridSpec(0.0, 50.0, 1e-3)
     shoot_grid = GridSpec(0.1, 30.0, 1e-3)
-    residuals = residual_eigen_equation(config, res_grid)
+    sups, orders = residual_eigen_equation(config, res_grid)
     devs = shooting_compare(config, shoot_grid)
     devs_half = shooting_compare(config, shoot_grid.halved())
-    for j, (rep, dev, dev_half) in enumerate(zip(residuals, devs, devs_half)):
-        checks.append(_upper(f"eigen_residual_v{j + 1}", rep.sup_residual,
-                             1e-4, step=res_grid.step))
-        checks.append(_band(f"eigen_residual_order_v{j + 1}",
-                            rep.convergence_ratio, 3.0, 5.0))
+    for j, (sup, order, dev, dev_half) in enumerate(
+            zip(sups, orders, devs, devs_half)):
+        checks.append(_upper(f"eigen_residual_v{j + 1}", sup, 1e-4,
+                             step=res_grid.step))
+        checks.append(_band(f"eigen_residual_order_v{j + 1}", order, 3.0, 5.0))
         checks.append(_upper(f"shooting_v{j + 1}", dev, 1e-7,
                              step=shoot_grid.step))
         checks.append(_band(f"shooting_order_v{j + 1}",
@@ -294,24 +290,16 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
                            - sample_grid(alt, w_radii).w))
     checks.append(_upper("w_coupling_independent", w_diff, 0.0))
 
-    # --- asymptotic decay fits, one-term and two-term defect per quantity
-    def _fit_pair(stem, reports):
+    # --- asymptotic decay fits, one-term and two-term defect per quantity,
+    # and the two-term remainder of V scaled by r^3, which stays bounded
+    fits, remainder_r3 = large_r_fits(config)
+    for stem, reports in fits.items():
         for suffix, rep in zip(("one_term", "two_term"), reports):
             checks.append(_fit_check(f"fit_{stem}_{suffix}", rep))
-
-    _fit_pair("potential", potential_expansion_fits(config))
-    _fit_pair("resolvent", inverse_matrix_asymptotics(config))
-    checks.append(_fit_check("fit_resolvent_small_r",
-                             inverse_small_r_slope(config)))
-    _fit_pair("vprime", vprime_asymptotics(config))
-    for j, reps in enumerate(eigenfunction_asymptotics(config)):
-        _fit_pair(f"v{j + 1}", reps)
-
-    # --- two-term remainder of V scaled by r^3 stays bounded
-    terms = potential_asymptotics(config, FIT_RADII)
-    rem = (np.abs(sample_grid(config, FIT_RADII).V - terms.leading
-                  - terms.second) * FIT_RADII**3)
-    checks.append(_upper("potential_remainder_r3", np.max(rem), 1e3))
+        if stem == "resolvent":
+            checks.append(_fit_check("fit_resolvent_small_r",
+                                     inverse_small_r_slope(config)))
+    checks.append(_upper("potential_remainder_r3", np.max(remainder_r3), 1e3))
 
     cond_radii = (1.0, 10.0, 100.0, 400.0)
     conds = condition_estimate(system_matrix(config, cond_radii))

@@ -11,22 +11,15 @@ import math
 import numpy as np
 
 from ewlab.cli import main as cli_main
-from ewlab.construct import (
-    log_det_second_difference,
-    potential_asymptotics,
-    sample_grid,
-)
+from ewlab.construct import log_det_second_difference, sample_grid
 from ewlab.kernel import GridSpec, ModelConfig, gram_matrix_stack, trig_s
 from ewlab.oracle import (
-    eigenfunction_asymptotics,
     gram_derivative_defect,
-    inverse_matrix_asymptotics,
     inverse_small_r_slope,
-    potential_expansion_fits,
+    large_r_fits,
     quadrature_gram,
     residual_eigen_equation,
     shooting_compare,
-    vprime_asymptotics,
 )
 from ewlab.radial3d import dimension_obstruction, radial_laplacian_residual
 from ewlab.spectral_probe import aligned_correlation, probe_embedded
@@ -62,9 +55,9 @@ def test_criterion_2_eigen_equation_residual():
     worst_sup = 0.0
     ratios = []
     for cfg in STOCK:
-        for rep in residual_eigen_equation(cfg, grid):
-            worst_sup = max(worst_sup, rep.sup_residual)
-            ratios.append(rep.convergence_ratio)
+        sups, halving = residual_eigen_equation(cfg, grid)
+        worst_sup = max(worst_sup, float(np.max(sups)))
+        ratios.extend(halving)
     ok = worst_sup <= 1e-4 and all(3.0 <= q <= 5.0 for q in ratios)
     _report(2, "eigen-equation FD residual", ok,
             f"sup residual {worst_sup:.3e} <= 1e-4, "
@@ -122,18 +115,13 @@ def test_criterion_4_matrix_identities():
 def test_criterion_5_large_r_expansions():
     fits = []
     for cfg in (REAL3, CPLX2):
-        fits.extend(potential_expansion_fits(cfg))
-        fits.extend(inverse_matrix_asymptotics(cfg))
-        fits.append(inverse_small_r_slope(cfg))
-        fits.extend(vprime_asymptotics(cfg))
-        for reps in eigenfunction_asymptotics(cfg):
+        pairs, remainder_r3 = large_r_fits(cfg)
+        if cfg is REAL3:
+            scaled = float(np.max(remainder_r3))
+        for reps in pairs.values():
             fits.extend(reps)
+        fits.append(inverse_small_r_slope(cfg))
     gap = max(abs(f.slope - f.expected_slope) for f in fits)
-
-    radii = np.geomspace(50.0, 400.0, 200)
-    ps = sample_grid(REAL3, radii)
-    t = potential_asymptotics(REAL3, radii)
-    scaled = float(np.max(np.abs(ps.V - t.leading - t.second) * radii**3))
 
     ok = gap <= 0.2 and scaled <= 1e3
     _report(5, "large-r expansion slopes", ok,

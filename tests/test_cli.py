@@ -87,6 +87,10 @@ def test_bad_grid_override(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["build", "--config", cfg, "--grid-override", "0,10"]) == 2
     assert "start,end,step" in read_err(capsys)
+    assert main(["build", "--config", cfg, "--grid-override", "0,10,0.3"]) == 2
+    assert "whole number of steps" in read_err(capsys)
+    assert main(["probe", "--config", cfg, "--sweep", "-3"]) == 2
+    assert "--sweep -3 must be non-negative" in read_err(capsys)
 
 
 def test_build_csv_shape(tmp_path):
@@ -113,6 +117,23 @@ def test_build_csv_round_trips_doubles(tmp_path):
         want = sample_grid(model, [r]).V[0]
         assert float(rows[k]["V_re"]) == want.real
         assert float(rows[k]["V_im"]) == want.imag
+
+
+def test_build_csv_matches_per_cell_format(tmp_path):
+    cfg = write_config(tmp_path, mu=[2.0, 1.0], a=[[1.0, 1.0], [2.0, 0.0]],
+                       grid={"start": 0.0, "end": 5.0, "step": 0.01})
+    out = tmp_path / "out.csv"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+    ps = sample_grid(ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0]),
+                     np.arange(501) * 0.01)
+    rows = []
+    for k, r in enumerate(ps.radii):
+        cells = [r, ps.V[k].real, ps.V[k].imag]
+        for z in ps.v[k]:
+            cells += [z.real, z.imag]
+        cells.append(ps.w[k])
+        rows.append(",".join(f"{x + 0.0:.17g}" for x in cells))
+    assert out.read_text().splitlines()[1:] == rows
 
 
 def test_build_is_deterministic(tmp_path):
@@ -148,6 +169,8 @@ def test_expand_table(tmp_path, capsys):
     assert len(lines) == 4  # header + default radii 50, 100, 200
     assert main(["expand", "--config", cfg, "--", "-5"]) == 2
     assert "must be positive" in read_err(capsys)
+    assert main(["expand", "--config", cfg, "inf"]) == 2
+    assert "must be positive and finite" in read_err(capsys)
 
 
 def test_probe_report_schema(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 
 from ewlab.construct import (
     InvertibilityError,
-    eigenfunction_large_r,
     log_det_derivative,
     log_det_second_difference,
     potential_asymptotics,
@@ -165,7 +164,7 @@ def test_asymptotics_requires_positive_radius():
     with pytest.raises(ValueError):
         potential_asymptotics(CFG3, [1.0, 0.0])
     with pytest.raises(ValueError):
-        eigenfunction_large_r(CFG3, [-1.0])
+        potential_asymptotics(CFG3, [-1.0])
 
 
 def test_remainder_after_leading_term():
@@ -186,14 +185,15 @@ def test_remainder_after_two_terms():
 
 def test_eigenfunction_expansion_error_decays_cubically():
     radii = np.geomspace(50.0, 400.0, 200)
-    err = np.abs(sample_grid(CFG3, radii).v - eigenfunction_large_r(CFG3, radii))
+    err = np.abs(sample_grid(CFG3, radii).v
+                 - potential_asymptotics(CFG3, radii).v)
     assert np.max(err * radii[:, None] ** 3) <= 60.0
 
 
 def test_expansion_at_sine_zero_reduces_to_h_sum():
     # mu_0 = 2 and r = pi: the leading sine term drops out
     r = np.pi
-    got = eigenfunction_large_r(CFGC, [r])[0, 0]
+    got = potential_asymptotics(CFGC, [r]).v[0, 0]
     s2 = trig_s(CFGC, [r])[0]
     h2 = h_matrix_stack(CFGC, [r])[0]
     want = (4.0 / r**2) * (h2[0] @ s2)

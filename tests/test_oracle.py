@@ -10,17 +10,14 @@ from ewlab.oracle import (
     MaxDepthExceededError,
     StepTooLargeError,
     _simpson_step,
-    eigenfunction_asymptotics,
     fd_second_derivative,
     fit_decay_slope,
     gram_derivative_defect,
-    inverse_matrix_asymptotics,
     inverse_small_r_slope,
-    potential_expansion_fits,
+    large_r_fits,
     quadrature_gram,
     residual_eigen_equation,
     shooting_compare,
-    vprime_asymptotics,
 )
 
 CFG1 = ModelConfig([1.0], [1.0])
@@ -92,6 +89,8 @@ def test_grid_spec_validation():
         GridSpec(0.0, 2.0, 1e-9)
     with pytest.raises(GridError):
         GridSpec(0.0, math.inf, 0.1)
+    with pytest.raises(GridError, match="whole number of steps"):
+        GridSpec(0.0, 10.0, 0.3)
 
 
 def test_fd_second_derivative_quadratic():
@@ -122,18 +121,17 @@ def test_gram_derivative_defect_order():
 
 
 def test_residual_eigen_equation_converges():
-    (rep,) = residual_eigen_equation(CFG1, GridSpec(0.0, 20.0, 2e-3))
-    assert rep.j == 0
-    assert rep.sup_residual <= 1e-3
-    assert 3.0 <= rep.convergence_ratio <= 5.0
+    sup, ratio = residual_eigen_equation(CFG1, GridSpec(0.0, 20.0, 2e-3))
+    assert sup.shape == ratio.shape == (1,)
+    assert sup[0] <= 1e-3
+    assert 3.0 <= ratio[0] <= 5.0
 
 
 def test_residual_eigen_equation_all_indices():
-    reports = residual_eigen_equation(CFG3, GridSpec(0.0, 10.0, 2e-3))
-    assert [rep.j for rep in reports] == [0, 1, 2]
-    for rep in reports:
-        assert rep.sup_residual <= 1e-2
-        assert 3.0 <= rep.convergence_ratio <= 5.0
+    sup, ratio = residual_eigen_equation(CFG3, GridSpec(0.0, 10.0, 2e-3))
+    assert sup.shape == ratio.shape == (3,)
+    assert np.all(sup <= 1e-2)
+    assert np.all((3.0 <= ratio) & (ratio <= 5.0))
 
 
 def test_residual_needs_enough_interior_points():
@@ -154,7 +152,7 @@ def test_shooting_requires_positive_start():
 
 def test_shooting_rejects_unstable_step():
     with pytest.raises(StepTooLargeError):
-        shooting_compare(CFG3, GridSpec(0.1, 10.0, 0.5))
+        shooting_compare(CFG3, GridSpec(0.1, 10.1, 0.5))
 
 
 def test_fit_recovers_synthetic_power_law():
@@ -179,19 +177,23 @@ def test_fit_input_validation():
 
 
 def test_potential_expansion_fits():
-    one, two = potential_expansion_fits(CFG3)
+    one, two = large_r_fits(CFG3)[0]["potential"]
+    assert (one.name, two.name) == ("V minus leading term",
+                                    "V minus two terms")
     assert one.expected_slope == -2.0 and one.ok
     assert two.expected_slope == -3.0 and two.ok
     assert one.points >= 5 and two.points >= 5
 
 
 def test_eigenfunction_asymptotics_fits():
-    ((one, two),) = eigenfunction_asymptotics(CFG1)
+    fits = large_r_fits(CFG1)[0]
+    assert list(fits) == ["potential", "resolvent", "vprime", "v1"]
+    one, two = fits["v1"]
     assert one.ok and two.ok
 
 
 def test_inverse_matrix_asymptotics_fits():
-    one, two = inverse_matrix_asymptotics(CFGC)
+    one, two = large_r_fits(CFGC)[0]["resolvent"]
     assert one.ok and two.ok
 
 
@@ -202,5 +204,5 @@ def test_inverse_small_r_slope():
 
 
 def test_vprime_asymptotics_fits():
-    one, two = vprime_asymptotics(CFG3)
+    one, two = large_r_fits(CFG3)[0]["vprime"]
     assert one.ok and two.ok
