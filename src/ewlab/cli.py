@@ -15,14 +15,16 @@ Config schema:
      "seed": 0}
 
 Everything is deterministic given (config, seed): no timestamps, seeded
-generators only, file writes are atomic (temp file + rename), and repeated
-runs produce byte-identical bytes. Exit codes: 0 all checks pass, 1 a check,
-probe or numerical step failed, 2 invalid input (ConfigError, GridError).
+generators only, file writes are atomic (temp file + rename, with the mode
+the umask gives a new file), and repeated runs produce byte-identical bytes.
+Exit codes: 0 all checks pass, 1 a check, probe or numerical step failed,
+2 invalid input (ConfigError, GridError).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ewlab import __version__
-from ewlab.construct import potential_asymptotics, sample_grid
+from ewlab.construct import block_length, potential_asymptotics, sample_grid
 from ewlab.kernel import ConfigError, GridError, GridSpec, ModelConfig
 from ewlab.spectral_probe import (
     aligned_correlation,
@@ -120,12 +122,22 @@ def load_config(path: str, out: str | None = None,
     return RunConfig(model=model, grid=grid, output_path=out, seed=seed)
 
 
-def _write_atomic(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file that appears at path, with the umask's mode, only on success.
+
+    Writes go to a temp file in the same directory, renamed over path when
+    the block exits cleanly and deleted when it raises.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ewlab-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
+        # mkstemp creates 0600; give the file the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -133,6 +145,11 @@ def _write_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_atomic(path: str, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -158,17 +175,26 @@ def cmd_build(rc: RunConfig) -> int:
 
     Columns: r, V_re, V_im, then (vj_re, vj_im) for j = 1..n, then W; all
     floats at 17 significant digits so the file round-trips doubles exactly.
+    Rows are formatted and written one sampling block at a time, into the
+    atomic temp file with --out, so the text never exists in full.
     """
     ps = sample_grid(rc.model, rc.grid.radii())
     n = rc.model.n
     header = "r,V_re,V_im," + ",".join(
-        f"v{j}_re,v{j}_im" for j in range(1, n + 1)) + ",W"
-    # v.view(float) interleaves (re, im); + 0.0 folds -0.0 into 0
-    table = np.column_stack([ps.radii, ps.V.real, ps.V.imag,
-                             ps.v.view(float), ps.w]) + 0.0
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [header] + [row % tuple(cells) for cells in table.tolist()]
-    _emit("\n".join(lines) + "\n", rc.output_path)
+        f"v{j}_re,v{j}_im" for j in range(1, n + 1)) + ",W\n"
+    row = ",".join(["%.17g"] * (2 * n + 4)) + "\n"
+    step = block_length(n)
+    out = rc.output_path
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else _atomic_file(out)) as fh:
+        fh.write(header)
+        for start in range(0, ps.radii.size, step):
+            block = slice(start, start + step)
+            # v.view(float) interleaves (re, im); + 0.0 folds -0.0 into 0
+            table = np.column_stack([ps.radii[block], ps.V[block].real,
+                                     ps.V[block].imag, ps.v[block].view(float),
+                                     ps.w[block]]) + 0.0
+            fh.write("".join([row % tuple(cells) for cells in table.tolist()]))
     return 0
 
 

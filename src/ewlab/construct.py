@@ -22,7 +22,10 @@ one extra right-hand side on the same factorization. V is then assembled
 from (v, v') exactly, V = 2 sum_j (mu_j cos(mu_j r) v_j + sin(mu_j r) v_j').
 
 Every function takes an array of K radii and factors the K systems
-A + G(r_k) as one stack; a single radius is K = 1.
+A + G(r_k) as stacks; a single radius is K = 1. `sample_grid`, which serves
+whole grids, factors them in blocks of about BLOCK_BYTES per (block, n, n)
+stack, so its working memory does not grow with K beyond its O(K n)
+outputs.
 
 Large-r behaviour, used by the asymptotic checks:
 
@@ -55,8 +58,10 @@ from ewlab.linalg import DenseLU, SingularMatrixError, batched_solve
 
 __all__ = [
     "AsymptoticTerms",
+    "BLOCK_BYTES",
     "InvertibilityError",
     "PotentialSample",
+    "block_length",
     "log_det_derivative",
     "log_det_second_difference",
     "potential_asymptotics",
@@ -64,6 +69,10 @@ __all__ = [
     "sample_grid",
     "system_matrix",
 ]
+
+# sample_grid takes the radii in blocks whose (block, n, n) complex stack is
+# about this size: 113 radii at n = 24, 7,281 at n = 3, 16,384 at n = 2.
+BLOCK_BYTES = 1 << 20
 
 
 class InvertibilityError(RuntimeError):
@@ -133,6 +142,10 @@ def resolvent_apply(config: ModelConfig, radii: np.ndarray,
 
 def _w(s: np.ndarray, mc: np.ndarray, h: np.ndarray) -> np.ndarray:
     """W = (ts s)^2 + 2 t(Mc) H s per radius, from stacked s, Mc and H."""
+    if len(s) == 1:
+        # einsum sums a lone n = 2 system in another order than a stack of
+        # two or more; a doubled stack gives a radius the bits of any grid
+        return _w(*(np.concatenate([x, x]) for x in (s, mc, h)))[:1]
     return np.sum(s * s, axis=1) ** 2 + 2.0 * np.einsum("ki,kij,kj->k", mc, h, s)
 
 
@@ -211,32 +224,55 @@ def log_det_second_difference(config: ModelConfig, radii: np.ndarray,
     return (plus + minus) / h**2
 
 
-def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:
-    """Sample (v, v', V, W) over a radius array.
+def block_length(n: int) -> int:
+    """Radii per sample_grid block at coupling dimension n (at least 1)."""
+    return max(1, BLOCK_BYTES // (16 * n * n))
 
-    H(r) is built once: W is read from it, then it becomes the stack of
-    systems A + G(r_k), solved by one batched LU sweep for the two
-    right-hand sides s and M c. Radii are processed in array order, and
-    each radius's arithmetic is independent of the others, so output is
-    deterministic and a radius gives the same bits in any grid.
-    """
-    radii = np.asarray(radii, dtype=float)
+
+def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
+    """(v, v', V, W) of one block of radii, as in sample_grid."""
     s = trig_s(config, radii)
     mc = trig_c(config, radii) * config.mu
     h = h_matrix_stack(config, radii)
     w = _w(s, mc, h)
     mats = _with_couplings(config, radii, h)
-    # drop H before the solve: at n = 24 it is 46 MB per 10^4 radii
-    del h
     rhs = np.stack([s, mc], axis=2).astype(complex)
-    try:
-        sol = batched_solve(mats, rhs)
-    except SingularMatrixError as exc:
-        raise InvertibilityError(
-            "A+G(r) numerically singular on the sampling grid"
-        ) from exc
+    sol = batched_solve(mats, rhs)
     v = -sol[:, :, 0]
     sv = np.sum(s * v, axis=1)
     v_prime = sv[:, None] * v - sol[:, :, 1]
     big_v = 2.0 * (np.sum(mc * v, axis=1) + np.sum(s * v_prime, axis=1))
+    return v, v_prime, big_v, w
+
+
+def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:
+    """Sample (v, v', V, W) over a radius array.
+
+    The radii are taken in consecutive blocks of about BLOCK_BYTES per
+    (block, n, n) complex stack, and each block's results are written into
+    output arrays preallocated for the whole grid, so the working memory is
+    the O(K n) outputs plus one block's stacks. Per block, H(r) is built
+    once: W is read from it, then it becomes the stack of systems
+    A + G(r_k), solved by one batched LU sweep for the two right-hand sides
+    s and M c. Each radius's arithmetic is independent of the others, so
+    output is deterministic and a radius gives the same bits in any grid,
+    whatever block it falls in.
+    """
+    radii = np.asarray(radii, dtype=float)
+    count, n = radii.size, config.n
+    v = np.empty((count, n), dtype=complex)
+    v_prime = np.empty((count, n), dtype=complex)
+    big_v = np.empty(count, dtype=complex)
+    w = np.empty(count)
+    step = block_length(n)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        try:
+            v[block], v_prime[block], big_v[block], w[block] = _sample_block(
+                config, radii[block])
+        except SingularMatrixError as exc:
+            r = float(radii[start + exc.entry])
+            raise InvertibilityError(
+                f"A+G(r) numerically singular at r = {r!r} on the sampling grid"
+            ) from exc
     return PotentialSample(radii=radii, v=v, v_prime=v_prime, V=big_v, w=w)

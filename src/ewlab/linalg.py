@@ -41,7 +41,15 @@ PIVOT_RTOL = 1e-14
 
 
 class SingularMatrixError(ArithmeticError):
-    """A pivot fell below the relative threshold during elimination."""
+    """A pivot fell below the relative threshold during elimination.
+
+    `entry` is the stack index of the first singular system when the
+    failing factorization was a (K, n, n) stack, else None.
+    """
+
+    def __init__(self, message: str, entry: int | None = None) -> None:
+        super().__init__(message)
+        self.entry = entry
 
 
 class DenseLU:
@@ -69,7 +77,8 @@ class DenseLU:
             if np.any(bad):
                 first = int(np.argmax(bad))
                 raise SingularMatrixError(
-                    f"pivot {k} below threshold in batch entry {first}"
+                    f"pivot {k} below threshold in batch entry {first}",
+                    entry=first,
                 )
             # swap rows k and p in every system; p == k entries are no-ops
             for block in (lu, scale, perm):

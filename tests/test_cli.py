@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ewlab.cli
+import ewlab.construct
 from ewlab.cli import main
 from ewlab.construct import InvertibilityError, sample_grid
 from ewlab.kernel import ConfigError, GridError, ModelConfig, PositivityError
@@ -142,6 +143,50 @@ def test_build_is_deterministic(tmp_path):
     main(["build", "--config", cfg, "--out", str(out1)])
     main(["build", "--config", cfg, "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_build_out_file_follows_the_umask(tmp_path):
+    cfg = write_config(tmp_path, grid={"start": 0.0, "end": 1.0, "step": 0.5})
+    out = tmp_path / "out.csv"
+    old = os.umask(0o022)
+    try:
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_streamed_build_stays_atomic(tmp_path, monkeypatch, capsys):
+    # ten radii per block at n = 1, so the 1001-row grid is 101 blocks
+    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 10 * 16)
+    cfg = write_config(tmp_path)
+    good = tmp_path / "good.csv"
+    assert main(["build", "--config", cfg, "--out", str(good)]) == 0
+    assert main(["build", "--config", cfg]) == 0
+    assert capsys.readouterr().out.encode() == good.read_bytes()
+
+    written = []
+    real_fdopen = os.fdopen
+
+    def fdopen(fd, mode):
+        fh = real_fdopen(fd, mode)
+
+        def write(text):
+            if len(written) == 2:  # the header, then the first block
+                raise RuntimeError("write failed")
+            written.append(text)
+            return type(fh).write(fh, text)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(ewlab.cli.os, "fdopen", fdopen)
+    out = tmp_path / "out.csv"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 1
+    assert written[1].count("\n") == 10
+    assert capsys.readouterr().err == "error: write failed\n"
+    assert not out.exists()
+    assert list(tmp_path.glob(".ewlab-tmp-*")) == []
 
 
 def test_build_complex_config_has_imaginary_column(tmp_path):

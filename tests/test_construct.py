@@ -4,11 +4,15 @@ The single-frequency case has closed forms through the scalar denominator
 D(r) = a + r/2 - sin(2r)/4; those serve as frozen oracles for every quantity.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ewlab.construct
 from ewlab.construct import (
     InvertibilityError,
+    block_length,
     log_det_derivative,
     log_det_second_difference,
     potential_asymptotics,
@@ -26,6 +30,8 @@ from ewlab.kernel import (
 CFG1 = ModelConfig([1.0], [1.0])
 CFG3 = ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
 CFGC = ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0])
+CFG24 = ModelConfig(np.linspace(5.0, 0.5, 24),
+                    1.0 + 0.1 * np.arange(24) + 0.5j * np.cos(np.arange(24)))
 RADII = np.array([0.3, 1.0, 4.4, 17.0])
 
 
@@ -262,7 +268,7 @@ def test_purely_imaginary_couplings_are_supported():
     assert np.max(np.abs(ps.V.imag)) > 1e-3
 
 
-def test_singular_system_is_reported():
+def test_singular_system_is_reported(monkeypatch):
     # force A + G(r) = 0 for n = 1 by planting an inadmissible coupling
     r = 2.0
     cfg = ModelConfig([1.0], [1.0])
@@ -270,5 +276,57 @@ def test_singular_system_is_reported():
     object.__setattr__(cfg, "a", np.array([-g], dtype=complex))
     with pytest.raises(InvertibilityError, match="singular"):
         resolvent_apply(cfg, [r], np.ones((1, 1, 1), dtype=complex))
-    with pytest.raises(InvertibilityError):
+    with pytest.raises(InvertibilityError, match=r"singular at r = 2\.0 on"):
         sample_grid(cfg, np.array([0.5, r]))
+    # two radii per block at n = 1: r = 2 is entry 0 of the second block
+    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 2 * 16)
+    with pytest.raises(InvertibilityError, match=r"at r = 2\.0 on"):
+        sample_grid(cfg, np.array([0.5, 1.0, r, 3.0]))
+
+
+def test_block_length_bounds_one_stack_to_a_mebibyte():
+    assert [block_length(n) for n in (24, 3, 2, 1)] == [113, 7281, 16384, 65536]
+    assert block_length(300) == 1
+
+
+@pytest.mark.parametrize("cfg", [CFG24, CFGC], ids=["n24", "n2"])
+def test_every_block_boundary_gives_the_same_bits(cfg):
+    b = block_length(cfg.n)
+    radii = 0.01 * np.arange(2 * b + 3)
+    full = sample_grid(cfg, radii)
+    # each radius alone is the reference: every row at n = 24, and at n = 2
+    # (32,771 radii) every 128th row plus the rows around each boundary
+    rows = np.unique(np.concatenate([
+        np.arange(0, radii.size, max(1, radii.size // 256)),
+        np.clip(np.arange(-2, 3)[:, None] + [0, b, 2 * b], 0, radii.size - 1)
+        .ravel()]))
+    fields = ("v", "v_prime", "V", "w")
+    for k in rows:
+        alone = sample_grid(cfg, radii[k:k + 1])
+        for field in fields:
+            assert (getattr(alone, field).tobytes()
+                    == getattr(full, field)[k:k + 1].tobytes()), (k, field)
+    for count in (1, b - 1, b, b + 1):
+        ps = sample_grid(cfg, radii[:count])
+        for field in fields:
+            got, want = getattr(ps, field), getattr(full, field)[:count]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (count, field)
+
+
+def test_sample_grid_of_no_radii_is_empty():
+    ps = sample_grid(CFG3, np.array([]))
+    assert ps.v.shape == ps.v_prime.shape == (0, 3)
+    assert ps.V.shape == ps.w.shape == (0,)
+    assert ps.v.dtype == ps.V.dtype == complex and ps.w.dtype == float
+
+
+def test_sample_grid_working_memory_is_bounded():
+    # the outputs are 1.5 MB; one whole-grid (K, n, n) complex stack is 18 MB
+    tracemalloc.start()
+    try:
+        sample_grid(CFG24, 0.01 * np.arange(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
