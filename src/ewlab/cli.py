@@ -119,6 +119,10 @@ def load_config(path: str, out: str | None = None,
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError('"seed" must be a non-negative integer')
+    # checked here, before any work, so a bad --out never fails at the end
+    if out is not None and not os.path.isdir(os.path.dirname(
+            os.path.abspath(out))):
+        raise ConfigError(f"--out {out}: parent is not an existing directory")
     return RunConfig(model=model, grid=grid, output_path=out, seed=seed)
 
 

@@ -2,12 +2,18 @@
 
 Three oracles that never reuse the closed form they check:
 
-  * adaptive Simpson quadrature for the Gram integrals (checks the closed
-    forms of G in the kernel module);
+  * composite Gauss-Legendre quadrature for the Gram integrals (checks the
+    closed forms of G in the kernel module);
   * finite differences for derivatives (checks v', G' = s.ts, and the
     eigen-equation residual (-v_j'' + V v_j - mu_j^2 v_j));
   * classical Runge-Kutta shooting for the ODE itself (checks that the
-    closed-form v_j actually solves -u'' + (V - mu_j^2) u = 0).
+    closed-form v_j actually solves -u'' + (V - mu_j^2) u = 0), each step
+    taken as its 2x2 transfer matrix and the steps chained by a blocked
+    prefix product.
+
+Each convergence check samples the construction once, on the finer grid of
+its nested pair; the coarser grid's radii are every other finer radius, bit
+for bit, because halving a step is exact.
 
 Plus the log-log fit machinery for the decay orders: every asymptotic claim
 is of the form |defect(r)| = O(r^-k), verified by fitting the decay exponent
@@ -21,11 +27,13 @@ and each v_j) and V's scaled remainder from one sample of FIT_RADII.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ewlab import construct
 from ewlab.construct import (
     potential_asymptotics,
     resolvent_apply,
@@ -44,7 +52,7 @@ from ewlab.kernel import (
 __all__ = [
     "FIT_RADII",
     "FitReport",
-    "MaxDepthExceededError",
+    "QuadratureError",
     "SLOPE_TOL",
     "StepTooLargeError",
     "fd_second_derivative",
@@ -65,8 +73,12 @@ FIT_RADII = np.geomspace(50.0, 400.0, 200)
 FIT_RADII.setflags(write=False)
 
 
-class MaxDepthExceededError(ArithmeticError):
-    """Adaptive quadrature exceeded the recursion-depth cap."""
+# Node counts of the two Gauss-Legendre rules quadrature_gram compares.
+_RULES = (16, 24)
+
+
+class QuadratureError(ArithmeticError):
+    """The two Gauss-Legendre rules of quadrature_gram disagree beyond tol."""
 
 
 class StepTooLargeError(ValueError):
@@ -88,32 +100,34 @@ class FitReport:
         return abs(self.slope - self.expected_slope) <= SLOPE_TOL
 
 
-def _simpson_step(f, a, fa, m, fm, b, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth >= 60:
-        raise MaxDepthExceededError("adaptive Simpson exceeded depth 60")
-    return (_simpson_step(f, a, fa, lm, flm, m, fm, left, 0.5 * tol, depth + 1)
-            + _simpson_step(f, m, fm, rm, frm, b, fb, right, 0.5 * tol,
-                            depth + 1))
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    numpy.polynomial is imported here, on first use, so that importing the
+    CLI does not load it.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def quadrature_gram(mu_i: float, mu_j: float, r: float,
                     tol: float = 1e-12) -> float:
-    """integral_0^r sin(mu_i rho) sin(mu_j rho) drho by adaptive Simpson.
+    """integral_0^r sin(mu_i rho) sin(mu_j rho) drho, composite Gauss-Legendre.
 
-    Independent of the closed form in the kernel module. [0, r] is first cut
-    into equal panels no wider than pi/(mu_i + mu_j): a wider start lets all
-    five first nodes land on zeros of the integrand (r = 8 pi, mu = (1, 1)
-    returns 0), which fakes convergence. Each panel then refines until its
-    local Richardson error estimate drops below its share of tol.
+    Independent of the closed form in the kernel module. [0, r] is cut into
+    equal panels no wider than pi/(mu_i + mu_j), half a period of the
+    integrand's highest frequency: on wider panels a rule's nodes can all
+    land on zeros of the integrand (five equally spaced nodes on [0, 8 pi]
+    do for mu = (1, 1)), and two rules then agree on 0. Every panel is
+    integrated by the 16- and 24-node rules at once; the finer sum is
+    returned, and QuadratureError is raised when the two rules' per-panel
+    differences add up to more than tol. Rounding alone adds up to about
+    2e-16 r, so tol = 1e-12 holds to r of a few thousand.
     """
     if tol < 1e-13:
         raise ValueError("tolerance below the double-precision floor")
@@ -123,22 +137,27 @@ def quadrature_gram(mu_i: float, mu_j: float, r: float,
         raise ValueError("negative radius")
     if r == 0.0:
         return 0.0
-
-    def f(rho: float) -> float:
-        return math.sin(mu_i * rho) * math.sin(mu_j * rho)
-
-    panels = math.ceil(r * (mu_i + mu_j) / math.pi)
-    total = 0.0
-    a, fa = 0.0, f(0.0)
-    for k in range(1, panels + 1):
-        b = r if k == panels else r * k / panels
-        m = 0.5 * (a + b)
-        fm, fb = f(m), f(b)
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        total += _simpson_step(f, a, fa, m, fm, b, fb, whole,
-                               tol * (b - a) / r, 0)
-        a, fa = b, fb
-    return total
+    edges = np.linspace(0.0, r, math.ceil(r * (mu_i + mu_j) / math.pi) + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * np.diff(edges)
+    sums = []
+    for nodes in _RULES:
+        x, w = _gauss_legendre(nodes)
+        offset = half[:, None] * x
+        # sin(mu (mid + offset)) by angle addition: the rounding of mu mid,
+        # about 1e-16 mu r, is then common to both rules and drops out of
+        # their difference
+        f = 1.0
+        for mu in (mu_i, mu_j):
+            f = f * (np.sin(mu * mid) * np.cos(mu * offset)
+                     + np.cos(mu * mid) * np.sin(mu * offset))
+        sums.append(half * np.sum(f * w, axis=1))
+    coarse, fine = sums
+    if np.sum(np.abs(fine - coarse)) > tol:
+        raise QuadratureError(
+            f"Gauss-Legendre rules {_RULES} disagree beyond tol = {tol:g} "
+            f"on [0, {r:g}]")
+    return float(np.sum(fine))
 
 
 def gram_derivative_defect(config: ModelConfig, radii: np.ndarray,
@@ -169,80 +188,141 @@ def fd_second_derivative(values: np.ndarray, step: float) -> np.ndarray:
     return (values[:-2] - 2.0 * values[1:-1] + values[2:]) / step**2
 
 
+def _halving_ratio(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """coarse / fine entrywise, inf where fine is 0."""
+    return np.divide(coarse, fine, out=np.full(coarse.shape, math.inf),
+                     where=fine > 0.0)
+
+
 def residual_eigen_equation(config: ModelConfig,
                             grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Sup of |-v_j'' + V v_j - mu_j^2 v_j| on the grid interior, FD v_j''.
 
-    Returns (sup, ratio), each of shape (n,), from one sample per grid:
-    ratio is sup(h)/sup(h/2) from a second pass on the halved grid (inf if
-    that sup is 0); the stencil is O(h^2), so the ratio should be near 4.
+    Returns (sup, ratio), each of shape (n,), from one sample of the halved
+    grid, whose every other radius is the grid: ratio is sup(h)/sup(h/2)
+    (inf if that sup is 0); the stencil is O(h^2), so the ratio should be
+    near 4.
     """
+    if grid.count - 2 < 8:
+        raise GridError("fewer than 8 interior points")
+    ps = sample_grid(config, grid.halved().radii())
+    v_all, big_v_all = ps.v, ps.V
+    del ps  # frees v' and W, which the stencil does not read
 
-    def _sups(g: GridSpec) -> np.ndarray:
-        radii = g.radii()
-        if radii.size - 2 < 8:
-            raise GridError("fewer than 8 interior points")
-        ps = sample_grid(config, radii)
-        second = fd_second_derivative(ps.v, g.step)
-        residual = -second + (ps.V[1:-1, None] - config.mu**2) * ps.v[1:-1]
+    def _sup(stride: int) -> np.ndarray:
+        v, big_v = v_all[::stride], big_v_all[::stride]
+        second = fd_second_derivative(v, grid.step * stride / 2.0)
+        residual = -second + (big_v[1:-1, None] - config.mu**2) * v[1:-1]
         return np.max(np.abs(residual), axis=0)
 
-    sup_h = _sups(grid)
-    sup_half = _sups(grid.halved())
-    return sup_h, np.divide(sup_h, sup_half, out=np.full(config.n, math.inf),
-                            where=sup_half > 0.0)
+    sup_h = _sup(2)
+    return sup_h, _halving_ratio(sup_h, _sup(1))
 
 
-def _rk4_deviation(q: np.ndarray, v: np.ndarray, p: complex,
-                   h: float) -> float:
-    """Max |u - v[::2]| along RK4 for u'' = q u from (v[0], p); half-step q, v."""
-    vj = [complex(z) for z in v[::2]]
-    qh = [complex(z) for z in q]
-    u = vj[0]
+def _rk4_increment(u, p, q0, qm, q1, h: float) -> tuple:
+    """Increments of (u, p) over one classical RK4 step of u' = p, p' = q u.
+
+    q0, qm and q1 are q at the start, midpoint and end of the step.
+    """
     hh = 0.5 * h
+    k1u = p
+    k1p = q0 * u
+    k2u = p + hh * k1p
+    k2p = qm * (u + hh * k1u)
+    k3u = p + hh * k2p
+    k3p = qm * (u + hh * k2u)
+    k4u = p + h * k3p
+    k4p = q1 * (u + h * k3u)
     h6 = h / 6.0
-    worst = 0.0
-    for k in range(len(vj) - 1):
-        q0 = qh[2 * k]
-        qm = qh[2 * k + 1]
-        q1 = qh[2 * k + 2]
-        k1u = p
-        k1p = q0 * u
-        k2u = p + hh * k1p
-        k2p = qm * (u + hh * k1u)
-        k3u = p + hh * k2p
-        k3p = qm * (u + hh * k2u)
-        k4u = p + h * k3p
-        k4p = q1 * (u + h * k3u)
-        u = u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u)
-        p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        dev = abs(u - vj[k + 1])
-        if dev > worst:
-            worst = dev
-    return worst
+    return (h6 * (k1u + 2.0 * (k2u + k3u) + k4u),
+            h6 * (k1p + 2.0 * (k2p + k3p) + k4p))
 
 
-def shooting_compare(config: ModelConfig, grid: GridSpec) -> np.ndarray:
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I + a)(I + b) - I for stacks of 2x2 matrices stored entrywise.
+
+    x[0], x[1], x[2], x[3] along axis 0 are the entries [[x0, x1], [x2, x3]].
+    """
+    return np.array([a[0] + b[0] + (a[0] * b[0] + a[1] * b[2]),
+                     a[1] + b[1] + (a[0] * b[1] + a[1] * b[3]),
+                     a[2] + b[2] + (a[2] * b[0] + a[3] * b[2]),
+                     a[3] + b[3] + (a[2] * b[1] + a[3] * b[3])])
+
+
+def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
+                    h: float) -> np.ndarray:
+    """u after every RK4 step of u'' = q u from (u, p): shape (steps + 1, n).
+
+    q holds the half-step values, shape (2 steps + 1, n). RK4 is linear in
+    (u, p), so each step is a 2x2 matrix I + E, where the columns of E are
+    the step's increments from (1, 0) and (0, 1), built for all steps and
+    all j at once. The running product is taken in chunks whose
+    (chunk, n, 2, 2) stack stays within construct.BLOCK_BYTES, each as a
+    two-level blocked prefix product: prefix products inside blocks of
+    about sqrt(chunk) steps, all blocks at once, then one pass over the
+    blocks that carries the state (u, p) through them and on into the next
+    chunk. Products are kept as their difference from I and states are
+    updated by increments, as a step-by-step RK4 loop does; that keeps the
+    rounding error at the loop's level.
+    """
+    steps, n = (q.shape[0] - 1) // 2, q.shape[1]
+    chunk = max(1, construct.BLOCK_BYTES // (64 * n))
+    out = np.empty((steps + 1, n), dtype=complex)
+    out[0] = u
+    for first in range(0, steps, chunk):
+        m = min(chunk, steps - first)
+        width = math.isqrt(m - 1) + 1
+        blocks = -(-m // width)
+        qs = q[2 * first:2 * (first + m) + 1]
+        stages = (qs[:-1:2], qs[1::2], qs[2::2], h)
+        e = np.zeros((4, blocks * width, n), dtype=complex)
+        e[0, :m], e[2, :m] = _rk4_increment(1.0, 0.0, *stages)
+        e[1, :m], e[3, :m] = _rk4_increment(0.0, 1.0, *stages)
+        e = e.reshape(4, blocks, width, n)
+        for k in range(1, width):
+            e[:, :, k] = _compose(e[:, :, k], e[:, :, k - 1])
+        start = np.empty((2, blocks, 1, n), dtype=complex)
+        for b in range(blocks):
+            start[:, b, 0] = u, p
+            last = e[:, b, -1]
+            u, p = (u + (last[0] * u + last[1] * p),
+                    p + (last[2] * u + last[3] * p))
+        u_chunk = start[0] + (e[0] * start[0] + e[1] * start[1])
+        out[first + 1:first + m + 1] = u_chunk.reshape(-1, n)[:m]
+    return out
+
+
+def shooting_compare(config: ModelConfig,
+                     grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Max |u - v_j| per j after integrating -u'' + (V - mu_j^2) u = 0 by RK4.
 
+    Returns (dev, ratio), each of shape (n,): dev on the grid, and ratio =
+    dev(h)/dev(h/2) against a second integration on the halved grid (inf if
+    that deviation is 0); RK4 is O(h^4), so the ratio should be near 16.
     The integration starts at delta = grid.r_start > 0 from the closed-form
     data (v_j(delta), v_j'(delta)): the solution is fixed by that frame, so
     the comparison tests the ODE, not the initial condition. V is evaluated
-    exactly on the half-step grid, keeping the classical O(h^4) order intact;
-    that grid is sampled once for every eigen-index.
+    exactly on the half-step grid, keeping the classical O(h^4) order
+    intact; the halved grid's half-step radii are sampled once, for every
+    eigen-index and both grids (the grid's own are every other one).
     """
     if not grid.r_start > 0.0:
         raise GridError("shooting starts at r_start > 0")
-    h = grid.step
-    half_radii = grid.r_start + 0.5 * h * np.arange(2 * grid.count - 1)
-    ps = sample_grid(config, half_radii)
+    fine = grid.halved()
+    h = fine.step
+    ps = sample_grid(config,
+                     fine.r_start + 0.5 * h * np.arange(2 * fine.count - 1))
+    v, p = ps.v, ps.v_prime[0].copy()
     q = ps.V[:, None] - config.mu**2
-    if float(np.max(np.abs(q))) * h * h > 0.1:
-        raise StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step")
-    return np.array([
-        _rk4_deviation(q[:, j], ps.v[:, j], complex(ps.v_prime[0, j]), h)
-        for j in range(config.n)
-    ])
+    del ps  # frees v' and W before the integration
+    devs = []
+    for stride in (2, 1):
+        step = h * stride
+        if float(np.max(np.abs(q[::stride]))) * step * step > 0.1:
+            raise StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step")
+        u = _rk4_trajectory(q[::stride], v[0], p, step)
+        devs.append(np.max(np.abs(u - v[::2 * stride]), axis=0))
+    return devs[0], _halving_ratio(*devs)
 
 
 def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,

@@ -1,7 +1,8 @@
 """Module boundaries: production modules never import the oracle module.
 
 The oracles check the construction by independent routes, so the code they
-check must not depend on them. The modules below are parsed, not imported.
+check must not depend on them, and the quadrature and RK4 oracles take
+nothing from it but sampled data. The modules are parsed, not imported.
 """
 
 import ast
@@ -30,3 +31,33 @@ def imported_modules(path: Path) -> set:
 def test_production_module_does_not_import_oracle(module):
     names = imported_modules(PACKAGE / f"{module}.py")
     assert "ewlab.oracle" not in names, f"ewlab.{module} imports ewlab.oracle"
+
+
+# The Gram quadrature and the RK4 shooting oracle with their helpers: they
+# may take V and the initial frame from sample_grid, and call no other
+# function of the code they check.
+INDEPENDENT = ("quadrature_gram", "_gauss_legendre", "_halving_ratio",
+               "_rk4_increment", "_compose", "_rk4_trajectory",
+               "shooting_compare")
+
+
+def defined_functions(path: Path) -> set:
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_quadrature_and_rk4_call_only_sample_grid_of_the_checked_code():
+    checked = (defined_functions(PACKAGE / "kernel.py")
+               | defined_functions(PACKAGE / "construct.py"))
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)}
+    assert set(INDEPENDENT) <= set(bodies)
+    for name in INDEPENDENT:
+        used = set()
+        for node in ast.walk(bodies[name]):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        assert used & checked <= {"sample_grid"}, name

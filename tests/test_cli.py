@@ -16,7 +16,7 @@ from ewlab.cli import main
 from ewlab.construct import InvertibilityError, sample_grid
 from ewlab.kernel import ConfigError, GridError, ModelConfig, PositivityError
 from ewlab.linalg import SingularMatrixError
-from ewlab.oracle import MaxDepthExceededError, StepTooLargeError
+from ewlab.oracle import QuadratureError, StepTooLargeError
 from ewlab.spectral_probe import NoConvergenceError
 
 
@@ -92,6 +92,24 @@ def test_bad_grid_override(tmp_path, capsys):
     assert "whole number of steps" in read_err(capsys)
     assert main(["probe", "--config", cfg, "--sweep", "-3"]) == 2
     assert "--sweep -3 must be non-negative" in read_err(capsys)
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_out_in_missing_directory_is_bad_input(tmp_path, capsys, monkeypatch,
+                                               command):
+    def work(*args, **kwargs):
+        raise AssertionError("ran before rejecting --out")
+
+    monkeypatch.setattr(ewlab.cli, "sample_grid", work)
+    monkeypatch.setattr(ewlab.cli, "run_verification", work)
+    cfg = write_config(tmp_path)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "x.out", tmp_path / "file" / "x.out"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {out}: parent is not an "
+                                "existing directory\n")
 
 
 def test_build_csv_shape(tmp_path):
@@ -300,7 +318,8 @@ def test_version_flag(capsys):
 @pytest.mark.parametrize("exc, code", [
     (InvertibilityError("A+G(r) numerically singular"), 1),
     (PositivityError("<xi, G xi> = -1 is not positive"), 1),
-    (MaxDepthExceededError("adaptive Simpson exceeded depth 60"), 1),
+    (QuadratureError("Gauss-Legendre rules (16, 24) disagree beyond "
+                     "tol = 1e-12 on [0, 30]"), 1),
     (StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step"), 1),
     (SingularMatrixError("pivot 0 below threshold in batch entry 3"), 1),
     (NoConvergenceError("no convergence"), 1),

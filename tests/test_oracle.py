@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ewlab import construct, oracle
+from ewlab.construct import sample_grid
 from ewlab.kernel import GridError, GridSpec, ModelConfig
 from ewlab.oracle import (
-    MaxDepthExceededError,
+    QuadratureError,
     StepTooLargeError,
-    _simpson_step,
+    _rk4_trajectory,
     fd_second_derivative,
     fit_decay_slope,
     gram_derivative_defect,
@@ -51,6 +55,14 @@ def test_quadrature_distinct_frequencies_near_eight_pi():
     assert abs(quadrature_gram(3.0, 1.0, r, 1e-12) - want) <= 1e-10
 
 
+def test_quadrature_far_from_the_origin():
+    # the nodes' rounding of about 1e-16 mu r, different for the two rules,
+    # would make them disagree beyond tol here
+    r = 1000.0
+    want = math.sin(2 * r) / 4 - math.sin(4 * r) / 8
+    assert abs(quadrature_gram(3.0, 1.0, r) - want) <= 1e-10
+
+
 def test_quadrature_input_validation():
     with pytest.raises(ValueError):
         quadrature_gram(1.0, 1.0, -1.0)
@@ -60,14 +72,12 @@ def test_quadrature_input_validation():
         quadrature_gram(0.0, 1.0, 1.0)
 
 
-def test_simpson_gives_up_at_depth_cap():
-    # integrable singularity at the left endpoint never passes the local test
-    def f(x):
-        return 1e30 if x == 0.0 else x**-0.5
-
-    with pytest.raises(MaxDepthExceededError):
-        _simpson_step(f, 0.0, f(0.0), 0.5, f(0.5), 1.0, f(1.0),
-                      1e30, 1e-13, 0)
+def test_quadrature_raises_when_its_rules_disagree(monkeypatch):
+    # 2- and 3-node rules on the panels of sin(3 rho) sin(rho) over [0, 25]
+    # (width pi/4 at most) differ far beyond tol
+    monkeypatch.setattr(oracle, "_RULES", (2, 3))
+    with pytest.raises(QuadratureError, match="disagree"):
+        quadrature_gram(3.0, 1.0, 25.0)
 
 
 def test_grid_spec_basics():
@@ -134,15 +144,40 @@ def test_residual_eigen_equation_all_indices():
     assert np.all((3.0 <= ratio) & (ratio <= 5.0))
 
 
+@pytest.mark.parametrize("grid", [
+    GridSpec(0.0, 50.0, 1e-3), GridSpec(0.1, 30.0, 1e-3),
+    GridSpec(0.0, 400.0, 0.05), GridSpec(0.3, 7.7, 0.037),
+])
+def test_halved_grid_holds_the_grid_bit_for_bit(grid):
+    assert np.array_equal(grid.halved().radii()[::2], grid.radii())
+
+
+@pytest.mark.parametrize("cfg", [CFG3, CFGC], ids=["n3_real", "n2_complex"])
+def test_residual_stride_matches_separate_samples(cfg):
+    grid = GridSpec(0.3, 10.3, 2e-3)
+
+    def sup(g):
+        ps = sample_grid(cfg, g.radii())
+        second = fd_second_derivative(ps.v, g.step)
+        residual = -second + (ps.V[1:-1, None] - cfg.mu**2) * ps.v[1:-1]
+        return np.max(np.abs(residual), axis=0)
+
+    got, ratio = residual_eigen_equation(cfg, grid)
+    want = sup(grid)
+    assert np.array_equal(got, want)
+    assert np.array_equal(ratio, want / sup(grid.halved()))
+
+
 def test_residual_needs_enough_interior_points():
     with pytest.raises(GridError):
         residual_eigen_equation(CFG1, GridSpec(0.0, 1.0, 0.2))
 
 
 def test_shooting_reproduces_eigenfunction():
-    dev = shooting_compare(CFG1, GridSpec(0.1, 10.0, 1e-3))
-    assert dev.shape == (1,)
+    dev, ratio = shooting_compare(CFG1, GridSpec(0.1, 10.0, 1e-3))
+    assert dev.shape == ratio.shape == (1,)
     assert dev[0] <= 1e-8
+    assert 10.0 <= ratio[0] <= 24.0
 
 
 def test_shooting_requires_positive_start():
@@ -153,6 +188,76 @@ def test_shooting_requires_positive_start():
 def test_shooting_rejects_unstable_step():
     with pytest.raises(StepTooLargeError):
         shooting_compare(CFG3, GridSpec(0.1, 10.1, 0.5))
+
+
+def _rk4_reference(q, v0, p, h):
+    """u at every step of RK4 for u'' = q u from (v0, p); half-step q.
+
+    The step-by-step loop the transfer-matrix path replaced, kept as its
+    reference: the same stages, one radius at a time, in Python complex.
+    """
+    qh = [complex(z) for z in q]
+    u = complex(v0)
+    p = complex(p)
+    hh = 0.5 * h
+    h6 = h / 6.0
+    us = [u]
+    for k in range((len(qh) - 1) // 2):
+        q0 = qh[2 * k]
+        qm = qh[2 * k + 1]
+        q1 = qh[2 * k + 2]
+        k1u = p
+        k1p = q0 * u
+        k2u = p + hh * k1p
+        k2p = qm * (u + hh * k1u)
+        k3u = p + hh * k2p
+        k3p = qm * (u + hh * k2u)
+        k4u = p + h * k3p
+        k4p = q1 * (u + h * k3u)
+        u = u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u)
+        p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
+        us.append(u)
+    return np.array(us)
+
+
+# RK4 chunks of CHUNK steps (BLOCK_BYTES of 64 n bytes a step): a chunk of
+# 10 runs as 3 blocks of 4 steps, the last padded with 2 identity steps
+CHUNK = 10
+EDGE_STEPS = (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 19, 20, 21, 30, 31)
+
+
+def _assert_matches_reference(q, v0, p, h):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "BLOCK_BYTES", 64 * q.shape[1] * CHUNK)
+        got = _rk4_trajectory(q, v0, p, h)
+    for j in range(q.shape[1]):
+        want = _rk4_reference(q[:, j], v0[j], p[j], h)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got[:, j] - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("steps", EDGE_STEPS)
+def test_transfer_matrix_rk4_matches_the_loop_at_chunk_edges(steps):
+    # the complex potential of CFGC at the half-step radii of [0.1, 0.1 + h K]
+    h = 0.05
+    radii = 0.1 + 0.5 * h * np.arange(2 * steps + 1)
+    ps = sample_grid(CFGC, radii)
+    q = ps.V[:, None] - CFGC.mu**2
+    _assert_matches_reference(q, ps.v[0], ps.v_prime[0], h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.sampled_from(EDGE_STEPS) | st.integers(1, 4 * CHUNK),
+       n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       growth=st.floats(-400.0, 40.0))
+def test_transfer_matrix_rk4_matches_the_loop_on_drawn_q(steps, n, seed,
+                                                          growth):
+    rng = np.random.default_rng(seed)
+    h = 0.01
+    q = (growth + 20.0 * rng.standard_normal((2 * steps + 1, n))
+         + 20j * rng.standard_normal((2 * steps + 1, n)))
+    v0, p = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    _assert_matches_reference(q, v0, p, h)
 
 
 def test_fit_recovers_synthetic_power_law():
