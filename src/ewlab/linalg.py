@@ -13,10 +13,15 @@ the stack index (one system per radius; a single matrix is K = 1). Its
 factors serve solves, determinants and the exact 1-norm condition number;
 `batched_solve` is the one-shot factor-and-solve.
 
+There is one tridiagonal LU, `TridiagonalLU`, a partitioned (SPIKE) LU:
+the rows are cut into blocks of about 50, all blocks are eliminated in
+lockstep with one numpy operation per row position, and the rows between
+blocks solve a smaller tridiagonal system that is split the same way.
+
 Dense systems A + G(r) are non-Hermitian whenever the couplings are complex,
 and tridiagonal shifts can sit close to discrete eigenvalues, so partial
-pivoting is used everywhere; the tridiagonal factorization carries the usual
-one extra superdiagonal of fill plus a swap flag per step.
+pivoting is used everywhere; inside each tridiagonal block the elimination
+carries the usual one extra superdiagonal of fill plus a swap flag per step.
 """
 
 from __future__ import annotations
@@ -33,11 +38,21 @@ __all__ = [
     "TridiagonalLU",
     "batched_solve",
     "condition_estimate",
-    "tridiag_solve",
 ]
 
 # A pivot at or below this times the row scale counts as singular.
 PIVOT_RTOL = 1e-14
+
+# Rows per block of TridiagonalLU's split, in the order tried. One length
+# alone has resonant shifts; of these three, one keeps the spikes of the
+# shifted free Laplacian within 3.7 at every shift inside its band.
+BLOCK_ROWS = (49, 40, 28)
+
+# Largest |coupling * block inverse| entry a split may have. A solve's
+# backward error grows with it: on the probe Hamiltonian (K = 19,999,
+# h = 0.01) by up to 1.4e-16 per unit at the lengths of BLOCK_ROWS, and
+# inverse iteration at tol 1e-10 against |H| ~ 4e4 needs it below 2.5e-15.
+SPIKE_BOUND = 8.0
 
 
 class SingularMatrixError(ArithmeticError):
@@ -151,88 +166,181 @@ class ComplexTridiagonal:
         y[1:] += self.sub * x[:-1]
         return y
 
-    def dense(self) -> np.ndarray:
-        """Dense counterpart; only sensible for small K (tests, cross-checks)."""
-        k = self.size
-        out = np.zeros((k, k), dtype=complex)
-        out[np.arange(k), np.arange(k)] = self.diag
-        out[np.arange(1, k), np.arange(k - 1)] = self.sub
-        out[np.arange(k - 1), np.arange(1, k)] = self.super
-        return out
+
+class _BlockLU:
+    """Pivoted LU of P tridiagonal blocks of m rows, factored in lockstep.
+
+    Bands are (rows, P) arrays with one column per block, so step i of the
+    LAPACK gttrf elimination runs on row i of every block at once. Step i
+    either eliminates dl[i] in place or exchanges rows i and i+1 first,
+    which moves a super entry into the du2 fill band; swap[i] records the
+    choice so the solve can replay the permutation. d ends up holding the
+    pivots (the diagonal of U).
+    """
+
+    def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> None:
+        m, nblk = d.shape
+        dl, d, du = dl.copy(), d.copy(), du.copy()
+        du2 = np.zeros((max(m - 2, 0), nblk), dtype=complex)
+        swap = np.zeros((max(m - 1, 0), nblk), dtype=bool)
+        for i in range(m - 1):
+            s = np.abs(d[i]) < np.abs(dl[i])
+            piv = np.where(s, dl[i], d[i])
+            fact = np.where(s, d[i], dl[i]) / piv
+            top = np.where(s, d[i + 1], du[i])
+            d[i + 1] = np.where(s, du[i], d[i + 1]) - fact * top
+            if i < m - 2:
+                du2[i] = np.where(s, du[i + 1], 0.0)
+                du[i + 1] = np.where(s, -fact * du[i + 1], du[i + 1])
+            d[i], du[i], dl[i], swap[i] = piv, top, fact, s
+        self.dl, self.d, self.du, self.du2, self.swap = dl, d, du, du2, swap
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """Overwrite x, shape (m, P), with the block solves of its columns."""
+        dl, d, du, du2, swap = self.dl, self.d, self.du, self.du2, self.swap
+        m = d.shape[0]
+        for i in range(m - 1):
+            top = np.where(swap[i], x[i + 1], x[i])
+            x[i + 1] = np.where(swap[i], x[i], x[i + 1]) - dl[i] * top
+            x[i] = top
+        x[m - 1] /= d[m - 1]
+        if m > 1:
+            x[m - 2] = (x[m - 2] - du[m - 2] * x[m - 1]) / d[m - 2]
+        for i in range(m - 3, -1, -1):
+            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+        return x
+
+
+class _SplitRejected(Exception):
+    """A split into blocks failed its pivot or spike bound; try the next."""
+
+
+class _Partition:
+    """T x = b as P blocks of m rows with one separator row after each.
+
+    Row q of T is row q % (m+1) of block q // (m+1), or that block's
+    separator when q % (m+1) == m; rows past the end of T pad the last
+    block with `pad` on the diagonal and no coupling. Arrays are stored
+    (m+1, P), one column per block. With the block solves of the couplings
+    to the neighbouring separators, left = T_p^-1 sub e_1 and right =
+    T_p^-1 super e_m (the spikes), block p of x is
+    T_p^-1 b_p - left y_(p-1) - right y_p, and the separator values y solve
+    a tridiagonal Schur complement of size P-1, factored by this same code.
+
+    Raises _SplitRejected when a block pivot is at or below `limit`, or a
+    spike entry exceeds SPIKE_BOUND: a block whose own Dirichlet problem
+    resonates makes the spikes large, and they multiply the separator
+    values' rounding errors into x. A single block (P = 1) has no spikes,
+    and its failing pivot raises SingularMatrixError naming its row.
+    """
+
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                 m: int, limit: float, pad: float) -> None:
+        k = diag.size
+        nblk = -(-(k + 1) // (m + 1))
+        shape = (nblk, m + 1)
+        dg = np.full(nblk * (m + 1), pad, dtype=complex)
+        dg[:k] = diag
+        lo = np.zeros(dg.size, dtype=complex)  # lo[q] = T[q, q-1]
+        lo[1:k] = sub
+        up = np.zeros(dg.size, dtype=complex)  # up[q] = T[q, q+1]
+        up[:k - 1] = sup
+        dg, lo, up = (np.ascontiguousarray(a.reshape(shape).T)
+                      for a in (dg, lo, up))
+        lu = _BlockLU(lo[1:m], dg[:m], up[:m - 1])
+        small = ~(np.abs(lu.d) > limit)  # NaN pivots count as small
+        if np.any(small):
+            if nblk == 1:
+                row = int(np.argmax(small[:, 0]))
+                raise SingularMatrixError(f"pivot {row} below threshold")
+            raise _SplitRejected
+        self.size, self.block_rows, self.lu, self.reduced = k, m, lu, None
+        if nblk == 1:
+            return
+        left = np.zeros((m, nblk), dtype=complex)
+        left[0] = lo[0]
+        right = np.zeros((m, nblk), dtype=complex)
+        right[m - 1] = up[m - 1]
+        lu.solve(left)
+        lu.solve(right)
+        # written so that NaN spikes are rejected too
+        if not max(np.max(np.abs(left)), np.max(np.abs(right))) <= SPIKE_BOUND:
+            raise _SplitRejected
+        gamma, delta = lo[m, :-1], up[m, :-1]
+        try:
+            self.reduced = _factor(
+                -gamma[1:] * left[m - 1, 1:-1],
+                dg[m, :-1] - gamma * right[m - 1, :-1] - delta * left[0, 1:],
+                -delta[:-1] * right[0, 1:-1], limit, pad)
+        except SingularMatrixError:
+            raise _SplitRejected from None
+        self.left, self.right = left, right
+        self.gamma, self.delta = gamma, delta
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        m, nblk = self.lu.d.shape
+        x = np.zeros(nblk * (m + 1), dtype=complex)
+        x[:self.size] = b
+        x = np.ascontiguousarray(x.reshape(nblk, m + 1).T)
+        g = self.lu.solve(x[:m])
+        if self.reduced is not None:
+            y = self.reduced.solve(x[m, :-1] - self.gamma * g[m - 1, :-1]
+                                   - self.delta * g[0, 1:])
+            g[:, 1:] -= self.left[:, 1:] * y
+            g[:, :-1] -= self.right[:, :-1] * y
+            x[m, :-1] = y
+        return x.T.ravel()[:self.size]
+
+
+def _factor(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+            limit: float, pad: float) -> _Partition:
+    """The first split of BLOCK_ROWS that passes its bounds, else one block."""
+    k = diag.size
+    for m in BLOCK_ROWS:
+        if m < k:
+            try:
+                return _Partition(sub, diag, sup, m, limit, pad)
+            except _SplitRejected:
+                pass
+    return _Partition(sub, diag, sup, k, limit, pad)
 
 
 class TridiagonalLU:
-    """Banded LU with partial pivoting; fill is one extra superdiagonal.
+    """Partitioned LU with partial pivoting inside each block.
 
-    Step i either eliminates sub[i] in place (no swap) or exchanges rows i
-    and i+1 first, which moves a super entry into the du2 band. swap[i]
-    records the choice so the solve can replay the permutation. Python-list
-    inner loops: numpy scalar indexing is several times slower here.
+    The rows are cut into blocks of BLOCK_ROWS[0] rows with one separator
+    row between neighbours; all blocks are factored in lockstep, one numpy
+    operation per row position over the vector of blocks, and the separator
+    unknowns solve a tridiagonal Schur complement, which is split the same
+    way until one block is left. This is the SPIKE scheme (Polizzi & Sameh,
+    Parallel Computing 32, 2006) with the pivoting inside blocks of Chang,
+    Stratton & Hwu (SC 2012).
+
+    A split is rejected when a block pivot falls to the singularity
+    threshold or a spike entry |coupling * T_p^-1| exceeds SPIKE_BOUND;
+    the next length of BLOCK_ROWS is tried, and the last resort is a single
+    block holding every row, which is the plain banded LU. Only that single
+    block raises SingularMatrixError, at PIVOT_RTOL of the largest band
+    entry of T, naming the row of T. `block_rows` is the block length in use.
     """
 
     def __init__(self, t: ComplexTridiagonal) -> None:
-        k = t.size
-        dl = [complex(z) for z in t.sub]
-        d = [complex(z) for z in t.diag]
-        du = [complex(z) for z in t.super]
-        du2 = [0j] * max(k - 2, 0)
-        swap = [False] * max(k - 1, 0)
         scale = float(np.max(np.abs(t.diag)))
-        if k > 1:
+        if t.size > 1:
             scale = max(scale, float(np.max(np.abs(t.sub))),
                         float(np.max(np.abs(t.super))))
-        limit = PIVOT_RTOL * scale
-        for i in range(k - 1):
-            if abs(d[i]) >= abs(dl[i]):
-                if abs(d[i]) <= limit:
-                    raise SingularMatrixError(f"pivot {i} below threshold")
-                fact = dl[i] / d[i]
-                dl[i] = fact
-                d[i + 1] -= fact * du[i]
-            else:
-                fact = d[i] / dl[i]
-                d[i] = dl[i]
-                dl[i] = fact
-                tmp = du[i]
-                du[i] = d[i + 1]
-                d[i + 1] = tmp - fact * d[i + 1]
-                if i < k - 2:
-                    du2[i] = du[i + 1]
-                    du[i + 1] = -fact * du[i + 1]
-                swap[i] = True
-        if abs(d[k - 1]) <= limit:
-            raise SingularMatrixError(f"pivot {k - 1} below threshold")
-        self.size = k
-        self._dl = dl
-        self._d = d
-        self._du = du
-        self._du2 = du2
-        self._swap = swap
+        with np.errstate(all="ignore"):
+            self._root = _factor(t.sub, t.diag, t.super, PIVOT_RTOL * scale,
+                                 scale)
+        self.size = t.size
+        self.block_rows = self._root.block_rows
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve T x = b."""
-        k = self.size
         b = np.asarray(b, dtype=complex)
-        if b.shape != (k,):
+        if b.shape != (self.size,):
             raise ValueError("right-hand side has wrong length")
-        x = [complex(z) for z in b]
-        dl, d, du, du2, swap = self._dl, self._d, self._du, self._du2, self._swap
-        for i in range(k - 1):
-            if swap[i]:
-                x[i], x[i + 1] = x[i + 1], x[i] - dl[i] * x[i + 1]
-            else:
-                x[i + 1] -= dl[i] * x[i]
-        x[k - 1] /= d[k - 1]
-        if k > 1:
-            x[k - 2] = (x[k - 2] - du[k - 2] * x[k - 1]) / d[k - 2]
-        for i in range(k - 3, -1, -1):
-            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-        return np.asarray(x, dtype=complex)
-
-
-def tridiag_solve(t: ComplexTridiagonal, b: np.ndarray) -> np.ndarray:
-    """One-shot solve T x = b via TridiagonalLU."""
-    return TridiagonalLU(t).solve(b)
+        return self._root.solve(b)
 
 
 def condition_estimate(mats) -> np.ndarray:

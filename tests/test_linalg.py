@@ -1,17 +1,24 @@
 """Solver layer against numpy.linalg as an independent reference."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewlab.linalg import (
+    BLOCK_ROWS,
     ComplexTridiagonal,
     DenseLU,
     SingularMatrixError,
     TridiagonalLU,
     batched_solve,
     condition_estimate,
-    tridiag_solve,
 )
+from ewlab.spectral_probe import inverse_iteration
+
+M = BLOCK_ROWS[0]
 
 
 def dense_solve(a, b):
@@ -19,6 +26,25 @@ def dense_solve(a, b):
     b = np.asarray(b)
     x = batched_solve(np.asarray(a)[None], b.reshape(1, b.shape[0], -1))[0]
     return x.reshape(b.shape)
+
+
+def dense(t):
+    """Dense counterpart of a ComplexTridiagonal."""
+    return np.diag(t.diag) + np.diag(t.sub, -1) + np.diag(t.super, 1)
+
+
+def swapping_bands(rng, k, sub=2.0, diag=3.0, sup=0.5):
+    """Random complex bands; the default ones swap rows at ~half the steps."""
+    def c(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return ComplexTridiagonal(sub * c(k - 1), diag + c(k), sup * c(k - 1))
+
+
+def backward_error(t, x, b):
+    """|T x - b| relative to |T| |x| + |b|, in the max norm."""
+    norm_t = np.max(np.abs(dense(t)).sum(axis=1))
+    return (np.max(np.abs(t.matvec(x) - b))
+            / (norm_t * np.max(np.abs(x)) + np.max(np.abs(b))))
 
 
 def test_dense_solve_identity():
@@ -97,13 +123,13 @@ def test_batched_solve_reports_offending_index():
 def test_tridiagonal_identity():
     t = ComplexTridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
     b = np.array([1.0, 2.0, 3.0], dtype=complex)
-    assert np.allclose(tridiag_solve(t, b), b, atol=1e-16, rtol=0.0)
+    assert np.allclose(TridiagonalLU(t).solve(b), b, atol=1e-16, rtol=0.0)
 
 
 def test_tridiagonal_small_system():
     t = ComplexTridiagonal(np.ones(2), np.full(3, 2.0), np.ones(2))
     b = np.array([1.0, 0.0, 0.0], dtype=complex)
-    x = tridiag_solve(t, b)
+    x = TridiagonalLU(t).solve(b)
     assert np.max(np.abs(t.matvec(x) - b)) <= 1e-14
 
 
@@ -112,7 +138,7 @@ def test_tridiagonal_matvec_matches_dense():
     t = ComplexTridiagonal(rng.standard_normal(9), rng.standard_normal(10),
                            rng.standard_normal(9))
     x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    assert np.allclose(t.matvec(x), t.dense() @ x, atol=1e-14, rtol=0.0)
+    assert np.allclose(t.matvec(x), dense(t) @ x, atol=1e-14, rtol=0.0)
 
 
 def test_tridiagonal_large_seeded_residual():
@@ -123,7 +149,7 @@ def test_tridiagonal_large_seeded_residual():
     diag = 8.0 + rng.standard_normal(k) + 1j * rng.standard_normal(k)
     t = ComplexTridiagonal(sub, diag, sup)
     b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    x = tridiag_solve(t, b)
+    x = TridiagonalLU(t).solve(b)
     assert np.max(np.abs(t.matvec(x) - b)) / np.max(np.abs(b)) <= 1e-12
 
 
@@ -136,8 +162,8 @@ def test_tridiagonal_agrees_with_dense_solver():
             rng.standard_normal(k) + 1j * rng.standard_normal(k),
             3.0 * rng.standard_normal(k - 1))
         b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        assert np.max(np.abs(tridiag_solve(t, b)
-                             - dense_solve(t.dense(), b))) <= 1e-12
+        assert np.max(np.abs(TridiagonalLU(t).solve(b)
+                             - dense_solve(dense(t), b))) <= 1e-12
 
 
 def test_tridiagonal_reuse_of_factorization():
@@ -148,6 +174,69 @@ def test_tridiagonal_reuse_of_factorization():
     for _ in range(3):
         b = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         assert np.max(np.abs(t.matvec(lu.solve(b)) - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, M - 1, M, M + 1, 2 * M + 1, 5 * M + 3])
+def test_partitioned_solve_matches_numpy(k):
+    rng = np.random.default_rng(28)
+    t = swapping_bands(rng, k)
+    b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    lu = TridiagonalLU(t)
+    # these draws pass the bounds at the first block length shorter than K
+    assert lu.block_rows == next((m for m in BLOCK_ROWS if m < k), k)
+    want = np.linalg.solve(dense(t), b)
+    assert np.max(np.abs(lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 5 * M + 3), seed=st.integers(0, 2**32 - 1),
+       sub=st.floats(0.0, 3.0), diag=st.floats(0.0, 4.0),
+       sup=st.floats(0.0, 3.0))
+def test_partitioned_solve_property(k, seed, sub, diag, sup):
+    rng = np.random.default_rng(seed)
+    t = swapping_bands(rng, k, sub, diag, sup)
+    b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    a = dense(t)
+    cond = np.linalg.cond(a)
+    if not cond < 1e10:
+        return  # numerically singular draws say nothing about the split
+    x = TridiagonalLU(t).solve(b)
+    assert backward_error(t, x, b) <= 1e-14
+    want = np.linalg.solve(a, b)
+    assert np.max(np.abs(x - want)) <= 1e-14 * cond * np.max(np.abs(want))
+
+
+def test_resonant_blocks_are_split_again():
+    # the free Laplacian at probe scale, shifted to the first Dirichlet
+    # eigenvalue of an M-row block: every M-row block is singular at once
+    h = 0.01
+    k = 5 * M + 3
+    off = np.full(k - 1, -1.0 / h**2, dtype=complex)
+    t = ComplexTridiagonal(off, np.full(k, 2.0 / h**2, dtype=complex), off)
+    shift = (2.0 / h**2) * (1.0 - math.cos(math.pi / (M + 1)))
+    shifted = ComplexTridiagonal(off, t.diag - shift, off)
+    lu = TridiagonalLU(shifted)
+    assert lu.block_rows != M
+    rng = np.random.default_rng(26)
+    b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    assert backward_error(shifted, lu.solve(b), b) <= 1e-15
+    res = inverse_iteration(t, shift)
+    assert res.residual <= 1e-10
+
+
+@pytest.mark.parametrize("row", [0, 5 * M + 2, 2 * (M + 1) + M // 2, M],
+                         ids=["first", "last", "inside_block", "separator"])
+def test_partitioned_lu_names_the_zero_pivot_row(row):
+    # a decoupled zero row and column: an exact zero pivot at `row` however
+    # the rows are split
+    rng = np.random.default_rng(27)
+    k = 5 * M + 3
+    t = swapping_bands(rng, k, sub=0.5, diag=4.0, sup=0.5)
+    t.diag[row] = 0.0
+    for band in (t.sub, t.super):
+        band[max(row - 1, 0):row + 1] = 0.0
+    with pytest.raises(SingularMatrixError, match=f"pivot {row} below"):
+        TridiagonalLU(t)
 
 
 def test_tridiagonal_rejects_singular():
