@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ewlab import __version__
-from ewlab.construct import block_length, potential_asymptotics, sample_grid
+from ewlab.construct import block_length, potential_terms, sample_grid
 from ewlab.kernel import ConfigError, GridError, GridSpec, ModelConfig
 from ewlab.spectral_probe import (
     aligned_correlation,
@@ -180,7 +180,8 @@ def cmd_build(rc: RunConfig) -> int:
     Columns: r, V_re, V_im, then (vj_re, vj_im) for j = 1..n, then W; all
     floats at 17 significant digits so the file round-trips doubles exactly.
     Rows are formatted and written one sampling block at a time, into the
-    atomic temp file with --out, so the text never exists in full.
+    atomic temp file with --out, so the text never exists in full; each
+    block is one % over the block's repeated row template.
     """
     ps = sample_grid(rc.model, rc.grid.radii())
     n = rc.model.n
@@ -198,7 +199,7 @@ def cmd_build(rc: RunConfig) -> int:
             table = np.column_stack([ps.radii[block], ps.V[block].real,
                                      ps.V[block].imag, ps.v[block].view(float),
                                      ps.w[block]]) + 0.0
-            fh.write("".join([row % tuple(cells) for cells in table.tolist()]))
+            fh.write(row * len(table) % tuple(table.ravel().tolist()))
     return 0
 
 
@@ -306,16 +307,16 @@ def cmd_expand(rc: RunConfig, radii: list) -> int:
                 f"expansion radius {r} must be positive and finite")
     cols = ("r", "V_re", "V_im", "leading", "second_re", "second_im",
             "|remainder|", "|remainder|*r^3", "W")
-    values = sample_grid(rc.model, np.array(radii)).V
-    terms = potential_asymptotics(rc.model, radii)
+    ps = sample_grid(rc.model, np.array(radii))
+    leading, second = potential_terms(rc.model, ps.radii, ps.w)
     rows = [cols]
     for k, r in enumerate(radii):
-        value = values[k]
-        rem = abs(value - terms.leading[k] - terms.second[k])
+        value = ps.V[k]
+        rem = abs(value - leading[k] - second[k])
         rows.append((f"{r:g}", f"{value.real:.10e}", f"{value.imag:.10e}",
-                     f"{terms.leading[k]:.10e}", f"{terms.second[k].real:.10e}",
-                     f"{terms.second[k].imag:.10e}", f"{rem:.10e}",
-                     f"{rem * r**3:.10e}", f"{terms.w_value[k]:.10e}"))
+                     f"{leading[k]:.10e}", f"{second[k].real:.10e}",
+                     f"{second[k].imag:.10e}", f"{rem:.10e}",
+                     f"{rem * r**3:.10e}", f"{ps.w[k]:.10e}"))
     widths = [max(len(row[c]) for row in rows) for c in range(len(cols))]
     text = "\n".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths))

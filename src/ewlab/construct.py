@@ -65,6 +65,7 @@ __all__ = [
     "log_det_derivative",
     "log_det_second_difference",
     "potential_asymptotics",
+    "potential_terms",
     "resolvent_apply",
     "sample_grid",
     "system_matrix",
@@ -156,6 +157,20 @@ def _positive(radii) -> np.ndarray:
     return radii
 
 
+def potential_terms(config: ModelConfig, radii: np.ndarray,
+                    w: np.ndarray) -> tuple:
+    """(leading, second) large-r terms of V at radii r > 0, given W there.
+
+    W is the one ingredient that needs H(r); a caller holding a sample of
+    the same radii passes its w and builds no H stack of its own.
+    """
+    mu = config.mu
+    sin2 = np.sin(np.outer(radii, 2.0 * mu))
+    leading = -(4.0 / radii) * (sin2 @ mu)
+    second = (8.0 / radii**2) * (sin2 @ (config.a * mu) + w)
+    return leading, second
+
+
 def potential_asymptotics(config: ModelConfig,
                           radii: np.ndarray) -> AsymptoticTerms:
     """Leading and second large-r terms of V, and v to two terms, at each r.
@@ -165,14 +180,11 @@ def potential_asymptotics(config: ModelConfig,
     from the same s and H that give W.
     """
     radii = _positive(radii)
-    mu = config.mu
-    sin2 = np.sin(np.outer(radii, 2.0 * mu))
-    leading = -(4.0 / radii) * (sin2 @ mu)
     s = trig_s(config, radii)
-    mc = trig_c(config, radii) * mu
+    mc = trig_c(config, radii) * config.mu
     h = h_matrix_stack(config, radii)
     w = _w(s, mc, h)
-    second = (8.0 / radii**2) * (sin2 @ (config.a * mu) + w)
+    leading, second = potential_terms(config, radii, w)
     hs = np.einsum("kjl,kl->kj", h, s)
     r = radii[:, None]
     v = -(2.0 / r) * s + (4.0 / r**2) * (config.a * s + hs)

@@ -161,18 +161,27 @@ def h_bound(config: ModelConfig) -> np.ndarray:
 
 
 def h_matrix_stack(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
-    """H(r) for every radius at once, shape (len(radii), n, n)."""
+    """H(r) for every radius at once, shape (len(radii), n, n).
+
+    Only the upper triangle i < j is evaluated; the lower one is its
+    mirror. That is exact, not an approximation: (mu_j - mu_i) r is
+    -((mu_i - mu_j) r) bit for bit, sin is odd bit for bit, and the sum
+    mu_i + mu_j does not depend on the order, so h_ji = h_ij bitwise and
+    each stack is symmetric with half the sine evaluations.
+    """
     mu = config.mu
     n = config.n
     radii = np.asarray(radii, dtype=float)
-    diff = np.subtract.outer(mu, mu)
-    total = np.add.outer(mu, mu)
-    rr = radii[:, None, None]
-    # off-diagonal closed form; the diagonal (diff == 0) is patched after.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.sin(diff * rr) / (2.0 * diff) - np.sin(total * rr) / (2.0 * total)
+    upper, lower = np.triu_indices(n, 1)
+    diff = mu[upper] - mu[lower]
+    total = mu[upper] + mu[lower]
+    rr = radii[:, None]
+    pairs = np.sin(diff * rr) / (2.0 * diff) - np.sin(total * rr) / (2.0 * total)
+    h = np.empty((radii.size, n, n))
+    h[:, upper, lower] = pairs
+    h[:, lower, upper] = pairs
     idx = np.arange(n)
-    h[:, idx, idx] = -np.sin(2.0 * mu * radii[:, None]) / (4.0 * mu)
+    h[:, idx, idx] = -np.sin(2.0 * mu * rr) / (4.0 * mu)
     return h
 
 

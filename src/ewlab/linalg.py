@@ -9,9 +9,10 @@ coupling dimension (n <= ~50), tridiagonal systems are discretization grids
 (up to ~10^6).
 
 There is one dense LU, `DenseLU`, over a (K, n, n) stack vectorized across
-the stack index (one system per radius; a single matrix is K = 1). Its
-factors serve solves, determinants and the exact 1-norm condition number;
-`batched_solve` is the one-shot factor-and-solve.
+the stack index (one system per radius; a single matrix is K = 1), stored
+batch-last so that each elimination step is one numpy loop over all K
+systems. Its factors serve solves, determinants and the exact 1-norm
+condition number; `batched_solve` is the one-shot factor-and-solve.
 
 There is one tridiagonal LU, `TridiagonalLU`, a partitioned (SPIKE) LU:
 the rows are cut into blocks of about 50, all blocks are eliminated in
@@ -75,57 +76,85 @@ class DenseLU:
     it; perm[k] lists the rows of A_k in pivot order. Row scales are taken
     from the input and swapped along with the rows, so the singularity test
     is relative to the data, not absolute.
+
+    The factors are stored batch-last, as an (n, n, K) array that is the
+    one copy of the input: entry (i, j) of every system is a contiguous run
+    of K values, so each pivot search, row swap, multiplier and Schur update
+    is one numpy loop over the whole stack rather than n - k elements of one
+    system. `lu` (K, n, n) and `perm` (K, n) are transposed views of it.
+    Each element goes through the same operations in the same order as in
+    a system-by-system elimination, and max and argmax are exact. The bits
+    can still depend on the layout in two ways. numpy's complex multiply
+    loops do not all round alike, and the strides pick the loop; here every
+    product runs along the contiguous batch axis. And a reduction's order
+    follows the layout: the back substitution adds the terms u_kj y_j in
+    index order j = k+1, ..., n-1, never pairwise, and `det` multiplies the
+    pivots of a contiguous (K, n) copy.
     """
 
     def __init__(self, mats) -> None:
-        lu = np.array(mats, dtype=complex)
-        if lu.ndim != 3 or lu.shape[1] != lu.shape[2]:
+        mats = np.asarray(mats)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("mats must have shape (K, n, n)")
-        nbatch, n = lu.shape[0], lu.shape[1]
-        scale = np.max(np.abs(lu), axis=2)
-        rows = np.arange(nbatch)
-        perm = np.tile(np.arange(n), (nbatch, 1))
+        nbatch, n = mats.shape[0], mats.shape[1]
+        # a fresh array even at K = 1, where (1, n, n) -> (n, n, 1) is
+        # already contiguous and a conversion would alias the caller's stack
+        lu = np.empty((n, n, nbatch), dtype=complex)
+        lu[...] = mats.transpose(1, 2, 0)
+        scale = np.max(np.abs(lu), axis=1)
+        perm = np.repeat(np.arange(n)[:, None], nbatch, axis=1)
         swaps = np.zeros(nbatch, dtype=int)
         for k in range(n):
-            p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
-            bad = np.abs(lu[rows, p, k]) <= PIVOT_RTOL * scale[rows, p]
+            p = k + np.argmax(np.abs(lu[k:, k]), axis=0)
+            # swap rows k and p of the systems whose pivot row is not k
+            moved = np.flatnonzero(p != k)
+            if moved.size:
+                rows = p[moved]
+                for block in (lu, scale, perm):
+                    top = block[k, ..., moved]
+                    block[k, ..., moved] = block[rows, ..., moved]
+                    block[rows, ..., moved] = top
+                swaps[moved] += 1
+            bad = np.abs(lu[k, k]) <= PIVOT_RTOL * scale[k]
             if np.any(bad):
                 first = int(np.argmax(bad))
                 raise SingularMatrixError(
                     f"pivot {k} below threshold in batch entry {first}",
                     entry=first,
                 )
-            # swap rows k and p in every system; p == k entries are no-ops
-            for block in (lu, scale, perm):
-                tmp = block[rows, k].copy()
-                block[rows, k] = block[rows, p]
-                block[rows, p] = tmp
-            swaps += p != k
-            lu[:, k + 1:, k] /= lu[:, k, k][:, None]
-            lu[:, k + 1:, k + 1:] -= (lu[:, k + 1:, k, None]
-                                      * lu[:, k, None, k + 1:])
-        self.lu = lu
-        self.perm = perm
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, None, k + 1:]
+        self.lu = lu.transpose(2, 0, 1)
+        self.perm = perm.T
         self.swaps = swaps
 
     def solve(self, b) -> np.ndarray:
-        """Solve A_k x_k = b_k for right-hand sides b of shape (K, n, m)."""
-        lu = self.lu
-        n = lu.shape[1]
-        y = np.asarray(b, dtype=complex)[np.arange(lu.shape[0])[:, None],
-                                         self.perm]
+        """Solve A_k x_k = b_k for right-hand sides b of shape (K, n, m).
+
+        Returns a (K, n, m) view of the batch-last solution.
+        """
+        lu = self.lu.transpose(1, 2, 0)
+        nbatch, n = self.perm.shape
+        b = np.asarray(b)
+        cols = np.arange(nbatch)
+        # the one copy of b, gathered in pivot order row by row
+        y = np.empty((n, b.shape[2], nbatch), dtype=complex)
+        for i in range(n):
+            y[i] = b[cols, self.perm[:, i]].T
         for k in range(n):
-            y[:, k + 1:, :] -= lu[:, k + 1:, k, None] * y[:, k, None, :]
+            y[k + 1:] -= lu[k + 1:, k, None] * y[k]
         for k in range(n - 1, -1, -1):
-            acc = y[:, k, :] - np.sum(lu[:, k, k + 1:, None] * y[:, k + 1:, :],
-                                      axis=1)
-            y[:, k, :] = acc / lu[:, k, k][:, None]
-        return y
+            acc = y[k] - np.sum(lu[k, k + 1:, None] * y[k + 1:], axis=0)
+            y[k] = acc / lu[k, k]
+        return y.transpose(2, 0, 1)
 
     def det(self) -> np.ndarray:
         """det A_k = (pivot parity) * prod(diag U_k), shape (K,)."""
         sign = np.where(self.swaps % 2 == 0, 1.0, -1.0)
-        return sign * np.prod(np.diagonal(self.lu, axis1=1, axis2=2), axis=1)
+        # along the strided axis of a batch-last view, np.prod takes another
+        # loop and rounds differently; a contiguous copy keeps the bits
+        pivots = np.diagonal(self.lu, axis1=1, axis2=2).copy()
+        return sign * np.prod(pivots, axis=1)
 
 
 def batched_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:

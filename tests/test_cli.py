@@ -236,6 +236,22 @@ def test_expand_table(tmp_path, capsys):
     assert "must be positive and finite" in read_err(capsys)
 
 
+def test_expand_builds_one_h_stack(tmp_path, monkeypatch, capsys):
+    # W comes from the sample, so the expansion terms need no H of their own
+    calls = []
+    stack = ewlab.construct.h_matrix_stack
+
+    def counted(config, radii):
+        calls.append(len(radii))
+        return stack(config, radii)
+
+    monkeypatch.setattr(ewlab.construct, "h_matrix_stack", counted)
+    cfg = write_config(tmp_path, mu=[2.0, 1.0], a=[[1.0, 0.5], [2.0, 0.0]])
+    assert main(["expand", "--config", cfg]) == 0
+    assert calls == [3]
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 def test_probe_report_schema(tmp_path):
     cfg = write_config(tmp_path, mu=[2.0, 1.0], a=[[1.0, 0.0], [1.0, 0.0]],
                        grid={"start": 0.0, "end": 40.0, "step": 0.01})
@@ -275,7 +291,10 @@ def test_probe_free_modes(tmp_path):
         assert mode["abs_error"] <= 1e-10
 
 
-def test_probe_bytes_independent_of_blas_threads(tmp_path):
+@pytest.mark.parametrize("command, config", [
+    ("probe", "probe.json"), ("build", "demo_complex.json"),
+    ("verify", "demo.json")], ids=["probe", "build", "verify"])
+def test_bytes_independent_of_blas_threads(tmp_path, command, config):
     # the thread count is read when numpy loads, so each run is a new process
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"),
@@ -284,11 +303,12 @@ def test_probe_bytes_independent_of_blas_threads(tmp_path):
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        out = tmp_path / f"probe-{threads}.json"
-        subprocess.run([sys.executable, "-m", "ewlab.cli", "probe", "--config",
-                        str(root / "configs" / "probe.json"), "--out", str(out)],
-                       env=env, check=True, timeout=300)
-        outputs.append(out.read_bytes())
+        out = tmp_path / f"{command}-{threads}.out"
+        run = subprocess.run(
+            [sys.executable, "-m", "ewlab.cli", command, "--config",
+             str(root / "configs" / config), "--out", str(out)],
+            env=env, capture_output=True, check=True, timeout=300)
+        outputs.append((run.stdout, run.stderr, out.read_bytes()))
     assert outputs[0] == outputs[1]
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewlab.kernel import (
     ConfigError,
@@ -127,6 +129,37 @@ def test_h_matrix_values():
     h = h_matrix_stack(MU1, [r])
     assert h[0, 0, 0] == pytest.approx(-np.sin(2 * r) / 4, abs=1e-16)
     assert np.all(h_matrix_stack(MU3, [0.0]) == 0.0)
+
+
+def test_sin_is_bitwise_odd():
+    # h_matrix_stack mirrors its upper triangle on this property
+    x = np.random.default_rng(9).uniform(-1e5, 1e5, 100_000)
+    x = np.concatenate([x, [0.0, 1e-300, np.pi, 1e4 * np.pi]])
+    assert np.array_equal(np.sin(-x), -np.sin(x))
+
+
+admissible_mu = st.lists(st.floats(0.01, 50.0), min_size=1, max_size=8,
+                         unique=True).map(lambda v: sorted(v, reverse=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=admissible_mu,
+       radii=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=40))
+def test_h_matrix_stack_is_the_closed_form_and_symmetric(mu, radii):
+    cfg = ModelConfig(mu, np.ones(len(mu)))
+    radii = np.array(radii)
+    h = h_matrix_stack(cfg, radii)
+    assert np.array_equal(h, h.transpose(0, 2, 1))
+    want = np.empty_like(h)
+    for i, mi in enumerate(cfg.mu):
+        for j, mj in enumerate(cfg.mu):
+            if i == j:
+                want[:, i, i] = -np.sin(2.0 * mi * radii) / (4.0 * mi)
+            else:
+                d, t = mi - mj, mi + mj
+                want[:, i, j] = (np.sin(d * radii) / (2.0 * d)
+                                 - np.sin(t * radii) / (2.0 * t))
+    assert np.array_equal(h, want)
 
 
 def test_h_relation_to_gram():

@@ -11,6 +11,7 @@ from ewlab.linalg import (
     BLOCK_ROWS,
     ComplexTridiagonal,
     DenseLU,
+    PIVOT_RTOL,
     SingularMatrixError,
     TridiagonalLU,
     batched_solve,
@@ -45,6 +46,105 @@ def backward_error(t, x, b):
     norm_t = np.max(np.abs(dense(t)).sum(axis=1))
     return (np.max(np.abs(t.matvec(x) - b))
             / (norm_t * np.max(np.abs(x)) + np.max(np.abs(b))))
+
+
+def _dense_lu_reference(mats, b):
+    """(lu, perm, swaps, det, x) of a (K, n, n) stack, laid out radius-first.
+
+    The elimination the batch-last DenseLU replaced, kept as its reference:
+    the same pivots, swaps, multipliers and Schur updates on a (K, n, n)
+    copy, whose innermost loops run along each system's rows.
+    """
+    lu = np.array(mats, dtype=complex)
+    nbatch, n = lu.shape[0], lu.shape[1]
+    scale = np.max(np.abs(lu), axis=2)
+    rows = np.arange(nbatch)
+    perm = np.tile(np.arange(n), (nbatch, 1))
+    swaps = np.zeros(nbatch, dtype=int)
+    for k in range(n):
+        p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
+        assert np.all(np.abs(lu[rows, p, k]) > PIVOT_RTOL * scale[rows, p])
+        for block in (lu, scale, perm):
+            tmp = block[rows, k].copy()
+            block[rows, k] = block[rows, p]
+            block[rows, p] = tmp
+        swaps += p != k
+        lu[:, k + 1:, k] /= lu[:, k, k][:, None]
+        lu[:, k + 1:, k + 1:] -= (lu[:, k + 1:, k, None]
+                                  * lu[:, k, None, k + 1:])
+    det = (np.where(swaps % 2 == 0, 1.0, -1.0)
+           * np.prod(np.diagonal(lu, axis1=1, axis2=2), axis=1))
+    y = np.asarray(b, dtype=complex)[rows[:, None], perm]
+    for k in range(n):
+        y[:, k + 1:, :] -= lu[:, k + 1:, k, None] * y[:, k, None, :]
+    for k in range(n - 1, -1, -1):
+        acc = y[:, k, :] - np.sum(lu[:, k, k + 1:, None] * y[:, k + 1:, :],
+                                  axis=1)
+        y[:, k, :] = acc / lu[:, k, k][:, None]
+    return lu, perm, swaps, det, y
+
+
+def shuffled_stack(rng, k, n, boost):
+    """K random complex matrices with boost * n added to the diagonal and
+    the rows of each shuffled: from boost ~ 1 up the pivots are the shuffled
+    diagonal, so nearly every step swaps rows; near 0 they are data-chosen.
+    """
+    mats = (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+            + boost * n * np.eye(n))
+    order = np.argsort(rng.random((k, n)), axis=1)
+    return mats[np.arange(k)[:, None], order]
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 300), n=st.integers(1, 30), m_frac=st.floats(0.0, 1.0),
+       boost=st.floats(0.0, 2.0), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_lu_matches_the_radius_first_reference(k, n, m_frac, boost, real,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    m = 1 + min(int(m_frac * n), n - 1)
+    mats = shuffled_stack(rng, k, n, boost)
+    if real:
+        mats = mats.real
+    b = rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))
+    lu, perm, swaps, det, want = _dense_lu_reference(mats, b)
+    got = DenseLU(mats)
+    assert np.array_equal(got.lu, lu)
+    assert np.array_equal(got.perm, perm)
+    assert np.array_equal(got.swaps, swaps)
+    assert np.array_equal(got.det(), det)
+    x = got.solve(b)
+    assert x.shape == (k, n, m)
+    if m > 1:
+        assert np.array_equal(x, want)
+    else:
+        # one right-hand side: the reference's products and sums run along
+        # a system's rows, where numpy picks other complex multiply loops
+        # and sums pairwise, so the last bits differ; kappa * 1e-15
+        # relative bounds the round-off of either
+        cond = np.linalg.cond(mats, p=np.inf)
+        err = np.max(np.abs(x - want), axis=(1, 2))
+        assert np.all(err <= 1e-15 * cond * np.max(np.abs(want), axis=(1, 2)))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_dense_lu_leaves_its_inputs_alone(k, real):
+    # at K = 1 a batch-last view of the input is contiguous already, and a
+    # factorization that does not copy overwrites the caller's matrix
+    rng = np.random.default_rng(14)
+    mats = shuffled_stack(rng, k, 4, 0.5)
+    b = rng.standard_normal((k, 4, 2)) + 1j * rng.standard_normal((k, 4, 2))
+    if real:
+        mats, b = mats.real.copy(), b.real.copy()
+    before = mats.copy(), b.copy()
+    lu = DenseLU(mats)
+    lu.solve(b)
+    lu.det()
+    batched_solve(mats, b)
+    condition_estimate(mats)
+    assert np.array_equal(mats, before[0])
+    assert np.array_equal(b, before[1])
 
 
 def test_dense_solve_identity():
