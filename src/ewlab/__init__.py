@@ -3,8 +3,8 @@
 Builds oscillatory (von Neumann-Wigner style) potentials whose Dirichlet
 operator on the half-line has the prescribed positive eigenvalues mu_j^2,
 together with the machinery to verify the construction numerically:
-independent oracles (quadrature, finite differences, Runge-Kutta shooting),
-a discretized spectral probe, and the spherically symmetric 3D lift.
+independent oracles (quadrature, finite differences, Runge-Kutta shooting,
+the residual of the radial lift to R^d) and a discretized spectral probe.
 """
 
 __version__ = "0.1.0"

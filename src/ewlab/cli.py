@@ -343,9 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--grid-override", default=None,
-                       metavar="START,END,STEP",
-                       help="replace the config grid for this run")
+        if name in ("build", "probe"):
+            p.add_argument("--grid-override", default=None,
+                           metavar="START,END,STEP",
+                           help="replace the config grid for this run")
         if name == "probe":
             p.add_argument("--sweep", type=int, default=0, metavar="K",
                            help="rerun with K seeded admissible couplings")
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         rc = load_config(args.config, out=args.out,
-                         grid_override=args.grid_override)
+                         grid_override=getattr(args, "grid_override", None))
         if args.command == "build":
             return cmd_build(rc)
         if args.command == "verify":

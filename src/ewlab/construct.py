@@ -57,14 +57,12 @@ from ewlab.kernel import (
 from ewlab.linalg import DenseLU, SingularMatrixError, batched_solve
 
 __all__ = [
-    "AsymptoticTerms",
     "BLOCK_BYTES",
     "InvertibilityError",
     "PotentialSample",
     "block_length",
     "log_det_derivative",
     "log_det_second_difference",
-    "potential_asymptotics",
     "potential_terms",
     "resolvent_apply",
     "sample_grid",
@@ -83,19 +81,6 @@ class InvertibilityError(RuntimeError):
     and Re a_j >= 0 keeps the real part of <xi,(A+G)xi> away from zero), so
     an occurrence means an invariant was violated upstream.
     """
-
-
-@dataclass(frozen=True, eq=False)
-class AsymptoticTerms:
-    """First two large-r terms of V per radius, and v to two terms.
-
-    leading is A-independent and real; v errs by O(r^-3).
-    """
-
-    leading: np.ndarray    # (K,) real
-    second: np.ndarray     # (K,) complex
-    w_value: np.ndarray    # (K,) real
-    v: np.ndarray          # (K, n) complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,13 +135,6 @@ def _w(s: np.ndarray, mc: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.sum(s * s, axis=1) ** 2 + 2.0 * np.einsum("ki,kij,kj->k", mc, h, s)
 
 
-def _positive(radii) -> np.ndarray:
-    radii = np.asarray(radii, dtype=float)
-    if not np.all(radii > 0.0):
-        raise ValueError("large-r expansions require r > 0")
-    return radii
-
-
 def potential_terms(config: ModelConfig, radii: np.ndarray,
                     w: np.ndarray) -> tuple:
     """(leading, second) large-r terms of V at radii r > 0, given W there.
@@ -169,26 +147,6 @@ def potential_terms(config: ModelConfig, radii: np.ndarray,
     leading = -(4.0 / radii) * (sin2 @ mu)
     second = (8.0 / radii**2) * (sin2 @ (config.a * mu) + w)
     return leading, second
-
-
-def potential_asymptotics(config: ModelConfig,
-                          radii: np.ndarray) -> AsymptoticTerms:
-    """Leading and second large-r terms of V, and v to two terms, at each r.
-
-    v_j(r) ~ -(2/r) sin(mu_j r)
-             + (4/r^2) (a_j sin(mu_j r) + sum_l h_jl(r) sin(mu_l r)),
-    from the same s and H that give W.
-    """
-    radii = _positive(radii)
-    s = trig_s(config, radii)
-    mc = trig_c(config, radii) * config.mu
-    h = h_matrix_stack(config, radii)
-    w = _w(s, mc, h)
-    leading, second = potential_terms(config, radii, w)
-    hs = np.einsum("kjl,kl->kj", h, s)
-    r = radii[:, None]
-    v = -(2.0 / r) * s + (4.0 / r**2) * (config.a * s + hs)
-    return AsymptoticTerms(leading=leading, second=second, w_value=w, v=v)
 
 
 def _log_det_ratio(config: ModelConfig, base_lu: DenseLU, r_base: np.ndarray,

@@ -38,9 +38,7 @@ __all__ = [
     "GridError",
     "GridSpec",
     "ModelConfig",
-    "PositivityError",
     "gram_matrix_stack",
-    "gram_positivity_check",
     "h_bound",
     "h_matrix_stack",
     "trig_c",
@@ -50,10 +48,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A model parameter violates its admissibility condition."""
-
-
-class PositivityError(ArithmeticError):
-    """The Gram quadratic form came out non-positive: a kernel defect."""
 
 
 class GridError(ValueError):
@@ -77,7 +71,9 @@ class ModelConfig:
         if mu.ndim != 1 or mu.size == 0:
             raise ConfigError("mu must be a non-empty 1-d sequence")
         for j, value in enumerate(mu, start=1):
-            if not np.isfinite(value) or value <= 0.0:
+            if not np.isfinite(value):
+                raise ConfigError(f"mu_{j} is not finite")
+            if value <= 0.0:
                 raise ConfigError(f"mu_{j} <= 0")
         for j in range(1, mu.size):
             if mu[j - 1] <= mu[j]:
@@ -192,29 +188,3 @@ def gram_matrix_stack(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     idx = np.arange(config.n)
     g[:, idx, idx] += 0.5 * radii[:, None]
     return g
-
-
-def gram_positivity_check(config: ModelConfig, radii: np.ndarray,
-                          xi: np.ndarray) -> np.ndarray:
-    """Quadratic forms <xi_k, G(r_k) xi_k> for r_k > 0, xi_k != 0; all positive.
-
-    xi has shape (K, n), one vector per radius. The values are real up to
-    round-off because G is real symmetric. A non-positive result cannot
-    happen for exact arithmetic and is raised as a PositivityError (kernel
-    defect).
-    """
-    radii = np.asarray(radii, dtype=float)
-    if not np.all(radii > 0.0):
-        raise ValueError("positivity check requires r > 0")
-    xi = np.asarray(xi, dtype=complex)
-    if not np.all(np.any(xi != 0, axis=1)):
-        raise ValueError("positivity check requires xi != 0")
-    g = gram_matrix_stack(config, radii)
-    values = np.real(np.einsum("ki,kij,kj->k", xi.conj(), g, xi))
-    if np.any(values <= 0.0):
-        k = int(np.argmax(values <= 0.0))
-        raise PositivityError(
-            f"<xi, G({radii[k]}) xi> = {values[k]} is not positive: "
-            "kernel defect"
-        )
-    return values

@@ -23,22 +23,25 @@ runs on the bin-wise envelope (max |defect| per log-spaced bin) rather than
 on raw points; raw points put log|defect| dips of -30 at the zeros and wreck
 the regression. `large_r_fits` runs every large-r fit (V, the resolvent, v'
 and each v_j) and V's scaled remainder from one sample of FIT_RADII.
+
+Last, the radial lift: in R^d, u = r^{(1-d)/2} v_j leaves the residual
+-u'' - ((d-1)/r) u' + (V - mu_j^2) u = ((d-1)(d-3)/4) r^{-2} u, so only
+d = 1 and d = 3 (u_j = v_j/r) give eigenfunctions of -Delta + V(|x|).
+radial_laplacian_residual measures that residual by finite differences,
+and dimension_obstruction gives the coefficient of its r^{-2} u term.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ewlab import construct
-from ewlab.construct import (
-    potential_asymptotics,
-    resolvent_apply,
-    sample_grid,
-)
+from ewlab.construct import potential_terms, resolvent_apply, sample_grid
 from ewlab.kernel import (
     GridError,
     GridSpec,
@@ -55,12 +58,14 @@ __all__ = [
     "QuadratureError",
     "SLOPE_TOL",
     "StepTooLargeError",
+    "dimension_obstruction",
     "fd_second_derivative",
     "fit_decay_slope",
     "gram_derivative_defect",
     "inverse_small_r_slope",
     "large_r_fits",
     "quadrature_gram",
+    "radial_laplacian_residual",
     "residual_eigen_equation",
     "shooting_compare",
 ]
@@ -94,10 +99,6 @@ class FitReport:
     expected_slope: float
     intercept: float
     points: int
-
-    @property
-    def ok(self) -> bool:
-        return abs(self.slope - self.expected_slope) <= SLOPE_TOL
 
 
 @functools.cache
@@ -381,10 +382,10 @@ def large_r_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
     the defect after the first term should fall like r^-2, after the second
     like r^-3. remainder is |V - leading - second| r^3 per radius.
 
-      V:     the two terms of construct.potential_asymptotics;
+      V:     the two terms of construct.potential_terms, from the sample's W;
       (A+G)^{-1} = (2/r) I - (4/r^2)(A+H) + ..., max entry;
       v' = -(2/r) M c + (4/r^2) ((ts s) s + A M c + H M c) + ..., max entry;
-      v_j:   -(2/r) sin(mu_j r), then AsymptoticTerms.v.
+      v = -(2/r) s + (4/r^2) (A s + H s) + ..., per v_j.
 
     s, M c and H are built once here and shared by the v', resolvent and
     v_j defects.
@@ -393,7 +394,7 @@ def large_r_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
     r = radii[:, None]
     rr = radii[:, None, None]
     ps = sample_grid(config, radii)
-    terms = potential_asymptotics(config, radii)
+    pot_lead, pot_second = potential_terms(config, radii, ps.w)
     s = trig_s(config, radii)
     mc = config.mu * trig_c(config, radii)
     h = h_matrix_stack(config, radii)
@@ -402,21 +403,65 @@ def large_r_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
         return [fit_decay_slope(radii, one, -2.0, f"{what} minus {leading}"),
                 fit_decay_slope(radii, two, -3.0, f"{what} minus two terms")]
 
-    v_rest = np.abs(ps.V - terms.leading - terms.second)
+    v_rest = np.abs(ps.V - pot_lead - pot_second)
     bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
     refined = bare + (4.0 / rr**2) * (np.diag(config.a) + h)
     lead = -(2.0 / r) * mc
     nxt = (4.0 / r ** 2) * (np.sum(s * s, axis=1)[:, None] * s
                             + config.a * mc + np.einsum("kij,kj->ki", h, mc))
     fits = {
-        "potential": pair("V", np.abs(ps.V - terms.leading), v_rest),
+        "potential": pair("V", np.abs(ps.V - pot_lead), v_rest),
         "resolvent": pair("resolvent", _max_entry(bare), _max_entry(refined),
                           leading="2/r"),
         "vprime": pair("v'", np.max(np.abs(ps.v_prime - lead), axis=1),
                        np.max(np.abs(ps.v_prime - lead - nxt), axis=1)),
     }
+    v_two = -(2.0 / r) * s + (4.0 / r**2) * (
+        config.a * s + np.einsum("kjl,kl->kj", h, s))
     one_v = np.abs(ps.v + (2.0 / r) * s)
-    two_v = np.abs(ps.v - terms.v)
+    two_v = np.abs(ps.v - v_two)
     for j in range(config.n):
         fits[f"v{j + 1}"] = pair(f"v_{j + 1}", one_v[:, j], two_v[:, j])
     return fits, v_rest * radii**3
+
+
+def radial_laplacian_residual(config: ModelConfig, grid: GridSpec,
+                              dims: Sequence[int]) -> np.ndarray:
+    """Sup FD residuals of the radial eigen-equations, shape (len(dims), n).
+
+    Entry (i, j) lifts v_j to u = r^{(1-d)/2} v_j with d = dims[i] and is the
+    sup over interior nodes of |-u'' - ((d-1)/r) u' + (V - mu_j^2) u| with
+    3-point u'' and central u'; the grid is sampled once for every d and j.
+    For d = 3 (and d = 1) this is pure truncation error; otherwise it
+    approaches the obstructing term |(d-1)(d-3)/4| r^{-2} |u| as h -> 0.
+    """
+    if any(d < 1 for d in dims):
+        raise ValueError("dimension must be >= 1")
+    if grid.r_start <= 0.0:
+        raise GridError("residual grid must start at r > 0")
+    radii = grid.radii()
+    if radii.size - 2 < 8:
+        raise GridError("fewer than 8 interior points")
+    ps = sample_grid(config, radii)
+    h = grid.step
+    inner_r = radii[1:-1, None]
+    out = np.empty((len(dims), config.n))
+    for i, d in enumerate(dims):
+        u = radii[:, None] ** ((1.0 - d) / 2.0) * ps.v
+        second = fd_second_derivative(u, h)
+        first = (u[2:] - u[:-2]) / (2.0 * h)
+        residual = (-second - (d - 1.0) / inner_r * first
+                    + (ps.V[1:-1, None] - config.mu ** 2) * u[1:-1])
+        out[i] = np.max(np.abs(residual), axis=0)
+    return out
+
+
+def dimension_obstruction(d: int) -> float:
+    """Coefficient -(d-1)(d-3)/4 of the r^{-2} u term blocking the lift.
+
+    Zero exactly when d is 1 or 3; the lift gives embedded eigenvalues only
+    in those dimensions.
+    """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return -(d - 1.0) * (d - 3.0) / 4.0 + 0.0  # + 0.0 folds -0.0 at d = 3

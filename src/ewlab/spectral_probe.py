@@ -39,7 +39,6 @@ __all__ = [
     "build_hamiltonian",
     "free_laplacian_eigenvalue",
     "inverse_iteration",
-    "phase_align",
     "probe_embedded",
     "rayleigh_quotient",
 ]
@@ -108,15 +107,6 @@ def rayleigh_quotient(t: ComplexTridiagonal, x: np.ndarray) -> complex:
     if abs(txx) <= 1e-12 * norm2:
         raise IsotropicVectorError("txx vanishes relative to |x|^2")
     return complex(np.sum(x * t.matvec(x))) / txx
-
-
-def phase_align(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Rotate x by the unit scalar making <ref, x> real and nonnegative."""
-    x = np.asarray(x, dtype=complex)
-    c = complex(np.sum(np.conj(ref) * x))
-    if c == 0.0:
-        return x
-    return x * (c.conjugate() / abs(c))
 
 
 def aligned_correlation(x: np.ndarray, ref: np.ndarray) -> float:

@@ -14,14 +14,15 @@ from ewlab.cli import main as cli_main
 from ewlab.construct import log_det_second_difference, sample_grid
 from ewlab.kernel import GridSpec, ModelConfig, gram_matrix_stack, trig_s
 from ewlab.oracle import (
+    dimension_obstruction,
     gram_derivative_defect,
     inverse_small_r_slope,
     large_r_fits,
     quadrature_gram,
+    radial_laplacian_residual,
     residual_eigen_equation,
     shooting_compare,
 )
-from ewlab.radial3d import dimension_obstruction, radial_laplacian_residual
 from ewlab.spectral_probe import aligned_correlation, probe_embedded
 
 REAL1 = ModelConfig([1.0], [1.0])

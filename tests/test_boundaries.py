@@ -2,7 +2,9 @@
 
 The oracles check the construction by independent routes, so the code they
 check must not depend on them, and the quadrature and RK4 oracles take
-nothing from it but sampled data. The modules are parsed, not imported.
+nothing from it but sampled data. Every public name of a production module
+is used somewhere in the package, not only by tests. The modules are parsed,
+not imported.
 """
 
 import ast
@@ -61,3 +63,35 @@ def test_quadrature_and_rk4_call_only_sample_grid_of_the_checked_code():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
         assert used & checked <= {"sample_grid"}, name
+
+
+def _used_names(node: ast.AST, skip: str) -> set:
+    """Names and attributes used under node, outside any def or class skip."""
+    if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name == skip):
+        return set()
+    used = set()
+    if isinstance(node, ast.Name):
+        used.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        used.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        used |= _used_names(child, skip)
+    return used
+
+
+def public_names(path: Path) -> list:
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_public_names_are_used_in_the_package(module):
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    unused = [name for name in public_names(PACKAGE / f"{module}.py")
+              if not any(name in _used_names(tree, name) for tree in trees)]
+    assert unused == [], f"ewlab.{module} exports names only tests reach"

@@ -14,7 +14,7 @@ import ewlab.cli
 import ewlab.construct
 from ewlab.cli import main
 from ewlab.construct import InvertibilityError, sample_grid
-from ewlab.kernel import ConfigError, GridError, ModelConfig, PositivityError
+from ewlab.kernel import ConfigError, GridError, ModelConfig
 from ewlab.linalg import SingularMatrixError
 from ewlab.oracle import QuadratureError, StepTooLargeError
 from ewlab.spectral_probe import NoConvergenceError
@@ -224,6 +224,16 @@ def test_grid_override_changes_rows(tmp_path):
     assert len(out.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("command", ["verify", "expand"])
+def test_grid_override_only_where_the_grid_is_read(tmp_path, capsys, command):
+    # verify and expand never read the grid, so they do not take the flag
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--grid-override", "0,1,0.5"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_expand_table(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["expand", "--config", cfg]) == 0
@@ -337,7 +347,6 @@ def test_version_flag(capsys):
 
 @pytest.mark.parametrize("exc, code", [
     (InvertibilityError("A+G(r) numerically singular"), 1),
-    (PositivityError("<xi, G xi> = -1 is not positive"), 1),
     (QuadratureError("Gauss-Legendre rules (16, 24) disagree beyond "
                      "tol = 1e-12 on [0, 30]"), 1),
     (StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step"), 1),

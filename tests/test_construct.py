@@ -15,7 +15,7 @@ from ewlab.construct import (
     block_length,
     log_det_derivative,
     log_det_second_difference,
-    potential_asymptotics,
+    potential_terms,
     resolvent_apply,
     sample_grid,
     system_matrix,
@@ -147,37 +147,34 @@ def test_w_ignores_couplings():
                           sample_grid(other, radii).w)
 
 
+def expansion(config, radii):
+    """(leading, second) large-r terms of V, with W from sample_grid."""
+    radii = np.asarray(radii, dtype=float)
+    return potential_terms(config, radii, sample_grid(config, radii).w)
+
+
 def test_leading_term_ignores_couplings():
     radii = np.array([5.0, 80.0])
-    t1 = potential_asymptotics(CFG3, radii)
-    t2 = potential_asymptotics(
-        ModelConfig([3.0, 2.0, 1.0], [2.0, 1j, 5.0]), radii)
-    assert np.array_equal(t1.leading, t2.leading)
-    assert np.array_equal(t1.w_value, t2.w_value)
+    other = ModelConfig([3.0, 2.0, 1.0], [2.0, 1j, 5.0])
+    assert np.array_equal(expansion(CFG3, radii)[0],
+                          expansion(other, radii)[0])
 
 
 def test_second_term_is_affine_in_couplings():
     # second(2a) - 2 second(a) = -(8/r^2) W, exactly
     doubled = ModelConfig([3.0, 2.0, 1.0], [2.0, 2.0, 2.0])
     radii = np.array([7.3, 41.0])
-    t1 = potential_asymptotics(CFG3, radii)
-    s2 = potential_asymptotics(doubled, radii).second
-    assert np.all(np.abs(s2 - 2.0 * t1.second + 8.0 * t1.w_value / radii**2)
-                  <= 1e-15)
-
-
-def test_asymptotics_requires_positive_radius():
-    with pytest.raises(ValueError):
-        potential_asymptotics(CFG3, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        potential_asymptotics(CFG3, [-1.0])
+    w = sample_grid(CFG3, radii).w
+    s1 = expansion(CFG3, radii)[1]
+    s2 = expansion(doubled, radii)[1]
+    assert np.all(np.abs(s2 - 2.0 * s1 + 8.0 * w / radii**2) <= 1e-15)
 
 
 def test_remainder_after_leading_term():
     # |V - leading| * r^2 measured <= 59.1 over [50, 400]; frozen margin 80
     radii = np.geomspace(50.0, 400.0, 500)
     ps = sample_grid(CFG3, radii)
-    lead = potential_asymptotics(CFG3, radii).leading
+    lead = potential_terms(CFG3, radii, ps.w)[0]
     assert np.max(np.abs(ps.V - lead) * radii**2) <= 80.0
 
 
@@ -185,26 +182,18 @@ def test_remainder_after_two_terms():
     # |V - leading - second| * r^3 measured <= 209.9; frozen margin 300
     radii = np.geomspace(50.0, 400.0, 500)
     ps = sample_grid(CFG3, radii)
-    t = potential_asymptotics(CFG3, radii)
-    assert np.max(np.abs(ps.V - t.leading - t.second) * radii**3) <= 300.0
+    lead, second = potential_terms(CFG3, radii, ps.w)
+    assert np.max(np.abs(ps.V - lead - second) * radii**3) <= 300.0
 
 
 def test_eigenfunction_expansion_error_decays_cubically():
+    # v_j ~ -(2/r) s_j + (4/r^2) (a_j s_j + (H s)_j), with an O(r^-3) error
     radii = np.geomspace(50.0, 400.0, 200)
-    err = np.abs(sample_grid(CFG3, radii).v
-                 - potential_asymptotics(CFG3, radii).v)
+    s, r = trig_s(CFG3, radii), radii[:, None]
+    hs = np.einsum("kjl,kl->kj", h_matrix_stack(CFG3, radii), s)
+    two_terms = -(2.0 / r) * s + (4.0 / r**2) * (CFG3.a * s + hs)
+    err = np.abs(sample_grid(CFG3, radii).v - two_terms)
     assert np.max(err * radii[:, None] ** 3) <= 60.0
-
-
-def test_expansion_at_sine_zero_reduces_to_h_sum():
-    # mu_0 = 2 and r = pi: the leading sine term drops out
-    r = np.pi
-    got = potential_asymptotics(CFGC, [r]).v[0, 0]
-    s2 = trig_s(CFGC, [r])[0]
-    h2 = h_matrix_stack(CFGC, [r])[0]
-    want = (4.0 / r**2) * (h2[0] @ s2)
-    assert abs(got - want) <= 1e-15
-    assert abs(s2[0]) <= 1e-15  # sin(2 pi)
 
 
 def test_small_r_sine_form_is_fourth_order():

@@ -1,42 +1,20 @@
-"""Lift v_j/r to a radial 3-d eigenfunction; obstruction in other dimensions."""
+"""Radial lift v_j/r in 3-d: decay, FD residual per dimension, obstruction."""
 
 import numpy as np
 import pytest
 
+from ewlab.construct import sample_grid
 from ewlab.kernel import GridError, GridSpec, ModelConfig
-from ewlab.radial3d import (
-    dimension_obstruction,
-    lift_to_3d,
-    radial_laplacian_residual,
-)
+from ewlab.oracle import dimension_obstruction, radial_laplacian_residual
 
 CFG2 = ModelConfig([2.0, 1.0], [1.0, 1.0])
-CFGC = ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0])
-
-
-def test_lift_origin_value():
-    lift = lift_to_3d(CFG2, 0, GridSpec(0.0, 1.0, 0.1))
-    assert lift.values[0] == -2.0
-    assert lift.origin_value == -2.0
-    lift = lift_to_3d(CFGC, 0, GridSpec(0.0, 1.0, 0.1))
-    assert lift.origin_value == pytest.approx(-2.0 / (1.0 + 1.0j), abs=1e-16)
-
-
-def test_lift_times_r_recovers_input():
-    from ewlab.construct import sample_grid
-
-    grid = GridSpec(0.5, 20.0, 0.1)
-    lift = lift_to_3d(CFG2, 1, grid)
-    vj = sample_grid(CFG2, grid.radii()).v[:, 1]
-    # one divide and one multiply: at most 2 ulp of relative round-off
-    err = np.abs(lift.values * grid.radii() - vj)
-    assert np.all(err <= 2.0 * np.finfo(float).eps * np.abs(vj))
 
 
 def test_lift_decays_quadratically():
-    # |u_j| <= C / r^2 at large r; measured C = 1.99 for this config
-    lift = lift_to_3d(CFG2, 0, GridSpec(10.0, 400.0, 0.05))
-    assert np.max(np.abs(lift.values) * lift.radii**2) <= 2.5
+    # |u_j| = |v_j|/r <= C / r^2 at large r; measured C = 1.99 for this config
+    radii = GridSpec(10.0, 400.0, 0.05).radii()
+    v1 = sample_grid(CFG2, radii).v[:, 0]
+    assert np.max(np.abs(v1) * radii) <= 2.5
 
 
 def test_residual_vanishes_in_dimension_three():
@@ -58,9 +36,9 @@ def test_residual_vanishes_in_dimension_one():
 def test_residual_stabilizes_at_obstruction_size():
     # away from d in {1, 3} the residual converges to the obstructing term
     grid = GridSpec(1.0, 30.0, 1e-3)
-    lift = lift_to_3d(CFG2, 0, grid)
-    interior = lift.radii[1:-1]
-    u3 = np.abs(lift.values[1:-1])
+    radii = grid.radii()
+    interior = radii[1:-1]
+    u3 = np.abs(sample_grid(CFG2, radii).v[1:-1, 0]) / interior
     dims = (2, 4, 5)
     res = radial_laplacian_residual(CFG2, grid, dims)
     res_half = radial_laplacian_residual(CFG2, grid.halved(), dims)

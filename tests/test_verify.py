@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ewlab.verify
 from ewlab.kernel import ModelConfig
 from ewlab.verify import CheckResult, run_verification
 
@@ -86,3 +87,22 @@ def test_diagnostics_reported(real_report):
     assert d["sup_V_on_grid"] > 0.0
     assert set(d["condition_estimates"]) == {"1.0", "10.0", "100.0", "400.0"}
     assert all(v >= 1.0 for v in d["condition_estimates"].values())
+
+
+def test_non_positive_gram_form_fails_its_check(monkeypatch):
+    # negating the first matrix of the positivity stack (the only stack of
+    # 400 radii) makes one of its quadratic forms negative
+    stack = ewlab.verify.gram_matrix_stack
+
+    def broken(config, radii):
+        g = stack(config, radii)
+        if len(radii) == 400:
+            g[0] *= -1.0
+        return g
+
+    monkeypatch.setattr(ewlab.verify, "gram_matrix_stack", broken)
+    report = run_verification(ModelConfig([1.0], [1.0]), seed=0)
+    failing = [line for line in report.lines() if line.startswith("FAIL")]
+    assert len(failing) == 2
+    assert failing[0].startswith("FAIL gram_positivity: value=-")
+    assert failing[1].startswith("FAIL overall")
