@@ -347,6 +347,7 @@ def test_version_flag(capsys):
 
 @pytest.mark.parametrize("exc, code", [
     (InvertibilityError("A+G(r) numerically singular"), 1),
+    (FloatingPointError("overflow encountered in exp"), 1),
     (QuadratureError("Gauss-Legendre rules (16, 24) disagree beyond "
                      "tol = 1e-12 on [0, 30]"), 1),
     (StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step"), 1),
