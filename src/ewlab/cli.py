@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ewlab import __version__
-from ewlab.construct import block_length, potential_terms, sample_grid
+from ewlab.construct import potential_terms, sample_blocks, sample_grid
 from ewlab.kernel import ConfigError, GridError, GridSpec, ModelConfig
 from ewlab.spectral_probe import (
     aligned_correlation,
@@ -179,26 +179,26 @@ def cmd_build(rc: RunConfig) -> int:
 
     Columns: r, V_re, V_im, then (vj_re, vj_im) for j = 1..n, then W; all
     floats at 17 significant digits so the file round-trips doubles exactly.
-    Rows are formatted and written one sampling block at a time, into the
-    atomic temp file with --out, so the text never exists in full; each
-    block is one % over the block's repeated row template.
+    Rows are formatted and written one block of construct.sample_blocks at
+    a time, into the atomic temp file with --out, so neither the sample nor
+    the text exists in full (on stdout, a failing block follows the rows
+    printed before it); each block is one % over its repeated row template.
     """
-    ps = sample_grid(rc.model, rc.grid.radii())
+    radii = rc.grid.radii()
     n = rc.model.n
     header = "r,V_re,V_im," + ",".join(
         f"v{j}_re,v{j}_im" for j in range(1, n + 1)) + ",W\n"
     row = ",".join(["%.17g"] * (2 * n + 4)) + "\n"
-    step = block_length(n)
     out = rc.output_path
     with (contextlib.nullcontext(sys.stdout) if out is None
           else _atomic_file(out)) as fh:
         fh.write(header)
-        for start in range(0, ps.radii.size, step):
-            block = slice(start, start + step)
-            # v.view(float) interleaves (re, im); + 0.0 folds -0.0 into 0
-            table = np.column_stack([ps.radii[block], ps.V[block].real,
-                                     ps.V[block].imag, ps.v[block].view(float),
-                                     ps.w[block]]) + 0.0
+        for block, v, _, big_v, w in sample_blocks(rc.model, radii):
+            # view(float) interleaves (re, im) but needs a contiguous copy
+            # of the strided v; + 0.0 folds -0.0 into 0
+            table = np.column_stack([radii[block], big_v.real, big_v.imag,
+                                     np.ascontiguousarray(v).view(float),
+                                     w]) + 0.0
             fh.write(row * len(table) % tuple(table.ravel().tolist()))
     return 0
 

@@ -22,10 +22,9 @@ one extra right-hand side on the same factorization. V is then assembled
 from (v, v') exactly, V = 2 sum_j (mu_j cos(mu_j r) v_j + sin(mu_j r) v_j').
 
 Every function takes an array of K radii and factors the K systems
-A + G(r_k) as stacks; a single radius is K = 1. `sample_grid`, which serves
-whole grids, factors them in blocks of about BLOCK_BYTES per (block, n, n)
-stack, so its working memory does not grow with K beyond its O(K n)
-outputs.
+A + G(r_k) as stacks; a single radius is K = 1. `sample_blocks` cuts a
+whole grid into blocks of about BLOCK_BYTES per (block, n, n) stack; `build`
+formats each block as it comes, and `sample_grid` collects them.
 
 Large-r behaviour, used by the asymptotic checks:
 
@@ -60,17 +59,17 @@ __all__ = [
     "BLOCK_BYTES",
     "InvertibilityError",
     "PotentialSample",
-    "block_length",
     "log_det_derivative",
     "log_det_second_difference",
     "potential_terms",
     "resolvent_apply",
+    "sample_blocks",
     "sample_grid",
     "system_matrix",
 ]
 
-# sample_grid takes the radii in blocks whose (block, n, n) complex stack is
-# about this size: 113 radii at n = 24, 7,281 at n = 3, 16,384 at n = 2.
+# sample_blocks takes the radii in blocks whose (block, n, n) complex stack
+# is about this size: 113 radii at n = 24, 7,281 at n = 3, 16,384 at n = 2.
 BLOCK_BYTES = 1 << 20
 
 
@@ -194,13 +193,8 @@ def log_det_second_difference(config: ModelConfig, radii: np.ndarray,
     return (plus + minus) / h**2
 
 
-def block_length(n: int) -> int:
-    """Radii per sample_grid block at coupling dimension n (at least 1)."""
-    return max(1, BLOCK_BYTES // (16 * n * n))
-
-
 def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
-    """(v, v', V, W) of one block of radii, as in sample_grid."""
+    """(v, v', V, W) of one block of radii, as in sample_blocks."""
     s = trig_s(config, radii)
     mc = trig_c(config, radii) * config.mu
     h = h_matrix_stack(config, radii)
@@ -215,34 +209,36 @@ def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
     return v, v_prime, big_v, w
 
 
-def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:
-    """Sample (v, v', V, W) over a radius array.
+def sample_blocks(config: ModelConfig, radii: np.ndarray):
+    """Yield (block, v, v', V, W) per slice `block` of the radii, in order.
 
-    The radii are taken in consecutive blocks of about BLOCK_BYTES per
-    (block, n, n) complex stack, and each block's results are written into
-    output arrays preallocated for the whole grid, so the working memory is
-    the O(K n) outputs plus one block's stacks. Per block, H(r) is built
-    once: W is read from it, then it becomes the stack of systems
-    A + G(r_k), solved by one batched LU sweep for the two right-hand sides
-    s and M c. Each radius's arithmetic is independent of the others, so
-    output is deterministic and a radius gives the same bits in any grid,
-    whatever block it falls in.
+    Each block's (block, n, n) complex stack is about BLOCK_BYTES; its H(r)
+    gives W, then becomes A + G(r), solved for s and M c by one LU sweep.
+    A radius gives the same bits in any grid, whatever block it falls in.
     """
+    radii = np.asarray(radii, dtype=float)
+    step = max(1, BLOCK_BYTES // (16 * config.n ** 2))
+    for start in range(0, radii.size, step):
+        block = slice(start, start + step)
+        try:
+            # the stacks die with _sample_block, before the consumer runs
+            yield (block, *_sample_block(config, radii[block]))
+        except SingularMatrixError as exc:
+            r = float(radii[start + exc.entry])
+            raise InvertibilityError(
+                f"A+G(r) numerically singular at r = {r!r} on the sampling grid"
+            ) from exc
+
+
+def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:
+    """Sample (v, v', V, W) over a radius array into preallocated arrays."""
     radii = np.asarray(radii, dtype=float)
     count, n = radii.size, config.n
     v = np.empty((count, n), dtype=complex)
     v_prime = np.empty((count, n), dtype=complex)
     big_v = np.empty(count, dtype=complex)
     w = np.empty(count)
-    step = block_length(n)
-    for start in range(0, count, step):
-        block = slice(start, start + step)
-        try:
-            v[block], v_prime[block], big_v[block], w[block] = _sample_block(
-                config, radii[block])
-        except SingularMatrixError as exc:
-            r = float(radii[start + exc.entry])
-            raise InvertibilityError(
-                f"A+G(r) numerically singular at r = {r!r} on the sampling grid"
-            ) from exc
+    for block, *values in sample_blocks(config, radii):
+        v[block], v_prime[block], big_v[block], w[block] = values
+        del values  # not held while the next block is solved
     return PotentialSample(radii=radii, v=v, v_prime=v_prime, V=big_v, w=w)

@@ -78,12 +78,14 @@ FIT_RADII = np.geomspace(50.0, 400.0, 200)
 FIT_RADII.setflags(write=False)
 
 
-# Node counts of the two Gauss-Legendre rules quadrature_gram compares.
+# Node counts of the two Gauss-Legendre rules quadrature_gram compares, and
+# the bound on their summed per-panel differences.
 _RULES = (16, 24)
+_TOL = 1e-12
 
 
 class QuadratureError(ArithmeticError):
-    """The two Gauss-Legendre rules of quadrature_gram disagree beyond tol."""
+    """The two Gauss-Legendre rules of quadrature_gram disagree beyond _TOL."""
 
 
 class StepTooLargeError(ValueError):
@@ -116,8 +118,7 @@ def _gauss_legendre(nodes: int) -> tuple:
     return x, w
 
 
-def quadrature_gram(mu_i: float, mu_j: float, r: float,
-                    tol: float = 1e-12) -> float:
+def quadrature_gram(mu_i: float, mu_j: float, r: float) -> float:
     """integral_0^r sin(mu_i rho) sin(mu_j rho) drho, composite Gauss-Legendre.
 
     Independent of the closed form in the kernel module. [0, r] is cut into
@@ -127,11 +128,9 @@ def quadrature_gram(mu_i: float, mu_j: float, r: float,
     do for mu = (1, 1)), and two rules then agree on 0. Every panel is
     integrated by the 16- and 24-node rules at once; the finer sum is
     returned, and QuadratureError is raised when the two rules' per-panel
-    differences add up to more than tol. Rounding alone adds up to about
-    2e-16 r, so tol = 1e-12 holds to r of a few thousand.
+    differences add up to more than _TOL. Rounding alone adds up to about
+    2e-16 r, so _TOL = 1e-12 holds to r of a few thousand.
     """
-    if tol < 1e-13:
-        raise ValueError("tolerance below the double-precision floor")
     if mu_i <= 0.0 or mu_j <= 0.0:
         raise ValueError("frequencies must be positive")
     if r < 0.0:
@@ -154,9 +153,9 @@ def quadrature_gram(mu_i: float, mu_j: float, r: float,
                      + np.cos(mu * mid) * np.sin(mu * offset))
         sums.append(half * np.sum(f * w, axis=1))
     coarse, fine = sums
-    if np.sum(np.abs(fine - coarse)) > tol:
+    if np.sum(np.abs(fine - coarse)) > _TOL:
         raise QuadratureError(
-            f"Gauss-Legendre rules {_RULES} disagree beyond tol = {tol:g} "
+            f"Gauss-Legendre rules {_RULES} disagree beyond tol = {_TOL:g} "
             f"on [0, {r:g}]")
     return float(np.sum(fine))
 

@@ -43,6 +43,9 @@ __all__ = [
     "rayleigh_quotient",
 ]
 
+_TOL = 1e-10      # residual bound of inverse_iteration
+_MAX_ITER = 50    # its iterations before it gives up
+
 
 class IsotropicVectorError(ArithmeticError):
     """txx ~ 0: the bilinear quotient is undefined; perturb and retry."""
@@ -120,19 +123,16 @@ def aligned_correlation(x: np.ndarray, ref: np.ndarray) -> float:
 
 
 def inverse_iteration(t: ComplexTridiagonal, shift: complex,
-                      tol: float = 1e-10, max_iter: int = 50,
                       start: np.ndarray | None = None,
                       seed: int = 0) -> ProbeResult:
     """Eigenpair of the discretization nearest the shift.
 
     Iterates x <- normalize((H - shift I)^{-1} x); the eigenvalue estimate is
     the bilinear Rayleigh quotient, and convergence means the 2-norm residual
-    |H x - lambda x| <= tol for the unit vector x. A shift landing exactly on
+    |H x - lambda x| <= _TOL for the unit vector x. A shift landing exactly on
     a discrete eigenvalue surfaces as SingularMatrixError from the
     factorization; the shift is then nudged by a relative 1e-10 and retried.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     k = t.size
     if start is None:
         start = np.random.default_rng(seed).standard_normal(k).astype(complex)
@@ -156,7 +156,7 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
     if lu is None:
         raise NoConvergenceError("shifted matrix singular after nudging")
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         y = lu.solve(x)
         x = y / _norm(y)
         try:
@@ -167,14 +167,14 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
             x /= _norm(x)
             continue
         residual = _norm(t.matvec(x) - lam * x)
-        if residual <= tol:
+        if residual <= _TOL:
             return ProbeResult(
                 j=-1, shift=float(np.real(shift)), eigval_estimate=lam,
                 residual=residual, boundary_leak=math.nan, iterations=it,
                 start_mode=start_mode, vector=x, start_vector=start,
             )
     raise NoConvergenceError(
-        f"no convergence to {tol} within {max_iter} iterations"
+        f"no convergence to {_TOL} within {_MAX_ITER} iterations"
     )
 
 
@@ -184,13 +184,18 @@ def probe_embedded(config: ModelConfig, grid: GridSpec) -> list[ProbeResult]:
     The grid is sampled once: V at the interior nodes builds the Hamiltonian,
     the sampled eigenfunctions v_j there are the start vectors, and
     boundary_leak records |v_j(R)|, the size of the domain-truncation error
-    committed by the hard wall.
+    committed by the hard wall. A failure names the eigenvalue it was at.
     """
     ps = sample_grid(config, grid.radii())
     t = build_hamiltonian(grid, ps.V[1:-1])
     results = []
     for j in range(config.n):
-        raw = inverse_iteration(t, config.mu[j] ** 2, start=ps.v[1:-1, j])
+        shift = config.mu[j] ** 2
+        try:
+            raw = inverse_iteration(t, shift, start=ps.v[1:-1, j])
+        except NoConvergenceError as exc:
+            raise NoConvergenceError(
+                f"probe at mu_{j + 1}^2 = {float(shift)!r}: {exc}") from exc
         results.append(replace(
             raw, j=j, boundary_leak=float(abs(ps.v[-1, j])),
         ))

@@ -155,7 +155,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
         i, j = (int(x) for x in rng.integers(0, n, size=2))
         triples.append((i, j, float(rng.uniform(0.0, 30.0))))
     g = gram_matrix_stack(config, [r for _, _, r in triples])
-    worst = max(abs(g[k, i, j] - quadrature_gram(mu[i], mu[j], r, 1e-12))
+    worst = max(abs(g[k, i, j] - quadrature_gram(mu[i], mu[j], r))
                 for k, (i, j, r) in enumerate(triples))
     checks.append(_upper("gram_vs_quadrature", worst, 1e-10, triples=20))
 

@@ -95,3 +95,18 @@ def test_public_names_are_used_in_the_package(module):
     unused = [name for name in public_names(PACKAGE / f"{module}.py")
               if not any(name in _used_names(tree, name) for tree in trees)]
     assert unused == [], f"ewlab.{module} exports names only tests reach"
+
+
+def test_cli_leaves_blocking_to_sample_blocks():
+    # construct.sample_blocks is the one loop that cuts radii into blocks;
+    # the CLI consumes its blocks and never sizes them itself
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert {name for name in names if name == "BLOCK_BYTES"
+            or "block_len" in name.lower()} == set()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import ewlab.cli
 import ewlab.construct
 from ewlab.cli import main
 from ewlab.construct import InvertibilityError, sample_grid
-from ewlab.kernel import ConfigError, GridError, ModelConfig
+from ewlab.kernel import ConfigError, GridError, ModelConfig, gram_matrix_stack
 from ewlab.linalg import SingularMatrixError
 from ewlab.oracle import QuadratureError, StepTooLargeError
 from ewlab.spectral_probe import NoConvergenceError
@@ -100,7 +101,7 @@ def test_out_in_missing_directory_is_bad_input(tmp_path, capsys, monkeypatch,
     def work(*args, **kwargs):
         raise AssertionError("ran before rejecting --out")
 
-    monkeypatch.setattr(ewlab.cli, "sample_grid", work)
+    monkeypatch.setattr(ewlab.cli, "sample_blocks", work)
     monkeypatch.setattr(ewlab.cli, "run_verification", work)
     cfg = write_config(tmp_path)
     (tmp_path / "file").write_text("")
@@ -138,11 +139,9 @@ def test_build_csv_round_trips_doubles(tmp_path):
         assert float(rows[k]["V_im"]) == want.imag
 
 
-def test_build_csv_matches_per_cell_format(tmp_path):
+def test_build_csv_matches_per_cell_format(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, mu=[2.0, 1.0], a=[[1.0, 1.0], [2.0, 0.0]],
                        grid={"start": 0.0, "end": 5.0, "step": 0.01})
-    out = tmp_path / "out.csv"
-    assert main(["build", "--config", cfg, "--out", str(out)]) == 0
     ps = sample_grid(ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0]),
                      np.arange(501) * 0.01)
     rows = []
@@ -152,7 +151,12 @@ def test_build_csv_matches_per_cell_format(tmp_path):
             cells += [z.real, z.imag]
         cells.append(ps.w[k])
         rows.append(",".join(f"{x + 0.0:.17g}" for x in cells))
-    assert out.read_text().splitlines()[1:] == rows
+    # one block, then seven radii per block at n = 2 (72 blocks)
+    for block_bytes in (ewlab.construct.BLOCK_BYTES, 7 * 16 * 4):
+        monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", block_bytes)
+        out = tmp_path / "out.csv"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == rows, block_bytes
 
 
 def test_build_is_deterministic(tmp_path):
@@ -205,6 +209,56 @@ def test_streamed_build_stays_atomic(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: write failed\n"
     assert not out.exists()
     assert list(tmp_path.glob(".ewlab-tmp-*")) == []
+
+
+def test_build_failing_in_a_later_block_names_r(tmp_path, monkeypatch,
+                                               capsys):
+    # ten radii per block at n = 1; A + G(r) is made singular at r_205
+    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 10 * 16)
+    load = ewlab.cli.load_config
+    r = None
+
+    def planted(*args, **kwargs):
+        nonlocal r
+        rc = load(*args, **kwargs)
+        r = float(rc.grid.radii()[205])
+        g = gram_matrix_stack(rc.model, [r])[0, 0, 0]
+        object.__setattr__(rc.model, "a", np.array([-g], dtype=complex))
+        return rc
+
+    monkeypatch.setattr(ewlab.cli, "load_config", planted)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: A+G(r) numerically singular at r = {r!r} "
+                            "on the sampling grid\n")
+    assert not out.exists()
+    assert list(tmp_path.glob(".ewlab-tmp-*")) == []
+    # on stdout the header and the 20 blocks before the failing one are out
+    assert main(["build", "--config", cfg]) == 1
+    assert capsys.readouterr().out.count("\n") == 1 + 200
+
+
+def test_build_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # 100 radii per block at n = 3: both grids are many blocks long
+    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 100 * 16 * 9)
+    peaks = []
+    for end in (10.0, 100.0):
+        cfg = write_config(tmp_path, mu=[3.0, 2.0, 1.0], a=[1.0, 1.0, 1.0],
+                           grid={"start": 0.0, "end": end, "step": 0.01})
+        argv = ["build", "--config", cfg, "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 0  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 9,000 more rows may add their radii (8 B each), not their sample
+    # (over 100 B each at n = 3) or their text
+    assert peaks[1] - peaks[0] <= 24 * 9000, peaks
 
 
 def test_build_complex_config_has_imaginary_column(tmp_path):

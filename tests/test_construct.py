@@ -12,11 +12,11 @@ import pytest
 import ewlab.construct
 from ewlab.construct import (
     InvertibilityError,
-    block_length,
     log_det_derivative,
     log_det_second_difference,
     potential_terms,
     resolvent_apply,
+    sample_blocks,
     sample_grid,
     system_matrix,
 )
@@ -273,15 +273,25 @@ def test_singular_system_is_reported(monkeypatch):
         sample_grid(cfg, np.array([0.5, 1.0, r, 3.0]))
 
 
+def block_slices(cfg, count):
+    """The radii of each block that sample_blocks yields on count radii."""
+    return [range(count)[block] for block, *_ in
+            sample_blocks(cfg, np.zeros(count))]
+
+
 def test_block_length_bounds_one_stack_to_a_mebibyte():
-    assert [block_length(n) for n in (24, 3, 2, 1)] == [113, 7281, 16384, 65536]
-    assert block_length(300) == 1
+    # about 1 MiB of (block, n, n) complex stack per block, at least 1 radius
+    for n, b in ((24, 113), (3, 7281), (2, 16384), (1, 65536), (300, 1)):
+        cfg = ModelConfig(np.arange(n, 0, -1.0), np.ones(n))
+        assert block_slices(cfg, b + 1) == [range(b), range(b, b + 1)], n
 
 
-@pytest.mark.parametrize("cfg", [CFG24, CFGC], ids=["n24", "n2"])
-def test_every_block_boundary_gives_the_same_bits(cfg):
-    b = block_length(cfg.n)
+@pytest.mark.parametrize("cfg, b", [(CFG24, 113), (CFGC, 16384)],
+                         ids=["n24", "n2"])
+def test_every_block_boundary_gives_the_same_bits(cfg, b):
     radii = 0.01 * np.arange(2 * b + 3)
+    assert block_slices(cfg, radii.size) == [
+        range(0, b), range(b, 2 * b), range(2 * b, 2 * b + 3)]
     full = sample_grid(cfg, radii)
     # each radius alone is the reference: every row at n = 24, and at n = 2
     # (32,771 radii) every 128th row plus the rows around each boundary

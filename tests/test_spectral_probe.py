@@ -116,11 +116,12 @@ def test_inverse_iteration_retries_exactly_singular_shift():
 
 
 def test_inverse_iteration_reports_no_convergence():
-    grid = GridSpec(0.0, 10.0, 0.1)
-    with pytest.raises(NoConvergenceError):
-        inverse_iteration(free_laplacian(grid),
-                          free_laplacian_eigenvalue(grid, 1), tol=1e-30,
-                          max_iter=5)
+    # a box mode 0.006 from mu_1^2 on this grid stalls inverse iteration
+    cfg = ModelConfig([3.494888, 2.35544], [1.0, 0.8])
+    with pytest.raises(NoConvergenceError) as exc:
+        probe_embedded(cfg, GridSpec(0.0, 200.0, 0.01))
+    assert str(exc.value) == (f"probe at mu_1^2 = {3.494888 ** 2!r}: no "
+                              "convergence to 1e-10 within 50 iterations")
 
 
 def test_probe_embedded_two_frequencies():
