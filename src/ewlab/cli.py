@@ -274,10 +274,14 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
         rng = np.random.default_rng(rc.seed)
         couplings = [_sample_couplings(rng, rc.model.n) for _ in range(sweep)]
         estimates: dict = {str(j + 1): [] for j in range(rc.model.n)}
-        for a in couplings:
+        for k, a in enumerate(couplings, start=1):
             swept = ModelConfig(rc.model.mu, a)
-            for res in probe_embedded(swept, rc.grid):
-                estimates[str(res.j + 1)].append(res.eigval_estimate)
+            try:
+                for res in probe_embedded(swept, rc.grid):
+                    estimates[str(res.j + 1)].append(res.eigval_estimate)
+            except (ArithmeticError, RuntimeError, ValueError) as exc:
+                raise RuntimeError(
+                    f"--sweep coupling {k} of {sweep}: {exc}") from exc
         sweep_doc: dict = {
             "count": sweep,
             "couplings": [[[z.real, z.imag] for z in a] for a in couplings],

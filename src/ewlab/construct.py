@@ -72,6 +72,10 @@ __all__ = [
 # is about this size: 113 radii at n = 24, 7,281 at n = 3, 16,384 at n = 2.
 BLOCK_BYTES = 1 << 20
 
+# The step of log_det_derivative, and log_det_second_difference's h and h/2.
+_LOG_DET_STEP = 1e-4
+_LOG_DET_SECOND_STEPS = (1e-3, 5e-4)
+
 
 class InvertibilityError(RuntimeError):
     """A+G(r) reported singular for admissible couplings.
@@ -109,14 +113,18 @@ def system_matrix(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     return _with_couplings(config, radii, h_matrix_stack(config, radii))
 
 
+def _singular(radii: np.ndarray, exc: SingularMatrixError):
+    """The InvertibilityError that names the r of the system exc found."""
+    r = float(radii[exc.entry])
+    return InvertibilityError(
+        f"A+G(r) numerically singular at r = {r!r} on the sampling grid")
+
+
 def _factor(config: ModelConfig, radii: np.ndarray) -> DenseLU:
     try:
         return DenseLU(system_matrix(config, radii))
     except SingularMatrixError as exc:
-        raise InvertibilityError(
-            f"A+G(r) numerically singular ({exc}); couplings violate "
-            "admissibility"
-        ) from exc
+        raise _singular(radii, exc) from exc
 
 
 def resolvent_apply(config: ModelConfig, radii: np.ndarray,
@@ -162,35 +170,32 @@ def _log_det_ratio(config: ModelConfig, base_lu: DenseLU, r_base: np.ndarray,
     return np.log(DenseLU(x).det())
 
 
-def log_det_derivative(config: ModelConfig, radii: np.ndarray,
-                       h: float = 1e-4) -> np.ndarray:
+def log_det_derivative(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """Central-difference estimate of (log det(A+G))'(r) at each radius.
 
-    Contract: equals -ts(r) v(r) within O(h^2). Wraps the difference as a
-    single determinant ratio between r-h and r+h.
+    Contract: equals -ts(r) v(r) within O(h^2), h = 1e-4. Wraps the
+    difference as a single determinant ratio between r-h and r+h.
     """
-    if not h > 0.0:
-        raise ValueError("step must be positive")
+    h = _LOG_DET_STEP
     radii = np.asarray(radii, dtype=float)
     lu = _factor(config, radii - h)
     return _log_det_ratio(config, lu, radii - h, radii + h) / (2.0 * h)
 
 
-def log_det_second_difference(config: ModelConfig, radii: np.ndarray,
-                              h: float = 1e-3) -> np.ndarray:
-    """Second difference of log det(A+G) at each r; -2 times it estimates V(r).
+def log_det_second_difference(config: ModelConfig,
+                              radii: np.ndarray) -> np.ndarray:
+    """Second differences of log det(A+G), shape (2, K), at h = 1e-3 and h/2.
 
-    Both increments share the factorization at r:
+    -2 times each row estimates V(r) within O(h^2). One factorization at r
+    serves all four increments:
     (f(r+h) - 2f(r) + f(r-h))/h^2 = (log det(I+X_+) + log det(I+X_-))/h^2
     with X_pm = (A+G(r))^{-1} (G(r pm h) - G(r)).
     """
-    if not h > 0.0:
-        raise ValueError("step must be positive")
     radii = np.asarray(radii, dtype=float)
     lu = _factor(config, radii)
-    plus = _log_det_ratio(config, lu, radii, radii + h)
-    minus = _log_det_ratio(config, lu, radii, radii - h)
-    return (plus + minus) / h**2
+    return np.stack([(_log_det_ratio(config, lu, radii, radii + h)
+                      + _log_det_ratio(config, lu, radii, radii - h)) / h**2
+                     for h in _LOG_DET_SECOND_STEPS])
 
 
 def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
@@ -224,10 +229,7 @@ def sample_blocks(config: ModelConfig, radii: np.ndarray):
             # the stacks die with _sample_block, before the consumer runs
             yield (block, *_sample_block(config, radii[block]))
         except SingularMatrixError as exc:
-            r = float(radii[start + exc.entry])
-            raise InvertibilityError(
-                f"A+G(r) numerically singular at r = {r!r} on the sampling grid"
-            ) from exc
+            raise _singular(radii[block], exc) from exc
 
 
 def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:

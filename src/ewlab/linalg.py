@@ -115,7 +115,7 @@ class DenseLU:
                     block[k, ..., moved] = block[rows, ..., moved]
                     block[rows, ..., moved] = top
                 swaps[moved] += 1
-            bad = np.abs(lu[k, k]) <= PIVOT_RTOL * scale[k]
+            bad = ~(np.abs(lu[k, k]) > PIVOT_RTOL * scale[k])  # NaN is bad
             if np.any(bad):
                 first = int(np.argmax(bad))
                 raise SingularMatrixError(

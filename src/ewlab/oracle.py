@@ -11,9 +11,9 @@ Three oracles that never reuse the closed form they check:
     taken as its 2x2 transfer matrix and the steps chained by a blocked
     prefix product.
 
-Each convergence check samples the construction once, on the finer grid of
-its nested pair; the coarser grid's radii are every other finer radius, bit
-for bit, because halving a step is exact.
+Each convergence check is one call that fixes its steps and returns the
+defect at h and defect(h)/defect(h/2). A grid check samples once, the finer
+grid of its pair, whose every other radius is the coarser grid's, bit for bit.
 
 Plus the log-log fit machinery for the decay orders: every asymptotic claim
 is of the form |defect(r)| = O(r^-k), verified by fitting the decay exponent
@@ -27,8 +27,8 @@ and each v_j) and V's scaled remainder from one sample of FIT_RADII.
 Last, the radial lift: in R^d, u = r^{(1-d)/2} v_j leaves the residual
 -u'' - ((d-1)/r) u' + (V - mu_j^2) u = ((d-1)(d-3)/4) r^{-2} u, so only
 d = 1 and d = 3 (u_j = v_j/r) give eigenfunctions of -Delta + V(|x|).
-radial_laplacian_residual measures that residual by finite differences,
-and dimension_obstruction gives the coefficient of its r^{-2} u term.
+residual_eigen_equation measures that residual by finite differences (at
+d = 1 it is v_j's own), and dimension_obstruction gives its r^{-2} u term.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "inverse_small_r_slope",
     "large_r_fits",
     "quadrature_gram",
-    "radial_laplacian_residual",
     "residual_eigen_equation",
     "shooting_compare",
 ]
@@ -77,6 +76,9 @@ SLOPE_TOL = 0.2
 FIT_RADII = np.geomspace(50.0, 400.0, 200)
 FIT_RADII.setflags(write=False)
 
+
+# Steps h and h/2 of gram_derivative_defect's central differences.
+_GRAM_STEPS = (1e-4, 5e-5)
 
 # Node counts of the two Gauss-Legendre rules quadrature_gram compares, and
 # the bound on their summed per-panel differences.
@@ -160,20 +162,22 @@ def quadrature_gram(mu_i: float, mu_j: float, r: float) -> float:
     return float(np.sum(fine))
 
 
-def gram_derivative_defect(config: ModelConfig, radii: np.ndarray,
-                           h: float) -> float:
+def gram_derivative_defect(config: ModelConfig,
+                           radii: np.ndarray) -> tuple[float, float]:
     """Max-entry distance between the central FD of G and s ts over radii.
 
-    G'(r) = s(r) ts(r) exactly; the FD defect is O(h^2), so halving h should
-    shrink the return value by about 4.
+    G'(r) = s(r) ts(r) exactly and the FD defect is O(h^2). Returns the
+    defect at h = 1e-4 and its ratio to the defect at h/2 (inf if that is
+    0), which should be near 4.
     """
-    if not h > 0.0:
-        raise ValueError("step must be positive")
     radii = np.asarray(radii, dtype=float)
-    fd = (gram_matrix_stack(config, radii + h)
-          - gram_matrix_stack(config, radii - h)) / (2.0 * h)
     s = trig_s(config, radii)
-    return float(np.max(np.abs(fd - s[:, :, None] * s[:, None, :])))
+    sst = s[:, :, None] * s[:, None, :]
+    fd = np.stack([(gram_matrix_stack(config, radii + h)
+                    - gram_matrix_stack(config, radii - h)) / (2.0 * h)
+                   for h in _GRAM_STEPS])
+    defects = np.max(np.abs(fd - sst), axis=(1, 2, 3))
+    return float(defects[0]), float(_halving_ratio(*defects))
 
 
 def fd_second_derivative(values: np.ndarray, step: float) -> np.ndarray:
@@ -194,29 +198,42 @@ def _halving_ratio(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
                      where=fine > 0.0)
 
 
-def residual_eigen_equation(config: ModelConfig,
-                            grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Sup of |-v_j'' + V v_j - mu_j^2 v_j| on the grid interior, FD v_j''.
+def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
+                            dims: Sequence[int]) -> tuple:
+    """Sup FD residuals of the radial eigen-equations on the grid interior.
 
-    Returns (sup, ratio), each of shape (n,), from one sample of the halved
-    grid, whose every other radius is the grid: ratio is sup(h)/sup(h/2)
-    (inf if that sup is 0); the stencil is O(h^2), so the ratio should be
-    near 4.
+    Entry (i, j) lifts v_j to u = r^{(1-d)/2} v_j with d = dims[i] and is the
+    sup over interior nodes of |-u'' - ((d-1)/r) u' + (V - mu_j^2) u| with
+    3-point u'' and central u'; d = 1 is |-v_j'' + V v_j - mu_j^2 v_j|, the
+    one d that allows a grid starting at r = 0. For d = 1 and d = 3 this is
+    pure truncation error; otherwise it approaches the obstructing term
+    |(d-1)(d-3)/4| r^{-2} |u| as h -> 0. Returns (sup, ratio), each of shape
+    (len(dims), n), from one sample of the halved grid: ratio is
+    sup(h)/sup(h/2) (inf if that sup is 0).
     """
+    if any(d < 1 for d in dims):
+        raise ValueError("dimension must be >= 1")
+    if grid.r_start <= 0.0 and any(d != 1 for d in dims):
+        raise GridError("a lift to d != 1 needs a grid that starts at r > 0")
     if grid.count - 2 < 8:
         raise GridError("fewer than 8 interior points")
     ps = sample_grid(config, grid.halved().radii())
-    v_all, big_v_all = ps.v, ps.V
+    radii, v_all, big_v_all = ps.radii, ps.v, ps.V
     del ps  # frees v' and W, which the stencil does not read
-
-    def _sup(stride: int) -> np.ndarray:
-        v, big_v = v_all[::stride], big_v_all[::stride]
-        second = fd_second_derivative(v, grid.step * stride / 2.0)
-        residual = -second + (big_v[1:-1, None] - config.mu**2) * v[1:-1]
-        return np.max(np.abs(residual), axis=0)
-
-    sup_h = _sup(2)
-    return sup_h, _halving_ratio(sup_h, _sup(1))
+    sups = np.empty((2, len(dims), config.n))
+    for stride, out in zip((2, 1), sups):
+        h = grid.step * stride / 2.0
+        r, v, big_v = radii[::stride, None], v_all[::stride], big_v_all[::stride]
+        for i, d in enumerate(dims):
+            # d = 1 skips the lift and the zero u' term, two (K, n) arrays
+            u = v if d == 1 else r ** ((1.0 - d) / 2.0) * v
+            residual = -fd_second_derivative(u, h)
+            if d != 1:
+                first = (u[2:] - u[:-2]) / (2.0 * h)
+                residual = residual - (d - 1.0) / r[1:-1] * first
+            residual = residual + (big_v[1:-1, None] - config.mu**2) * u[1:-1]
+            out[i] = np.max(np.abs(residual), axis=0)
+    return sups[0], _halving_ratio(*sups)
 
 
 def _rk4_increment(u, p, q0, qm, q1, h: float) -> tuple:
@@ -422,37 +439,6 @@ def large_r_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
     for j in range(config.n):
         fits[f"v{j + 1}"] = pair(f"v_{j + 1}", one_v[:, j], two_v[:, j])
     return fits, v_rest * radii**3
-
-
-def radial_laplacian_residual(config: ModelConfig, grid: GridSpec,
-                              dims: Sequence[int]) -> np.ndarray:
-    """Sup FD residuals of the radial eigen-equations, shape (len(dims), n).
-
-    Entry (i, j) lifts v_j to u = r^{(1-d)/2} v_j with d = dims[i] and is the
-    sup over interior nodes of |-u'' - ((d-1)/r) u' + (V - mu_j^2) u| with
-    3-point u'' and central u'; the grid is sampled once for every d and j.
-    For d = 3 (and d = 1) this is pure truncation error; otherwise it
-    approaches the obstructing term |(d-1)(d-3)/4| r^{-2} |u| as h -> 0.
-    """
-    if any(d < 1 for d in dims):
-        raise ValueError("dimension must be >= 1")
-    if grid.r_start <= 0.0:
-        raise GridError("residual grid must start at r > 0")
-    radii = grid.radii()
-    if radii.size - 2 < 8:
-        raise GridError("fewer than 8 interior points")
-    ps = sample_grid(config, radii)
-    h = grid.step
-    inner_r = radii[1:-1, None]
-    out = np.empty((len(dims), config.n))
-    for i, d in enumerate(dims):
-        u = radii[:, None] ** ((1.0 - d) / 2.0) * ps.v
-        second = fd_second_derivative(u, h)
-        first = (u[2:] - u[:-2]) / (2.0 * h)
-        residual = (-second - (d - 1.0) / inner_r * first
-                    + (ps.V[1:-1, None] - config.mu ** 2) * u[1:-1])
-        out[i] = np.max(np.abs(residual), axis=0)
-    return out
 
 
 def dimension_obstruction(d: int) -> float:

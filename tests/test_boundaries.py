@@ -110,3 +110,19 @@ def test_cli_leaves_blocking_to_sample_blocks():
             names.add(node.name)
     assert {name for name in names if name == "BLOCK_BYTES"
             or "block_len" in name.lower()} == set()
+
+
+@pytest.mark.parametrize("module", ("construct", "oracle"))
+def test_finite_difference_steps_are_not_parameters(module):
+    # a convergence check fixes its steps h and h/2 itself and returns the
+    # defect at h with its halving ratio, so no public function takes h
+    path = PACKAGE / f"{module}.py"
+    public = set(public_names(path))
+    takes_h = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            args = node.args
+            if "h" in {a.arg for a in (args.posonlyargs + args.args
+                                       + args.kwonlyargs)}:
+                takes_h.append(node.name)
+    assert takes_h == [], f"ewlab.{module} functions take a step h"

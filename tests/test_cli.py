@@ -241,6 +241,19 @@ def test_build_failing_in_a_later_block_names_r(tmp_path, monkeypatch,
     assert capsys.readouterr().out.count("\n") == 1 + 200
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["build", "expand"])
+def test_non_finite_system_names_r(tmp_path, capsys, command):
+    # mu_1 + mu_2 overflows, so H(r) holds NaN: a numerical failure at the
+    # first radius sampled, not rows of nan
+    cfg = write_config(tmp_path, mu=[1e308, 1.0], a=[1.0, 1.0])
+    assert main([command, "--config", cfg]) == 1
+    first = "0.0" if command == "build" else "50.0"
+    assert read_err(capsys).splitlines()[-1] == (
+        f"error: A+G(r) numerically singular at r = {first} on the sampling "
+        "grid")
+
+
 def test_build_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
     # 100 radii per block at n = 3: both grids are many blocks long
     monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 100 * 16 * 9)
@@ -343,6 +356,27 @@ def test_probe_sweep_schema(tmp_path):
     assert set(sweep["estimates"]) == {"1"}
     assert sweep["spread"]["1"] >= 0.0
     assert sweep["error_floor"]["1"] > 0.0
+
+
+def test_failing_sweep_names_its_coupling(tmp_path, capsys, monkeypatch):
+    probe = ewlab.cli.probe_embedded
+    calls = 0
+
+    def third_fails(config, grid):
+        nonlocal calls
+        calls += 1
+        if calls == 3:  # the single run, then swept couplings 1 and 2
+            raise NoConvergenceError("probe at mu_1^2 = 1.0: no convergence")
+        return probe(config, grid)
+
+    monkeypatch.setattr(ewlab.cli, "probe_embedded", third_fails)
+    cfg = write_config(tmp_path,
+                       grid={"start": 0.0, "end": 40.0, "step": 0.01})
+    assert main(["probe", "--config", cfg, "--sweep", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --sweep coupling 2 of 5: probe at "
+                            "mu_1^2 = 1.0: no convergence\n")
 
 
 def test_probe_free_modes(tmp_path):

@@ -220,6 +220,15 @@ def test_batched_solve_reports_offending_index():
         batched_solve(mats, rhs)
 
 
+def test_nan_system_is_singular():
+    # a NaN pivot fails the pivot test as a zero one does, whatever its scale
+    mats = np.stack([np.eye(2)] * 4).astype(complex)
+    mats[2, 1, 0] = np.nan
+    with pytest.raises(SingularMatrixError, match="batch entry 2") as exc:
+        DenseLU(mats)
+    assert exc.value.entry == 2
+
+
 def test_tridiagonal_identity():
     t = ComplexTridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
     b = np.array([1.0, 2.0, 3.0], dtype=complex)

@@ -121,23 +121,22 @@ def test_fd_second_derivative_order():
 
 
 def test_gram_derivative_defect_order():
-    d1 = gram_derivative_defect(CFG3, [2.7], 1e-4)
-    d2 = gram_derivative_defect(CFG3, [2.7], 5e-5)
+    d1, ratio = gram_derivative_defect(CFG3, [2.7])
     assert d1 <= 1e-6
-    assert 3.0 <= d1 / d2 <= 5.0
-    with pytest.raises(ValueError):
-        gram_derivative_defect(CFG3, [2.7], 0.0)
+    assert 3.0 <= ratio <= 5.0
 
 
 def test_residual_eigen_equation_converges():
-    sup, ratio = residual_eigen_equation(CFG1, GridSpec(0.0, 20.0, 2e-3))
+    (sup,), (ratio,) = residual_eigen_equation(CFG1, GridSpec(0.0, 20.0, 2e-3),
+                                               (1,))
     assert sup.shape == ratio.shape == (1,)
     assert sup[0] <= 1e-3
     assert 3.0 <= ratio[0] <= 5.0
 
 
 def test_residual_eigen_equation_all_indices():
-    sup, ratio = residual_eigen_equation(CFG3, GridSpec(0.0, 10.0, 2e-3))
+    (sup,), (ratio,) = residual_eigen_equation(CFG3, GridSpec(0.0, 10.0, 2e-3),
+                                               (1,))
     assert sup.shape == ratio.shape == (3,)
     assert np.all(sup <= 1e-2)
     assert np.all((3.0 <= ratio) & (ratio <= 5.0))
@@ -161,15 +160,47 @@ def test_residual_stride_matches_separate_samples(cfg):
         residual = -second + (ps.V[1:-1, None] - cfg.mu**2) * ps.v[1:-1]
         return np.max(np.abs(residual), axis=0)
 
-    got, ratio = residual_eigen_equation(cfg, grid)
+    (got,), (ratio,) = residual_eigen_equation(cfg, grid, (1,))
     want = sup(grid)
     assert np.array_equal(got, want)
     assert np.array_equal(ratio, want / sup(grid.halved()))
 
 
+def test_residual_rows_match_separate_dimensions():
+    grid = GridSpec(0.3, 10.3, 2e-3)
+    sup, ratio = residual_eigen_equation(CFGC, grid, (1, 3))
+    for i, d in enumerate((1, 3)):
+        (one_sup,), (one_ratio,) = residual_eigen_equation(CFGC, grid, (d,))
+        assert np.array_equal(sup[i], one_sup)
+        assert np.array_equal(ratio[i], one_ratio)
+
+
+def test_residual_lift_needs_a_grid_off_the_origin():
+    grid = GridSpec(0.0, 10.0, 2e-3)
+    sup, _ = residual_eigen_equation(CFG3, grid, (1,))
+    assert np.all(np.isfinite(sup))
+    with pytest.raises(GridError):
+        residual_eigen_equation(CFG3, grid, (3,))
+    with pytest.raises(GridError):
+        residual_eigen_equation(CFG3, grid, (1, 3))
+
+
+def test_residual_samples_once_for_every_dimension(monkeypatch):
+    sampled = []
+
+    def counted(config, radii):
+        sampled.append(radii.size)
+        return sample_grid(config, radii)
+
+    monkeypatch.setattr(oracle, "sample_grid", counted)
+    grid = GridSpec(1.0, 30.0, 1e-3)
+    residual_eigen_equation(CFG3, grid, (3, 2, 4, 5))
+    assert sampled == [grid.halved().count]
+
+
 def test_residual_needs_enough_interior_points():
     with pytest.raises(GridError):
-        residual_eigen_equation(CFG1, GridSpec(0.0, 1.0, 0.2))
+        residual_eigen_equation(CFG1, GridSpec(0.0, 1.0, 0.2), (1,))
 
 
 def test_shooting_reproduces_eigenfunction():

@@ -5,7 +5,7 @@ import pytest
 
 from ewlab.construct import sample_grid
 from ewlab.kernel import GridError, GridSpec, ModelConfig
-from ewlab.oracle import dimension_obstruction, radial_laplacian_residual
+from ewlab.oracle import dimension_obstruction, residual_eigen_equation
 
 CFG2 = ModelConfig([2.0, 1.0], [1.0, 1.0])
 
@@ -19,18 +19,16 @@ def test_lift_decays_quadratically():
 
 def test_residual_vanishes_in_dimension_three():
     grid = GridSpec(1.0, 30.0, 1e-3)
-    r1 = radial_laplacian_residual(CFG2, grid, [3])[0, 0]
-    r2 = radial_laplacian_residual(CFG2, grid.halved(), [3])[0, 0]
-    assert r1 <= 1e-4
-    assert 3.0 <= r1 / r2 <= 5.0
+    res, halving = residual_eigen_equation(CFG2, grid, [3])
+    assert res[0, 0] <= 1e-4
+    assert 3.0 <= halving[0, 0] <= 5.0
 
 
 def test_residual_vanishes_in_dimension_one():
     grid = GridSpec(1.0, 30.0, 1e-3)
-    r1 = radial_laplacian_residual(CFG2, grid, [1])[0, 1]
-    r2 = radial_laplacian_residual(CFG2, grid.halved(), [1])[0, 1]
-    assert r1 <= 1e-4
-    assert 3.0 <= r1 / r2 <= 5.0
+    res, halving = residual_eigen_equation(CFG2, grid, [1])
+    assert res[0, 1] <= 1e-4
+    assert 3.0 <= halving[0, 1] <= 5.0
 
 
 def test_residual_stabilizes_at_obstruction_size():
@@ -40,12 +38,11 @@ def test_residual_stabilizes_at_obstruction_size():
     interior = radii[1:-1]
     u3 = np.abs(sample_grid(CFG2, radii).v[1:-1, 0]) / interior
     dims = (2, 4, 5)
-    res = radial_laplacian_residual(CFG2, grid, dims)
-    res_half = radial_laplacian_residual(CFG2, grid.halved(), dims)
+    res, halving = residual_eigen_equation(CFG2, grid, dims)
     assert res.shape == (3, 2)
-    for d, r1, r2 in zip(dims, res[:, 0], res_half[:, 0]):
+    for d, r1, ratio in zip(dims, res[:, 0], halving[:, 0]):
         assert r1 > 0.05
-        assert 0.9 <= r1 / r2 <= 1.1
+        assert 0.9 <= ratio <= 1.1
         # u_d = r^{(3-d)/2} u_3, so the obstructing term has a known sup
         pred = abs(dimension_obstruction(d)) * np.max(
             interior ** ((3 - d) / 2) * u3 / interior**2)
@@ -70,11 +67,11 @@ def test_dimension_validation():
     with pytest.raises(ValueError):
         dimension_obstruction(0)
     with pytest.raises(ValueError):
-        radial_laplacian_residual(CFG2, GridSpec(1.0, 30.0, 1e-3), [3, 0])
+        residual_eigen_equation(CFG2, GridSpec(1.0, 30.0, 1e-3), [3, 0])
 
 
 def test_residual_grid_validation():
     with pytest.raises(GridError):
-        radial_laplacian_residual(CFG2, GridSpec(0.0, 30.0, 1e-3), [3])
+        residual_eigen_equation(CFG2, GridSpec(0.0, 30.0, 1e-3), [3])
     with pytest.raises(GridError):
-        radial_laplacian_residual(CFG2, GridSpec(1.0, 1.5, 0.1), [3])
+        residual_eigen_equation(CFG2, GridSpec(1.0, 1.5, 0.1), [3])
