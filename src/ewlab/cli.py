@@ -59,17 +59,24 @@ class RunConfig:
     seed: int
 
 
+def _float(value, key: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is an integer beyond float range") from None
+
+
 def _parse_complex_list(raw) -> list:
     if not isinstance(raw, list) or not raw:
         raise ConfigError('"a" must be a non-empty list')
     values = []
     for k, item in enumerate(raw, start=1):
         if isinstance(item, (int, float)) and not isinstance(item, bool):
-            values.append(complex(item))
+            values.append(complex(_float(item, f"a_{k}")))
         elif (isinstance(item, list) and len(item) == 2
               and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                       for x in item)):
-            values.append(complex(item[0], item[1]))
+            values.append(complex(*(_float(x, f"a_{k}") for x in item)))
         else:
             raise ConfigError(f"a_{k} must be a number or an [re, im] pair")
     return values
@@ -95,7 +102,8 @@ def load_config(path: str, out: str | None = None,
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                        for x in mu)):
         raise ConfigError('"mu" must be a non-empty list of numbers')
-    model = ModelConfig([float(x) for x in mu], _parse_complex_list(doc["a"]))
+    model = ModelConfig([_float(x, f"mu_{j}") for j, x in enumerate(mu, 1)],
+                        _parse_complex_list(doc["a"]))
     if grid_override is not None:
         parts = grid_override.split(",")
         if len(parts) != 3:
@@ -114,7 +122,8 @@ def load_config(path: str, out: str | None = None,
             if (not isinstance(grid_doc[key], (int, float))
                     or isinstance(grid_doc[key], bool)):
                 raise ConfigError(f'"grid.{key}" must be a number')
-        start, end, step = (float(grid_doc[k]) for k in ("start", "end", "step"))
+        start, end, step = (_float(grid_doc[k], f"grid.{k}")
+                            for k in ("start", "end", "step"))
     grid = GridSpec(start, end, step)
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -194,10 +203,10 @@ def cmd_build(rc: RunConfig) -> int:
           else _atomic_file(out)) as fh:
         fh.write(header)
         for block, v, _, big_v, w in sample_blocks(rc.model, radii):
-            # view(float) interleaves (re, im) but needs a contiguous copy
-            # of the strided v; + 0.0 folds -0.0 into 0
+            # view(float) interleaves (re, im) but needs a C-ordered complex
+            # copy of the strided, possibly real v; + 0.0 folds -0.0 into 0
             table = np.column_stack([radii[block], big_v.real, big_v.imag,
-                                     np.ascontiguousarray(v).view(float),
+                                     v.astype(complex, order="C").view(float),
                                      w]) + 0.0
             fh.write(row * len(table) % tuple(table.ravel().tolist()))
     return 0

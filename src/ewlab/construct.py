@@ -10,8 +10,8 @@ definitions each component solves the Dirichlet problem
     (-d^2/dr^2 + V) v_j = mu_j^2 v_j,     v_j(0) = 0,
 
 with |v_j(r)| <= C r/(1+r^2), so every mu_j^2 is an eigenvalue embedded in
-the continuous spectrum [0, inf). Real couplings give a real V; couplings
-with an imaginary part give a complex V with the same eigenvalues.
+the continuous spectrum [0, inf). Real couplings give a real V, computed in
+float64; complex ones give a complex V with the same eigenvalues.
 
 The derivative never goes through finite differences: since G' = s.ts and
 s' = M c, differentiating the defining solve gives
@@ -91,24 +91,25 @@ class PotentialSample:
     """Grid sample of the construction; arrays indexed (radius, eigenindex)."""
 
     radii: np.ndarray      # (K,)
-    v: np.ndarray          # (K, n) complex
-    v_prime: np.ndarray    # (K, n) complex
-    V: np.ndarray          # (K,) complex
+    v: np.ndarray          # (K, n), real when every a_j is, else complex
+    v_prime: np.ndarray    # (K, n), the dtype of v
+    V: np.ndarray          # (K,), the dtype of v
     w: np.ndarray          # (K,) real
 
 
 def _with_couplings(config: ModelConfig, radii: np.ndarray,
                     h: np.ndarray) -> np.ndarray:
-    """A + G(r) as a complex stack, from the stack H(r) of the same radii."""
-    mats = h.astype(complex)
+    """A + G(r), float64 if every a_j is real, from H(r) of the same radii."""
+    a = config.a.real if config.is_real else config.a
+    mats = h.astype(a.dtype)
     idx = np.arange(config.n)
     mats[:, idx, idx] += 0.5 * radii[:, None]
-    mats[:, idx, idx] += config.a
+    mats[:, idx, idx] += a
     return mats
 
 
 def system_matrix(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
-    """A + G(r) for every radius, a (K, n, n) complex stack."""
+    """A + G(r) for every radius, a (K, n, n) stack in the couplings' dtype."""
     radii = np.asarray(radii, dtype=float)
     return _with_couplings(config, radii, h_matrix_stack(config, radii))
 
@@ -162,12 +163,12 @@ def _log_det_ratio(config: ModelConfig, base_lu: DenseLU, r_base: np.ndarray,
 
     The ratio equals det(I + X) with X = (A+G(r_base))^{-1} (G(r_to)-G(r_base));
     for the small increments used here det(I+X) stays near 1, so the principal
-    logarithm is branch-safe where the raw log det is not.
+    logarithm, taken in complex, is branch-safe where the raw log det is not.
     """
     dg = gram_matrix_stack(config, r_to) - gram_matrix_stack(config, r_base)
     x = base_lu.solve(dg)
     x[:, np.arange(config.n), np.arange(config.n)] += 1.0
-    return np.log(DenseLU(x).det())
+    return np.log(DenseLU(x).det().astype(complex))
 
 
 def log_det_derivative(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
@@ -205,7 +206,7 @@ def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
     h = h_matrix_stack(config, radii)
     w = _w(s, mc, h)
     mats = _with_couplings(config, radii, h)
-    rhs = np.stack([s, mc], axis=2).astype(complex)
+    rhs = np.stack([s, mc], axis=2).astype(mats.dtype)
     sol = batched_solve(mats, rhs)
     v = -sol[:, :, 0]
     sv = np.sum(s * v, axis=1)
@@ -217,8 +218,8 @@ def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
 def sample_blocks(config: ModelConfig, radii: np.ndarray):
     """Yield (block, v, v', V, W) per slice `block` of the radii, in order.
 
-    Each block's (block, n, n) complex stack is about BLOCK_BYTES; its H(r)
-    gives W, then becomes A + G(r), solved for s and M c by one LU sweep.
+    Each block's (block, n, n) stack is about BLOCK_BYTES (half if real); its
+    H(r) gives W, then becomes A + G(r), solved for s and M c by one LU sweep.
     A radius gives the same bits in any grid, whatever block it falls in.
     """
     radii = np.asarray(radii, dtype=float)
@@ -236,9 +237,9 @@ def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:
     """Sample (v, v', V, W) over a radius array into preallocated arrays."""
     radii = np.asarray(radii, dtype=float)
     count, n = radii.size, config.n
-    v = np.empty((count, n), dtype=complex)
-    v_prime = np.empty((count, n), dtype=complex)
-    big_v = np.empty(count, dtype=complex)
+    v = np.empty((count, n), dtype=float if config.is_real else complex)
+    v_prime = np.empty_like(v)
+    big_v = np.empty(count, dtype=v.dtype)
     w = np.empty(count)
     for block, *values in sample_blocks(config, radii):
         v[block], v_prime[block], big_v[block], w[block] = values

@@ -58,8 +58,8 @@ class GridError(ValueError):
 class ModelConfig:
     """The full input of the construction: frequencies mu and couplings a.
 
-    mu is strictly decreasing and positive (the eigenvalues are mu_j^2); a is
-    the diagonal of the coupling matrix A, with a_j != 0 and Re(a_j) >= 0.
+    mu is strictly decreasing and positive, 2 mu_1 finite (the eigenvalues are
+    mu_j^2); a is the diagonal of the coupling matrix A, a_j != 0, Re a_j >= 0.
     """
 
     mu: np.ndarray
@@ -78,6 +78,8 @@ class ModelConfig:
         for j in range(1, mu.size):
             if mu[j - 1] <= mu[j]:
                 raise ConfigError(f"mu_{j} <= mu_{j + 1}")
+        if not math.isfinite(2.0 * float(mu[0])):
+            raise ConfigError("2 mu_1 is not finite: mu_i + mu_j overflows")
         a = np.atleast_1d(np.asarray(self.a, dtype=complex))
         object.__setattr__(self, "a", a)
         if a.ndim != 1 or a.size == 0:

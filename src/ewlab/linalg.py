@@ -1,4 +1,4 @@
-"""Dense and tridiagonal complex linear algebra behind the solver paths.
+"""Dense and tridiagonal linear algebra behind the solver paths.
 
 Everything is hand-written on plain numpy arrays, with no LAPACK/BLAS calls:
 every product and sum is an elementwise ufunc or a Python loop in a fixed
@@ -11,8 +11,8 @@ coupling dimension (n <= ~50), tridiagonal systems are discretization grids
 There is one dense LU, `DenseLU`, over a (K, n, n) stack vectorized across
 the stack index (one system per radius; a single matrix is K = 1), stored
 batch-last so that each elimination step is one numpy loop over all K
-systems. Its factors serve solves, determinants and the exact 1-norm
-condition number; `batched_solve` is the one-shot factor-and-solve.
+systems, in its dtype. Its factors serve solves, determinants and the exact
+1-norm condition number; `batched_solve` is the one-shot factor-and-solve.
 
 There is one tridiagonal LU, `TridiagonalLU`, a partitioned (SPIKE) LU:
 the rows are cut into blocks of about 50, all blocks are eliminated in
@@ -89,7 +89,9 @@ class DenseLU:
     product runs along the contiguous batch axis. And a reduction's order
     follows the layout: the back substitution adds the terms u_kj y_j in
     index order j = k+1, ..., n-1, never pairwise, and `det` multiplies the
-    pivots of a contiguous (K, n) copy.
+    pivots of a contiguous (K, n) copy. Dtypes follow the input and b; a real
+    x / y is x * (1/y), as complex division computes it at zero imaginary
+    part, so a real stack gives the real part of its complex cast, bitwise.
     """
 
     def __init__(self, mats) -> None:
@@ -99,7 +101,7 @@ class DenseLU:
         nbatch, n = mats.shape[0], mats.shape[1]
         # a fresh array even at K = 1, where (1, n, n) -> (n, n, 1) is
         # already contiguous and a conversion would alias the caller's stack
-        lu = np.empty((n, n, nbatch), dtype=complex)
+        lu = np.empty((n, n, nbatch), dtype=np.result_type(mats.dtype, float))
         lu[...] = mats.transpose(1, 2, 0)
         scale = np.max(np.abs(lu), axis=1)
         perm = np.repeat(np.arange(n)[:, None], nbatch, axis=1)
@@ -122,7 +124,7 @@ class DenseLU:
                     f"pivot {k} below threshold in batch entry {first}",
                     entry=first,
                 )
-            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k] = _divide(lu[k + 1:, k], lu[k, k])
             lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, None, k + 1:]
         self.lu = lu.transpose(2, 0, 1)
         self.perm = perm.T
@@ -138,14 +140,16 @@ class DenseLU:
         b = np.asarray(b)
         cols = np.arange(nbatch)
         # the one copy of b, gathered in pivot order row by row
-        y = np.empty((n, b.shape[2], nbatch), dtype=complex)
+        y = np.empty((n, b.shape[2], nbatch), dtype=np.result_type(lu, b))
         for i in range(n):
             y[i] = b[cols, self.perm[:, i]].T
         for k in range(n):
             y[k + 1:] -= lu[k + 1:, k, None] * y[k]
         for k in range(n - 1, -1, -1):
-            acc = y[k] - np.sum(lu[k, k + 1:, None] * y[k + 1:], axis=0)
-            y[k] = acc / lu[k, k]
+            terms = lu[k, k + 1:, None] * y[k + 1:]
+            if y[k].size == 1:  # np.sum would add a lone run pairwise
+                terms = np.cumsum(terms, axis=0)[-1:]
+            y[k] = _divide(y[k] - np.sum(terms, axis=0), lu[k, k])
         return y.transpose(2, 0, 1)
 
     def det(self) -> np.ndarray:
@@ -155,6 +159,10 @@ class DenseLU:
         # loop and rounds differently; a contiguous copy keeps the bits
         pivots = np.diagonal(self.lu, axis1=1, axis2=2).copy()
         return sign * np.prod(pivots, axis=1)
+
+
+def _divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x / y if np.iscomplexobj(x) or np.iscomplexobj(y) else x * (1.0 / y)
 
 
 def batched_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -284,7 +284,7 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
     """
     steps, n = (q.shape[0] - 1) // 2, q.shape[1]
     chunk = max(1, construct.BLOCK_BYTES // (64 * n))
-    out = np.empty((steps + 1, n), dtype=complex)
+    out = np.empty((steps + 1, n), dtype=np.result_type(q, u, p))
     out[0] = u
     for first in range(0, steps, chunk):
         m = min(chunk, steps - first)
@@ -292,13 +292,13 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
         blocks = -(-m // width)
         qs = q[2 * first:2 * (first + m) + 1]
         stages = (qs[:-1:2], qs[1::2], qs[2::2], h)
-        e = np.zeros((4, blocks * width, n), dtype=complex)
+        e = np.zeros((4, blocks * width, n), dtype=out.dtype)
         e[0, :m], e[2, :m] = _rk4_increment(1.0, 0.0, *stages)
         e[1, :m], e[3, :m] = _rk4_increment(0.0, 1.0, *stages)
         e = e.reshape(4, blocks, width, n)
         for k in range(1, width):
             e[:, :, k] = _compose(e[:, :, k], e[:, :, k - 1])
-        start = np.empty((2, blocks, 1, n), dtype=complex)
+        start = np.empty((2, blocks, 1, n), dtype=out.dtype)
         for b in range(blocks):
             start[:, b, 0] = u, p
             last = e[:, b, -1]

@@ -241,17 +241,25 @@ def test_build_failing_in_a_later_block_names_r(tmp_path, monkeypatch,
     assert capsys.readouterr().out.count("\n") == 1 + 200
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["build", "expand"])
+@pytest.mark.parametrize("command", ["build", "verify", "probe", "expand"])
 def test_non_finite_system_names_r(tmp_path, capsys, command):
-    # mu_1 + mu_2 overflows, so H(r) holds NaN: a numerical failure at the
-    # first radius sampled, not rows of nan
+    # mu_1 + mu_2 overflows: bad input, rejected before H(r) fills with NaN
     cfg = write_config(tmp_path, mu=[1e308, 1.0], a=[1.0, 1.0])
-    assert main([command, "--config", cfg]) == 1
-    first = "0.0" if command == "build" else "50.0"
-    assert read_err(capsys).splitlines()[-1] == (
-        f"error: A+G(r) numerically singular at r = {first} on the sampling "
-        "grid")
+    assert main([command, "--config", cfg]) == 2
+    assert read_err(capsys) == (
+        "error: 2 mu_1 is not finite: mu_i + mu_j overflows\n")
+
+
+@pytest.mark.parametrize("key", ["mu_1", "a_2", "grid.end"])
+def test_integer_beyond_float_range_is_bad_input(tmp_path, capsys, key):
+    huge = 10 ** 400  # valid JSON, but float() overflows on it
+    doc = {"mu_1": {"mu": [huge, 1.0], "a": [1.0, 1.0]},
+           "a_2": {"mu": [2.0, 1.0], "a": [1.0, [huge, 0]]},
+           "grid.end": {"grid": {"start": 0, "end": huge, "step": 1}}}[key]
+    cfg = write_config(tmp_path, **doc)
+    assert main(["build", "--config", cfg]) == 2
+    assert read_err(capsys) == (
+        f"error: {key} is an integer beyond float range\n")
 
 
 def test_build_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
@@ -272,6 +280,20 @@ def test_build_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
     # 9,000 more rows may add their radii (8 B each), not their sample
     # (over 100 B each at n = 3) or their text
     assert peaks[1] - peaks[0] <= 24 * 9000, peaks
+
+
+def test_build_real_config_prints_zero_imaginary_columns(tmp_path):
+    # real couplings are sampled in float64; every _im column is still there
+    cfg = write_config(tmp_path, mu=[3.0, 2.0, 1.0], a=[1.0, 0.5, 2.0],
+                       grid={"start": 0.0, "end": 5.0, "step": 0.01})
+    out = tmp_path / "out.csv"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = ["V_im", "v1_im", "v2_im", "v3_im"]
+    assert len(rows) == 501 and set(columns) <= set(rows[0])
+    assert {row[c] for row in rows for c in columns} == {"0"}
+    assert max(abs(float(row["v1_re"])) for row in rows) > 0.1
 
 
 def test_build_complex_config_has_imaginary_column(tmp_path):

@@ -24,6 +24,7 @@ from ewlab.kernel import (
     ModelConfig,
     gram_matrix_stack,
     h_matrix_stack,
+    trig_c,
     trig_s,
 )
 
@@ -310,10 +311,47 @@ def test_every_block_boundary_gives_the_same_bits(cfg, b):
 
 
 def test_sample_grid_of_no_radii_is_empty():
-    ps = sample_grid(CFG3, np.array([]))
-    assert ps.v.shape == ps.v_prime.shape == (0, 3)
-    assert ps.V.shape == ps.w.shape == (0,)
-    assert ps.v.dtype == ps.V.dtype == complex and ps.w.dtype == float
+    # the dtype follows the couplings even where no block is sampled
+    for cfg, dtype in ((CFG3, float), (CFGC, complex)):
+        ps = sample_grid(cfg, np.array([]))
+        assert ps.v.shape == ps.v_prime.shape == (0, cfg.n)
+        assert ps.V.shape == ps.w.shape == (0,)
+        assert ps.v.dtype == ps.v_prime.dtype == ps.V.dtype == dtype
+        assert ps.w.dtype == float
+
+
+CFG24R = ModelConfig(CFG24.mu, CFG24.a.real)
+
+
+@pytest.mark.parametrize("cfg", [CFG1, ModelConfig([2.0, 1.0], [1.0, 2.0]),
+                                 CFG3, ModelConfig([4.0, 3.0, 2.0, 1.0],
+                                                   [1.0, 0.5, 2.0, 1.0]),
+                                 CFG24R], ids=["n1", "n2", "n3", "n4", "n24"])
+def test_real_couplings_sample_the_complex_path_in_float64(cfg, monkeypatch):
+    radii = np.concatenate([[0.0], np.geomspace(1e-3, 400.0, 600)])
+    real = sample_grid(cfg, radii)
+    monkeypatch.setattr(ModelConfig, "is_real", property(lambda self: False))
+    cplx = sample_grid(cfg, radii)
+    assert real.w.tobytes() == cplx.w.tobytes()
+    for field in ("v", "v_prime", "V"):
+        got, want = getattr(real, field), getattr(cplx, field)
+        assert got.dtype == float and want.dtype == complex
+        assert not np.any(want.imag)
+    assert real.v.tobytes() == cplx.v.real.tobytes()
+    pairs = [(real.v_prime, cplx.v_prime.real), (real.V, cplx.V.real)]
+    if cfg.n <= 3:
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+        return
+    # numpy's pairwise sums over the n terms of ts v and of V group them
+    # differently for real and complex arrays from n = 4 on: a few ulp of
+    # the terms' magnitudes
+    s, v, vp = trig_s(cfg, radii), real.v, real.v_prime
+    mc = cfg.mu * trig_c(cfg, radii)
+    scales = [np.sum(np.abs(s * v), axis=1)[:, None] * np.abs(v) + np.abs(vp),
+              np.sum(np.abs(mc * v) + np.abs(s * vp), axis=1)]
+    for (got, want), scale in zip(pairs, scales):
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
 
 def test_sample_grid_working_memory_is_bounded():

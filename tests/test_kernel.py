@@ -240,6 +240,10 @@ def test_frequency_validation_messages():
     # a JSON 1e400 parses to inf
     with pytest.raises(ConfigError, match=r"mu_1 is not finite"):
         ModelConfig([float("inf")], [1.0])
+    # finite frequencies whose sums overflow are out of range too
+    with pytest.raises(ConfigError, match=r"2 mu_1 is not finite"):
+        ModelConfig([1e308, 1.0], [1.0, 1.0])
+    ModelConfig([8e307, 1.0], [1.0, 1.0])
 
 
 def test_coupling_validation_messages():

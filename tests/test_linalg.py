@@ -127,6 +127,24 @@ def test_dense_lu_matches_the_radius_first_reference(k, n, m_frac, boost, real,
         assert np.all(err <= 1e-15 * cond * np.max(np.abs(want), axis=(1, 2)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 200), n=st.integers(1, 30), m=st.integers(1, 3),
+       boost=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_real_dense_lu_is_the_real_part_of_its_complex_cast(k, n, m, boost,
+                                                            seed):
+    rng = np.random.default_rng(seed)
+    mats = shuffled_stack(rng, k, n, boost).real
+    b = rng.standard_normal((k, n, m))
+    real, cplx = DenseLU(mats), DenseLU(mats.astype(complex))
+    assert np.array_equal(real.perm, cplx.perm)
+    assert np.array_equal(real.swaps, cplx.swaps)
+    for got, want in ((real.lu, cplx.lu), (real.det(), cplx.det()),
+                      (real.solve(b), cplx.solve(b.astype(complex)))):
+        assert got.dtype == float and want.dtype == complex
+        assert got.tobytes() == want.real.tobytes()
+        assert not np.any(want.imag)
+
+
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 def test_dense_lu_leaves_its_inputs_alone(k, real):

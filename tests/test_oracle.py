@@ -290,6 +290,20 @@ def test_transfer_matrix_rk4_matches_the_loop_on_drawn_q(steps, n, seed,
     _assert_matches_reference(q, v0, p, h)
 
 
+@pytest.mark.parametrize("steps", [1, 4, 37])
+def test_real_rk4_is_the_real_part_of_its_complex_cast(steps):
+    # real couplings give a real q: the trajectory runs in float64 with the
+    # bits of the complex one
+    rng = np.random.default_rng(steps)
+    q = -10.0 + 20.0 * rng.standard_normal((2 * steps + 1, 3))
+    v0, p = rng.standard_normal((2, 3))
+    real = _rk4_trajectory(q, v0, p, 0.01)
+    cplx = _rk4_trajectory(q.astype(complex), v0, p, 0.01)
+    assert real.dtype == float and cplx.dtype == complex
+    assert real.tobytes() == cplx.real.tobytes()
+    assert not np.any(cplx.imag)
+
+
 def within_tol(rep):
     """The fitted slope lies within SLOPE_TOL of the expected one."""
     return abs(rep.slope - rep.expected_slope) <= SLOPE_TOL
