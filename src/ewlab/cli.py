@@ -193,7 +193,7 @@ def cmd_build(rc: RunConfig) -> int:
     the text exists in full (on stdout, a failing block follows the rows
     printed before it); each block is one % over its repeated row template.
     """
-    radii = rc.grid.radii()
+    rc.model.check_radius(rc.grid.r_end)
     n = rc.model.n
     header = "r,V_re,V_im," + ",".join(
         f"v{j}_re,v{j}_im" for j in range(1, n + 1)) + ",W\n"
@@ -202,10 +202,10 @@ def cmd_build(rc: RunConfig) -> int:
     with (contextlib.nullcontext(sys.stdout) if out is None
           else _atomic_file(out)) as fh:
         fh.write(header)
-        for block, v, _, big_v, w in sample_blocks(rc.model, radii):
+        for _, r, v, _, big_v, w in sample_blocks(rc.model, rc.grid):
             # view(float) interleaves (re, im) but needs a C-ordered complex
             # copy of the strided, possibly real v; + 0.0 folds -0.0 into 0
-            table = np.column_stack([radii[block], big_v.real, big_v.imag,
+            table = np.column_stack([r, big_v.real, big_v.imag,
                                      v.astype(complex, order="C").view(float),
                                      w]) + 0.0
             fh.write(row * len(table) % tuple(table.ravel().tolist()))
@@ -257,28 +257,25 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
     doc = _config_echo(rc)
     doc["note"] = ("truncated-grid probe: locates discrete eigenpairs near "
                    "each shift; the essential spectrum is not visible here")
-    if free:
+    if free:  # the free operator does not depend on mu
         doc.update(_probe_free(rc))
         _emit(json.dumps(doc, indent=2) + "\n", rc.output_path)
         worst = max(m["abs_error"] for m in doc["free_modes"])
         return 0 if worst <= 1e-10 else 1
-    results = probe_embedded(rc.model, rc.grid)
-    out = []
-    for res in results:
-        out.append({
-            "j": res.j + 1,
-            "shift": res.shift,
-            "eigval_estimate": [res.eigval_estimate.real,
-                                res.eigval_estimate.imag],
-            "abs_error": abs(res.eigval_estimate - res.shift),
-            "residual": res.residual,
-            "boundary_leak": res.boundary_leak,
-            "iterations": res.iterations,
-            "start_mode": res.start_mode,
-            "correlation_vs_sampled": aligned_correlation(
-                res.vector, res.start_vector),
-        })
-    doc["results"] = out
+    rc.model.check_radius(rc.grid.r_end)
+    doc["results"] = [{
+        "j": res.j + 1,
+        "shift": res.shift,
+        "eigval_estimate": [res.eigval_estimate.real,
+                            res.eigval_estimate.imag],
+        "abs_error": abs(res.eigval_estimate - res.shift),
+        "residual": res.residual,
+        "boundary_leak": res.boundary_leak,
+        "iterations": res.iterations,
+        "start_mode": res.start_mode,
+        "correlation_vs_sampled": aligned_correlation(
+            res.vector, res.start_vector),
+    } for res in probe_embedded(rc.model, rc.grid)]
     if sweep > 0:
         rng = np.random.default_rng(rc.seed)
         couplings = [_sample_couplings(rng, rc.model.n) for _ in range(sweep)]
@@ -318,6 +315,7 @@ def cmd_expand(rc: RunConfig, radii: list) -> int:
         if not 0.0 < r < math.inf:
             raise ConfigError(
                 f"expansion radius {r} must be positive and finite")
+    rc.model.check_radius(max(radii))
     cols = ("r", "V_re", "V_im", "leading", "second_re", "second_im",
             "|remainder|", "|remainder|*r^3", "W")
     ps = sample_grid(rc.model, np.array(radii))

@@ -22,8 +22,8 @@ one extra right-hand side on the same factorization. V is then assembled
 from (v, v') exactly, V = 2 sum_j (mu_j cos(mu_j r) v_j + sin(mu_j r) v_j').
 
 Every function takes an array of K radii and factors the K systems
-A + G(r_k) as stacks; a single radius is K = 1. `sample_blocks` cuts a
-whole grid into blocks of about BLOCK_BYTES per (block, n, n) stack; `build`
+A + G(r_k) as stacks, right-hand sides carried; a single radius is K = 1.
+`sample_blocks` cuts a grid into blocks sized by BLOCK_BYTES; `build`
 formats each block as it comes, and `sample_grid` collects them.
 
 Large-r behaviour, used by the asymptotic checks:
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ewlab.kernel import (
+    GridSpec,
     ModelConfig,
     gram_matrix_stack,
     h_matrix_stack,
@@ -68,9 +69,11 @@ __all__ = [
     "system_matrix",
 ]
 
-# sample_blocks takes the radii in blocks whose (block, n, n) complex stack
-# is about this size: 113 radii at n = 24, 7,281 at n = 3, 16,384 at n = 2.
-BLOCK_BYTES = 1 << 20
+# Blocks of sample_blocks: the real H/G stack and the complex elimination
+# buffer [A + G | s, M c], 8 n (3 n + 4) bytes a radius, come to about this
+# size: 143 radii at n = 24, 6,721 at n = 3, 13,107 at n = 2. A block's
+# working set peaks at 2.6 MB at n = 24 and 2.9 MB at n = 3 (real a_j).
+BLOCK_BYTES = 1 << 21
 
 # The step of log_det_derivative, and log_det_second_difference's h and h/2.
 _LOG_DET_STEP = 1e-4
@@ -97,21 +100,14 @@ class PotentialSample:
     w: np.ndarray          # (K,) real
 
 
-def _with_couplings(config: ModelConfig, radii: np.ndarray,
-                    h: np.ndarray) -> np.ndarray:
-    """A + G(r), float64 if every a_j is real, from H(r) of the same radii."""
-    a = config.a.real if config.is_real else config.a
-    mats = h.astype(a.dtype)
-    idx = np.arange(config.n)
-    mats[:, idx, idx] += 0.5 * radii[:, None]
-    mats[:, idx, idx] += a
-    return mats
+def _couplings(config: ModelConfig) -> np.ndarray:
+    """The diagonal of A, float64 if every a_j is real."""
+    return config.a.real if config.is_real else config.a
 
 
 def system_matrix(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """A + G(r) for every radius, a (K, n, n) stack in the couplings' dtype."""
-    radii = np.asarray(radii, dtype=float)
-    return _with_couplings(config, radii, h_matrix_stack(config, radii))
+    return gram_matrix_stack(config, radii) + np.diag(_couplings(config))
 
 
 def _singular(radii: np.ndarray, exc: SingularMatrixError):
@@ -121,9 +117,11 @@ def _singular(radii: np.ndarray, exc: SingularMatrixError):
         f"A+G(r) numerically singular at r = {r!r} on the sampling grid")
 
 
-def _factor(config: ModelConfig, radii: np.ndarray) -> DenseLU:
+def _factor(config: ModelConfig, radii: np.ndarray, gram: np.ndarray,
+            b: np.ndarray) -> DenseLU:
+    """DenseLU of A + G(r_k), from G(r_k), carrying right-hand sides b."""
     try:
-        return DenseLU(system_matrix(config, radii))
+        return DenseLU(gram, b, _couplings(config))
     except SingularMatrixError as exc:
         raise _singular(radii, exc) from exc
 
@@ -131,7 +129,7 @@ def _factor(config: ModelConfig, radii: np.ndarray) -> DenseLU:
 def resolvent_apply(config: ModelConfig, radii: np.ndarray,
                     b: np.ndarray) -> np.ndarray:
     """(A + G(r_k))^{-1} b_k for right-hand sides b of shape (K, n, m)."""
-    return _factor(config, radii).solve(b)
+    return _factor(config, radii, gram_matrix_stack(config, radii), b).solve()
 
 
 def _w(s: np.ndarray, mc: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -157,18 +155,22 @@ def potential_terms(config: ModelConfig, radii: np.ndarray,
     return leading, second
 
 
-def _log_det_ratio(config: ModelConfig, base_lu: DenseLU, r_base: np.ndarray,
-                   r_to: np.ndarray) -> np.ndarray:
-    """log(det(A+G(r_to)) / det(A+G(r_base))) without evaluating either det.
+def _log_det_ratios(config: ModelConfig, r_base: np.ndarray,
+                    targets: list) -> np.ndarray:
+    """log(det(A+G(r_to)) / det(A+G(r_base))) per r_to of targets, (T, K).
 
-    The ratio equals det(I + X) with X = (A+G(r_base))^{-1} (G(r_to)-G(r_base));
-    for the small increments used here det(I+X) stays near 1, so the principal
-    logarithm, taken in complex, is branch-safe where the raw log det is not.
+    Each is det(I + X), X = (A+G(r_base))^{-1} (G(r_to) - G(r_base)), from
+    one factorization at r_base that carries every increment. det(I+X) stays
+    near 1, so its principal logarithm, taken in complex, is branch-safe.
     """
-    dg = gram_matrix_stack(config, r_to) - gram_matrix_stack(config, r_base)
-    x = base_lu.solve(dg)
-    x[:, np.arange(config.n), np.arange(config.n)] += 1.0
-    return np.log(DenseLU(x).det().astype(complex))
+    n = config.n
+    base = gram_matrix_stack(config, r_base)
+    dg = np.concatenate([gram_matrix_stack(config, r_to) - base
+                         for r_to in targets], axis=2)
+    x = _factor(config, r_base, base, dg).solve().reshape(len(base), n, -1, n)
+    x[:, np.arange(n), :, np.arange(n)] += 1.0  # I + X of every target
+    dets = np.array([DenseLU(x[:, :, j]).det() for j in range(len(targets))])
+    return np.log(dets.astype(complex))
 
 
 def log_det_derivative(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
@@ -179,8 +181,7 @@ def log_det_derivative(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """
     h = _LOG_DET_STEP
     radii = np.asarray(radii, dtype=float)
-    lu = _factor(config, radii - h)
-    return _log_det_ratio(config, lu, radii - h, radii + h) / (2.0 * h)
+    return _log_det_ratios(config, radii - h, [radii + h])[0] / (2.0 * h)
 
 
 def log_det_second_difference(config: ModelConfig,
@@ -193,21 +194,20 @@ def log_det_second_difference(config: ModelConfig,
     with X_pm = (A+G(r))^{-1} (G(r pm h) - G(r)).
     """
     radii = np.asarray(radii, dtype=float)
-    lu = _factor(config, radii)
-    return np.stack([(_log_det_ratio(config, lu, radii, radii + h)
-                      + _log_det_ratio(config, lu, radii, radii - h)) / h**2
-                     for h in _LOG_DET_SECOND_STEPS])
+    steps = np.array(_LOG_DET_SECOND_STEPS)
+    ratios = _log_det_ratios(config, radii, [radii + d * h for h in steps
+                                             for d in (1.0, -1.0)])
+    return ratios.reshape(2, 2, -1).sum(axis=1) / steps[:, None] ** 2
 
 
 def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
     """(v, v', V, W) of one block of radii, as in sample_blocks."""
     s = trig_s(config, radii)
     mc = trig_c(config, radii) * config.mu
-    h = h_matrix_stack(config, radii)
-    w = _w(s, mc, h)
-    mats = _with_couplings(config, radii, h)
-    rhs = np.stack([s, mc], axis=2).astype(mats.dtype)
-    sol = batched_solve(mats, rhs)
+    g = h_matrix_stack(config, radii)  # H(r) for W, then G(r) in place
+    w = _w(s, mc, g)
+    g[:, np.arange(config.n), np.arange(config.n)] += 0.5 * radii[:, None]
+    sol = batched_solve(g, np.stack([s, mc], axis=2), _couplings(config))
     v = -sol[:, :, 0]
     sv = np.sum(s * v, axis=1)
     v_prime = sv[:, None] * v - sol[:, :, 1]
@@ -215,22 +215,25 @@ def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
     return v, v_prime, big_v, w
 
 
-def sample_blocks(config: ModelConfig, radii: np.ndarray):
-    """Yield (block, v, v', V, W) per slice `block` of the radii, in order.
+def sample_blocks(config: ModelConfig, radii):
+    """Yield (block, r, v, v', V, W) per slice `block` of the radii, in order.
 
-    Each block's (block, n, n) stack is about BLOCK_BYTES (half if real); its
-    H(r) gives W, then becomes A + G(r), solved for s and M c by one LU sweep.
-    A radius gives the same bits in any grid, whatever block it falls in.
+    radii is an array or a GridSpec, whose block radii r are computed alone,
+    bitwise its radii()[block]. BLOCK_BYTES sets the block length. H(r) gives
+    W and becomes G(r); one elimination adds A and carries s and M c. A
+    radius gives the same bits in any grid, whatever block it falls in.
     """
-    radii = np.asarray(radii, dtype=float)
-    step = max(1, BLOCK_BYTES // (16 * config.n ** 2))
-    for start in range(0, radii.size, step):
+    grid = isinstance(radii, GridSpec)
+    radii = radii if grid else np.asarray(radii, dtype=float)
+    step = max(1, BLOCK_BYTES // (8 * config.n * (3 * config.n + 4)))
+    for start in range(0, radii.count if grid else radii.size, step):
         block = slice(start, start + step)
+        r = radii.radii(block) if grid else radii[block]
         try:
             # the stacks die with _sample_block, before the consumer runs
-            yield (block, *_sample_block(config, radii[block]))
+            yield (block, r, *_sample_block(config, r))
         except SingularMatrixError as exc:
-            raise _singular(radii[block], exc) from exc
+            raise _singular(r, exc) from exc
 
 
 def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:
@@ -241,7 +244,7 @@ def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:
     v_prime = np.empty_like(v)
     big_v = np.empty(count, dtype=v.dtype)
     w = np.empty(count)
-    for block, *values in sample_blocks(config, radii):
+    for block, _, *values in sample_blocks(config, radii):
         v[block], v_prime[block], big_v[block], w[block] = values
         del values  # not held while the next block is solved
     return PotentialSample(radii=radii, v=v, v_prime=v_prime, V=big_v, w=w)

@@ -102,6 +102,12 @@ class ModelConfig:
     def is_real(self) -> bool:
         return bool(np.all(self.a.imag == 0.0))
 
+    def check_radius(self, r: float) -> None:
+        """ConfigError unless 2 mu_1 r, the largest sine argument, is finite."""
+        mu_1, r = float(self.mu[0]), float(r)
+        if not math.isfinite(2.0 * mu_1 * r):
+            raise ConfigError(f"2 mu_1 r is not finite at {mu_1 = }, {r = }")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -132,8 +138,10 @@ class GridSpec:
     def count(self) -> int:
         return int(round((self.r_end - self.r_start) / self.step)) + 1
 
-    def radii(self) -> np.ndarray:
-        return self.r_start + self.step * np.arange(self.count)
+    def radii(self, block: slice = slice(None)) -> np.ndarray:
+        """The radii of the grid indices in block, computing no others."""
+        i = range(self.count)[block]
+        return self.r_start + self.step * np.arange(i.start, i.stop, i.step)
 
     def halved(self) -> "GridSpec":
         return GridSpec(self.r_start, self.r_end, self.step / 2.0)

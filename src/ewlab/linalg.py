@@ -11,8 +11,10 @@ coupling dimension (n <= ~50), tridiagonal systems are discretization grids
 There is one dense LU, `DenseLU`, over a (K, n, n) stack vectorized across
 the stack index (one system per radius; a single matrix is K = 1), stored
 batch-last so that each elimination step is one numpy loop over all K
-systems, in its dtype. Its factors serve solves, determinants and the exact
-1-norm condition number; `batched_solve` is the one-shot factor-and-solve.
+systems, in its dtype. The right-hand sides ride through the elimination
+as extra columns, so a solve is back substitution alone; the factors also
+give determinants and, with the identity carried, the exact 1-norm
+condition number. `batched_solve` is the one-shot factor-and-solve.
 
 There is one tridiagonal LU, `TridiagonalLU`, a partitioned (SPIKE) LU:
 the rows are cut into blocks of about 50, all blocks are eliminated in
@@ -69,88 +71,81 @@ class SingularMatrixError(ArithmeticError):
 
 
 class DenseLU:
-    """LU factorization with partial pivoting of a stack of square matrices.
+    """LU with partial pivoting of a (K, n, n) stack A plus an optional
+    diagonal D, carrying (K, n, m) right-hand sides B through the elimination.
 
-    P_k A_k = L_k U_k for every k of a (K, n, n) stack, with unit lower
-    triangular L_k stored below the diagonal of `lu` and U_k on and above
-    it; perm[k] lists the rows of A_k in pivot order. Row scales are taken
-    from the input and swapped along with the rows, so the singularity test
-    is relative to the data, not absolute.
+    P_k [A_k + D | B_k] = L_k [U_k | Y_k]: B takes A's row swaps and Schur
+    updates, so `solve` is back substitution alone. `lu` holds unit lower
+    L_k below its diagonal and U_k on and above. Each pivot magnitude found
+    by the search is tested against its row's scale, taken from the input.
 
-    The factors are stored batch-last, as an (n, n, K) array that is the
-    one copy of the input: entry (i, j) of every system is a contiguous run
-    of K values, so each pivot search, row swap, multiplier and Schur update
-    is one numpy loop over the whole stack rather than n - k elements of one
-    system. `lu` (K, n, n) and `perm` (K, n) are transposed views of it.
-    Each element goes through the same operations in the same order as in
-    a system-by-system elimination, and max and argmax are exact. The bits
-    can still depend on the layout in two ways. numpy's complex multiply
-    loops do not all round alike, and the strides pick the loop; here every
-    product runs along the contiguous batch axis. And a reduction's order
-    follows the layout: the back substitution adds the terms u_kj y_j in
-    index order j = k+1, ..., n-1, never pairwise, and `det` multiplies the
-    pivots of a contiguous (K, n) copy. Dtypes follow the input and b; a real
-    x / y is x * (1/y), as complex division computes it at zero imaginary
-    part, so a real stack gives the real part of its complex cast, bitwise.
+    [A + D | B] is one batch-last (n, n + m, K) copy in their common dtype:
+    entry (i, j) of every system is a run of K values, so each pivot search,
+    swap, multiplier and row update is one numpy loop over the stack. Each
+    element takes the operations of a system-by-system elimination in the
+    same order. max and argmax are exact; every product runs along the batch
+    axis (strides pick numpy's complex multiply loop, and not all round
+    alike); back substitution adds u_kj x_j in index order, never pairwise;
+    `det` multiplies the pivots of a contiguous copy. A real x / y is
+    x * (1/y), as complex division computes it at zero imaginary part, so a
+    real stack gives the real part of its complex cast, bitwise.
     """
 
-    def __init__(self, mats) -> None:
+    def __init__(self, mats, rhs=None, diag=None) -> None:
         mats = np.asarray(mats)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("mats must have shape (K, n, n)")
         nbatch, n = mats.shape[0], mats.shape[1]
-        # a fresh array even at K = 1, where (1, n, n) -> (n, n, 1) is
-        # already contiguous and a conversion would alias the caller's stack
-        lu = np.empty((n, n, nbatch), dtype=np.result_type(mats.dtype, float))
-        lu[...] = mats.transpose(1, 2, 0)
-        scale = np.max(np.abs(lu), axis=1)
-        perm = np.repeat(np.arange(n)[:, None], nbatch, axis=1)
+        rhs = np.empty((nbatch, n, 0)) if rhs is None else np.asarray(rhs)
+        dtype = np.result_type(mats, rhs, float if diag is None else diag, float)
+        lu = np.empty((n, n + rhs.shape[2], nbatch), dtype=dtype)
+        lu[:, :n] = mats.transpose(1, 2, 0)
+        if diag is not None:
+            lu[np.arange(n), np.arange(n)] += np.asarray(diag)[:, None]
+        lu[:, n:] = rhs.transpose(1, 2, 0)
+        # row by row: np.abs of the whole stack would be a second stack
+        scale = np.array([np.max(np.abs(row), axis=0) for row in lu[:, :n]])
         swaps = np.zeros(nbatch, dtype=int)
         for k in range(n):
-            p = k + np.argmax(np.abs(lu[k:, k]), axis=0)
-            # swap rows k and p of the systems whose pivot row is not k
-            moved = np.flatnonzero(p != k)
+            size = np.abs(lu[k:, k])
+            p = np.argmax(size, axis=0)
+            pivot = np.max(size, axis=0)  # |lu[k, k]| once the rows swap
+            # swap rows k and k + p of the systems whose pivot row is not k
+            moved = np.flatnonzero(p)
             if moved.size:
-                rows = p[moved]
-                for block in (lu, scale, perm):
+                rows = k + p[moved]
+                for block in (lu, scale):
                     top = block[k, ..., moved]
                     block[k, ..., moved] = block[rows, ..., moved]
                     block[rows, ..., moved] = top
                 swaps[moved] += 1
-            bad = ~(np.abs(lu[k, k]) > PIVOT_RTOL * scale[k])  # NaN is bad
+            bad = ~(pivot > PIVOT_RTOL * scale[k])  # NaN is bad
             if np.any(bad):
                 first = int(np.argmax(bad))
-                raise SingularMatrixError(
-                    f"pivot {k} below threshold in batch entry {first}",
-                    entry=first,
-                )
+                raise SingularMatrixError(f"pivot {k} below threshold in batch "
+                                          f"entry {first}", entry=first)
             lu[k + 1:, k] = _divide(lu[k + 1:, k], lu[k, k])
-            lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, None, k + 1:]
-        self.lu = lu.transpose(2, 0, 1)
-        self.perm = perm.T
+            # row by row, not via a stack-sized temporary; the multiplier is
+            # (1, K): at K = 1 a (K,) one takes a scalar loop that rounds apart
+            for i in range(k + 1, n):
+                lu[i, k + 1:] -= lu[i:i + 1, k] * lu[k, k + 1:]
+        self._factors = lu
+        self.lu = lu[:, :n].transpose(2, 0, 1)
         self.swaps = swaps
 
-    def solve(self, b) -> np.ndarray:
-        """Solve A_k x_k = b_k for right-hand sides b of shape (K, n, m).
-
-        Returns a (K, n, m) view of the batch-last solution.
-        """
-        lu = self.lu.transpose(1, 2, 0)
-        nbatch, n = self.perm.shape
-        b = np.asarray(b)
-        cols = np.arange(nbatch)
-        # the one copy of b, gathered in pivot order row by row
-        y = np.empty((n, b.shape[2], nbatch), dtype=np.result_type(lu, b))
-        for i in range(n):
-            y[i] = b[cols, self.perm[:, i]].T
-        for k in range(n):
-            y[k + 1:] -= lu[k + 1:, k, None] * y[k]
+    def solve(self, y=None) -> np.ndarray:
+        """x_k with U_k x_k = y_k, shape (K, n, m), in a fresh array; y is
+        the carried right-hand sides unless given, and then A_k x_k = B_k."""
+        lu = self._factors
+        n = lu.shape[0]
+        y = lu[:, n:] if y is None else np.asarray(y).transpose(1, 2, 0)
+        x = np.empty(y.shape, dtype=np.result_type(lu, y))
         for k in range(n - 1, -1, -1):
-            terms = lu[k, k + 1:, None] * y[k + 1:]
-            if y[k].size == 1:  # np.sum would add a lone run pairwise
+            terms = lu[k, k + 1:n, None] * x[k + 1:]
+            if x[k].size == 1:  # np.sum would add a lone run pairwise
                 terms = np.cumsum(terms, axis=0)[-1:]
-            y[k] = _divide(y[k] - np.sum(terms, axis=0), lu[k, k])
-        return y.transpose(2, 0, 1)
+            x[k] = _divide(y[k] - np.sum(terms, axis=0), lu[k, k])
+        return x.transpose(2, 0, 1)
 
     def det(self) -> np.ndarray:
         """det A_k = (pivot parity) * prod(diag U_k), shape (K,)."""
@@ -165,9 +160,9 @@ def _divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x / y if np.iscomplexobj(x) or np.iscomplexobj(y) else x * (1.0 / y)
 
 
-def batched_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One-shot solve A_k x_k = b_k, shapes (K, n, n) and (K, n, m)."""
-    return DenseLU(mats).solve(rhs)
+def batched_solve(mats: np.ndarray, rhs: np.ndarray, diag=None) -> np.ndarray:
+    """One-shot (A_k + D) x_k = b_k; shapes as in DenseLU, D = diag(diag)."""
+    return DenseLU(mats, rhs, diag).solve()
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,16 +174,13 @@ class ComplexTridiagonal:
     super: np.ndarray
 
     def __post_init__(self) -> None:
-        sub = np.asarray(self.sub, dtype=complex)
-        diag = np.asarray(self.diag, dtype=complex)
-        sup = np.asarray(self.super, dtype=complex)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "super", sup)
-        k = diag.size
+        for band in ("sub", "diag", "super"):
+            object.__setattr__(self, band, np.asarray(getattr(self, band),
+                                                      dtype=complex))
+        k = self.diag.size
         if k == 0:
             raise ValueError("empty tridiagonal matrix")
-        if sub.size != k - 1 or sup.size != k - 1:
+        if self.sub.size != k - 1 or self.super.size != k - 1:
             raise ValueError("band lengths must be K-1, K, K-1")
 
     @property
@@ -383,13 +375,12 @@ class TridiagonalLU:
 def condition_estimate(mats) -> np.ndarray:
     """1-norm condition numbers ||A_k||_1 ||A_k^-1||_1, shape (K,).
 
-    The inverses are solves against the identity on one DenseLU of the whole
-    (K, n, n) stack: exact up to round-off, and at the coupling dimension
-    no dearer than an estimator.
+    The inverses are the identity carried through one DenseLU of the whole
+    (K, n, n) stack, in its dtype: exact up to round-off, and at the
+    coupling dimension no dearer than an estimator.
     """
-    mats = np.asarray(mats, dtype=complex)
-    inv = DenseLU(mats).solve(
-        np.broadcast_to(np.eye(mats.shape[1], dtype=complex), mats.shape))
+    mats = np.asarray(mats)
+    inv = DenseLU(mats, np.broadcast_to(np.eye(mats.shape[1]), mats.shape)).solve()
     norm_a = np.max(np.sum(np.abs(mats), axis=1), axis=1)
     norm_inv = np.max(np.sum(np.abs(inv), axis=1), axis=1)
     return norm_a * norm_inv

@@ -274,7 +274,7 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
     (u, p), so each step is a 2x2 matrix I + E, where the columns of E are
     the step's increments from (1, 0) and (0, 1), built for all steps and
     all j at once. The running product is taken in chunks whose
-    (chunk, n, 2, 2) stack stays within construct.BLOCK_BYTES, each as a
+    (chunk, n, 2, 2) stack is a quarter of construct.BLOCK_BYTES, each as a
     two-level blocked prefix product: prefix products inside blocks of
     about sqrt(chunk) steps, all blocks at once, then one pass over the
     blocks that carries the state (u, p) through them and on into the next
@@ -283,7 +283,7 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
     rounding error at the loop's level.
     """
     steps, n = (q.shape[0] - 1) // 2, q.shape[1]
-    chunk = max(1, construct.BLOCK_BYTES // (64 * n))
+    chunk = max(1, construct.BLOCK_BYTES // (128 * n))
     out = np.empty((steps + 1, n), dtype=np.result_type(q, u, p))
     out[0] = u
     for first in range(0, steps, chunk):
@@ -374,9 +374,8 @@ def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,
 
 def _inverse(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """(A + G(r))^{-1} for every radius, a (K, n, n) stack."""
-    eye = np.eye(config.n, dtype=complex)
-    return resolvent_apply(config, radii,
-                           np.broadcast_to(eye, (radii.size,) + eye.shape))
+    return resolvent_apply(config, radii, np.broadcast_to(
+        np.eye(config.n), (radii.size, config.n, config.n)))
 
 
 def _max_entry(stack: np.ndarray) -> np.ndarray:

@@ -145,6 +145,7 @@ def _fit_check(name: str, report) -> CheckResult:
 
 def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     """Run the whole invariant suite for one model configuration."""
+    config.check_radius(400.0)  # the end of the largest window checked
     rng = np.random.default_rng(seed)
     checks: list = []
     mu = config.mu

@@ -152,7 +152,7 @@ def test_build_csv_matches_per_cell_format(tmp_path, monkeypatch):
         cells.append(ps.w[k])
         rows.append(",".join(f"{x + 0.0:.17g}" for x in cells))
     # one block, then seven radii per block at n = 2 (72 blocks)
-    for block_bytes in (ewlab.construct.BLOCK_BYTES, 7 * 16 * 4):
+    for block_bytes in (ewlab.construct.BLOCK_BYTES, 7 * 160):
         monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", block_bytes)
         out = tmp_path / "out.csv"
         assert main(["build", "--config", cfg, "--out", str(out)]) == 0
@@ -180,7 +180,7 @@ def test_build_out_file_follows_the_umask(tmp_path):
 
 def test_streamed_build_stays_atomic(tmp_path, monkeypatch, capsys):
     # ten radii per block at n = 1, so the 1001-row grid is 101 blocks
-    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 10 * 16)
+    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 10 * 56)
     cfg = write_config(tmp_path)
     good = tmp_path / "good.csv"
     assert main(["build", "--config", cfg, "--out", str(good)]) == 0
@@ -214,7 +214,7 @@ def test_streamed_build_stays_atomic(tmp_path, monkeypatch, capsys):
 def test_build_failing_in_a_later_block_names_r(tmp_path, monkeypatch,
                                                capsys):
     # ten radii per block at n = 1; A + G(r) is made singular at r_205
-    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 10 * 16)
+    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 10 * 56)
     load = ewlab.cli.load_config
     r = None
 
@@ -250,6 +250,29 @@ def test_non_finite_system_names_r(tmp_path, capsys, command):
         "error: 2 mu_1 is not finite: mu_i + mu_j overflows\n")
 
 
+@pytest.mark.parametrize("command, r", [
+    (["build"], 100.0), (["verify"], 400.0), (["probe"], 100.0),
+    (["expand"], 200.0), (["expand", "1", "150"], 150.0)])
+def test_overflowing_frequency_names_mu_1_and_r(tmp_path, capsys, command, r):
+    # 2 mu_1 is finite, 2 mu_1 r is not at the largest radius the command
+    # evaluates: the grid end, verify's 400, the largest expand radius
+    cfg = write_config(tmp_path, mu=[1e306, 1.0], a=[1.0, 1.0],
+                       grid={"start": 0.0, "end": 100.0, "step": 0.5})
+    assert main([command[0], "--config", cfg, *command[1:]]) == 2
+    assert read_err(capsys) == (
+        f"error: 2 mu_1 r is not finite at mu_1 = 1e+306, r = {r!r}\n")
+
+
+def test_frequency_check_is_at_the_largest_radius(tmp_path, capsys):
+    # the same mu_1 is admissible on a grid that ends before 2 mu_1 r
+    # overflows
+    cfg = write_config(tmp_path, mu=[1e306, 1.0], a=[1.0, 1.0],
+                       grid={"start": 0.0, "end": 10.0, "step": 0.5})
+    assert main(["build", "--config", cfg]) == 0
+    assert main(["expand", "--config", cfg, "1", "2"]) == 0
+    assert read_err(capsys) == ""
+
+
 @pytest.mark.parametrize("key", ["mu_1", "a_2", "grid.end"])
 def test_integer_beyond_float_range_is_bad_input(tmp_path, capsys, key):
     huge = 10 ** 400  # valid JSON, but float() overflows on it
@@ -264,7 +287,7 @@ def test_integer_beyond_float_range_is_bad_input(tmp_path, capsys, key):
 
 def test_build_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
     # 100 radii per block at n = 3: both grids are many blocks long
-    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 100 * 16 * 9)
+    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 100 * 312)
     peaks = []
     for end in (10.0, 100.0):
         cfg = write_config(tmp_path, mu=[3.0, 2.0, 1.0], a=[1.0, 1.0, 1.0],
@@ -277,9 +300,10 @@ def test_build_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # 9,000 more rows may add their radii (8 B each), not their sample
-    # (over 100 B each at n = 3) or their text
-    assert peaks[1] - peaks[0] <= 24 * 9000, peaks
+    # 9,000 more rows add neither their radii (8 B each: the grid's radii
+    # are computed block by block), nor their sample (over 100 B each at
+    # n = 3), nor their text; about 1 B a row is measured
+    assert peaks[1] - peaks[0] <= 4 * 9000, peaks
 
 
 def test_build_real_config_prints_zero_imaginary_columns(tmp_path):

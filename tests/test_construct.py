@@ -265,7 +265,7 @@ def test_singular_system_is_reported(monkeypatch):
     with pytest.raises(InvertibilityError, match=r"singular at r = 2\.0 on"):
         sample_grid(cfg, np.array([0.5, r]))
     # two radii per block at n = 1: r = 2 is entry 0 of the second block
-    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 2 * 16)
+    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 2 * 56)
     with pytest.raises(InvertibilityError, match=r"at r = 2\.0 on"):
         sample_grid(cfg, np.array([0.5, 1.0, r, 3.0]))
 
@@ -277,13 +277,14 @@ def block_slices(cfg, count):
 
 
 def test_block_length_bounds_one_stack_to_a_mebibyte():
-    # about 1 MiB of (block, n, n) complex stack per block, at least 1 radius
-    for n, b in ((24, 113), (3, 7281), (2, 16384), (1, 65536), (300, 1)):
+    # about 2 MiB per block of the real H/G stack and the complex
+    # elimination buffer [A + G | s, M c] together, at least 1 radius
+    for n, b in ((24, 143), (3, 6721), (2, 13107), (1, 37449), (300, 1)):
         cfg = ModelConfig(np.arange(n, 0, -1.0), np.ones(n))
         assert block_slices(cfg, b + 1) == [range(b), range(b, b + 1)], n
 
 
-@pytest.mark.parametrize("cfg, b", [(CFG24, 113), (CFGC, 16384)],
+@pytest.mark.parametrize("cfg, b", [(CFG24, 143), (CFGC, 13107)],
                          ids=["n24", "n2"])
 def test_every_block_boundary_gives_the_same_bits(cfg, b):
     radii = 0.01 * np.arange(2 * b + 3)
@@ -291,7 +292,7 @@ def test_every_block_boundary_gives_the_same_bits(cfg, b):
         range(0, b), range(b, 2 * b), range(2 * b, 2 * b + 3)]
     full = sample_grid(cfg, radii)
     # each radius alone is the reference: every row at n = 24, and at n = 2
-    # (32,771 radii) every 128th row plus the rows around each boundary
+    # (26,217 radii) every 102nd row plus the rows around each boundary
     rows = np.unique(np.concatenate([
         np.arange(0, radii.size, max(1, radii.size // 256)),
         np.clip(np.arange(-2, 3)[:, None] + [0, b, 2 * b], 0, radii.size - 1)
@@ -352,6 +353,23 @@ def test_real_couplings_sample_the_complex_path_in_float64(cfg, monkeypatch):
               np.sum(np.abs(mc * v) + np.abs(s * vp), axis=1)]
     for (got, want), scale in zip(pairs, scales):
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("cfg, before", [(CFG24, 3989602), (CFG3, 3498960)],
+                         ids=["n24", "n3"])
+def test_one_block_needs_no_more_memory_than_before(cfg, before):
+    # the tracemalloc peak of one default block under the earlier solve,
+    # which copied A + G into a complex stack, then into a batch-last one,
+    # and solved s and M c after the LU: 113 radii at n = 24, 7,281 at n = 3
+    blocks = sample_blocks(cfg, 0.01 * np.arange(20000))
+    next(blocks)
+    tracemalloc.start()
+    try:
+        next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= before
 
 
 def test_sample_grid_working_memory_is_bounded():

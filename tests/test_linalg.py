@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ewlab.linalg import (
@@ -53,7 +53,10 @@ def _dense_lu_reference(mats, b):
 
     The elimination the batch-last DenseLU replaced, kept as its reference:
     the same pivots, swaps, multipliers and Schur updates on a (K, n, n)
-    copy, whose innermost loops run along each system's rows.
+    copy, whose innermost loops run along each system's rows, then forward
+    and back substitution of the (K, n, m) right-hand sides b. The back
+    substitution adds its terms in index order, as DenseLU does; np.sum
+    along a lone run (m = 1) would add them pairwise.
     """
     lu = np.array(mats, dtype=complex)
     nbatch, n = lu.shape[0], lu.shape[1]
@@ -78,9 +81,9 @@ def _dense_lu_reference(mats, b):
     for k in range(n):
         y[:, k + 1:, :] -= lu[:, k + 1:, k, None] * y[:, k, None, :]
     for k in range(n - 1, -1, -1):
-        acc = y[:, k, :] - np.sum(lu[:, k, k + 1:, None] * y[:, k + 1:, :],
-                                  axis=1)
-        y[:, k, :] = acc / lu[:, k, k][:, None]
+        terms = lu[:, k, k + 1:, None] * y[:, k + 1:, :]
+        total = np.add.accumulate(terms, axis=1)[:, -1] if k < n - 1 else 0.0
+        y[:, k, :] = (y[:, k, :] - total) / lu[:, k, k][:, None]
     return lu, perm, swaps, det, y
 
 
@@ -96,35 +99,29 @@ def shuffled_stack(rng, k, n, boost):
 
 
 @settings(max_examples=80, deadline=None)
-@given(k=st.integers(1, 300), n=st.integers(1, 30), m_frac=st.floats(0.0, 1.0),
+@given(k=st.integers(1, 300), n=st.integers(1, 30), m=st.integers(0, 120),
        boost=st.floats(0.0, 2.0), real=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_dense_lu_matches_the_radius_first_reference(k, n, m_frac, boost, real,
+@example(k=1, n=6, m=1, boost=0.5, real=False, seed=0)  # one lone run, K m = 1
+@example(k=1, n=6, m=1, boost=0.5, real=True, seed=0)
+def test_dense_lu_matches_the_radius_first_reference(k, n, m, boost, real,
                                                      seed):
+    # right-hand sides carried through the elimination give the bits of
+    # the reference's separate forward and back substitution, for any m
     rng = np.random.default_rng(seed)
-    m = 1 + min(int(m_frac * n), n - 1)
+    m = min(m, 4 * n)
     mats = shuffled_stack(rng, k, n, boost)
-    if real:
-        mats = mats.real
     b = rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))
-    lu, perm, swaps, det, want = _dense_lu_reference(mats, b)
-    got = DenseLU(mats)
+    if real:
+        mats, b = mats.real, b.real
+    lu, _, swaps, det, want = _dense_lu_reference(mats, b)
+    got = DenseLU(mats, b)
     assert np.array_equal(got.lu, lu)
-    assert np.array_equal(got.perm, perm)
     assert np.array_equal(got.swaps, swaps)
     assert np.array_equal(got.det(), det)
-    x = got.solve(b)
+    x = got.solve()
     assert x.shape == (k, n, m)
-    if m > 1:
-        assert np.array_equal(x, want)
-    else:
-        # one right-hand side: the reference's products and sums run along
-        # a system's rows, where numpy picks other complex multiply loops
-        # and sums pairwise, so the last bits differ; kappa * 1e-15
-        # relative bounds the round-off of either
-        cond = np.linalg.cond(mats, p=np.inf)
-        err = np.max(np.abs(x - want), axis=(1, 2))
-        assert np.all(err <= 1e-15 * cond * np.max(np.abs(want), axis=(1, 2)))
+    assert np.array_equal(x, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,14 +132,21 @@ def test_real_dense_lu_is_the_real_part_of_its_complex_cast(k, n, m, boost,
     rng = np.random.default_rng(seed)
     mats = shuffled_stack(rng, k, n, boost).real
     b = rng.standard_normal((k, n, m))
-    real, cplx = DenseLU(mats), DenseLU(mats.astype(complex))
-    assert np.array_equal(real.perm, cplx.perm)
+    real = DenseLU(mats, b)
+    cplx = DenseLU(mats.astype(complex), b.astype(complex))
     assert np.array_equal(real.swaps, cplx.swaps)
     for got, want in ((real.lu, cplx.lu), (real.det(), cplx.det()),
-                      (real.solve(b), cplx.solve(b.astype(complex)))):
+                      (real.solve(), cplx.solve())):
         assert got.dtype == float and want.dtype == complex
         assert got.tobytes() == want.real.tobytes()
         assert not np.any(want.imag)
+
+
+def test_solve_of_given_y_is_back_substitution():
+    rng = np.random.default_rng(16)
+    lu = DenseLU(shuffled_stack(rng, 5, 4, 1.0))
+    y = rng.standard_normal((5, 4, 2))
+    assert np.allclose(np.triu(lu.lu) @ lu.solve(y), y, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 4])

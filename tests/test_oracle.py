@@ -250,7 +250,7 @@ def _rk4_reference(q, v0, p, h):
     return np.array(us)
 
 
-# RK4 chunks of CHUNK steps (BLOCK_BYTES of 64 n bytes a step): a chunk of
+# RK4 chunks of CHUNK steps (BLOCK_BYTES of 128 n bytes a step): a chunk of
 # 10 runs as 3 blocks of 4 steps, the last padded with 2 identity steps
 CHUNK = 10
 EDGE_STEPS = (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 19, 20, 21, 30, 31)
@@ -258,7 +258,7 @@ EDGE_STEPS = (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 19, 20, 21, 30, 31)
 
 def _assert_matches_reference(q, v0, p, h):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "BLOCK_BYTES", 64 * q.shape[1] * CHUNK)
+        mp.setattr(construct, "BLOCK_BYTES", 128 * q.shape[1] * CHUNK)
         got = _rk4_trajectory(q, v0, p, h)
     for j in range(q.shape[1]):
         want = _rk4_reference(q[:, j], v0[j], p[j], h)

@@ -1,0 +1,105 @@
+"""Compare every CLI output of this checkout with another checkout's.
+
+    python3 tools/compare_outputs.py PARENT_CHECKOUT
+
+Runs `build`, `verify`, `probe` (single, `--sweep 5` and `--free`) and
+`expand` (default radii and `1 7.5 300`) on `configs/*.json` and on the
+seed-3 and seed-101 configs of every perfbench workload, in both checkouts,
+each with OPENBLAS_NUM_THREADS at 1 and at 2. Each run is
+`python -m ewlab.cli ... --out FILE` with PYTHONPATH set to the checkout's
+src/. It prints every difference in stdout, stderr, exit code or the bytes
+of FILE, then one summary line, and exits 1 if anything differed.
+
+Both checkouts read the same config files, written once from this
+checkout's perfbench/workloads.py. Needs only the standard library and
+numpy (for workloads.py).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE / "perfbench"))
+
+from workloads import WORKLOADS, write_configs  # noqa: E402
+
+SEEDS = (3, 101)
+THREADS = ("1", "2")
+COMMANDS = (
+    ("build",),
+    ("verify",),
+    ("probe",),
+    ("probe", "--sweep", "5"),
+    ("probe", "--free"),
+    ("expand",),
+    ("expand", "1", "7.5", "300"),
+)
+WORKERS = 2  # two runs at a time: each is one process of modest size
+
+
+def configs(directory: Path) -> list:
+    paths = sorted((HERE / "configs").glob("*.json"))
+    for seed in SEEDS:
+        for w in WORKLOADS.values():
+            sub = directory / f"seed{seed}"
+            sub.mkdir(exist_ok=True)
+            paths += [path for path, _ in write_configs(w, seed, sub)]
+    return paths
+
+
+def run(checkout: Path, command: tuple, config: Path, threads: str,
+        out: Path) -> tuple:
+    """(exit code, stdout, stderr, --out bytes or None) of one CLI run."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    argv = [sys.executable, "-m", "ewlab.cli", command[0], "--config",
+            str(config), "--out", str(out), *command[1:]]
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
+                          timeout=900)
+    data = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return proc.returncode, proc.stdout, proc.stderr, data
+
+
+def compare(job: tuple) -> list:
+    parent, command, config, threads, scratch = job
+    tag = f"{' '.join(command)} {config.parent.name}/{config.name} " \
+          f"threads={threads}"
+    key = f"{'_'.join(command)}-{config.parent.name}-{config.stem}-{threads}"
+    results = [run(root, command, config, threads, scratch / f"{key}-{side}")
+               for side, root in (("parent", parent), ("change", HERE))]
+    names = ("exit code", "stdout", "stderr", "--out bytes")
+    return [f"DIFF {tag}: {name}: {old!r:.200} -> {new!r:.200}"
+            for name, old, new in zip(names, *results) if old != new]
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or not (Path(args[0]) / "src" / "ewlab").is_dir():
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent = Path(args[0]).resolve()
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        scratch = Path(tmp)
+        jobs = [(parent, command, config, threads, scratch)
+                for config in configs(scratch)
+                for command in COMMANDS for threads in THREADS]
+        differ = 0
+        with ThreadPoolExecutor(WORKERS) as pool:
+            for lines in pool.map(compare, jobs):
+                differ += bool(lines)
+                for line in lines:
+                    print(line, flush=True)
+    print(f"{len(jobs)} runs compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
