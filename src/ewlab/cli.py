@@ -223,6 +223,9 @@ def cmd_verify(rc: RunConfig) -> int:
 
 
 def _probe_free(rc: RunConfig) -> dict:
+    if rc.grid.count < 5:  # the 3 modes probed need 3 interior nodes
+        raise GridError(f"--free needs at least 3 interior grid nodes; this "
+                        f"one has {rc.grid.count - 2}")
     t = build_hamiltonian(rc.grid, np.zeros(rc.grid.count - 2))
     modes = []
     for k in (1, 2, 3):
@@ -237,11 +240,6 @@ def _probe_free(rc: RunConfig) -> dict:
             "iterations": res.iterations,
         })
     return {"free_modes": modes}
-
-
-def _sample_couplings(rng: np.random.Generator, n: int) -> np.ndarray:
-    # admissible by construction: Re in [0.5, 2.5], Im in [-1, 1]
-    return rng.uniform(0.5, 2.5, n) + 1j * rng.uniform(-1.0, 1.0, n)
 
 
 def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
@@ -277,9 +275,11 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
             res.vector, res.start_vector),
     } for res in probe_embedded(rc.model, rc.grid)]
     if sweep > 0:
-        rng = np.random.default_rng(rc.seed)
-        couplings = [_sample_couplings(rng, rc.model.n) for _ in range(sweep)]
-        estimates: dict = {str(j + 1): [] for j in range(rc.model.n)}
+        rng, n = np.random.default_rng(rc.seed), rc.model.n
+        # admissible by construction: Re in [0.5, 2.5], Im in [-1, 1]
+        couplings = [rng.uniform(0.5, 2.5, n) + 1j * rng.uniform(-1.0, 1.0, n)
+                     for _ in range(sweep)]
+        estimates: dict = {str(j + 1): [] for j in range(n)}
         for k, a in enumerate(couplings, start=1):
             swept = ModelConfig(rc.model.mu, a)
             try:
@@ -294,14 +294,12 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
             "estimates": {j: [[z.real, z.imag] for z in v]
                           for j, v in estimates.items()},
         }
-        for j, vals in estimates.items():
-            arr = np.array(vals)
-            mean = arr.mean()
-            shift = rc.model.mu[int(j) - 1] ** 2
-            sweep_doc.setdefault("spread", {})[j] = float(
-                np.max(np.abs(arr - mean)))
-            sweep_doc.setdefault("error_floor", {})[j] = float(
-                np.max(np.abs(arr - shift)))
+        arrays = {j: np.array(vals) for j, vals in estimates.items()}
+        sweep_doc["spread"] = {j: float(np.max(np.abs(x - x.mean())))
+                               for j, x in arrays.items()}
+        sweep_doc["error_floor"] = {
+            j: float(np.max(np.abs(x - rc.model.mu[int(j) - 1] ** 2)))
+            for j, x in arrays.items()}
         doc["sweep"] = sweep_doc
     _emit(json.dumps(doc, indent=2) + "\n", rc.output_path)
     return 0

@@ -22,9 +22,10 @@ one extra right-hand side on the same factorization. V is then assembled
 from (v, v') exactly, V = 2 sum_j (mu_j cos(mu_j r) v_j + sin(mu_j r) v_j').
 
 Every function takes an array of K radii and factors the K systems
-A + G(r_k) as stacks, right-hand sides carried; a single radius is K = 1.
-`sample_blocks` cuts a grid into blocks sized by BLOCK_BYTES; `build`
-formats each block as it comes, and `sample_grid` collects them.
+A + G(r_k) as stacks, right-hand sides carried, in one solve that names the
+r of a singular system; a single radius is K = 1. `sample_blocks` cuts a
+grid into blocks sized by BLOCK_BYTES; `build` formats each block as it
+comes, and `sample_grid` collects them.
 
 Large-r behaviour, used by the asymptotic checks:
 
@@ -33,11 +34,6 @@ Large-r behaviour, used by the asymptotic checks:
 
 with the A-independent real function
 W = (sum_j sin^2(mu_j r))^2 + 2 sum_{ij} h_ij mu_i sin(mu_j r) cos(mu_i r).
-
-A cross-check identity ties V to the determinant of the system matrix:
-(log det(A+G))' = -ts v, hence V = -2 (log det(A+G))''. The log-det helpers
-below evaluate difference quotients of that determinant in a branch-safe way
-(ratios det(I+X) with X a small resolvent increment, principal logarithm).
 """
 
 from __future__ import annotations
@@ -54,19 +50,16 @@ from ewlab.kernel import (
     trig_c,
     trig_s,
 )
-from ewlab.linalg import DenseLU, SingularMatrixError, batched_solve
+from ewlab.linalg import SingularMatrixError, batched_solve
 
 __all__ = [
     "BLOCK_BYTES",
     "InvertibilityError",
     "PotentialSample",
-    "log_det_derivative",
-    "log_det_second_difference",
     "potential_terms",
     "resolvent_apply",
     "sample_blocks",
     "sample_grid",
-    "system_matrix",
 ]
 
 # Blocks of sample_blocks: the real H/G stack and the complex elimination
@@ -74,10 +67,6 @@ __all__ = [
 # size: 143 radii at n = 24, 6,721 at n = 3, 13,107 at n = 2. A block's
 # working set peaks at 2.6 MB at n = 24 and 2.9 MB at n = 3 (real a_j).
 BLOCK_BYTES = 1 << 21
-
-# The step of log_det_derivative, and log_det_second_difference's h and h/2.
-_LOG_DET_STEP = 1e-4
-_LOG_DET_SECOND_STEPS = (1e-3, 5e-4)
 
 
 class InvertibilityError(RuntimeError):
@@ -100,36 +89,23 @@ class PotentialSample:
     w: np.ndarray          # (K,) real
 
 
-def _couplings(config: ModelConfig) -> np.ndarray:
-    """The diagonal of A, float64 if every a_j is real."""
-    return config.a.real if config.is_real else config.a
-
-
-def system_matrix(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
-    """A + G(r) for every radius, a (K, n, n) stack in the couplings' dtype."""
-    return gram_matrix_stack(config, radii) + np.diag(_couplings(config))
-
-
-def _singular(radii: np.ndarray, exc: SingularMatrixError):
-    """The InvertibilityError that names the r of the system exc found."""
-    r = float(radii[exc.entry])
-    return InvertibilityError(
-        f"A+G(r) numerically singular at r = {r!r} on the sampling grid")
-
-
-def _factor(config: ModelConfig, radii: np.ndarray, gram: np.ndarray,
-            b: np.ndarray) -> DenseLU:
-    """DenseLU of A + G(r_k), from G(r_k), carrying right-hand sides b."""
+def _solve(config: ModelConfig, radii: np.ndarray, gram: np.ndarray,
+           b: np.ndarray) -> np.ndarray:
+    """(A + G(r_k))^{-1} b_k, from G(r_k); a singular system names its r."""
+    a = config.a.real if config.is_real else config.a  # real: a float64 solve
     try:
-        return DenseLU(gram, b, _couplings(config))
+        return batched_solve(gram, b, a)
     except SingularMatrixError as exc:
-        raise _singular(radii, exc) from exc
+        r = float(radii[exc.entry])
+        raise InvertibilityError(
+            f"A+G(r) numerically singular at r = {r!r} on the sampling grid"
+        ) from exc
 
 
 def resolvent_apply(config: ModelConfig, radii: np.ndarray,
                     b: np.ndarray) -> np.ndarray:
     """(A + G(r_k))^{-1} b_k for right-hand sides b of shape (K, n, m)."""
-    return _factor(config, radii, gram_matrix_stack(config, radii), b).solve()
+    return _solve(config, radii, gram_matrix_stack(config, radii), b)
 
 
 def _w(s: np.ndarray, mc: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -155,51 +131,6 @@ def potential_terms(config: ModelConfig, radii: np.ndarray,
     return leading, second
 
 
-def _log_det_ratios(config: ModelConfig, r_base: np.ndarray,
-                    targets: list) -> np.ndarray:
-    """log(det(A+G(r_to)) / det(A+G(r_base))) per r_to of targets, (T, K).
-
-    Each is det(I + X), X = (A+G(r_base))^{-1} (G(r_to) - G(r_base)), from
-    one factorization at r_base that carries every increment. det(I+X) stays
-    near 1, so its principal logarithm, taken in complex, is branch-safe.
-    """
-    n = config.n
-    base = gram_matrix_stack(config, r_base)
-    dg = np.concatenate([gram_matrix_stack(config, r_to) - base
-                         for r_to in targets], axis=2)
-    x = _factor(config, r_base, base, dg).solve().reshape(len(base), n, -1, n)
-    x[:, np.arange(n), :, np.arange(n)] += 1.0  # I + X of every target
-    dets = np.array([DenseLU(x[:, :, j]).det() for j in range(len(targets))])
-    return np.log(dets.astype(complex))
-
-
-def log_det_derivative(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
-    """Central-difference estimate of (log det(A+G))'(r) at each radius.
-
-    Contract: equals -ts(r) v(r) within O(h^2), h = 1e-4. Wraps the
-    difference as a single determinant ratio between r-h and r+h.
-    """
-    h = _LOG_DET_STEP
-    radii = np.asarray(radii, dtype=float)
-    return _log_det_ratios(config, radii - h, [radii + h])[0] / (2.0 * h)
-
-
-def log_det_second_difference(config: ModelConfig,
-                              radii: np.ndarray) -> np.ndarray:
-    """Second differences of log det(A+G), shape (2, K), at h = 1e-3 and h/2.
-
-    -2 times each row estimates V(r) within O(h^2). One factorization at r
-    serves all four increments:
-    (f(r+h) - 2f(r) + f(r-h))/h^2 = (log det(I+X_+) + log det(I+X_-))/h^2
-    with X_pm = (A+G(r))^{-1} (G(r pm h) - G(r)).
-    """
-    radii = np.asarray(radii, dtype=float)
-    steps = np.array(_LOG_DET_SECOND_STEPS)
-    ratios = _log_det_ratios(config, radii, [radii + d * h for h in steps
-                                             for d in (1.0, -1.0)])
-    return ratios.reshape(2, 2, -1).sum(axis=1) / steps[:, None] ** 2
-
-
 def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
     """(v, v', V, W) of one block of radii, as in sample_blocks."""
     s = trig_s(config, radii)
@@ -207,7 +138,7 @@ def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
     g = h_matrix_stack(config, radii)  # H(r) for W, then G(r) in place
     w = _w(s, mc, g)
     g[:, np.arange(config.n), np.arange(config.n)] += 0.5 * radii[:, None]
-    sol = batched_solve(g, np.stack([s, mc], axis=2), _couplings(config))
+    sol = _solve(config, radii, g, np.stack([s, mc], axis=2))
     v = -sol[:, :, 0]
     sv = np.sum(s * v, axis=1)
     v_prime = sv[:, None] * v - sol[:, :, 1]
@@ -229,11 +160,8 @@ def sample_blocks(config: ModelConfig, radii):
     for start in range(0, radii.count if grid else radii.size, step):
         block = slice(start, start + step)
         r = radii.radii(block) if grid else radii[block]
-        try:
-            # the stacks die with _sample_block, before the consumer runs
-            yield (block, r, *_sample_block(config, r))
-        except SingularMatrixError as exc:
-            raise _singular(r, exc) from exc
+        # the stacks die with _sample_block, before the consumer runs
+        yield (block, r, *_sample_block(config, r))
 
 
 def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:

@@ -13,8 +13,7 @@ the stack index (one system per radius; a single matrix is K = 1), stored
 batch-last so that each elimination step is one numpy loop over all K
 systems, in its dtype. The right-hand sides ride through the elimination
 as extra columns, so a solve is back substitution alone; the factors also
-give determinants and, with the identity carried, the exact 1-norm
-condition number. `batched_solve` is the one-shot factor-and-solve.
+give determinants. `batched_solve` is the one-shot factor-and-solve.
 
 There is one tridiagonal LU, `TridiagonalLU`, a partitioned (SPIKE) LU:
 the rows are cut into blocks of about 50, all blocks are eliminated in
@@ -40,7 +39,6 @@ __all__ = [
     "SingularMatrixError",
     "TridiagonalLU",
     "batched_solve",
-    "condition_estimate",
 ]
 
 # A pivot at or below this times the row scale counts as singular.
@@ -133,13 +131,13 @@ class DenseLU:
         self.lu = lu[:, :n].transpose(2, 0, 1)
         self.swaps = swaps
 
-    def solve(self, y=None) -> np.ndarray:
-        """x_k with U_k x_k = y_k, shape (K, n, m), in a fresh array; y is
-        the carried right-hand sides unless given, and then A_k x_k = B_k."""
+    def solve(self) -> np.ndarray:
+        """x_k with (A_k + D) x_k = B_k, shape (K, n, m), in a fresh array:
+        back substitution U_k x_k = Y_k of the carried right-hand sides."""
         lu = self._factors
         n = lu.shape[0]
-        y = lu[:, n:] if y is None else np.asarray(y).transpose(1, 2, 0)
-        x = np.empty(y.shape, dtype=np.result_type(lu, y))
+        y = lu[:, n:]
+        x = np.empty(y.shape, dtype=lu.dtype)
         for k in range(n - 1, -1, -1):
             terms = lu[k, k + 1:n, None] * x[k + 1:]
             if x[k].size == 1:  # np.sum would add a lone run pairwise
@@ -370,17 +368,3 @@ class TridiagonalLU:
         if b.shape != (self.size,):
             raise ValueError("right-hand side has wrong length")
         return self._root.solve(b)
-
-
-def condition_estimate(mats) -> np.ndarray:
-    """1-norm condition numbers ||A_k||_1 ||A_k^-1||_1, shape (K,).
-
-    The inverses are the identity carried through one DenseLU of the whole
-    (K, n, n) stack, in its dtype: exact up to round-off, and at the
-    coupling dimension no dearer than an estimator.
-    """
-    mats = np.asarray(mats)
-    inv = DenseLU(mats, np.broadcast_to(np.eye(mats.shape[1]), mats.shape)).solve()
-    norm_a = np.max(np.sum(np.abs(mats), axis=1), axis=1)
-    norm_inv = np.max(np.sum(np.abs(inv), axis=1), axis=1)
-    return norm_a * norm_inv

@@ -24,6 +24,10 @@ on raw points; raw points put log|defect| dips of -30 at the zeros and wreck
 the regression. `large_r_fits` runs every large-r fit (V, the resolvent, v'
 and each v_j) and V's scaled remainder from one sample of FIT_RADII.
 
+The log-det route checks V = -2 (log det(A+G))'' through ratios det(I+X),
+X a small resolvent increment, whose principal logarithm is branch-safe;
+the same resolvent gives the exact 1-norm condition numbers of A + G(r).
+
 Last, the radial lift: in R^d, u = r^{(1-d)/2} v_j leaves the residual
 -u'' - ((d-1)/r) u' + (V - mu_j^2) u = ((d-1)(d-3)/4) r^{-2} u, so only
 d = 1 and d = 3 (u_j = v_j/r) give eigenfunctions of -Delta + V(|x|).
@@ -51,6 +55,7 @@ from ewlab.kernel import (
     trig_c,
     trig_s,
 )
+from ewlab.linalg import DenseLU
 
 __all__ = [
     "FIT_RADII",
@@ -58,12 +63,15 @@ __all__ = [
     "QuadratureError",
     "SLOPE_TOL",
     "StepTooLargeError",
+    "condition_estimate",
     "dimension_obstruction",
     "fd_second_derivative",
     "fit_decay_slope",
     "gram_derivative_defect",
     "inverse_small_r_slope",
     "large_r_fits",
+    "log_det_derivative",
+    "log_det_second_difference",
     "quadrature_gram",
     "residual_eigen_equation",
     "shooting_compare",
@@ -80,6 +88,10 @@ FIT_RADII.setflags(write=False)
 # Steps h and h/2 of gram_derivative_defect's central differences.
 _GRAM_STEPS = (1e-4, 5e-5)
 
+# The step of log_det_derivative, and log_det_second_difference's h and h/2.
+_LOG_DET_STEP = 1e-4
+_LOG_DET_SECOND_STEPS = (1e-3, 5e-4)
+
 # Node counts of the two Gauss-Legendre rules quadrature_gram compares, and
 # the bound on their summed per-panel differences.
 _RULES = (16, 24)
@@ -87,7 +99,7 @@ _TOL = 1e-12
 
 
 class QuadratureError(ArithmeticError):
-    """The two Gauss-Legendre rules of quadrature_gram disagree beyond _TOL."""
+    """quadrature_gram's rules disagree beyond _TOL, or exceed its budget."""
 
 
 class StepTooLargeError(ValueError):
@@ -131,7 +143,9 @@ def quadrature_gram(mu_i: float, mu_j: float, r: float) -> float:
     integrated by the 16- and 24-node rules at once; the finer sum is
     returned, and QuadratureError is raised when the two rules' per-panel
     differences add up to more than _TOL. Rounding alone adds up to about
-    2e-16 r, so _TOL = 1e-12 holds to r of a few thousand.
+    2e-16 r, so _TOL = 1e-12 holds to r of a few thousand. It is also
+    raised, before any array exists, when a rule's (panels, nodes) array
+    would exceed construct.BLOCK_BYTES: beyond 10,922 panels.
     """
     if mu_i <= 0.0 or mu_j <= 0.0:
         raise ValueError("frequencies must be positive")
@@ -139,7 +153,12 @@ def quadrature_gram(mu_i: float, mu_j: float, r: float) -> float:
         raise ValueError("negative radius")
     if r == 0.0:
         return 0.0
-    edges = np.linspace(0.0, r, math.ceil(r * (mu_i + mu_j) / math.pi) + 1)
+    panels = math.ceil(r * (mu_i + mu_j) / math.pi)
+    if panels * max(_RULES) * 8 > construct.BLOCK_BYTES:
+        raise QuadratureError(
+            f"{panels} panels on [0, {r:g}] at mu = ({mu_i:g}, {mu_j:g}) "
+            f"exceed the memory budget")
+    edges = np.linspace(0.0, r, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * np.diff(edges)
     sums = []
@@ -375,11 +394,64 @@ def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,
 def _inverse(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """(A + G(r))^{-1} for every radius, a (K, n, n) stack."""
     return resolvent_apply(config, radii, np.broadcast_to(
-        np.eye(config.n), (radii.size, config.n, config.n)))
+        np.eye(config.n), (len(radii), config.n, config.n)))
 
 
 def _max_entry(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(stack), axis=(1, 2))
+
+
+def condition_estimate(config: ModelConfig, radii) -> np.ndarray:
+    """Exact 1-norm condition numbers of A + G(r) at each radius, (K,)."""
+    mats = gram_matrix_stack(config, radii) + np.diag(config.a)
+    norm_a, norm_inv = (np.max(np.sum(np.abs(m), axis=1), axis=1)
+                        for m in (mats, _inverse(config, radii)))
+    return norm_a * norm_inv
+
+
+def _log_det_ratios(config: ModelConfig, r_base: np.ndarray,
+                    targets: list) -> np.ndarray:
+    """log(det(A+G(r_to)) / det(A+G(r_base))) per r_to of targets, (T, K).
+
+    Each is det(I + X), X = (A+G(r_base))^{-1} (G(r_to) - G(r_base)), from
+    one resolvent solve that carries every increment. det(I+X) stays near
+    1, so its principal logarithm, taken in complex, is branch-safe.
+    """
+    n = config.n
+    base = gram_matrix_stack(config, r_base)
+    dg = np.concatenate([gram_matrix_stack(config, r_to) - base
+                         for r_to in targets], axis=2)
+    x = resolvent_apply(config, r_base, dg).reshape(len(base), n, -1, n)
+    x[:, np.arange(n), :, np.arange(n)] += 1.0  # I + X of every target
+    dets = np.array([DenseLU(x[:, :, j]).det() for j in range(len(targets))])
+    return np.log(dets.astype(complex))
+
+
+def log_det_derivative(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
+    """Central-difference estimate of (log det(A+G))'(r) at each radius.
+
+    Contract: equals -ts(r) v(r) within O(h^2), h = 1e-4. Wraps the
+    difference as a single determinant ratio between r-h and r+h.
+    """
+    h = _LOG_DET_STEP
+    radii = np.asarray(radii, dtype=float)
+    return _log_det_ratios(config, radii - h, [radii + h])[0] / (2.0 * h)
+
+
+def log_det_second_difference(config: ModelConfig,
+                              radii: np.ndarray) -> np.ndarray:
+    """Second differences of log det(A+G), shape (2, K), at h = 1e-3 and h/2.
+
+    -2 times each row estimates V(r) within O(h^2). One resolvent solve at r
+    serves all four increments:
+    (f(r+h) - 2f(r) + f(r-h))/h^2 = (log det(I+X_+) + log det(I+X_-))/h^2
+    with X_pm = (A+G(r))^{-1} (G(r pm h) - G(r)).
+    """
+    radii = np.asarray(radii, dtype=float)
+    steps = np.array(_LOG_DET_SECOND_STEPS)
+    ratios = _log_det_ratios(config, radii, [radii + d * h for h in steps
+                                             for d in (1.0, -1.0)])
+    return ratios.reshape(2, 2, -1).sum(axis=1) / steps[:, None] ** 2
 
 
 def inverse_small_r_slope(config: ModelConfig) -> FitReport:

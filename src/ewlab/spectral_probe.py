@@ -79,6 +79,9 @@ def build_hamiltonian(grid: GridSpec,
     """
     if grid.r_start != 0.0:
         raise GridError("probe grids start at r = 0")
+    if grid.count < 3:
+        raise GridError(f"a probe grid needs at least 1 interior node; this "
+                        f"one has {grid.count - 2}")
     h = grid.step
     diag = 2.0 / h**2 + np.asarray(v_interior, dtype=complex)
     off = np.full(diag.size - 1, -1.0 / h**2, dtype=complex)
@@ -145,15 +148,14 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
         raise ValueError("zero start vector")
     x = start / norm
 
-    lu = None
-    for attempt in range(3):
+    for _ in range(3):
         try:
             lu = TridiagonalLU(ComplexTridiagonal(
                 sub=t.sub, diag=t.diag - shift, super=t.super))
             break
         except SingularMatrixError:
             shift = shift * (1.0 + 1e-10)
-    if lu is None:
+    else:
         raise NoConvergenceError("shifted matrix singular after nudging")
 
     for it in range(1, _MAX_ITER + 1):

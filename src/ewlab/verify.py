@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ewlab import __version__
-from ewlab.construct import (
-    log_det_derivative,
-    log_det_second_difference,
-    resolvent_apply,
-    sample_grid,
-    system_matrix,
-)
+from ewlab.construct import resolvent_apply, sample_grid
 from ewlab.kernel import (
     GridSpec,
     ModelConfig,
@@ -38,13 +32,15 @@ from ewlab.kernel import (
     trig_c,
     trig_s,
 )
-from ewlab.linalg import condition_estimate
 from ewlab.oracle import (
     SLOPE_TOL,
     _halving_ratio,
+    condition_estimate,
     gram_derivative_defect,
     inverse_small_r_slope,
     large_r_fits,
+    log_det_derivative,
+    log_det_second_difference,
     quadrature_gram,
     residual_eigen_equation,
     shooting_compare,
@@ -303,7 +299,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     checks.append(_upper("potential_remainder_r3", np.max(remainder_r3), 1e3))
 
     cond_radii = (1.0, 10.0, 100.0, 400.0)
-    conds = condition_estimate(system_matrix(config, cond_radii))
+    conds = condition_estimate(config, cond_radii)
     diagnostics = {
         "sup_V_on_grid": max_v,
         "condition_estimates": {str(r): float(c)

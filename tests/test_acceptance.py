@@ -11,13 +11,14 @@ import math
 import numpy as np
 
 from ewlab.cli import main as cli_main
-from ewlab.construct import log_det_second_difference, sample_grid
+from ewlab.construct import sample_grid
 from ewlab.kernel import GridSpec, ModelConfig, gram_matrix_stack, trig_s
 from ewlab.oracle import (
     dimension_obstruction,
     gram_derivative_defect,
     inverse_small_r_slope,
     large_r_fits,
+    log_det_second_difference,
     quadrature_gram,
     residual_eigen_equation,
     shooting_compare,

@@ -425,6 +425,24 @@ def test_failing_sweep_names_its_coupling(tmp_path, capsys, monkeypatch):
                             "mu_1^2 = 1.0: no convergence\n")
 
 
+@pytest.mark.parametrize("grid, free, message", [
+    ("0,0.01,0.01", False, "a probe grid needs at least 1 interior node; "
+                           "this one has 0"),
+    ("0,0.02,0.01", True, "--free needs at least 3 interior grid nodes; "
+                          "this one has 1"),
+    ("0,0.03,0.01", True, "--free needs at least 3 interior grid nodes; "
+                          "this one has 2"),
+], ids=["2-points", "free-3-points", "free-4-points"])
+def test_too_small_probe_grid_is_bad_input(tmp_path, capsys, grid, free,
+                                           message):
+    cfg = write_config(tmp_path)
+    argv = ["probe", "--config", cfg, "--grid-override", grid]
+    assert main(argv + ["--free"] * free) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_probe_free_modes(tmp_path):
     cfg = write_config(tmp_path, grid={"start": 0.0, "end": 20.0, "step": 0.01})
     out = tmp_path / "free.json"
@@ -470,6 +488,16 @@ def test_verify_small_config(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_bytes() == first
     capsys.readouterr()  # swallow the second run's check lines
+
+
+def test_verify_names_a_quadrature_beyond_its_budget(tmp_path, capsys):
+    # seed 0's second Gram triple is mu_1 with itself at r = 0.4958...
+    cfg = write_config(tmp_path, mu=[1e9, 1.0], a=[1.0, 1.0])
+    assert main(["verify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 315654588 panels on [0, 0.495829] at "
+                            "mu = (1e+09, 1e+09) exceed the memory budget\n")
 
 
 def test_version_flag(capsys):

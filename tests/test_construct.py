@@ -12,13 +12,10 @@ import pytest
 import ewlab.construct
 from ewlab.construct import (
     InvertibilityError,
-    log_det_derivative,
-    log_det_second_difference,
     potential_terms,
     resolvent_apply,
     sample_blocks,
     sample_grid,
-    system_matrix,
 )
 from ewlab.kernel import (
     ModelConfig,
@@ -26,6 +23,11 @@ from ewlab.kernel import (
     h_matrix_stack,
     trig_c,
     trig_s,
+)
+from ewlab.oracle import (
+    condition_estimate,
+    log_det_derivative,
+    log_det_second_difference,
 )
 
 CFG1 = ModelConfig([1.0], [1.0])
@@ -38,12 +40,6 @@ RADII = np.array([0.3, 1.0, 4.4, 17.0])
 
 def denom(r):
     return 1.0 + r / 2 - np.sin(2 * r) / 4
-
-
-def test_system_matrix_is_coupling_plus_gram():
-    radii = np.array([3.1, 0.2])
-    m = system_matrix(CFG3, radii)
-    assert np.array_equal(m, np.diag(CFG3.a) + gram_matrix_stack(CFG3, radii))
 
 
 def test_resolvent_at_origin_is_coupling_inverse():
@@ -254,20 +250,35 @@ def test_purely_imaginary_couplings_are_supported():
     assert np.max(np.abs(ps.V.imag)) > 1e-3
 
 
-def test_singular_system_is_reported(monkeypatch):
-    # force A + G(r) = 0 for n = 1 by planting an inadmissible coupling
+def later_block(cfg, monkeypatch):
+    # two radii per block at n = 1: r = 2 is entry 0 of the second block
+    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 2 * 56)
+    sample_grid(cfg, np.array([0.5, 1.0, 2.0, 3.0]))
+
+
+SINGULAR_ROUTES = {
+    "resolvent_apply": lambda cfg, _: resolvent_apply(
+        cfg, [2.0], np.ones((1, 1, 1), dtype=complex)),
+    "sample_grid": lambda cfg, _: sample_grid(cfg, np.array([0.5, 2.0])),
+    "sample_grid_later_block": later_block,
+    # the base radius of the central difference is 2.0 + h - h == 2.0
+    "log_det_derivative": lambda cfg, _: log_det_derivative(cfg, [2.0 + 1e-4]),
+    "log_det_second_difference": lambda cfg, _: log_det_second_difference(
+        cfg, [2.0]),
+    "condition_estimate": lambda cfg, _: condition_estimate(cfg, [2.0]),
+}
+
+
+@pytest.mark.parametrize("route", SINGULAR_ROUTES)
+def test_singular_system_is_reported(route, monkeypatch):
+    # force A + G(r) = 0 for n = 1 by planting an inadmissible coupling;
+    # every route to (A + G)^{-1} names the r of the singular system
     r = 2.0
     cfg = ModelConfig([1.0], [1.0])
     g = gram_matrix_stack(cfg, [r])[0, 0, 0]
     object.__setattr__(cfg, "a", np.array([-g], dtype=complex))
     with pytest.raises(InvertibilityError, match=r"singular at r = 2\.0"):
-        resolvent_apply(cfg, [r], np.ones((1, 1, 1), dtype=complex))
-    with pytest.raises(InvertibilityError, match=r"singular at r = 2\.0 on"):
-        sample_grid(cfg, np.array([0.5, r]))
-    # two radii per block at n = 1: r = 2 is entry 0 of the second block
-    monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 2 * 56)
-    with pytest.raises(InvertibilityError, match=r"at r = 2\.0 on"):
-        sample_grid(cfg, np.array([0.5, 1.0, r, 3.0]))
+        SINGULAR_ROUTES[route](cfg, monkeypatch)
 
 
 def block_slices(cfg, count):

@@ -1,6 +1,7 @@
 """Independent checks: quadrature, FD residuals, shooting, decay fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from ewlab import construct, oracle
 from ewlab.construct import sample_grid
-from ewlab.kernel import GridError, GridSpec, ModelConfig
+from ewlab.kernel import GridError, GridSpec, ModelConfig, gram_matrix_stack
 from ewlab.oracle import (
     SLOPE_TOL,
     QuadratureError,
     StepTooLargeError,
     _rk4_trajectory,
+    condition_estimate,
     fd_second_derivative,
     fit_decay_slope,
     gram_derivative_defect,
@@ -77,6 +79,21 @@ def test_quadrature_raises_when_its_rules_disagree(monkeypatch):
     monkeypatch.setattr(oracle, "_RULES", (2, 3))
     with pytest.raises(QuadratureError, match="disagree"):
         quadrature_gram(3.0, 1.0, 25.0)
+
+
+def test_quadrature_budget_is_checked_before_any_array():
+    # mu_1 = 1e9 with itself at r = 0.496 would be 315,763,408 panels, each
+    # rule's node array GiBs
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match=(
+                r"^315763408 panels on \[0, 0\.496\] at mu = \(1e\+09, "
+                r"1e\+09\) exceed the memory budget$")):
+            quadrature_gram(1e9, 1e9, 0.496)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_grid_spec_basics():
@@ -360,3 +377,28 @@ def test_inverse_small_r_slope():
 def test_vprime_asymptotics_fits():
     one, two = large_r_fits(CFG3)[0]["vprime"]
     assert within_tol(one) and within_tol(two)
+
+
+MU24 = np.linspace(5.0, 0.5, 24)
+CONDITION_CONFIGS = {
+    "n1": CFG1,
+    "n1_complex": ModelConfig([1.0], [0.5 + 2.0j]),
+    "n3": CFG3,
+    "n3_complex": ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0 - 0.5j, 2.0 + 1.0j]),
+    "n24": ModelConfig(MU24, 1.0 + 0.1 * np.arange(24)),
+    "n24_complex": ModelConfig(MU24, 1.0 + 0.1 * np.arange(24)
+                               + 0.5j * np.cos(np.arange(24))),
+}
+CONDITION_RADII = np.array([0.0, 0.3, 1.0, 4.4, 17.0, 100.0, 400.0])
+
+
+@pytest.mark.parametrize("cfg", CONDITION_CONFIGS.values(),
+                         ids=CONDITION_CONFIGS)
+def test_condition_estimate_is_the_exact_condition_number(cfg):
+    mats = gram_matrix_stack(cfg, CONDITION_RADII) + np.diag(cfg.a)
+    true = (np.abs(mats).sum(axis=1).max(axis=1)
+            * np.abs(np.linalg.inv(mats)).sum(axis=1).max(axis=1))
+    got = condition_estimate(cfg, CONDITION_RADII)
+    assert np.allclose(got, true, rtol=1e-12, atol=0.0)
+    if cfg.n == 1:  # |a + g| |1 / (a + g)|
+        assert np.allclose(got, 1.0, rtol=1e-12, atol=0.0)

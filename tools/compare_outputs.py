@@ -3,12 +3,12 @@
     python3 tools/compare_outputs.py PARENT_CHECKOUT
 
 Runs `build`, `verify`, `probe` (single, `--sweep 5` and `--free`) and
-`expand` (default radii and `1 7.5 300`) on `configs/*.json` and on the
-seed-3 and seed-101 configs of every perfbench workload, in both checkouts,
-each with OPENBLAS_NUM_THREADS at 1 and at 2. Each run is
-`python -m ewlab.cli ... --out FILE` with PYTHONPATH set to the checkout's
-src/. It prints every difference in stdout, stderr, exit code or the bytes
-of FILE, then one summary line, and exits 1 if anything differed.
+`expand` (default radii and `1 7.5 300`) on `configs/*.json`, on the
+seed-3 and seed-101 configs of every perfbench workload and on the EDGES
+below, in both checkouts, each with OPENBLAS_NUM_THREADS at 1 and at 2.
+Each run is `python -m ewlab.cli ... --out FILE` with PYTHONPATH set to the
+checkout's src/. It prints every difference in stdout, stderr, exit code or
+the bytes of FILE, then one summary line, and exits 1 if anything differed.
 
 Both checkouts read the same config files, written once from this
 checkout's perfbench/workloads.py. Needs only the standard library and
@@ -17,6 +17,7 @@ numpy (for workloads.py).
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +43,16 @@ COMMANDS = (
 )
 WORKERS = 2  # two runs at a time: each is one process of modest size
 
+# Configs whose verify fails or whose systems are ill-conditioned, so that
+# failing verdicts and exit 1 are compared too: (name, mu, a).
+EDGES = (
+    ("low-frequency", [1e-3], [1.0]),
+    ("near-gap", [1.0000001, 1.0], [1.0, 1.0]),
+    ("tiny-coupling", [2.0, 1.0], [1e-12, 1.0]),
+    ("high-frequency", [40.0, 1.0], [1.0, 1.0]),
+    ("imaginary", [2.0, 1.0], [[0.0, 1.0], [0.0, 2.0]]),
+)
+
 
 def configs(directory: Path) -> list:
     paths = sorted((HERE / "configs").glob("*.json"))
@@ -50,6 +61,13 @@ def configs(directory: Path) -> list:
             sub = directory / f"seed{seed}"
             sub.mkdir(exist_ok=True)
             paths += [path for path, _ in write_configs(w, seed, sub)]
+    sub = directory / "edges"
+    sub.mkdir()
+    for name, mu, a in EDGES:
+        path = sub / f"{name}.json"
+        path.write_text(json.dumps({"mu": mu, "a": a, "grid": {
+            "start": 0.0, "end": 50.0, "step": 0.01}, "seed": 0}))
+        paths.append(path)
     return paths
 
 
