@@ -17,8 +17,8 @@ Config schema:
 Everything is deterministic given (config, seed): no timestamps, seeded
 generators only, file writes are atomic (temp file + rename, with the mode
 the umask gives a new file), and repeated runs produce byte-identical bytes.
-Exit codes: 0 all checks pass, 1 a check, probe or numerical step failed,
-2 invalid input (ConfigError, GridError).
+Exit codes: 0 all checks pass, 1 a check, probe or numerical step failed or
+the output could not be written, 2 invalid input (ConfigError, GridError).
 """
 
 from __future__ import annotations
@@ -128,9 +128,11 @@ def load_config(path: str, out: str | None = None,
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError('"seed" must be a non-negative integer')
-    # checked here, before any work, so a bad --out never fails at the end
-    if out is not None and not os.path.isdir(os.path.dirname(
-            os.path.abspath(out))):
+    # checked before any work, so a bad --out never fails at the end; a path
+    # with no file name ('' or 'dir/') names a directory
+    if out is not None and (os.path.isdir(out) or not os.path.basename(out)):
+        raise ConfigError(f"--out {out}: is a directory")
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"--out {out}: parent is not an existing directory")
     return RunConfig(model=model, grid=grid, output_path=out, seed=seed)
 
@@ -252,6 +254,8 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
     """
     if sweep < 0:
         raise ConfigError(f"--sweep {sweep} must be non-negative")
+    if free and sweep:
+        raise ConfigError(f"--free excludes --sweep {sweep}")
     doc = _config_echo(rc)
     doc["note"] = ("truncated-grid probe: locates discrete eigenpairs near "
                    "each shift; the essential spectrum is not visible here")
@@ -373,18 +377,24 @@ def main(argv=None) -> int:
         rc = load_config(args.config, out=args.out,
                          grid_override=getattr(args, "grid_override", None))
         if args.command == "build":
-            return cmd_build(rc)
-        if args.command == "verify":
-            return cmd_verify(rc)
-        if args.command == "probe":
-            return cmd_probe(rc, sweep=args.sweep, free=args.free)
-        return cmd_expand(rc, list(args.radii))
+            code = cmd_build(rc)
+        elif args.command == "verify":
+            code = cmd_verify(rc)
+        elif args.command == "probe":
+            code = cmd_probe(rc, sweep=args.sweep, free=args.free)
+        else:
+            code = cmd_expand(rc, list(args.radii))
+        sys.stdout.flush()  # a failed write to stdout raises here, not at exit
+        return code
     except (ConfigError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
-        # every numerical failure: singular or failed invariants, no
-        # convergence, unstable steps, unfittable data
+    except (ArithmeticError, OSError, RuntimeError, ValueError) as exc:
+        # numerical failures (singular or failed invariants, no convergence,
+        # unstable steps, unfittable data) and output that cannot be written
+        if isinstance(exc, BrokenPipeError):  # so the exit flush is silent
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,12 +21,13 @@ on a log-spaced radius grid and asserting it lands within SLOPE_TOL of -k.
 Defects here are oscillatory, with exact zeros at special radii, so the fit
 runs on the bin-wise envelope (max |defect| per log-spaced bin) rather than
 on raw points; raw points put log|defect| dips of -30 at the zeros and wreck
-the regression. `large_r_fits` runs every large-r fit (V, the resolvent, v'
-and each v_j) and V's scaled remainder from one sample of FIT_RADII.
+the regression. `decay_fits` runs every fit (V, the resolvent at large and
+small r, v' and each v_j) and V's scaled remainder in one call.
 
-The log-det route checks V = -2 (log det(A+G))'' through ratios det(I+X),
-X a small resolvent increment, whose principal logarithm is branch-safe;
-the same resolvent gives the exact 1-norm condition numbers of A + G(r).
+The log-det route, `log_det_defects`, checks (log det(A+G))' = -ts v and
+V = -2 (log det(A+G))'' through ratios det(I+X), X a small resolvent
+increment, whose principal logarithm is branch-safe; the same resolvent
+gives the exact 1-norm condition numbers of A + G(r).
 
 Last, the radial lift: in R^d, u = r^{(1-d)/2} v_j leaves the residual
 -u'' - ((d-1)/r) u' + (V - mu_j^2) u = ((d-1)(d-3)/4) r^{-2} u, so only
@@ -64,14 +65,12 @@ __all__ = [
     "SLOPE_TOL",
     "StepTooLargeError",
     "condition_estimate",
+    "decay_fits",
     "dimension_obstruction",
     "fd_second_derivative",
     "fit_decay_slope",
     "gram_derivative_defect",
-    "inverse_small_r_slope",
-    "large_r_fits",
-    "log_det_derivative",
-    "log_det_second_difference",
+    "log_det_defects",
     "quadrature_gram",
     "residual_eigen_equation",
     "shooting_compare",
@@ -88,7 +87,7 @@ FIT_RADII.setflags(write=False)
 # Steps h and h/2 of gram_derivative_defect's central differences.
 _GRAM_STEPS = (1e-4, 5e-5)
 
-# The step of log_det_derivative, and log_det_second_difference's h and h/2.
+# log_det_defects' first-derivative step, and its second difference's h, h/2.
 _LOG_DET_STEP = 1e-4
 _LOG_DET_SECOND_STEPS = (1e-3, 5e-4)
 
@@ -427,50 +426,46 @@ def _log_det_ratios(config: ModelConfig, r_base: np.ndarray,
     return np.log(dets.astype(complex))
 
 
-def log_det_derivative(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
-    """Central-difference estimate of (log det(A+G))'(r) at each radius.
+def log_det_defects(config: ModelConfig,
+                    radii: np.ndarray) -> tuple[float, float, float]:
+    """Defects of f' = -ts v and V = -2 f'', f = log det(A+G), over radii.
 
-    Contract: equals -ts(r) v(r) within O(h^2), h = 1e-4. Wraps the
-    difference as a single determinant ratio between r-h and r+h.
-    """
-    h = _LOG_DET_STEP
-    radii = np.asarray(radii, dtype=float)
-    return _log_det_ratios(config, radii - h, [radii + h])[0] / (2.0 * h)
-
-
-def log_det_second_difference(config: ModelConfig,
-                              radii: np.ndarray) -> np.ndarray:
-    """Second differences of log det(A+G), shape (2, K), at h = 1e-3 and h/2.
-
-    -2 times each row estimates V(r) within O(h^2). One resolvent solve at r
-    serves all four increments:
+    Returns (first, second, ratio): first is max |f' + ts v| with f' the
+    central difference at h = 1e-4, one determinant ratio between r-h and
+    r+h; second is max |V + 2 f''| with f'' the second difference at
+    h = 1e-3; ratio is that defect over the one at h/2 (inf if that is 0),
+    which should be near 4. One resolvent solve at r serves all four
+    second-difference increments:
     (f(r+h) - 2f(r) + f(r-h))/h^2 = (log det(I+X_+) + log det(I+X_-))/h^2
     with X_pm = (A+G(r))^{-1} (G(r pm h) - G(r)).
     """
     radii = np.asarray(radii, dtype=float)
+    h = _LOG_DET_STEP
+    slope = _log_det_ratios(config, radii - h, [radii + h])[0] / (2.0 * h)
     steps = np.array(_LOG_DET_SECOND_STEPS)
-    ratios = _log_det_ratios(config, radii, [radii + d * h for h in steps
-                                             for d in (1.0, -1.0)])
-    return ratios.reshape(2, 2, -1).sum(axis=1) / steps[:, None] ** 2
+    curvature = _log_det_ratios(config, radii, [
+        radii + d * step for step in steps for d in (1.0, -1.0)
+    ]).reshape(2, 2, -1).sum(axis=1) / steps[:, None] ** 2
+    ps = sample_grid(config, radii)
+    first = np.max(np.abs(slope + np.sum(trig_s(config, radii) * ps.v,
+                                         axis=1)))
+    second = np.max(np.abs(ps.V + 2.0 * curvature), axis=1)
+    return float(first), float(second[0]), float(_halving_ratio(*second))
 
 
-def inverse_small_r_slope(config: ModelConfig) -> FitReport:
-    """Small-r branch: ||(A+G(r))^{-1} - A^{-1}|| = O(r^3) as r -> 0."""
-    radii = np.geomspace(1e-3, 0.3, 60)
-    defect = _max_entry(_inverse(config, radii) - np.diag(1.0 / config.a))
-    return fit_decay_slope(radii, defect, 3.0, "resolvent minus A^{-1}", bins=12)
+def decay_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
+    """Every decay fit of the construction, and V's scaled remainder.
 
-
-def large_r_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
-    """Decay fits of every large-r expansion, from one sample of FIT_RADII.
-
-    Returns (fits, remainder). fits maps "potential", "resolvent", "vprime",
-    "v1".."vn", in that order, to a [one-term, two-term] pair of FitReports:
-    the defect after the first term should fall like r^-2, after the second
-    like r^-3. remainder is |V - leading - second| r^3 per radius.
+    Returns (fits, remainder). fits maps check stems to FitReports in report
+    order: "potential", "resolvent", "vprime", "v1".."vn", each with a
+    "_one_term" fit, whose defect should fall like r^-2, and a "_two_term"
+    fit, like r^-3; "resolvent_small_r" follows the resolvent's pair. The
+    large-r fits share one sample of FIT_RADII, and remainder is
+    |V - leading - second| r^3 there.
 
       V:     the two terms of construct.potential_terms, from the sample's W;
       (A+G)^{-1} = (2/r) I - (4/r^2)(A+H) + ..., max entry;
+      (A+G)^{-1} - A^{-1} = O(r^3) as r -> 0, max entry on [1e-3, 0.3];
       v' = -(2/r) M c + (4/r^2) ((ts s) s + A M c + H M c) + ..., max entry;
       v = -(2/r) s + (4/r^2) (A s + H s) + ..., per v_j.
 
@@ -485,30 +480,34 @@ def large_r_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
     s = trig_s(config, radii)
     mc = config.mu * trig_c(config, radii)
     h = h_matrix_stack(config, radii)
+    fits = {}
 
-    def pair(what, one, two, leading="leading term"):
-        return [fit_decay_slope(radii, one, -2.0, f"{what} minus {leading}"),
-                fit_decay_slope(radii, two, -3.0, f"{what} minus two terms")]
+    def pair(stem, what, one, two, leading="leading term"):
+        fits[f"{stem}_one_term"], fits[f"{stem}_two_term"] = (
+            fit_decay_slope(radii, one, -2.0, f"{what} minus {leading}"),
+            fit_decay_slope(radii, two, -3.0, f"{what} minus two terms"))
 
     v_rest = np.abs(ps.V - pot_lead - pot_second)
+    pair("potential", "V", np.abs(ps.V - pot_lead), v_rest)
     bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
     refined = bare + (4.0 / rr**2) * (np.diag(config.a) + h)
+    pair("resolvent", "resolvent", _max_entry(bare), _max_entry(refined),
+         leading="2/r")
+    small = np.geomspace(1e-3, 0.3, 60)
+    fits["resolvent_small_r"] = fit_decay_slope(
+        small, _max_entry(_inverse(config, small) - np.diag(1.0 / config.a)),
+        3.0, "resolvent minus A^{-1}", bins=12)
     lead = -(2.0 / r) * mc
     nxt = (4.0 / r ** 2) * (np.sum(s * s, axis=1)[:, None] * s
                             + config.a * mc + np.einsum("kij,kj->ki", h, mc))
-    fits = {
-        "potential": pair("V", np.abs(ps.V - pot_lead), v_rest),
-        "resolvent": pair("resolvent", _max_entry(bare), _max_entry(refined),
-                          leading="2/r"),
-        "vprime": pair("v'", np.max(np.abs(ps.v_prime - lead), axis=1),
-                       np.max(np.abs(ps.v_prime - lead - nxt), axis=1)),
-    }
+    pair("vprime", "v'", np.max(np.abs(ps.v_prime - lead), axis=1),
+         np.max(np.abs(ps.v_prime - lead - nxt), axis=1))
     v_two = -(2.0 / r) * s + (4.0 / r**2) * (
         config.a * s + np.einsum("kjl,kl->kj", h, s))
     one_v = np.abs(ps.v + (2.0 / r) * s)
     two_v = np.abs(ps.v - v_two)
     for j in range(config.n):
-        fits[f"v{j + 1}"] = pair(f"v_{j + 1}", one_v[:, j], two_v[:, j])
+        pair(f"v{j + 1}", f"v_{j + 1}", one_v[:, j], two_v[:, j])
     return fits, v_rest * radii**3
 
 

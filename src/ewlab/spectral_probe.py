@@ -8,11 +8,13 @@ eigenvalue estimates use the bilinear, unconjugated Rayleigh quotient
 txHx/txx, the stationary functional appropriate for that class.
 
 Shifted inverse iteration at sigma = mu_j^2 then locates the discrete
-eigenpair nearest each prescribed eigenvalue. Two error sources separate
-cleanly: O(h^2) stencil truncation, and the domain-truncation error set by
-the boundary leak |v_j(R)| ~ 2/R. Estimates should therefore approach
-mu_j^2 as R grows at fixed small h, and be independent of the couplings A
-(the eigenvalues persist while eigenvectors and V change).
+eigenpair nearest each prescribed eigenvalue. Two error sources add up:
+O(h^2) stencil truncation and the domain truncation set by the boundary
+leak |v_j(R)| ~ 2/R, the only one reported. Estimates should therefore
+approach mu_j^2 as R grows at fixed small h, and be independent of the
+couplings A (the eigenvalues persist while eigenvectors and V change), but
+a box mode of the walls next to mu_j^2 can stall the iteration (mu =
+(3.494888, 2.35544) on [0, 200]: NoConvergenceError).
 
 Every reduction (norms, inner products, the Rayleigh quotient) is a numpy
 ufunc sum, never a BLAS call: BLAS splits dot products across its threads,

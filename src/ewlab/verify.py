@@ -34,13 +34,10 @@ from ewlab.kernel import (
 )
 from ewlab.oracle import (
     SLOPE_TOL,
-    _halving_ratio,
     condition_estimate,
+    decay_fits,
     gram_derivative_defect,
-    inverse_small_r_slope,
-    large_r_fits,
-    log_det_derivative,
-    log_det_second_difference,
+    log_det_defects,
     quadrature_gram,
     residual_eigen_equation,
     shooting_compare,
@@ -207,15 +204,10 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
                          np.max(np.abs(ps0.v)) + abs(ps0.V[0]), 0.0))
 
     # --- construct: log-det identities
-    ld_radii = np.array([0.9, 7.7, 31.0])
-    ps_ld = sample_grid(config, ld_radii)
-    d1 = np.max(np.abs(log_det_derivative(config, ld_radii)
-                       + np.sum(trig_s(config, ld_radii) * ps_ld.v, axis=1)))
+    d1, d2, order = log_det_defects(config, np.array([0.9, 7.7, 31.0]))
     checks.append(_upper("log_det_first_derivative", d1, 1e-6, step=1e-4))
-    d2 = np.max(np.abs(ps_ld.V + 2.0 * log_det_second_difference(
-        config, ld_radii)), axis=1)
-    checks.append(_upper("log_det_second_defect", d2[0], 1e-4, step=1e-3))
-    checks.append(_band("log_det_second_order", _halving_ratio(*d2), 3.0, 5.0))
+    checks.append(_upper("log_det_second_defect", d2, 1e-4, step=1e-3))
+    checks.append(_band("log_det_second_order", order, 3.0, 5.0))
 
     # --- oracle: eigen-equation residual and RK4 shooting, per eigenvalue
     res_grid = GridSpec(0.0, 50.0, 1e-3)
@@ -287,15 +279,11 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
                            - sample_grid(alt, w_radii).w))
     checks.append(_upper("w_coupling_independent", w_diff, 0.0))
 
-    # --- asymptotic decay fits, one-term and two-term defect per quantity,
-    # and the two-term remainder of V scaled by r^3, which stays bounded
-    fits, remainder_r3 = large_r_fits(config)
-    for stem, reports in fits.items():
-        for suffix, rep in zip(("one_term", "two_term"), reports):
-            checks.append(_fit_check(f"fit_{stem}_{suffix}", rep))
-        if stem == "resolvent":
-            checks.append(_fit_check("fit_resolvent_small_r",
-                                     inverse_small_r_slope(config)))
+    # --- decay fits, one-term and two-term per quantity, the resolvent's
+    # small-r order, and V's two-term remainder times r^3, which stays bounded
+    fits, remainder_r3 = decay_fits(config)
+    for stem, rep in fits.items():
+        checks.append(_fit_check(f"fit_{stem}", rep))
     checks.append(_upper("potential_remainder_r3", np.max(remainder_r3), 1e3))
 
     cond_radii = (1.0, 10.0, 100.0, 400.0)

@@ -6,19 +6,16 @@ stock configurations are the three used throughout: a single unit frequency,
 the real triple mu = (3, 2, 1), and the complex pair a = (1+i, 2).
 """
 
-import math
-
 import numpy as np
 
 from ewlab.cli import main as cli_main
 from ewlab.construct import sample_grid
 from ewlab.kernel import GridSpec, ModelConfig, gram_matrix_stack, trig_s
 from ewlab.oracle import (
+    decay_fits,
     dimension_obstruction,
     gram_derivative_defect,
-    inverse_small_r_slope,
-    large_r_fits,
-    log_det_second_difference,
+    log_det_defects,
     quadrature_gram,
     residual_eigen_equation,
     shooting_compare,
@@ -94,12 +91,7 @@ def test_criterion_4_matrix_identities():
 
     gram_ratio = gram_derivative_defect(REAL3, [2.7])[1]
 
-    log_ratios = []
-    for cfg in (REAL3, CPLX2):
-        v = sample_grid(cfg, [5.3]).V[0]
-        d_h, d_half = abs(-2.0 * log_det_second_difference(cfg, [5.3])[:, 0]
-                          - v)
-        log_ratios.append(d_h / d_half)
+    log_ratios = [log_det_defects(cfg, [5.3])[2] for cfg in (REAL3, CPLX2)]
 
     ok = (worst_comm <= 1e-12 and 3.0 <= gram_ratio <= 5.0
           and all(3.0 <= q <= 5.0 for q in log_ratios))
@@ -112,12 +104,10 @@ def test_criterion_4_matrix_identities():
 def test_criterion_5_large_r_expansions():
     fits = []
     for cfg in (REAL3, CPLX2):
-        pairs, remainder_r3 = large_r_fits(cfg)
+        reports, remainder_r3 = decay_fits(cfg)
         if cfg is REAL3:
             scaled = float(np.max(remainder_r3))
-        for reps in pairs.values():
-            fits.extend(reps)
-        fits.append(inverse_small_r_slope(cfg))
+        fits.extend(reports.values())
     gap = max(abs(f.slope - f.expected_slope) for f in fits)
 
     ok = gap <= 0.2 and scaled <= 1e3

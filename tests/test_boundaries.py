@@ -35,6 +35,20 @@ def test_production_module_does_not_import_oracle(module):
     assert "ewlab.oracle" not in names, f"ewlab.{module} imports ewlab.oracle"
 
 
+def test_no_module_imports_another_modules_private_names():
+    # a name with a leading underscore is its module's own business
+    reached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "ewlab"):
+                reached += [f"{path.stem}: {node.module}.{alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")
+                            and not alias.name.startswith("__")]
+    assert reached == []
+
+
 # The Gram quadrature and the RK4 shooting oracle with their helpers: they
 # may take V and the initial frame from sample_grid, and call no other
 # function of the code they check.

@@ -1,6 +1,7 @@
 """Command-line driver: config validation, CSV/JSON output, determinism."""
 
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -105,12 +106,17 @@ def test_out_in_missing_directory_is_bad_input(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(ewlab.cli, "run_verification", work)
     cfg = write_config(tmp_path)
     (tmp_path / "file").write_text("")
-    for out in (tmp_path / "missing" / "x.out", tmp_path / "file" / "x.out"):
+    parent = "parent is not an existing directory"
+    for out, reason in ((tmp_path / "missing" / "x.out", parent),
+                        (tmp_path / "file" / "x.out", parent),
+                        (tmp_path / "missing" / ".." / "x.out", parent),
+                        (tmp_path, "is a directory"),
+                        (f"{tmp_path / 'new'}{os.sep}", "is a directory"),
+                        ("", "is a directory")):
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: --out {out}: parent is not an "
-                                "existing directory\n")
+        assert captured.err == f"error: --out {out}: {reason}\n"
 
 
 def test_build_csv_shape(tmp_path):
@@ -443,6 +449,19 @@ def test_too_small_probe_grid_is_bad_input(tmp_path, capsys, grid, free,
     assert captured.err == f"error: {message}\n"
 
 
+def test_probe_free_excludes_sweep(tmp_path, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("ran before rejecting --free --sweep")
+
+    monkeypatch.setattr(ewlab.cli, "inverse_iteration", work)
+    monkeypatch.setattr(ewlab.cli, "probe_embedded", work)
+    cfg = write_config(tmp_path)
+    assert main(["probe", "--config", cfg, "--free", "--sweep", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --free excludes --sweep 3\n"
+
+
 def test_probe_free_modes(tmp_path):
     cfg = write_config(tmp_path, grid={"start": 0.0, "end": 20.0, "step": 0.01})
     out = tmp_path / "free.json"
@@ -472,6 +491,30 @@ def test_bytes_independent_of_blas_threads(tmp_path, command, config):
             env=env, capture_output=True, check=True, timeout=300)
         outputs.append((run.stdout, run.stderr, out.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, lines", [("build", 1), ("verify", 0)])
+def test_closed_stdout_is_one_error_line(tmp_path, command, lines):
+    # build's reader leaves after one line of a CSV far larger than the
+    # pipe's buffer, so a later write finds the pipe closed; verify's leaves
+    # at once, and its report is still in stdout's buffer when main flushes
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    cfg = write_config(tmp_path,
+                       grid={"start": 0.0, "end": 50.0, "step": 0.01})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ewlab.cli", command, "--config", cfg],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
 def test_verify_small_config(tmp_path, capsys):
@@ -518,6 +561,7 @@ def test_version_flag(capsys):
     (ValueError("too few nonzero envelope points to fit"), 1),
     (ConfigError("bad input"), 2),
     (GridError("bad grid"), 2),
+    (OSError(28, "No space left on device"), 1),
 ])
 def test_exit_codes_by_failure_class(tmp_path, capsys, monkeypatch, exc, code):
     def fail(*args, **kwargs):

@@ -24,11 +24,7 @@ from ewlab.kernel import (
     trig_c,
     trig_s,
 )
-from ewlab.oracle import (
-    condition_estimate,
-    log_det_derivative,
-    log_det_second_difference,
-)
+from ewlab.oracle import _log_det_ratios, condition_estimate, log_det_defects
 
 CFG1 = ModelConfig([1.0], [1.0])
 CFG3 = ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
@@ -213,15 +209,14 @@ def test_log_det_derivative_identity():
     # (log det(A+G))' = -ts v, via branch-safe determinant ratios
     radii = np.array([0.9, 7.7, 31.0])
     for cfg in (CFG3, CFGC):
-        want = -np.sum(trig_s(cfg, radii) * sample_grid(cfg, radii).v,
-                       axis=1)
-        assert np.all(np.abs(log_det_derivative(cfg, radii) - want) <= 1e-7)
+        assert log_det_defects(cfg, radii)[0] <= 1e-7
 
 
 def test_log_det_derivative_single_frequency():
-    # D' = sin^2 r, so (log D)' = sin^2 r / D
+    # D' = sin^2 r, so (log D)' = sin^2 r / D; the central difference at
+    # h = 1e-4 is log(D(r+h)/D(r-h)) / 2h
     radii = np.array([0.5, 3.0])
-    got = log_det_derivative(CFG1, radii)
+    got = _log_det_ratios(CFG1, radii - 1e-4, [radii + 1e-4])[0] / 2e-4
     want = np.sin(radii) ** 2 / denom(radii)
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -229,10 +224,9 @@ def test_log_det_derivative_single_frequency():
 def test_potential_is_second_log_det_derivative():
     # V = -2 (log det)''; the second difference converges at order h^2
     for cfg in (CFG3, CFGC):
-        v = sample_grid(cfg, [5.3]).V[0]
-        d1, d2 = abs(-2.0 * log_det_second_difference(cfg, [5.3])[:, 0] - v)
-        assert d1 <= 1e-4
-        assert 3.0 <= d1 / d2 <= 5.0
+        _, defect, ratio = log_det_defects(cfg, [5.3])
+        assert defect <= 1e-4
+        assert 3.0 <= ratio <= 5.0
 
 
 def test_sample_grid_reality_dichotomy():
@@ -261,10 +255,11 @@ SINGULAR_ROUTES = {
         cfg, [2.0], np.ones((1, 1, 1), dtype=complex)),
     "sample_grid": lambda cfg, _: sample_grid(cfg, np.array([0.5, 2.0])),
     "sample_grid_later_block": later_block,
-    # the base radius of the central difference is 2.0 + h - h == 2.0
-    "log_det_derivative": lambda cfg, _: log_det_derivative(cfg, [2.0 + 1e-4]),
-    "log_det_second_difference": lambda cfg, _: log_det_second_difference(
-        cfg, [2.0]),
+    # log_det_defects solves at the first derivative's base radius r - h,
+    # then at r for the second difference, and samples v and V last; here
+    # r - h == 2.0 for the first and r == 2.0 for the second
+    "log_det_derivative": lambda cfg, _: log_det_defects(cfg, [2.0 + 1e-4]),
+    "log_det_second_difference": lambda cfg, _: log_det_defects(cfg, [2.0]),
     "condition_estimate": lambda cfg, _: condition_estimate(cfg, [2.0]),
 }
 

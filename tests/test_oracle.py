@@ -19,9 +19,8 @@ from ewlab.oracle import (
     condition_estimate,
     fd_second_derivative,
     fit_decay_slope,
+    decay_fits,
     gram_derivative_defect,
-    inverse_small_r_slope,
-    large_r_fits,
     quadrature_gram,
     residual_eigen_equation,
     shooting_compare,
@@ -348,7 +347,8 @@ def test_fit_input_validation():
 
 
 def test_potential_expansion_fits():
-    one, two = large_r_fits(CFG3)[0]["potential"]
+    fits = decay_fits(CFG3)[0]
+    one, two = fits["potential_one_term"], fits["potential_two_term"]
     assert (one.name, two.name) == ("V minus leading term",
                                     "V minus two terms")
     assert one.expected_slope == -2.0 and within_tol(one)
@@ -357,26 +357,30 @@ def test_potential_expansion_fits():
 
 
 def test_eigenfunction_asymptotics_fits():
-    fits = large_r_fits(CFG1)[0]
-    assert list(fits) == ["potential", "resolvent", "vprime", "v1"]
-    one, two = fits["v1"]
-    assert within_tol(one) and within_tol(two)
+    fits = decay_fits(CFG1)[0]
+    assert list(fits) == [
+        "potential_one_term", "potential_two_term", "resolvent_one_term",
+        "resolvent_two_term", "resolvent_small_r", "vprime_one_term",
+        "vprime_two_term", "v1_one_term", "v1_two_term"]
+    assert within_tol(fits["v1_one_term"]) and within_tol(fits["v1_two_term"])
 
 
 def test_inverse_matrix_asymptotics_fits():
-    one, two = large_r_fits(CFGC)[0]["resolvent"]
-    assert within_tol(one) and within_tol(two)
+    fits = decay_fits(CFGC)[0]
+    assert within_tol(fits["resolvent_one_term"])
+    assert within_tol(fits["resolvent_two_term"])
 
 
 def test_inverse_small_r_slope():
-    rep = inverse_small_r_slope(CFG3)
-    assert rep.expected_slope == 3.0
+    rep = decay_fits(CFG3)[0]["resolvent_small_r"]
+    assert (rep.name, rep.expected_slope) == ("resolvent minus A^{-1}", 3.0)
     assert within_tol(rep)
 
 
 def test_vprime_asymptotics_fits():
-    one, two = large_r_fits(CFG3)[0]["vprime"]
-    assert within_tol(one) and within_tol(two)
+    fits = decay_fits(CFG3)[0]
+    assert within_tol(fits["vprime_one_term"])
+    assert within_tol(fits["vprime_two_term"])
 
 
 MU24 = np.linspace(5.0, 0.5, 24)
