@@ -25,7 +25,8 @@ Every function takes an array of K radii and factors the K systems
 A + G(r_k) as stacks, right-hand sides carried, in one solve that names the
 r of a singular system; a single radius is K = 1. `sample_blocks` cuts a
 grid into blocks sized by BLOCK_BYTES; `build` formats each block as it
-comes, and `sample_grid` collects them.
+comes, verify's residual and shooting oracles and its [0, 400] maxima
+consume each block as it comes, and `sample_grid` collects them.
 
 Large-r behaviour, used by the asymptotic checks:
 

@@ -12,8 +12,9 @@ Three oracles that never reuse the closed form they check:
     prefix product.
 
 Each convergence check is one call that fixes its steps and returns the
-defect at h and defect(h)/defect(h/2). A grid check samples once, the finer
-grid of its pair, whose every other radius is the coarser grid's, bit for bit.
+defect at h and defect(h)/defect(h/2). A grid check makes one pass of
+sample_blocks over the finer grid of its pair, whose every other radius is
+the coarser grid's, bit for bit, and holds no whole-grid sample.
 
 Plus the log-log fit machinery for the decay orders: every asymptotic claim
 is of the form |defect(r)| = O(r^-k), verified by fitting the decay exponent
@@ -216,6 +217,29 @@ def _halving_ratio(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
                      where=fine > 0.0)
 
 
+def _stencil_sups(r: np.ndarray, v: np.ndarray, big_v: np.ndarray, h: float,
+                  dims: Sequence[int], mu2: np.ndarray) -> np.ndarray:
+    """Max |residual| over the interior rows of (r, v, V), (len(dims), n).
+
+    -inf where there are fewer than 3 rows, so that it drops out of a
+    running maximum.
+    """
+    out = np.full((len(dims), v.shape[1]), -math.inf)
+    if len(r) < 3:
+        return out
+    r = r[:, None]
+    for i, d in enumerate(dims):
+        # d = 1 skips the lift and the zero u' term, two (K, n) arrays
+        u = v if d == 1 else r ** ((1.0 - d) / 2.0) * v
+        residual = -fd_second_derivative(u, h)
+        if d != 1:
+            first = (u[2:] - u[:-2]) / (2.0 * h)
+            residual = residual - (d - 1.0) / r[1:-1] * first
+        residual = residual + (big_v[1:-1, None] - mu2) * u[1:-1]
+        out[i] = np.max(np.abs(residual), axis=0)
+    return out
+
+
 def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
                             dims: Sequence[int]) -> tuple:
     """Sup FD residuals of the radial eigen-equations on the grid interior.
@@ -226,8 +250,12 @@ def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
     one d that allows a grid starting at r = 0. For d = 1 and d = 3 this is
     pure truncation error; otherwise it approaches the obstructing term
     |(d-1)(d-3)/4| r^{-2} |u| as h -> 0. Returns (sup, ratio), each of shape
-    (len(dims), n), from one sample of the halved grid: ratio is
-    sup(h)/sup(h/2) (inf if that sup is 0).
+    (len(dims), n), from one pass of sample_blocks over the halved grid:
+    ratio is sup(h)/sup(h/2) (inf if that sup is 0). The grid is every
+    other radius of its halving. Per block and per stride (2, then 1), the
+    stencil runs on the block's rows of that stride and on the seam, the
+    last two rows of the earlier blocks and the first two of this one; a
+    running maximum keeps the sups, exactly as one max over the whole grid.
     """
     if any(d < 1 for d in dims):
         raise ValueError("dimension must be >= 1")
@@ -235,22 +263,20 @@ def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
         raise GridError("a lift to d != 1 needs a grid that starts at r > 0")
     if grid.count - 2 < 8:
         raise GridError("fewer than 8 interior points")
-    ps = sample_grid(config, grid.halved().radii())
-    radii, v_all, big_v_all = ps.radii, ps.v, ps.V
-    del ps  # frees v' and W, which the stencil does not read
-    sups = np.empty((2, len(dims), config.n))
-    for stride, out in zip((2, 1), sups):
-        h = grid.step * stride / 2.0
-        r, v, big_v = radii[::stride, None], v_all[::stride], big_v_all[::stride]
-        for i, d in enumerate(dims):
-            # d = 1 skips the lift and the zero u' term, two (K, n) arrays
-            u = v if d == 1 else r ** ((1.0 - d) / 2.0) * v
-            residual = -fd_second_derivative(u, h)
-            if d != 1:
-                first = (u[2:] - u[:-2]) / (2.0 * h)
-                residual = residual - (d - 1.0) / r[1:-1] * first
-            residual = residual + (big_v[1:-1, None] - config.mu**2) * u[1:-1]
-            out[i] = np.max(np.abs(residual), axis=0)
+    mu2 = config.mu**2
+    sups = np.full((2, len(dims), config.n), -math.inf)
+    tails = [(np.empty(0), np.empty((0, config.n)), np.empty(0))] * 2
+    for block, r, v, _, big_v, _ in construct.sample_blocks(config,
+                                                            grid.halved()):
+        for k, stride in enumerate((2, 1)):
+            h = grid.step * stride / 2.0
+            rows = [x[-block.start % stride::stride] for x in (r, v, big_v)]
+            seam = [np.concatenate([t, x[:2]]) for t, x in zip(tails[k], rows)]
+            for part in (seam, rows):
+                np.maximum(sups[k], _stencil_sups(*part, h, dims, mu2),
+                           out=sups[k])
+            tails[k] = [np.concatenate([t, x[-2:]])[-2:]
+                        for t, x in zip(tails[k], rows)]
     return sups[0], _halving_ratio(*sups)
 
 
@@ -285,46 +311,73 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
-                    h: float) -> np.ndarray:
-    """u after every RK4 step of u'' = q u from (u, p): shape (steps + 1, n).
+                    h: float) -> tuple:
+    """One chunk of RK4 steps of u'' = q u from (u, p): (u_steps, u, p).
 
-    q holds the half-step values, shape (2 steps + 1, n). RK4 is linear in
-    (u, p), so each step is a 2x2 matrix I + E, where the columns of E are
-    the step's increments from (1, 0) and (0, 1), built for all steps and
-    all j at once. The running product is taken in chunks whose
-    (chunk, n, 2, 2) stack is a quarter of construct.BLOCK_BYTES, each as a
-    two-level blocked prefix product: prefix products inside blocks of
-    about sqrt(chunk) steps, all blocks at once, then one pass over the
-    blocks that carries the state (u, p) through them and on into the next
-    chunk. Products are kept as their difference from I and states are
-    updated by increments, as a step-by-step RK4 loop does; that keeps the
-    rounding error at the loop's level.
+    q holds the half-step values of m steps, shape (2 m + 1, n); u_steps is
+    u after each step, shape (m, n), and (u, p) the state after the last.
+    RK4 is linear in (u, p), so each step is a 2x2 matrix I + E, where the
+    columns of E are the step's increments from (1, 0) and (0, 1), built
+    for all steps and all j at once. The chunk is a two-level blocked
+    prefix product: prefix products inside blocks of about sqrt(m) steps,
+    all blocks at once, then one pass over the blocks that carries the
+    state (u, p) through them. Products are kept as their difference from
+    I and states are updated by increments, as a step-by-step RK4 loop
+    does; that keeps the rounding error at the loop's level.
     """
-    steps, n = (q.shape[0] - 1) // 2, q.shape[1]
-    chunk = max(1, construct.BLOCK_BYTES // (128 * n))
-    out = np.empty((steps + 1, n), dtype=np.result_type(q, u, p))
-    out[0] = u
-    for first in range(0, steps, chunk):
-        m = min(chunk, steps - first)
-        width = math.isqrt(m - 1) + 1
-        blocks = -(-m // width)
-        qs = q[2 * first:2 * (first + m) + 1]
-        stages = (qs[:-1:2], qs[1::2], qs[2::2], h)
-        e = np.zeros((4, blocks * width, n), dtype=out.dtype)
-        e[0, :m], e[2, :m] = _rk4_increment(1.0, 0.0, *stages)
-        e[1, :m], e[3, :m] = _rk4_increment(0.0, 1.0, *stages)
-        e = e.reshape(4, blocks, width, n)
-        for k in range(1, width):
-            e[:, :, k] = _compose(e[:, :, k], e[:, :, k - 1])
-        start = np.empty((2, blocks, 1, n), dtype=out.dtype)
-        for b in range(blocks):
-            start[:, b, 0] = u, p
-            last = e[:, b, -1]
-            u, p = (u + (last[0] * u + last[1] * p),
-                    p + (last[2] * u + last[3] * p))
-        u_chunk = start[0] + (e[0] * start[0] + e[1] * start[1])
-        out[first + 1:first + m + 1] = u_chunk.reshape(-1, n)[:m]
-    return out
+    m, n = (q.shape[0] - 1) // 2, q.shape[1]
+    dtype = np.result_type(q, u, p)
+    width = math.isqrt(m - 1) + 1
+    blocks = -(-m // width)
+    stages = (q[:-1:2], q[1::2], q[2::2], h)
+    e = np.zeros((4, blocks * width, n), dtype=dtype)
+    e[0, :m], e[2, :m] = _rk4_increment(1.0, 0.0, *stages)
+    e[1, :m], e[3, :m] = _rk4_increment(0.0, 1.0, *stages)
+    e = e.reshape(4, blocks, width, n)
+    for k in range(1, width):
+        e[:, :, k] = _compose(e[:, :, k], e[:, :, k - 1])
+    start = np.empty((2, blocks, 1, n), dtype=dtype)
+    for b in range(blocks):
+        start[:, b, 0] = u, p
+        last = e[:, b, -1]
+        u, p = (u + (last[0] * u + last[1] * p),
+                p + (last[2] * u + last[3] * p))
+    u_steps = start[0] + (e[0] * start[0] + e[1] * start[1])
+    return u_steps.reshape(-1, n)[:m], u, p
+
+
+class _Trajectory:
+    """One RK4 integration of u'' = q u, fed its rows as they are sampled.
+
+    Each feed adds the next rows of q at the half steps and of v at the
+    nodes, every other half step. A chunk of m steps, whose (m, n, 2, 2)
+    stack is a quarter of construct.BLOCK_BYTES, runs through
+    _rk4_trajectory, after its |q| h^2 <= 0.1 guard, once its 2 m + 1 rows
+    of q are in; so the chunks start at the same steps whatever the feeds'
+    lengths. Held: the state (u, p), the rows not yet integrated, whose
+    first is the current node, and dev, the running max |u - v| at nodes.
+    """
+
+    def __init__(self, u: np.ndarray, p: np.ndarray, h: float, steps: int):
+        self.u, self.p, self.h, self.steps = u, p, h, steps
+        self.chunk = max(1, construct.BLOCK_BYTES // (128 * len(u)))
+        self.q = self.v = u[None][:0]
+        self.dev = np.abs(u - u)
+
+    def feed(self, q: np.ndarray, v: np.ndarray) -> None:
+        self.q = np.concatenate([self.q, q])
+        self.v = np.concatenate([self.v, v])
+        while self.steps and len(self.q) > 2 * min(self.chunk, self.steps):
+            m = min(self.chunk, self.steps)
+            qs = self.q[:2 * m + 1]
+            if float(np.max(np.abs(qs))) * self.h * self.h > 0.1:
+                raise StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step")
+            u_steps, self.u, self.p = _rk4_trajectory(qs, self.u, self.p,
+                                                      self.h)
+            np.maximum(self.dev, np.max(np.abs(u_steps - self.v[1:m + 1]),
+                                        axis=0), out=self.dev)
+            self.q, self.v = self.q[2 * m:], self.v[m:]
+            self.steps -= m
 
 
 def shooting_compare(config: ModelConfig,
@@ -338,26 +391,25 @@ def shooting_compare(config: ModelConfig,
     data (v_j(delta), v_j'(delta)): the solution is fixed by that frame, so
     the comparison tests the ODE, not the initial condition. V is evaluated
     exactly on the half-step grid, keeping the classical O(h^4) order
-    intact; the halved grid's half-step radii are sampled once, for every
-    eigen-index and both grids (the grid's own are every other one).
+    intact. One pass of sample_blocks over the halved grid's half steps
+    (every other one the halved grid's own, every fourth the grid's)
+    feeds both integrations, for every eigen-index, as the blocks arrive.
     """
     if not grid.r_start > 0.0:
         raise GridError("shooting starts at r_start > 0")
     fine = grid.halved()
-    h = fine.step
-    ps = sample_grid(config,
-                     fine.r_start + 0.5 * h * np.arange(2 * fine.count - 1))
-    v, p = ps.v, ps.v_prime[0].copy()
-    q = ps.V[:, None] - config.mu**2
-    del ps  # frees v' and W before the integration
-    devs = []
-    for stride in (2, 1):
-        step = h * stride
-        if float(np.max(np.abs(q[::stride]))) * step * step > 0.1:
-            raise StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step")
-        u = _rk4_trajectory(q[::stride], v[0], p, step)
-        devs.append(np.max(np.abs(u - v[::2 * stride]), axis=0))
-    return devs[0], _halving_ratio(*devs)
+    mu2 = config.mu**2
+    runs = []
+    for block, _, v, v_prime, big_v, _ in construct.sample_blocks(
+            config, fine.halved()):
+        if not runs:
+            runs = [_Trajectory(v[0].copy(), v_prime[0].copy(),
+                                fine.step * stride, (fine.count - 1) // stride)
+                    for stride in (2, 1)]
+        for stride, run in zip((2, 1), runs):
+            run.feed(big_v[-block.start % stride::stride, None] - mu2,
+                     v[-block.start % (2 * stride)::2 * stride])
+    return runs[0].dev, _halving_ratio(runs[0].dev, runs[1].dev)
 
 
 def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,

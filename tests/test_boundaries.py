@@ -50,10 +50,10 @@ def test_no_module_imports_another_modules_private_names():
 
 
 # The Gram quadrature and the RK4 shooting oracle with their helpers: they
-# may take V and the initial frame from sample_grid, and call no other
+# may take V and the initial frame from sample_blocks, and call no other
 # function of the code they check.
 INDEPENDENT = ("quadrature_gram", "_gauss_legendre", "_halving_ratio",
-               "_rk4_increment", "_compose", "_rk4_trajectory",
+               "_rk4_increment", "_compose", "_rk4_trajectory", "_Trajectory",
                "shooting_compare")
 
 
@@ -62,12 +62,12 @@ def defined_functions(path: Path) -> set:
             if isinstance(node, ast.FunctionDef)}
 
 
-def test_quadrature_and_rk4_call_only_sample_grid_of_the_checked_code():
+def test_quadrature_and_rk4_call_only_sample_blocks_of_the_checked_code():
     checked = (defined_functions(PACKAGE / "kernel.py")
                | defined_functions(PACKAGE / "construct.py"))
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
     bodies = {node.name: node for node in tree.body
-              if isinstance(node, ast.FunctionDef)}
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(INDEPENDENT) <= set(bodies)
     for name in INDEPENDENT:
         used = set()
@@ -76,7 +76,7 @@ def test_quadrature_and_rk4_call_only_sample_grid_of_the_checked_code():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-        assert used & checked <= {"sample_grid"}, name
+        assert used & checked <= {"sample_blocks"}, name
 
 
 def _used_names(node: ast.AST, skip: str) -> set:

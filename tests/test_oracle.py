@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewlab import construct, oracle
-from ewlab.construct import sample_grid
+from ewlab.construct import sample_blocks, sample_grid
 from ewlab.kernel import GridError, GridSpec, ModelConfig, gram_matrix_stack
 from ewlab.oracle import (
     SLOPE_TOL,
@@ -205,10 +205,10 @@ def test_residual_samples_once_for_every_dimension(monkeypatch):
     sampled = []
 
     def counted(config, radii):
-        sampled.append(radii.size)
-        return sample_grid(config, radii)
+        sampled.append(radii.count)
+        yield from sample_blocks(config, radii)
 
-    monkeypatch.setattr(oracle, "sample_grid", counted)
+    monkeypatch.setattr(construct, "sample_blocks", counted)
     grid = GridSpec(1.0, 30.0, 1e-3)
     residual_eigen_equation(CFG3, grid, (3, 2, 4, 5))
     assert sampled == [grid.halved().count]
@@ -234,6 +234,17 @@ def test_shooting_requires_positive_start():
 def test_shooting_rejects_unstable_step():
     with pytest.raises(StepTooLargeError):
         shooting_compare(CFG3, GridSpec(0.1, 10.1, 0.5))
+
+
+def test_shooting_rejects_unstable_step_on_a_long_grid(monkeypatch):
+    # 100 radii a block and RK4 chunks of 81 steps at n = 3; the runs have
+    # 2,000 steps of h = 14 and 4,000 of h = 7, where RK4 on u'' = -9 u
+    # grows over 8,000-fold a step: any one chunk integrated before its
+    # guard would overflow and warn, and warnings fail the suite
+    monkeypatch.setattr(construct, "BLOCK_BYTES", 100 * 312)
+    with pytest.raises(StepTooLargeError, match=(
+            r"^\|V - mu\^2\| h\^2 > 0\.1; halve the step$")):
+        shooting_compare(CFG3, GridSpec(0.1, 28000.1, 14.0))
 
 
 def _rk4_reference(q, v0, p, h):
@@ -272,10 +283,27 @@ CHUNK = 10
 EDGE_STEPS = (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 19, 20, 21, 30, 31)
 
 
+def _chunked_trajectory(q, u, p, h):
+    """u at every step, shape (steps + 1, n), in shooting_compare's chunks.
+
+    Chunks of BLOCK_BYTES // (128 n) steps from the first, each one call of
+    _rk4_trajectory on the whole q's rows, carrying (u, p) to the next.
+    """
+    steps, n = (q.shape[0] - 1) // 2, q.shape[1]
+    chunk = max(1, construct.BLOCK_BYTES // (128 * n))
+    out = [np.asarray(u)[None]]
+    for first in range(0, steps, chunk):
+        m = min(chunk, steps - first)
+        u_steps, u, p = _rk4_trajectory(q[2 * first:2 * (first + m) + 1],
+                                        u, p, h)
+        out.append(u_steps)
+    return np.concatenate(out)
+
+
 def _assert_matches_reference(q, v0, p, h):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "BLOCK_BYTES", 128 * q.shape[1] * CHUNK)
-        got = _rk4_trajectory(q, v0, p, h)
+        got = _chunked_trajectory(q, v0, p, h)
     for j in range(q.shape[1]):
         want = _rk4_reference(q[:, j], v0[j], p[j], h)
         scale = np.max(np.abs(want))
@@ -313,11 +341,92 @@ def test_real_rk4_is_the_real_part_of_its_complex_cast(steps):
     rng = np.random.default_rng(steps)
     q = -10.0 + 20.0 * rng.standard_normal((2 * steps + 1, 3))
     v0, p = rng.standard_normal((2, 3))
-    real = _rk4_trajectory(q, v0, p, 0.01)
-    cplx = _rk4_trajectory(q.astype(complex), v0, p, 0.01)
+    real = _chunked_trajectory(q, v0, p, 0.01)
+    cplx = _chunked_trajectory(q.astype(complex), v0, p, 0.01)
     assert real.dtype == float and cplx.dtype == complex
     assert real.tobytes() == cplx.real.tobytes()
     assert not np.any(cplx.imag)
+
+
+def _whole_grid_residual(cfg, grid, dims):
+    """residual_eigen_equation from one sample_grid of the halved grid."""
+    ps = sample_grid(cfg, grid.halved().radii())
+    sups = np.empty((2, len(dims), cfg.n))
+    for stride, out in zip((2, 1), sups):
+        h = grid.step * stride / 2.0
+        r, v, big_v = ps.radii[::stride, None], ps.v[::stride], ps.V[::stride]
+        for i, d in enumerate(dims):
+            u = v if d == 1 else r ** ((1.0 - d) / 2.0) * v
+            residual = -fd_second_derivative(u, h)
+            if d != 1:
+                first = (u[2:] - u[:-2]) / (2.0 * h)
+                residual = residual - (d - 1.0) / r[1:-1] * first
+            residual = residual + (big_v[1:-1, None] - cfg.mu**2) * u[1:-1]
+            out[i] = np.max(np.abs(residual), axis=0)
+    return sups[0], sups[0] / sups[1]
+
+
+def _whole_grid_shooting(cfg, grid):
+    """shooting_compare from one sample_grid of the half-step radii."""
+    fine = grid.halved()
+    h = fine.step
+    ps = sample_grid(cfg,
+                     fine.r_start + 0.5 * h * np.arange(2 * fine.count - 1))
+    q = ps.V[:, None] - cfg.mu**2
+    devs = []
+    for stride in (2, 1):
+        step = h * stride
+        assert float(np.max(np.abs(q[::stride]))) * step * step <= 0.1
+        u = _chunked_trajectory(q[::stride], ps.v[0], ps.v_prime[0], step)
+        devs.append(np.max(np.abs(u - ps.v[::2 * stride]), axis=0))
+    return devs[0], devs[0] / devs[1]
+
+
+# Blocks of 1, 7 and 13 radii: odd, so the stride-2 rows of a block start
+# on either parity; a block of one radius has fewer rows than the two the
+# stencil carries; and several blocks make one RK4 chunk (at n = 3, chunks
+# of 1, 5 and 10 steps, 3, 11 and 21 half steps at stride 1, twice that at
+# stride 2)
+@pytest.mark.parametrize("radii", [1, 7, 13])
+@pytest.mark.parametrize("cfg", [CFG3, CFGC], ids=["n3_real", "n2_complex"])
+def test_streamed_oracles_equal_the_whole_grid_bitwise(cfg, radii,
+                                                       monkeypatch):
+    monkeypatch.setattr(construct, "BLOCK_BYTES",
+                        radii * 8 * cfg.n * (3 * cfg.n + 4))
+    for grid, dims in ((GridSpec(0.0, 1.0, 0.01), (1,)),
+                       (GridSpec(0.3, 1.3, 0.01), (1, 3))):
+        got = residual_eigen_equation(cfg, grid, dims)
+        want = _whole_grid_residual(cfg, grid, dims)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    grid = GridSpec(0.1, 1.1, 0.01)
+    got = shooting_compare(cfg, grid)
+    want = _whole_grid_shooting(cfg, grid)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_oracle_memory_does_not_grow_with_the_grid(monkeypatch):
+    # 100 radii a block at n = 3: both grids are many blocks long
+    monkeypatch.setattr(construct, "BLOCK_BYTES", 100 * 312)
+    oracles = {
+        "residual": lambda grid: residual_eigen_equation(CFG3, grid, (1, 3)),
+        "shooting": lambda grid: shooting_compare(CFG3, grid)}
+    for name, run in oracles.items():
+        peaks = []
+        for end in (1.1, 4.1):
+            grid = GridSpec(0.1, end, 1e-3)
+            run(grid)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                run(grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 3,000 more grid radii, each 2 (residual) or 4 (shooting) sampled
+        # radii, add no sample (72 B a radius at n = 3, over 400 KiB in all)
+        # and no trajectory (24 B a step). What may be left is one 56 B
+        # tuple a block that CPython's tuple free list keeps and tracemalloc
+        # still counts: up to 7 KiB in a fresh process, 50 B once it is full
+        assert peaks[1] - peaks[0] <= 16 << 10, (name, peaks)
 
 
 def within_tol(rep):

@@ -1,10 +1,13 @@
 """Verification report plumbing and the full invariant suite on small inputs."""
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import ewlab.verify
+from ewlab.cli import load_config
 from ewlab.kernel import ModelConfig
 from ewlab.verify import CheckResult, run_verification
 
@@ -106,3 +109,19 @@ def test_non_positive_gram_form_fails_its_check(monkeypatch):
     assert len(failing) == 2
     assert failing[0].startswith("FAIL gram_positivity: value=-")
     assert failing[1].startswith("FAIL overall")
+
+
+def test_verification_memory_stays_below_six_mib():
+    # every grid of the suite is streamed through sample_blocks, so the
+    # peak is about one default block's working set (2.9 MB at n = 3) plus
+    # the small checks: 4.8 MiB, where whole-grid samples took 11.2 MiB
+    root = Path(__file__).resolve().parent.parent
+    rc = load_config(str(root / "configs" / "demo.json"))
+    run_verification(rc.model, seed=rc.seed)  # warm caches outside
+    tracemalloc.start()
+    try:
+        run_verification(rc.model, seed=rc.seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20, peak

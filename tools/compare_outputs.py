@@ -25,6 +25,8 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(HERE / "perfbench"))
 
@@ -44,13 +46,16 @@ COMMANDS = (
 WORKERS = 2  # two runs at a time: each is one process of modest size
 
 # Configs whose verify fails or whose systems are ill-conditioned, so that
-# failing verdicts and exit 1 are compared too: (name, mu, a).
+# failing verdicts and exit 1 are compared too, and a real n = 12 config,
+# whose sample blocks (546 radii) are shorter than its RK4 chunks (1,365
+# steps): (name, mu, a).
 EDGES = (
     ("low-frequency", [1e-3], [1.0]),
     ("near-gap", [1.0000001, 1.0], [1.0, 1.0]),
     ("tiny-coupling", [2.0, 1.0], [1e-12, 1.0]),
     ("high-frequency", [40.0, 1.0], [1.0, 1.0]),
     ("imaginary", [2.0, 1.0], [[0.0, 1.0], [0.0, 2.0]]),
+    ("real-n12", np.linspace(3.0, 0.5, 12).tolist(), [1.0] * 12),
 )
 
 
