@@ -15,10 +15,15 @@ Config schema:
      "seed": 0}
 
 Everything is deterministic given (config, seed): no timestamps, seeded
-generators only, file writes are atomic (temp file + rename, with the mode
-the umask gives a new file), and repeated runs produce byte-identical bytes.
-Exit codes: 0 all checks pass, 1 a check, probe or numerical step failed or
-the output could not be written, 2 invalid input (ConfigError, GridError).
+draws from Python's random.Random(seed) only, file writes are atomic (temp
+file + rename, with the mode the umask gives a new file), and repeated runs
+produce byte-identical bytes. Exit codes: 0 all checks pass, 1 a check,
+probe or numerical step failed or the output could not be written, 2
+invalid input (ConfigError, GridError).
+
+A command imports the modules it runs when it runs, after its own checks:
+load_config and the input errors it reports need only ewlab.kernel, and
+no command loads numpy.random.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import contextlib
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -35,16 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ewlab import __version__
-from ewlab.construct import potential_terms, sample_blocks, sample_grid
 from ewlab.kernel import ConfigError, GridError, GridSpec, ModelConfig
-from ewlab.spectral_probe import (
-    aligned_correlation,
-    build_hamiltonian,
-    free_laplacian_eigenvalue,
-    inverse_iteration,
-    probe_embedded,
-)
-from ewlab.verify import run_verification
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -196,6 +193,7 @@ def cmd_build(rc: RunConfig) -> int:
     printed before it); each block is one % over its repeated row template.
     """
     rc.model.check_radius(rc.grid.r_end)
+    from ewlab.construct import sample_blocks
     n = rc.model.n
     header = "r,V_re,V_im," + ",".join(
         f"v{j}_re,v{j}_im" for j in range(1, n + 1)) + ",W\n"
@@ -216,6 +214,7 @@ def cmd_build(rc: RunConfig) -> int:
 
 def cmd_verify(rc: RunConfig) -> int:
     """Run the invariant suite; print one line per check, report as JSON."""
+    from ewlab.verify import run_verification
     report = run_verification(rc.model, seed=rc.seed)
     for line in report.lines():
         print(line)
@@ -228,6 +227,9 @@ def _probe_free(rc: RunConfig) -> dict:
     if rc.grid.count < 5:  # the 3 modes probed need 3 interior nodes
         raise GridError(f"--free needs at least 3 interior grid nodes; this "
                         f"one has {rc.grid.count - 2}")
+    from ewlab.spectral_probe import (build_hamiltonian,
+                                      free_laplacian_eigenvalue,
+                                      inverse_iteration)
     t = build_hamiltonian(rc.grid, np.zeros(rc.grid.count - 2))
     modes = []
     for k in (1, 2, 3):
@@ -247,10 +249,10 @@ def _probe_free(rc: RunConfig) -> dict:
 def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
     """Probe the discretized operator at each prescribed eigenvalue.
 
-    With --sweep K, additionally reruns the probe for K seeded admissible
-    coupling matrices and reports the spread of the eigenvalue estimates
-    next to the single-run error floor (the estimates should agree: the
-    eigenvalues do not depend on the couplings).
+    With --sweep K, additionally reruns the probe for K admissible coupling
+    matrices drawn from random.Random(seed) and reports the spread of the
+    eigenvalue estimates next to the single-run error floor (the estimates
+    should agree: the eigenvalues do not depend on the couplings).
     """
     if sweep < 0:
         raise ConfigError(f"--sweep {sweep} must be non-negative")
@@ -265,6 +267,7 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
         worst = max(m["abs_error"] for m in doc["free_modes"])
         return 0 if worst <= 1e-10 else 1
     rc.model.check_radius(rc.grid.r_end)
+    from ewlab.spectral_probe import aligned_correlation, probe_embedded
     doc["results"] = [{
         "j": res.j + 1,
         "shift": res.shift,
@@ -279,10 +282,10 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
             res.vector, res.start_vector),
     } for res in probe_embedded(rc.model, rc.grid)]
     if sweep > 0:
-        rng, n = np.random.default_rng(rc.seed), rc.model.n
+        rng, n = random.Random(rc.seed), rc.model.n
         # admissible by construction: Re in [0.5, 2.5], Im in [-1, 1]
-        couplings = [rng.uniform(0.5, 2.5, n) + 1j * rng.uniform(-1.0, 1.0, n)
-                     for _ in range(sweep)]
+        couplings = [[complex(rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0))
+                      for _ in range(n)] for _ in range(sweep)]
         estimates: dict = {str(j + 1): [] for j in range(n)}
         for k, a in enumerate(couplings, start=1):
             swept = ModelConfig(rc.model.mu, a)
@@ -318,6 +321,7 @@ def cmd_expand(rc: RunConfig, radii: list) -> int:
             raise ConfigError(
                 f"expansion radius {r} must be positive and finite")
     rc.model.check_radius(max(radii))
+    from ewlab.construct import potential_terms, sample_grid
     cols = ("r", "V_re", "V_im", "leading", "second_re", "second_im",
             "|remainder|", "|remainder|*r^3", "W")
     ps = sample_grid(rc.model, np.array(radii))

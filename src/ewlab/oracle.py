@@ -300,14 +300,11 @@ def _rk4_increment(u, p, q0, qm, q1, h: float) -> tuple:
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(I + a)(I + b) - I for stacks of 2x2 matrices stored entrywise.
+    """(I + a)(I + b) - I for stacks of 2x2 matrices, entry (i, j) at x[i, j].
 
-    x[0], x[1], x[2], x[3] along axis 0 are the entries [[x0, x1], [x2, x3]].
+    Entry (i, j) of a b is a[i, 0] b[0, j] + a[i, 1] b[1, j], all four at once.
     """
-    return np.array([a[0] + b[0] + (a[0] * b[0] + a[1] * b[2]),
-                     a[1] + b[1] + (a[0] * b[1] + a[1] * b[3]),
-                     a[2] + b[2] + (a[2] * b[0] + a[3] * b[2]),
-                     a[3] + b[3] + (a[2] * b[1] + a[3] * b[3])])
+    return a + b + (a[:, :1] * b[:1] + a[:, 1:] * b[1:])
 
 
 def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
@@ -330,19 +327,19 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
     width = math.isqrt(m - 1) + 1
     blocks = -(-m // width)
     stages = (q[:-1:2], q[1::2], q[2::2], h)
-    e = np.zeros((4, blocks * width, n), dtype=dtype)
-    e[0, :m], e[2, :m] = _rk4_increment(1.0, 0.0, *stages)
-    e[1, :m], e[3, :m] = _rk4_increment(0.0, 1.0, *stages)
-    e = e.reshape(4, blocks, width, n)
+    e = np.zeros((2, 2, blocks * width, n), dtype=dtype)
+    e[0, 0, :m], e[1, 0, :m] = _rk4_increment(1.0, 0.0, *stages)
+    e[0, 1, :m], e[1, 1, :m] = _rk4_increment(0.0, 1.0, *stages)
+    e = e.reshape(2, 2, blocks, width, n)
     for k in range(1, width):
-        e[:, :, k] = _compose(e[:, :, k], e[:, :, k - 1])
+        e[:, :, :, k] = _compose(e[:, :, :, k], e[:, :, :, k - 1])
     start = np.empty((2, blocks, 1, n), dtype=dtype)
     for b in range(blocks):
         start[:, b, 0] = u, p
-        last = e[:, b, -1]
-        u, p = (u + (last[0] * u + last[1] * p),
-                p + (last[2] * u + last[3] * p))
-    u_steps = start[0] + (e[0] * start[0] + e[1] * start[1])
+        last = e[:, :, b, -1]
+        u, p = (u + (last[0, 0] * u + last[0, 1] * p),
+                p + (last[1, 0] * u + last[1, 1] * p))
+    u_steps = start[0] + (e[0, 0] * start[0] + e[0, 1] * start[1])
     return u_steps.reshape(-1, n)[:m], u, p
 
 
@@ -350,7 +347,7 @@ class _Trajectory:
     """One RK4 integration of u'' = q u, fed its rows as they are sampled.
 
     Each feed adds the next rows of q at the half steps and of v at the
-    nodes, every other half step. A chunk of m steps, whose (m, n, 2, 2)
+    nodes, every other half step. A chunk of m steps, whose (2, 2, m, n)
     stack is a quarter of construct.BLOCK_BYTES, runs through
     _rk4_trajectory, after its |q| h^2 <= 0.1 guard, once its 2 m + 1 rows
     of q are in; so the chunks start at the same steps whatever the feeds'

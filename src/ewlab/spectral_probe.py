@@ -25,6 +25,7 @@ digits with the BLAS thread count.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,10 +138,16 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
     |H x - lambda x| <= _TOL for the unit vector x. A shift landing exactly on
     a discrete eigenvalue surfaces as SingularMatrixError from the
     factorization; the shift is then nudged by a relative 1e-10 and retried.
+    Without a start vector the iteration starts from K seeded values, each
+    uniform in [-1, 1): K little-endian 64-bit words of
+    random.Random(seed).randbytes, whose top 53 bits give the doubles.
     """
     k = t.size
     if start is None:
-        start = np.random.default_rng(seed).standard_normal(k).astype(complex)
+        start = (np.frombuffer(random.Random(seed).randbytes(8 * k), "<u8")
+                 >> 11).astype(complex)
+        start *= 2.0**-52  # in place: one complex array at a time
+        start -= 1.0
         start_mode = "seeded random"
     else:
         start = np.asarray(start, dtype=complex)

@@ -210,7 +210,28 @@ def test_criterion_9_deterministic_outputs(tmp_path):
         rc4 = cli_main(["verify", "--config", str(cfg_path), "--out", str(json2)])
     verify_same = rc3 == rc4 == 0 and json1.read_bytes() == json2.read_bytes()
 
-    ok = build_same and verify_same
+    probes = {}
+    for name, flag in (("sweep", ["--sweep", "2"]), ("free", ["--free"])):
+        runs = [tmp_path / f"{name}{k}.json" for k in (1, 2)]
+        codes = [cli_main(["probe", "--config", str(cfg_path), "--out",
+                           str(out), *flag]) for out in runs]
+        probes[name] = (codes == [0, 0]
+                        and runs[0].read_bytes() == runs[1].read_bytes())
+
+    # the seed draws the sweep's couplings: seed 1 draws others than seed 0
+    doc = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**doc, "seed": 1}))
+    seed1 = tmp_path / "seed1.json"
+    rc5 = cli_main(["probe", "--config", str(cfg_path), "--out", str(seed1),
+                    "--sweep", "2"])
+    couplings = [json.loads(path.read_text())["sweep"]["couplings"]
+                 for path in (tmp_path / "sweep1.json", seed1)]
+    seed_moves = rc5 == 0 and couplings[0] != couplings[1]
+
+    ok = build_same and verify_same and all(probes.values()) and seed_moves
     _report(9, "byte-identical reruns", ok,
-            f"build identical={build_same}, verify identical={verify_same} "
+            f"build identical={build_same}, verify identical={verify_same}, "
+            f"probe --sweep 2 identical={probes['sweep']}, probe --free "
+            f"identical={probes['free']}, seeds 0 and 1 sweep different "
+            f"couplings={seed_moves} "
             f"({csv1.stat().st_size} CSV bytes, {json1.stat().st_size} JSON bytes)")

@@ -4,10 +4,15 @@ The oracles check the construction by independent routes, so the code they
 check must not depend on them, and the quadrature and RK4 oracles take
 nothing from it but sampled data. Every public name of a production module
 is used somewhere in the package, not only by tests. The modules are parsed,
-not imported.
+not imported, except by the import guards at the end, which run the CLI in
+a fresh interpreter and read its sys.modules.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,3 +145,47 @@ def test_finite_difference_steps_are_not_parameters(module):
                                        + args.kwonlyargs)}:
                 takes_h.append(node.name)
     assert takes_h == [], f"ewlab.{module} functions take a step h"
+
+
+# Runs load_config, or main on the command in argv[2:], on the config in
+# argv[1], with stdout sent to stderr, then prints the loaded module names.
+CHILD = """\
+import contextlib, sys
+from ewlab.cli import load_config, main
+with contextlib.redirect_stdout(sys.stderr):
+    if sys.argv[2:]:
+        assert main([*sys.argv[2:], "--config", sys.argv[1]]) == 0
+    else:
+        load_config(sys.argv[1])
+print(*sys.modules)
+"""
+
+
+def loaded_modules(tmp_path, *command) -> set:
+    """sys.modules of a fresh interpreter after it runs the CLI."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": [2.0, 1.0], "a": [1.0, [1.0, 0.5]],
+                               "grid": {"start": 0.0, "end": 40.0,
+                                        "step": 0.01}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(cfg), *command],
+                          env=env, capture_output=True, text=True, check=True,
+                          timeout=300)
+    return set(proc.stdout.split())
+
+
+def test_load_config_loads_only_the_kernel(tmp_path):
+    # every command starts here, and every bad-input exit ends here
+    modules = loaded_modules(tmp_path)
+    assert {m for m in modules if m.split(".")[0] == "ewlab"} == {
+        "ewlab", "ewlab.cli", "ewlab.kernel"}
+    assert {"numpy.random", "numpy.polynomial"}.isdisjoint(modules)
+
+
+@pytest.mark.parametrize("command", [("verify",), ("probe", "--sweep", "2"),
+                                     ("probe", "--free")],
+                         ids=["verify", "probe-sweep", "probe-free"])
+def test_seeded_commands_leave_numpy_random_unloaded(tmp_path, command):
+    # their seeded draws come from the standard library's random.Random
+    assert "numpy.random" not in loaded_modules(tmp_path, *command)

@@ -14,6 +14,8 @@ import pytest
 
 import ewlab.cli
 import ewlab.construct
+import ewlab.spectral_probe
+import ewlab.verify
 from ewlab.cli import main
 from ewlab.construct import InvertibilityError, sample_grid
 from ewlab.kernel import ConfigError, GridError, ModelConfig, gram_matrix_stack
@@ -102,8 +104,8 @@ def test_out_in_missing_directory_is_bad_input(tmp_path, capsys, monkeypatch,
     def work(*args, **kwargs):
         raise AssertionError("ran before rejecting --out")
 
-    monkeypatch.setattr(ewlab.cli, "sample_blocks", work)
-    monkeypatch.setattr(ewlab.cli, "run_verification", work)
+    monkeypatch.setattr(ewlab.construct, "sample_blocks", work)
+    monkeypatch.setattr(ewlab.verify, "run_verification", work)
     cfg = write_config(tmp_path)
     (tmp_path / "file").write_text("")
     parent = "parent is not an existing directory"
@@ -411,7 +413,7 @@ def test_probe_sweep_schema(tmp_path):
 
 
 def test_failing_sweep_names_its_coupling(tmp_path, capsys, monkeypatch):
-    probe = ewlab.cli.probe_embedded
+    probe = ewlab.spectral_probe.probe_embedded
     calls = 0
 
     def third_fails(config, grid):
@@ -421,7 +423,7 @@ def test_failing_sweep_names_its_coupling(tmp_path, capsys, monkeypatch):
             raise NoConvergenceError("probe at mu_1^2 = 1.0: no convergence")
         return probe(config, grid)
 
-    monkeypatch.setattr(ewlab.cli, "probe_embedded", third_fails)
+    monkeypatch.setattr(ewlab.spectral_probe, "probe_embedded", third_fails)
     cfg = write_config(tmp_path,
                        grid={"start": 0.0, "end": 40.0, "step": 0.01})
     assert main(["probe", "--config", cfg, "--sweep", "5"]) == 1
@@ -453,8 +455,8 @@ def test_probe_free_excludes_sweep(tmp_path, capsys, monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("ran before rejecting --free --sweep")
 
-    monkeypatch.setattr(ewlab.cli, "inverse_iteration", work)
-    monkeypatch.setattr(ewlab.cli, "probe_embedded", work)
+    monkeypatch.setattr(ewlab.spectral_probe, "inverse_iteration", work)
+    monkeypatch.setattr(ewlab.spectral_probe, "probe_embedded", work)
     cfg = write_config(tmp_path)
     assert main(["probe", "--config", cfg, "--free", "--sweep", "3"]) == 2
     captured = capsys.readouterr()
@@ -534,12 +536,12 @@ def test_verify_small_config(tmp_path, capsys):
 
 
 def test_verify_names_a_quadrature_beyond_its_budget(tmp_path, capsys):
-    # seed 0's second Gram triple is mu_1 with itself at r = 0.4958...
+    # seed 0's fourth Gram triple is mu_1 with itself at r = 8.455...
     cfg = write_config(tmp_path, mu=[1e9, 1.0], a=[1.0, 1.0])
     assert main(["verify", "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: 315654588 panels on [0, 0.495829] at "
+    assert captured.err == ("error: 5382706331 panels on [0, 8.45514] at "
                             "mu = (1e+09, 1e+09) exceed the memory budget\n")
 
 
@@ -567,7 +569,7 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, monkeypatch, exc, code):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(ewlab.cli, "run_verification", fail)
+    monkeypatch.setattr(ewlab.verify, "run_verification", fail)
     assert main(["verify", "--config", write_config(tmp_path)]) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -9,6 +9,8 @@ below, in both checkouts, each with OPENBLAS_NUM_THREADS at 1 and at 2.
 Each run is `python -m ewlab.cli ... --out FILE` with PYTHONPATH set to the
 checkout's src/. It prints every difference in stdout, stderr, exit code or
 the bytes of FILE, then one summary line, and exits 1 if anything differed.
+Where both FILEs parse as JSON, a difference in their bytes is printed as
+the dotted key paths whose values differ (`sweep.couplings`, say).
 
 Both checkouts read the same config files, written once from this
 checkout's perfbench/workloads.py. Needs only the standard library and
@@ -91,6 +93,41 @@ def run(checkout: Path, command: tuple, config: Path, threads: str,
     return proc.returncode, proc.stdout, proc.stderr, data
 
 
+def changed_fields(old, new, path: tuple = ()) -> list:
+    """Dotted key paths under which two parsed JSON documents differ.
+
+    Objects are compared key by key, and so are lists of objects of the same
+    length, by index; any other value (a list of numbers, say) is one
+    field, compared by its JSON text, so that NaN equals NaN.
+    """
+    if (isinstance(old, list) and isinstance(new, list)
+            and len(old) == len(new)
+            and all(isinstance(x, dict) for x in old + new)):
+        old, new = dict(enumerate(old)), dict(enumerate(new))
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        differ = json.dumps(old) != json.dumps(new)
+        return [".".join(path) or "(document)"] if differ else []
+    fields = []
+    for key in {**old, **new}:
+        if key in old and key in new:
+            fields += changed_fields(old[key], new[key], (*path, str(key)))
+        else:
+            fields.append(".".join((*path, str(key))))
+    return fields
+
+
+def describe(name: str, old, new) -> str:
+    """One difference: the changed JSON fields of --out, else both values."""
+    if name == "--out bytes" and old is not None and new is not None:
+        try:
+            fields = changed_fields(json.loads(old), json.loads(new))
+        except ValueError:  # CSV or text
+            fields = []
+        if fields:  # none when only the formatting differs
+            return f"--out fields: {', '.join(fields)}"
+    return f"{name}: {old!r:.200} -> {new!r:.200}"
+
+
 def compare(job: tuple) -> list:
     parent, command, config, threads, scratch = job
     tag = f"{' '.join(command)} {config.parent.name}/{config.name} " \
@@ -99,7 +136,7 @@ def compare(job: tuple) -> list:
     results = [run(root, command, config, threads, scratch / f"{key}-{side}")
                for side, root in (("parent", parent), ("change", HERE))]
     names = ("exit code", "stdout", "stderr", "--out bytes")
-    return [f"DIFF {tag}: {name}: {old!r:.200} -> {new!r:.200}"
+    return [f"DIFF {tag}: {describe(name, old, new)}"
             for name, old, new in zip(names, *results) if old != new]
 
 
