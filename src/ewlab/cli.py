@@ -321,19 +321,17 @@ def cmd_expand(rc: RunConfig, radii: list) -> int:
             raise ConfigError(
                 f"expansion radius {r} must be positive and finite")
     rc.model.check_radius(max(radii))
-    from ewlab.construct import potential_terms, sample_grid
+    from ewlab.construct import potential_terms, sample_blocks
     cols = ("r", "V_re", "V_im", "leading", "second_re", "second_im",
             "|remainder|", "|remainder|*r^3", "W")
-    ps = sample_grid(rc.model, np.array(radii))
-    leading, second = potential_terms(rc.model, ps.radii, ps.w)
     rows = [cols]
-    for k, r in enumerate(radii):
-        value = ps.V[k]
-        rem = abs(value - leading[k] - second[k])
-        rows.append((f"{r:g}", f"{value.real:.10e}", f"{value.imag:.10e}",
-                     f"{leading[k]:.10e}", f"{second[k].real:.10e}",
-                     f"{second[k].imag:.10e}", f"{rem:.10e}",
-                     f"{rem * r**3:.10e}", f"{ps.w[k]:.10e}"))
+    for block, r_block, _, _, big_v, w in sample_blocks(rc.model, radii):
+        terms = potential_terms(rc.model, r_block, w)
+        for r, value, lead, sec, w_r in zip(radii[block], big_v, *terms, w):
+            rem = abs(value - lead - sec)
+            rows.append((f"{r:g}", *(f"{x:.10e}" for x in (
+                value.real, value.imag, lead, sec.real, sec.imag, rem,
+                rem * r**3, w_r))))
     widths = [max(len(row[c]) for row in rows) for c in range(len(cols))]
     text = "\n".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths))

@@ -24,9 +24,9 @@ from (v, v') exactly, V = 2 sum_j (mu_j cos(mu_j r) v_j + sin(mu_j r) v_j').
 Every function takes an array of K radii and factors the K systems
 A + G(r_k) as stacks, right-hand sides carried, in one solve that names the
 r of a singular system; a single radius is K = 1. `sample_blocks` cuts a
-grid into blocks sized by BLOCK_BYTES; `build` formats each block as it
-comes, verify's residual and shooting oracles and its [0, 400] maxima
-consume each block as it comes, and `sample_grid` collects them.
+grid into blocks sized by BLOCK_BYTES, each one `sample_grid` call, for
+`build`, `expand`, the probe and verify's residual, shooting and [0, 400]
+passes; only few-radius callers call `sample_grid` directly.
 
 Large-r behaviour, used by the asymptotic checks:
 
@@ -38,8 +38,6 @@ W = (sum_j sin^2(mu_j r))^2 + 2 sum_{ij} h_ij mu_i sin(mu_j r) cos(mu_i r).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +54,6 @@ from ewlab.linalg import SingularMatrixError, batched_solve
 __all__ = [
     "BLOCK_BYTES",
     "InvertibilityError",
-    "PotentialSample",
     "potential_terms",
     "resolvent_apply",
     "sample_blocks",
@@ -77,17 +74,6 @@ class InvertibilityError(RuntimeError):
     and Re a_j >= 0 keeps the real part of <xi,(A+G)xi> away from zero), so
     an occurrence means an invariant was violated upstream.
     """
-
-
-@dataclass(frozen=True, eq=False)
-class PotentialSample:
-    """Grid sample of the construction; arrays indexed (radius, eigenindex)."""
-
-    radii: np.ndarray      # (K,)
-    v: np.ndarray          # (K, n), real when every a_j is, else complex
-    v_prime: np.ndarray    # (K, n), the dtype of v
-    V: np.ndarray          # (K,), the dtype of v
-    w: np.ndarray          # (K,) real
 
 
 def _solve(config: ModelConfig, radii: np.ndarray, gram: np.ndarray,
@@ -132,8 +118,14 @@ def potential_terms(config: ModelConfig, radii: np.ndarray,
     return leading, second
 
 
-def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
-    """(v, v', V, W) of one block of radii, as in sample_blocks."""
+def sample_grid(config: ModelConfig, radii) -> tuple:
+    """(v, v', V, W) at the radii as one block, bitwise as in any block.
+
+    v, v' are (K, n) and V (K,), real when every a_j is, else complex; W is
+    (K,) real. H(r) gives W and becomes G(r); one elimination adds A and
+    carries s and M c. sample_blocks bounds the working set of a long grid.
+    """
+    radii = np.asarray(radii, dtype=float)
     s = trig_s(config, radii)
     mc = trig_c(config, radii) * config.mu
     g = h_matrix_stack(config, radii)  # H(r) for W, then G(r) in place
@@ -141,8 +133,7 @@ def _sample_block(config: ModelConfig, radii: np.ndarray) -> tuple:
     g[:, np.arange(config.n), np.arange(config.n)] += 0.5 * radii[:, None]
     sol = _solve(config, radii, g, np.stack([s, mc], axis=2))
     v = -sol[:, :, 0]
-    sv = np.sum(s * v, axis=1)
-    v_prime = sv[:, None] * v - sol[:, :, 1]
+    v_prime = np.sum(s * v, axis=1)[:, None] * v - sol[:, :, 1]
     big_v = 2.0 * (np.sum(mc * v, axis=1) + np.sum(s * v_prime, axis=1))
     return v, v_prime, big_v, w
 
@@ -151,9 +142,8 @@ def sample_blocks(config: ModelConfig, radii):
     """Yield (block, r, v, v', V, W) per slice `block` of the radii, in order.
 
     radii is an array or a GridSpec, whose block radii r are computed alone,
-    bitwise its radii()[block]. BLOCK_BYTES sets the block length. H(r) gives
-    W and becomes G(r); one elimination adds A and carries s and M c. A
-    radius gives the same bits in any grid, whatever block it falls in.
+    bitwise its radii()[block]. BLOCK_BYTES sets the block length, and each
+    block is one sample_grid call.
     """
     grid = isinstance(radii, GridSpec)
     radii = radii if grid else np.asarray(radii, dtype=float)
@@ -161,19 +151,5 @@ def sample_blocks(config: ModelConfig, radii):
     for start in range(0, radii.count if grid else radii.size, step):
         block = slice(start, start + step)
         r = radii.radii(block) if grid else radii[block]
-        # the stacks die with _sample_block, before the consumer runs
-        yield (block, r, *_sample_block(config, r))
-
-
-def sample_grid(config: ModelConfig, radii: np.ndarray) -> PotentialSample:
-    """Sample (v, v', V, W) over a radius array into preallocated arrays."""
-    radii = np.asarray(radii, dtype=float)
-    count, n = radii.size, config.n
-    v = np.empty((count, n), dtype=float if config.is_real else complex)
-    v_prime = np.empty_like(v)
-    big_v = np.empty(count, dtype=v.dtype)
-    w = np.empty(count)
-    for block, _, *values in sample_blocks(config, radii):
-        v[block], v_prime[block], big_v[block], w[block] = values
-        del values  # not held while the next block is solved
-    return PotentialSample(radii=radii, v=v, v_prime=v_prime, V=big_v, w=w)
+        # the stacks die with sample_grid, before the consumer runs
+        yield (block, r, *sample_grid(config, r))

@@ -14,7 +14,8 @@ Three oracles that never reuse the closed form they check:
 Each convergence check is one call that fixes its steps and returns the
 defect at h and defect(h)/defect(h/2). A grid check makes one pass of
 sample_blocks over the finer grid of its pair, whose every other radius is
-the coarser grid's, bit for bit, and holds no whole-grid sample.
+the coarser grid's, bit for bit, holds no whole-grid sample, and names
+itself when that grid is too fine. Few-radius checks take one sample_grid.
 
 Plus the log-log fit machinery for the decay orders: every asymptotic claim
 is of the form |defect(r)| = O(r^-k), verified by fitting the decay exponent
@@ -217,6 +218,14 @@ def _halving_ratio(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
                      where=fine > 0.0)
 
 
+def _refined(grid: GridSpec, times: int, oracle: str) -> GridSpec:
+    """The grid at step / 2**times; one too fine names the oracle."""
+    try:
+        return GridSpec(grid.r_start, grid.r_end, grid.step / 2**times)
+    except GridError as exc:
+        raise GridError(f"{oracle} at step/{2**times}: {exc}") from exc
+
+
 def _stencil_sups(r: np.ndarray, v: np.ndarray, big_v: np.ndarray, h: float,
                   dims: Sequence[int], mu2: np.ndarray) -> np.ndarray:
     """Max |residual| over the interior rows of (r, v, V), (len(dims), n).
@@ -266,8 +275,8 @@ def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
     mu2 = config.mu**2
     sups = np.full((2, len(dims), config.n), -math.inf)
     tails = [(np.empty(0), np.empty((0, config.n)), np.empty(0))] * 2
-    for block, r, v, _, big_v, _ in construct.sample_blocks(config,
-                                                            grid.halved()):
+    for block, r, v, _, big_v, _ in construct.sample_blocks(
+            config, _refined(grid, 1, "residual_eigen_equation")):
         for k, stride in enumerate((2, 1)):
             h = grid.step * stride / 2.0
             rows = [x[-block.start % stride::stride] for x in (r, v, big_v)]
@@ -394,11 +403,12 @@ def shooting_compare(config: ModelConfig,
     """
     if not grid.r_start > 0.0:
         raise GridError("shooting starts at r_start > 0")
+    half_steps = _refined(grid, 2, "shooting_compare")
     fine = grid.halved()
     mu2 = config.mu**2
     runs = []
     for block, _, v, v_prime, big_v, _ in construct.sample_blocks(
-            config, fine.halved()):
+            config, half_steps):
         if not runs:
             runs = [_Trajectory(v[0].copy(), v_prime[0].copy(),
                                 fine.step * stride, (fine.count - 1) // stride)
@@ -495,10 +505,9 @@ def log_det_defects(config: ModelConfig,
     curvature = _log_det_ratios(config, radii, [
         radii + d * step for step in steps for d in (1.0, -1.0)
     ]).reshape(2, 2, -1).sum(axis=1) / steps[:, None] ** 2
-    ps = sample_grid(config, radii)
-    first = np.max(np.abs(slope + np.sum(trig_s(config, radii) * ps.v,
-                                         axis=1)))
-    second = np.max(np.abs(ps.V + 2.0 * curvature), axis=1)
+    v, _, big_v, _ = sample_grid(config, radii)
+    first = np.max(np.abs(slope + np.sum(trig_s(config, radii) * v, axis=1)))
+    second = np.max(np.abs(big_v + 2.0 * curvature), axis=1)
     return float(first), float(second[0]), float(_halving_ratio(*second))
 
 
@@ -524,8 +533,8 @@ def decay_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
     radii = FIT_RADII
     r = radii[:, None]
     rr = radii[:, None, None]
-    ps = sample_grid(config, radii)
-    pot_lead, pot_second = potential_terms(config, radii, ps.w)
+    v, v_prime, big_v, w = sample_grid(config, radii)
+    pot_lead, pot_second = potential_terms(config, radii, w)
     s = trig_s(config, radii)
     mc = config.mu * trig_c(config, radii)
     h = h_matrix_stack(config, radii)
@@ -536,8 +545,8 @@ def decay_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
             fit_decay_slope(radii, one, -2.0, f"{what} minus {leading}"),
             fit_decay_slope(radii, two, -3.0, f"{what} minus two terms"))
 
-    v_rest = np.abs(ps.V - pot_lead - pot_second)
-    pair("potential", "V", np.abs(ps.V - pot_lead), v_rest)
+    v_rest = np.abs(big_v - pot_lead - pot_second)
+    pair("potential", "V", np.abs(big_v - pot_lead), v_rest)
     bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
     refined = bare + (4.0 / rr**2) * (np.diag(config.a) + h)
     pair("resolvent", "resolvent", _max_entry(bare), _max_entry(refined),
@@ -549,12 +558,12 @@ def decay_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
     lead = -(2.0 / r) * mc
     nxt = (4.0 / r ** 2) * (np.sum(s * s, axis=1)[:, None] * s
                             + config.a * mc + np.einsum("kij,kj->ki", h, mc))
-    pair("vprime", "v'", np.max(np.abs(ps.v_prime - lead), axis=1),
-         np.max(np.abs(ps.v_prime - lead - nxt), axis=1))
+    pair("vprime", "v'", np.max(np.abs(v_prime - lead), axis=1),
+         np.max(np.abs(v_prime - lead - nxt), axis=1))
     v_two = -(2.0 / r) * s + (4.0 / r**2) * (
         config.a * s + np.einsum("kjl,kl->kj", h, s))
-    one_v = np.abs(ps.v + (2.0 / r) * s)
-    two_v = np.abs(ps.v - v_two)
+    one_v = np.abs(v + (2.0 / r) * s)
+    two_v = np.abs(v - v_two)
     for j in range(config.n):
         pair(f"v{j + 1}", f"v_{j + 1}", one_v[:, j], two_v[:, j])
     return fits, v_rest * radii**3

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ewlab.construct import sample_grid
+from ewlab.construct import sample_blocks
 from ewlab.kernel import GridError, GridSpec, ModelConfig
 from ewlab.linalg import ComplexTridiagonal, SingularMatrixError, TridiagonalLU
 
@@ -144,8 +144,10 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
     """
     k = t.size
     if start is None:
-        start = (np.frombuffer(random.Random(seed).randbytes(8 * k), "<u8")
-                 >> 11).astype(complex)
+        rng = random.Random(seed)  # 2^19 bytes a draw: one draw's bytes
+        words = b"".join(rng.randbytes(min(1 << 19, 8 * k - i))
+                         for i in range(0, 8 * k, 1 << 19))
+        start = (np.frombuffer(words, "<u8") >> 11).astype(complex)
         start *= 2.0**-52  # in place: one complex array at a time
         start -= 1.0
         start_mode = "seeded random"
@@ -192,22 +194,22 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
 def probe_embedded(config: ModelConfig, grid: GridSpec) -> list[ProbeResult]:
     """Run the probe at every prescribed eigenvalue mu_j^2.
 
-    The grid is sampled once: V at the interior nodes builds the Hamiltonian,
-    the sampled eigenfunctions v_j there are the start vectors, and
+    The grid's v and V are sampled once, block by block: V at the interior
+    nodes builds the Hamiltonian, v_j there are the start vectors, and
     boundary_leak records |v_j(R)|, the size of the domain-truncation error
     committed by the hard wall. A failure names the eigenvalue it was at.
     """
-    ps = sample_grid(config, grid.radii())
-    t = build_hamiltonian(grid, ps.V[1:-1])
+    v, big_v = map(np.concatenate, zip(*[
+        (v, big_v) for _, _, v, _, big_v, _ in sample_blocks(config, grid)]))
+    t = build_hamiltonian(grid, big_v[1:-1])
+    del big_v
     results = []
     for j in range(config.n):
         shift = config.mu[j] ** 2
         try:
-            raw = inverse_iteration(t, shift, start=ps.v[1:-1, j])
+            raw = inverse_iteration(t, shift, start=v[1:-1, j])
         except NoConvergenceError as exc:
             raise NoConvergenceError(
                 f"probe at mu_{j + 1}^2 = {float(shift)!r}: {exc}") from exc
-        results.append(replace(
-            raw, j=j, boundary_leak=float(abs(ps.v[-1, j])),
-        ))
+        results.append(replace(raw, j=j, boundary_leak=float(abs(v[-1, j]))))
     return results

@@ -206,9 +206,9 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     checks.append(_upper("resolvent_origin", origin_defect, 1e-15))
 
     # --- construct: Dirichlet data at 0 are exact
-    ps0 = sample_grid(config, [0.0])
+    v0, _, big_v0, _ = sample_grid(config, [0.0])
     checks.append(_upper("dirichlet_origin",
-                         np.max(np.abs(ps0.v)) + abs(ps0.V[0]), 0.0))
+                         np.max(np.abs(v0)) + abs(big_v0[0]), 0.0))
 
     # --- construct: log-det identities
     d1, d2, order = log_det_defects(config, np.array([0.9, 7.7, 31.0]))
@@ -262,7 +262,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     # --- small-r orders of v: sin form is O(r^4), linear form O(r^3)
     r0 = 0.02
     small = np.array([r0, r0 / 2])
-    v_small = sample_grid(config, small).v
+    v_small = sample_grid(config, small)[0]
 
     def _small(ref):
         d = np.max(np.abs(v_small + ref / config.a), axis=1)
@@ -285,8 +285,8 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     # --- W is independent of the couplings (identical formula, no a)
     alt = ModelConfig(mu, config.a + 1.0)
     w_radii = np.array([0.5, 2.0, 11.0, 77.0])
-    w_diff = np.max(np.abs(sample_grid(config, w_radii).w
-                           - sample_grid(alt, w_radii).w))
+    w_diff = np.max(np.abs(sample_grid(config, w_radii)[3]
+                           - sample_grid(alt, w_radii)[3]))
     checks.append(_upper("w_coupling_independent", w_diff, 0.0))
 
     # --- decay fits, one-term and two-term per quantity, the resolvent's

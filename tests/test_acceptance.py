@@ -120,10 +120,10 @@ def test_criterion_6_reality_dichotomy():
     radii = GridSpec(0.0, 400.0, 0.05).radii()
     worst_rel = 0.0
     for cfg in (REAL1, REAL3):
-        ps = sample_grid(cfg, radii)
-        rel = np.max(np.abs(ps.V.imag)) / (1.0 + np.max(np.abs(ps.V)))
+        big_v = sample_grid(cfg, radii)[2]
+        rel = np.max(np.abs(big_v.imag)) / (1.0 + np.max(np.abs(big_v)))
         worst_rel = max(worst_rel, float(rel))
-    amp = float(np.max(np.abs(sample_grid(CPLX2, radii).V.imag)))
+    amp = float(np.max(np.abs(sample_grid(CPLX2, radii)[2].imag)))
     ok = (worst_rel <= 1e-12 and amp > 1e-3
           and abs(amp - GOLDEN_COMPLEX_AMPLITUDE) <= 1e-4)
     _report(6, "reality dichotomy", ok,
@@ -135,8 +135,8 @@ def test_criterion_7_spectral_probe():
     cfg = ModelConfig([2.0, 1.0], [1.0, 1.0])
     base = probe_embedded(cfg, GridSpec(0.0, 200.0, 0.01))
     wide = probe_embedded(cfg, GridSpec(0.0, 400.0, 0.01))
-    ps = sample_grid(cfg, GridSpec(0.0, 200.0, 0.01).radii())
-    corr = [aligned_correlation(res.vector, ps.v[1:-1, res.j]) for res in base]
+    v = sample_grid(cfg, GridSpec(0.0, 200.0, 0.01).radii())[0]
+    corr = [aligned_correlation(res.vector, v[1:-1, res.j]) for res in base]
     err_base = [abs(res.eigval_estimate - mu**2)
                 for res, mu in zip(base, (2.0, 1.0))]
     err_wide = [abs(res.eigval_estimate - mu**2)

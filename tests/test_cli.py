@@ -142,7 +142,7 @@ def test_build_csv_round_trips_doubles(tmp_path):
     model = ModelConfig([1.0], [1.0])
     for k in (137, 500, 1000):
         r = float(rows[k]["r"])
-        want = sample_grid(model, [r]).V[0]
+        want = sample_grid(model, [r])[2][0]
         assert float(rows[k]["V_re"]) == want.real
         assert float(rows[k]["V_im"]) == want.imag
 
@@ -150,14 +150,15 @@ def test_build_csv_round_trips_doubles(tmp_path):
 def test_build_csv_matches_per_cell_format(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, mu=[2.0, 1.0], a=[[1.0, 1.0], [2.0, 0.0]],
                        grid={"start": 0.0, "end": 5.0, "step": 0.01})
-    ps = sample_grid(ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0]),
-                     np.arange(501) * 0.01)
+    radii = np.arange(501) * 0.01
+    v, _, big_v, w = sample_grid(ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0]),
+                                 radii)
     rows = []
-    for k, r in enumerate(ps.radii):
-        cells = [r, ps.V[k].real, ps.V[k].imag]
-        for z in ps.v[k]:
+    for k, r in enumerate(radii):
+        cells = [r, big_v[k].real, big_v[k].imag]
+        for z in v[k]:
             cells += [z.real, z.imag]
-        cells.append(ps.w[k])
+        cells.append(w[k])
         rows.append(",".join(f"{x + 0.0:.17g}" for x in cells))
     # one block, then seven radii per block at n = 2 (72 blocks)
     for block_bytes in (ewlab.construct.BLOCK_BYTES, 7 * 160):

@@ -18,6 +18,7 @@ from ewlab.construct import (
     sample_grid,
 )
 from ewlab.kernel import (
+    GridSpec,
     ModelConfig,
     gram_matrix_stack,
     h_matrix_stack,
@@ -63,18 +64,18 @@ def test_resolvent_large_r_decay():
 
 
 def test_eigenfunction_closed_form():
-    v = sample_grid(CFG1, RADII).v[:, 0]
+    v = sample_grid(CFG1, RADII)[0][:, 0]
     for k, r in enumerate(RADII):
         assert v[k] == pytest.approx(-np.sin(r) / denom(r), abs=1e-14)
 
 
 def test_eigenfunction_vanishes_at_origin():
-    assert np.all(sample_grid(CFG3, [0.0]).v == 0.0)
-    assert np.all(sample_grid(CFGC, [0.0]).v == 0.0)
+    assert np.all(sample_grid(CFG3, [0.0])[0] == 0.0)
+    assert np.all(sample_grid(CFGC, [0.0])[0] == 0.0)
 
 
 def test_derivative_closed_form():
-    vp = sample_grid(CFG1, RADII).v_prime[:, 0]
+    vp = sample_grid(CFG1, RADII)[1][:, 0]
     for k, r in enumerate(RADII):
         d = denom(r)
         want = -np.cos(r) / d + np.sin(r) ** 3 / d**2
@@ -82,9 +83,9 @@ def test_derivative_closed_form():
 
 
 def test_derivative_at_origin():
-    got = sample_grid(CFG3, [0.0]).v_prime[0]
+    got = sample_grid(CFG3, [0.0])[1][0]
     assert np.allclose(got, -CFG3.mu / CFG3.a, atol=1e-16, rtol=0.0)
-    got = sample_grid(CFGC, [0.0]).v_prime[0]
+    got = sample_grid(CFGC, [0.0])[1][0]
     assert np.allclose(got, -CFGC.mu / CFGC.a, atol=1e-16, rtol=0.0)
 
 
@@ -92,9 +93,9 @@ def test_derivative_matches_finite_difference():
     r = 2.6
 
     def defect(h):
-        ps = sample_grid(CFG3, [r - h, r, r + h])
-        fd = (ps.v[2] - ps.v[0]) / (2 * h)
-        return np.max(np.abs(fd - ps.v_prime[1]))
+        v, v_prime, _, _ = sample_grid(CFG3, [r - h, r, r + h])
+        fd = (v[2] - v[0]) / (2 * h)
+        return np.max(np.abs(fd - v_prime[1]))
 
     d1, d2 = defect(1e-4), defect(5e-5)
     assert d1 <= 1e-7
@@ -102,12 +103,12 @@ def test_derivative_matches_finite_difference():
 
 
 def test_potential_closed_form():
-    big_v = sample_grid(CFG1, RADII).V
+    big_v = sample_grid(CFG1, RADII)[2]
     for k, r in enumerate(RADII):
         d = denom(r)
         want = -2.0 * (np.sin(2 * r) / d - np.sin(r) ** 4 / d**2)
         assert big_v[k] == pytest.approx(want, abs=1e-13)
-    assert sample_grid(CFG3, [0.0]).V[0] == 0.0
+    assert sample_grid(CFG3, [0.0])[2][0] == 0.0
 
 
 def test_commutator_identity():
@@ -126,24 +127,24 @@ def test_commutator_identity():
 
 def test_w_closed_form_and_origin():
     radii = np.array([0.7, 2.0, 5.5])
-    w = sample_grid(CFG1, radii).w
+    w = sample_grid(CFG1, radii)[3]
     for k, r in enumerate(radii):
         want = np.sin(r) ** 4 - np.sin(r) ** 2 * np.cos(r) ** 2
         assert w[k] == pytest.approx(want, abs=1e-14)
-    assert sample_grid(CFG3, [0.0]).w[0] == 0.0
+    assert sample_grid(CFG3, [0.0])[3][0] == 0.0
 
 
 def test_w_ignores_couplings():
     other = ModelConfig([3.0, 2.0, 1.0], [7.0 + 2.0j, 0.1, 4.0])
     radii = np.array([0.4, 3.0, 62.0])
-    assert np.array_equal(sample_grid(CFG3, radii).w,
-                          sample_grid(other, radii).w)
+    assert np.array_equal(sample_grid(CFG3, radii)[3],
+                          sample_grid(other, radii)[3])
 
 
 def expansion(config, radii):
     """(leading, second) large-r terms of V, with W from sample_grid."""
     radii = np.asarray(radii, dtype=float)
-    return potential_terms(config, radii, sample_grid(config, radii).w)
+    return potential_terms(config, radii, sample_grid(config, radii)[3])
 
 
 def test_leading_term_ignores_couplings():
@@ -157,7 +158,7 @@ def test_second_term_is_affine_in_couplings():
     # second(2a) - 2 second(a) = -(8/r^2) W, exactly
     doubled = ModelConfig([3.0, 2.0, 1.0], [2.0, 2.0, 2.0])
     radii = np.array([7.3, 41.0])
-    w = sample_grid(CFG3, radii).w
+    w = sample_grid(CFG3, radii)[3]
     s1 = expansion(CFG3, radii)[1]
     s2 = expansion(doubled, radii)[1]
     assert np.all(np.abs(s2 - 2.0 * s1 + 8.0 * w / radii**2) <= 1e-15)
@@ -166,17 +167,17 @@ def test_second_term_is_affine_in_couplings():
 def test_remainder_after_leading_term():
     # |V - leading| * r^2 measured <= 59.1 over [50, 400]; frozen margin 80
     radii = np.geomspace(50.0, 400.0, 500)
-    ps = sample_grid(CFG3, radii)
-    lead = potential_terms(CFG3, radii, ps.w)[0]
-    assert np.max(np.abs(ps.V - lead) * radii**2) <= 80.0
+    _, _, big_v, w = sample_grid(CFG3, radii)
+    lead = potential_terms(CFG3, radii, w)[0]
+    assert np.max(np.abs(big_v - lead) * radii**2) <= 80.0
 
 
 def test_remainder_after_two_terms():
     # |V - leading - second| * r^3 measured <= 209.9; frozen margin 300
     radii = np.geomspace(50.0, 400.0, 500)
-    ps = sample_grid(CFG3, radii)
-    lead, second = potential_terms(CFG3, radii, ps.w)
-    assert np.max(np.abs(ps.V - lead - second) * radii**3) <= 300.0
+    _, _, big_v, w = sample_grid(CFG3, radii)
+    lead, second = potential_terms(CFG3, radii, w)
+    assert np.max(np.abs(big_v - lead - second) * radii**3) <= 300.0
 
 
 def test_eigenfunction_expansion_error_decays_cubically():
@@ -185,14 +186,14 @@ def test_eigenfunction_expansion_error_decays_cubically():
     s, r = trig_s(CFG3, radii), radii[:, None]
     hs = np.einsum("kjl,kl->kj", h_matrix_stack(CFG3, radii), s)
     two_terms = -(2.0 / r) * s + (4.0 / r**2) * (CFG3.a * s + hs)
-    err = np.abs(sample_grid(CFG3, radii).v - two_terms)
+    err = np.abs(sample_grid(CFG3, radii)[0] - two_terms)
     assert np.max(err * radii[:, None] ** 3) <= 60.0
 
 
 def test_small_r_sine_form_is_fourth_order():
     # v_j + sin(mu_j r)/a_j = O(r^4): quartering under r -> r/2 gives ~16
     radii = np.array([0.02, 0.01])
-    v = sample_grid(CFG3, radii).v
+    v = sample_grid(CFG3, radii)[0]
     d = np.max(np.abs(v + np.sin(np.outer(radii, CFG3.mu)) / CFG3.a), axis=1)
     assert 12.0 <= d[0] / d[1] <= 20.0
 
@@ -200,7 +201,7 @@ def test_small_r_sine_form_is_fourth_order():
 def test_small_r_linear_form_is_third_order():
     # v_j + mu_j r / a_j = O(r^3) only; halving ratio sits near 8
     radii = np.array([0.02, 0.01])
-    v = sample_grid(CFG3, radii).v
+    v = sample_grid(CFG3, radii)[0]
     d = np.max(np.abs(v + np.outer(radii, CFG3.mu) / CFG3.a), axis=1)
     assert 6.0 <= d[0] / d[1] <= 10.0
 
@@ -231,30 +232,31 @@ def test_potential_is_second_log_det_derivative():
 
 def test_sample_grid_reality_dichotomy():
     radii = np.linspace(0.0, 120.0, 2000)
-    real = sample_grid(CFG3, radii)
-    assert np.max(np.abs(real.V.imag)) <= 1e-12 * (1.0 + np.max(np.abs(real.V)))
-    cplx = sample_grid(CFGC, radii)
-    assert np.max(np.abs(cplx.V.imag)) > 1e-3
+    real = sample_grid(CFG3, radii)[2]
+    assert np.max(np.abs(real.imag)) <= 1e-12 * (1.0 + np.max(np.abs(real)))
+    cplx = sample_grid(CFGC, radii)[2]
+    assert np.max(np.abs(cplx.imag)) > 1e-3
 
 
 def test_purely_imaginary_couplings_are_supported():
     cfg = ModelConfig([2.0, 1.0], [1.0j, 2.0j])
-    ps = sample_grid(cfg, np.linspace(0.1, 40.0, 400))
-    assert np.all(np.isfinite(ps.V))
-    assert np.max(np.abs(ps.V.imag)) > 1e-3
+    big_v = sample_grid(cfg, np.linspace(0.1, 40.0, 400))[2]
+    assert np.all(np.isfinite(big_v))
+    assert np.max(np.abs(big_v.imag)) > 1e-3
 
 
 def later_block(cfg, monkeypatch):
     # two radii per block at n = 1: r = 2 is entry 0 of the second block
     monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", 2 * 56)
-    sample_grid(cfg, np.array([0.5, 1.0, 2.0, 3.0]))
+    for _ in sample_blocks(cfg, np.array([0.5, 1.0, 2.0, 3.0])):
+        pass
 
 
 SINGULAR_ROUTES = {
     "resolvent_apply": lambda cfg, _: resolvent_apply(
         cfg, [2.0], np.ones((1, 1, 1), dtype=complex)),
     "sample_grid": lambda cfg, _: sample_grid(cfg, np.array([0.5, 2.0])),
-    "sample_grid_later_block": later_block,
+    "sample_blocks_later_block": later_block,
     # log_det_defects solves at the first derivative's base radius r - h,
     # then at r for the second difference, and samples v and V last; here
     # r - h == 2.0 for the first and r == 2.0 for the second
@@ -290,41 +292,61 @@ def test_block_length_bounds_one_stack_to_a_mebibyte():
         assert block_slices(cfg, b + 1) == [range(b), range(b, b + 1)], n
 
 
+def test_sample_blocks_samples_every_block_through_sample_grid(monkeypatch):
+    calls = []
+
+    def counted(config, radii):
+        calls.append(len(radii))
+        return sample_grid(config, radii)
+
+    monkeypatch.setattr(ewlab.construct, "sample_grid", counted)
+    grid = GridSpec(0.0, 3.0, 1e-3)  # 3,001 radii: 21 blocks at n = 24
+    lengths = [len(r) for _, r, *_ in sample_blocks(CFG24, grid)]
+    assert calls == lengths and len(calls) == 21
+    assert sum(calls) == grid.count
+
+
+def streamed(cfg, radii):
+    """(v, v', V, W) over the radii, joined from sample_blocks."""
+    blocks = [values for _, _, *values in sample_blocks(cfg, radii)]
+    return [np.concatenate(field) for field in zip(*blocks)]
+
+
 @pytest.mark.parametrize("cfg, b", [(CFG24, 143), (CFGC, 13107)],
                          ids=["n24", "n2"])
 def test_every_block_boundary_gives_the_same_bits(cfg, b):
     radii = 0.01 * np.arange(2 * b + 3)
     assert block_slices(cfg, radii.size) == [
         range(0, b), range(b, 2 * b), range(2 * b, 2 * b + 3)]
-    full = sample_grid(cfg, radii)
+    full = streamed(cfg, radii)
+    # the grid as one block of sample_grid is the blocked stream, bit for bit
+    for got, want in zip(sample_grid(cfg, radii), full):
+        assert got.tobytes() == want.tobytes()
     # each radius alone is the reference: every row at n = 24, and at n = 2
     # (26,217 radii) every 102nd row plus the rows around each boundary
     rows = np.unique(np.concatenate([
         np.arange(0, radii.size, max(1, radii.size // 256)),
         np.clip(np.arange(-2, 3)[:, None] + [0, b, 2 * b], 0, radii.size - 1)
         .ravel()]))
-    fields = ("v", "v_prime", "V", "w")
     for k in rows:
-        alone = sample_grid(cfg, radii[k:k + 1])
-        for field in fields:
-            assert (getattr(alone, field).tobytes()
-                    == getattr(full, field)[k:k + 1].tobytes()), (k, field)
+        for field, (got, want) in enumerate(zip(
+                sample_grid(cfg, radii[k:k + 1]), full)):
+            assert got.tobytes() == want[k:k + 1].tobytes(), (k, field)
     for count in (1, b - 1, b, b + 1):
-        ps = sample_grid(cfg, radii[:count])
-        for field in fields:
-            got, want = getattr(ps, field), getattr(full, field)[:count]
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (count, field)
+        for field, (got, want) in enumerate(zip(streamed(cfg, radii[:count]),
+                                                full)):
+            assert got.shape == want[:count].shape
+            assert got.tobytes() == want[:count].tobytes(), (count, field)
 
 
 def test_sample_grid_of_no_radii_is_empty():
-    # the dtype follows the couplings even where no block is sampled
+    # the dtype follows the couplings even where no radius is sampled
     for cfg, dtype in ((CFG3, float), (CFGC, complex)):
-        ps = sample_grid(cfg, np.array([]))
-        assert ps.v.shape == ps.v_prime.shape == (0, cfg.n)
-        assert ps.V.shape == ps.w.shape == (0,)
-        assert ps.v.dtype == ps.v_prime.dtype == ps.V.dtype == dtype
-        assert ps.w.dtype == float
+        v, v_prime, big_v, w = sample_grid(cfg, np.array([]))
+        assert v.shape == v_prime.shape == (0, cfg.n)
+        assert big_v.shape == w.shape == (0,)
+        assert v.dtype == v_prime.dtype == big_v.dtype == dtype
+        assert w.dtype == float
 
 
 CFG24R = ModelConfig(CFG24.mu, CFG24.a.real)
@@ -339,13 +361,13 @@ def test_real_couplings_sample_the_complex_path_in_float64(cfg, monkeypatch):
     real = sample_grid(cfg, radii)
     monkeypatch.setattr(ModelConfig, "is_real", property(lambda self: False))
     cplx = sample_grid(cfg, radii)
-    assert real.w.tobytes() == cplx.w.tobytes()
-    for field in ("v", "v_prime", "V"):
-        got, want = getattr(real, field), getattr(cplx, field)
+    assert real[3].tobytes() == cplx[3].tobytes()
+    for got, want in zip(real[:3], cplx[:3]):
         assert got.dtype == float and want.dtype == complex
         assert not np.any(want.imag)
-    assert real.v.tobytes() == cplx.v.real.tobytes()
-    pairs = [(real.v_prime, cplx.v_prime.real), (real.V, cplx.V.real)]
+    v, vp, big_v, _ = real
+    assert v.tobytes() == cplx[0].real.tobytes()
+    pairs = [(vp, cplx[1].real), (big_v, cplx[2].real)]
     if cfg.n <= 3:
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
@@ -353,7 +375,7 @@ def test_real_couplings_sample_the_complex_path_in_float64(cfg, monkeypatch):
     # numpy's pairwise sums over the n terms of ts v and of V group them
     # differently for real and complex arrays from n = 4 on: a few ulp of
     # the terms' magnitudes
-    s, v, vp = trig_s(cfg, radii), real.v, real.v_prime
+    s = trig_s(cfg, radii)
     mc = cfg.mu * trig_c(cfg, radii)
     scales = [np.sum(np.abs(s * v), axis=1)[:, None] * np.abs(v) + np.abs(vp),
               np.sum(np.abs(mc * v) + np.abs(s * vp), axis=1)]
@@ -378,11 +400,13 @@ def test_one_block_needs_no_more_memory_than_before(cfg, before):
     assert peak <= before
 
 
-def test_sample_grid_working_memory_is_bounded():
-    # the outputs are 1.5 MB; one whole-grid (K, n, n) complex stack is 18 MB
+def test_sample_blocks_working_memory_is_bounded():
+    # blocked, the stream peaks at 2.6 MiB; one whole-grid block, with its
+    # (K, n, n) complex stack of 18 MB, at 33.8 MiB
     tracemalloc.start()
     try:
-        sample_grid(CFG24, 0.01 * np.arange(2000))
+        for _ in sample_blocks(CFG24, 0.01 * np.arange(2000)):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

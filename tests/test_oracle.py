@@ -171,9 +171,9 @@ def test_residual_stride_matches_separate_samples(cfg):
     grid = GridSpec(0.3, 10.3, 2e-3)
 
     def sup(g):
-        ps = sample_grid(cfg, g.radii())
-        second = fd_second_derivative(ps.v, g.step)
-        residual = -second + (ps.V[1:-1, None] - cfg.mu**2) * ps.v[1:-1]
+        v, _, big_v, _ = sample_grid(cfg, g.radii())
+        second = fd_second_derivative(v, g.step)
+        residual = -second + (big_v[1:-1, None] - cfg.mu**2) * v[1:-1]
         return np.max(np.abs(residual), axis=0)
 
     (got,), (ratio,) = residual_eigen_equation(cfg, grid, (1,))
@@ -229,6 +229,16 @@ def test_shooting_reproduces_eigenfunction():
 def test_shooting_requires_positive_start():
     with pytest.raises(GridError):
         shooting_compare(CFG1, GridSpec(0.0, 10.0, 1e-3))
+
+
+def test_a_refined_grid_too_large_names_its_oracle():
+    # both grids are admitted; the refinements the oracles sample are not
+    with pytest.raises(GridError, match=r"^shooting_compare at step/4: "
+                       r"more than 1e7 grid points$"):
+        shooting_compare(CFG1, GridSpec(0.1, 3000.1, 1e-3))
+    with pytest.raises(GridError, match=r"^residual_eigen_equation at "
+                       r"step/2: more than 1e7 grid points$"):
+        residual_eigen_equation(CFG1, GridSpec(0.0, 6000.0, 1e-3), (1,))
 
 
 def test_shooting_rejects_unstable_step():
@@ -315,9 +325,9 @@ def test_transfer_matrix_rk4_matches_the_loop_at_chunk_edges(steps):
     # the complex potential of CFGC at the half-step radii of [0.1, 0.1 + h K]
     h = 0.05
     radii = 0.1 + 0.5 * h * np.arange(2 * steps + 1)
-    ps = sample_grid(CFGC, radii)
-    q = ps.V[:, None] - CFGC.mu**2
-    _assert_matches_reference(q, ps.v[0], ps.v_prime[0], h)
+    v, v_prime, big_v, _ = sample_grid(CFGC, radii)
+    q = big_v[:, None] - CFGC.mu**2
+    _assert_matches_reference(q, v[0], v_prime[0], h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,11 +360,13 @@ def test_real_rk4_is_the_real_part_of_its_complex_cast(steps):
 
 def _whole_grid_residual(cfg, grid, dims):
     """residual_eigen_equation from one sample_grid of the halved grid."""
-    ps = sample_grid(cfg, grid.halved().radii())
+    radii = grid.halved().radii()
+    v_all, _, big_v_all, _ = sample_grid(cfg, radii)
     sups = np.empty((2, len(dims), cfg.n))
     for stride, out in zip((2, 1), sups):
         h = grid.step * stride / 2.0
-        r, v, big_v = ps.radii[::stride, None], ps.v[::stride], ps.V[::stride]
+        r, v, big_v = (radii[::stride, None], v_all[::stride],
+                       big_v_all[::stride])
         for i, d in enumerate(dims):
             u = v if d == 1 else r ** ((1.0 - d) / 2.0) * v
             residual = -fd_second_derivative(u, h)
@@ -370,15 +382,15 @@ def _whole_grid_shooting(cfg, grid):
     """shooting_compare from one sample_grid of the half-step radii."""
     fine = grid.halved()
     h = fine.step
-    ps = sample_grid(cfg,
-                     fine.r_start + 0.5 * h * np.arange(2 * fine.count - 1))
-    q = ps.V[:, None] - cfg.mu**2
+    v, v_prime, big_v, _ = sample_grid(
+        cfg, fine.r_start + 0.5 * h * np.arange(2 * fine.count - 1))
+    q = big_v[:, None] - cfg.mu**2
     devs = []
     for stride in (2, 1):
         step = h * stride
         assert float(np.max(np.abs(q[::stride]))) * step * step <= 0.1
-        u = _chunked_trajectory(q[::stride], ps.v[0], ps.v_prime[0], step)
-        devs.append(np.max(np.abs(u - ps.v[::2 * stride]), axis=0))
+        u = _chunked_trajectory(q[::stride], v[0], v_prime[0], step)
+        devs.append(np.max(np.abs(u - v[::2 * stride]), axis=0))
     return devs[0], devs[0] / devs[1]
 
 

@@ -13,7 +13,7 @@ CFG2 = ModelConfig([2.0, 1.0], [1.0, 1.0])
 def test_lift_decays_quadratically():
     # |u_j| = |v_j|/r <= C / r^2 at large r; measured C = 1.99 for this config
     radii = GridSpec(10.0, 400.0, 0.05).radii()
-    v1 = sample_grid(CFG2, radii).v[:, 0]
+    v1 = sample_grid(CFG2, radii)[0][:, 0]
     assert np.max(np.abs(v1) * radii) <= 2.5
 
 
@@ -36,7 +36,7 @@ def test_residual_stabilizes_at_obstruction_size():
     grid = GridSpec(1.0, 30.0, 1e-3)
     radii = grid.radii()
     interior = radii[1:-1]
-    u3 = np.abs(sample_grid(CFG2, radii).v[1:-1, 0]) / interior
+    u3 = np.abs(sample_grid(CFG2, radii)[0][1:-1, 0]) / interior
     dims = (2, 4, 5)
     res, halving = residual_eigen_equation(CFG2, grid, dims)
     assert res.shape == (3, 2)

@@ -1,5 +1,8 @@
 """Discretized half-line Hamiltonian and the shift-invert eigenvalue probe."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ def free_laplacian(grid):
 
 
 def test_build_hamiltonian_structure():
-    t = build_hamiltonian(GRID, sample_grid(CFG2, GRID.radii()[1:-1]).V)
+    t = build_hamiltonian(GRID, sample_grid(CFG2, GRID.radii()[1:-1])[2])
     inv_h2 = 1.0 / GRID.step**2
     assert np.all(t.sub == t.super)
     assert np.all(t.sub == -inv_h2)
@@ -35,9 +38,9 @@ def test_build_hamiltonian_structure():
 
 def test_diagonal_carries_the_potential():
     grid = GridSpec(0.0, 2.0, 0.1)
-    t = build_hamiltonian(grid, sample_grid(CFG2, grid.radii()[1:-1]).V)
+    t = build_hamiltonian(grid, sample_grid(CFG2, grid.radii()[1:-1])[2])
     inv_h2 = 1.0 / grid.step**2
-    big_v = sample_grid(CFG2, grid.radii()[1:-1]).V
+    big_v = sample_grid(CFG2, grid.radii()[1:-1])[2]
     for k in range(t.size):
         want = 2.0 * inv_h2 + big_v[k]
         assert abs(t.diag[k] - want) <= 1e-13 * inv_h2
@@ -107,6 +110,17 @@ def test_inverse_iteration_is_deterministic():
     assert np.array_equal(a.vector, b.vector)
 
 
+def test_seeded_start_is_one_draw_taken_in_chunks():
+    # 2^16 + 3 words: drawn 2^19 bytes at a time, they are the words of one
+    # randbytes call
+    k = (1 << 16) + 3
+    t = ComplexTridiagonal(np.zeros(k - 1), np.arange(1.0, k + 1),
+                           np.zeros(k - 1))
+    res = inverse_iteration(t, 1.01, seed=5)
+    words = np.frombuffer(random.Random(5).randbytes(8 * k), "<u8")
+    assert np.array_equal(res.start_vector, (words >> 11) * 2.0**-52 - 1.0)
+
+
 def test_inverse_iteration_retries_exactly_singular_shift():
     # diagonal operator: shift == eigenvalue gives an exactly singular solve
     t = ComplexTridiagonal(np.zeros(2), np.array([1.0, 2.0, 3.0]), np.zeros(2))
@@ -158,3 +172,16 @@ def test_probe_estimate_insensitive_to_couplings():
     other = probe_embedded(ModelConfig([2.0, 1.0], [2.5, 0.7]), grid)
     for res_b, res_o in zip(base, other):
         assert abs(res_b.eigval_estimate - res_o.eigval_estimate) <= 5e-3
+
+
+def test_probe_samples_only_v_and_v_block_by_block():
+    # K = 200,001 at n = 2: v and V, filled block by block, peak at 58.2 MiB
+    # traced; a whole-grid sample that also held v' and W peaked at 65.7
+    probe_embedded(CFG2, GridSpec(0.0, 40.0, 0.01))  # warm caches
+    tracemalloc.start()
+    try:
+        probe_embedded(CFG2, GridSpec(0.0, 2000.0, 0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 62 * 2**20

@@ -3,12 +3,13 @@
     python3 tools/compare_outputs.py PARENT_CHECKOUT
 
 Runs `build`, `verify`, `probe` (single, `--sweep 5` and `--free`) and
-`expand` (default radii and `1 7.5 300`) on `configs/*.json`, on the
-seed-3 and seed-101 configs of every perfbench workload and on the EDGES
-below, in both checkouts, each with OPENBLAS_NUM_THREADS at 1 and at 2.
-Each run is `python -m ewlab.cli ... --out FILE` with PYTHONPATH set to the
-checkout's src/. It prints every difference in stdout, stderr, exit code or
-the bytes of FILE, then one summary line, and exits 1 if anything differed.
+`expand` (default radii, `1 7.5 300` and 150 radii from 0.5 to 75) on
+`configs/*.json`, on the seed-3 and seed-101 configs of every perfbench
+workload and on the EDGES below, in both checkouts, each with
+OPENBLAS_NUM_THREADS at 1 and at 2. Each run is `python -m ewlab.cli ...
+--out FILE` with PYTHONPATH set to the checkout's src/. It prints every
+difference in stdout, stderr, exit code or the bytes of FILE, then one
+summary line, and exits 1 if anything differed.
 Where both FILEs parse as JSON, a difference in their bytes is printed as
 the dotted key paths whose values differ (`sweep.couplings`, say).
 
@@ -44,6 +45,8 @@ COMMANDS = (
     ("probe", "--free"),
     ("expand",),
     ("expand", "1", "7.5", "300"),
+    # 150 radii: more than one 143-radius block at n = 24
+    ("expand", *(f"{k / 2:g}" for k in range(1, 151))),
 )
 WORKERS = 2  # two runs at a time: each is one process of modest size
 
@@ -132,7 +135,8 @@ def compare(job: tuple) -> list:
     parent, command, config, threads, scratch = job
     tag = f"{' '.join(command)} {config.parent.name}/{config.name} " \
           f"threads={threads}"
-    key = f"{'_'.join(command)}-{config.parent.name}-{config.stem}-{threads}"
+    key = f"{COMMANDS.index(command)}-{config.parent.name}-{config.stem}-" \
+          f"{threads}"
     results = [run(root, command, config, threads, scratch / f"{key}-{side}")
                for side, root in (("parent", parent), ("change", HERE))]
     names = ("exit code", "stdout", "stderr", "--out bytes")
