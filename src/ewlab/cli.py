@@ -229,13 +229,14 @@ def _probe_free(rc: RunConfig) -> dict:
                         f"one has {rc.grid.count - 2}")
     from ewlab.spectral_probe import (build_hamiltonian,
                                       free_laplacian_eigenvalue,
-                                      inverse_iteration)
+                                      inverse_iteration, seeded_start)
     t = build_hamiltonian(rc.grid, np.zeros(rc.grid.count - 2))
+    start = seeded_start(t.size, rc.seed)  # one draw serves every mode
     modes = []
     for k in (1, 2, 3):
         analytic = free_laplacian_eigenvalue(rc.grid, k)
         res = inverse_iteration(t, analytic + 1e-6 * max(analytic, 1e-3),
-                                seed=rc.seed)
+                                start=start)
         modes.append({
             "k": k,
             "analytic": analytic,

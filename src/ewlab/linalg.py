@@ -24,6 +24,8 @@ Dense systems A + G(r) are non-Hermitian whenever the couplings are complex,
 and tridiagonal shifts can sit close to discrete eigenvalues, so partial
 pivoting is used everywhere; inside each tridiagonal block the elimination
 carries the usual one extra superdiagonal of fill plus a swap flag per step.
+A row position where no block swaps takes the plain step, without the
+selects and the fill term, in the factor and in the solve.
 """
 
 from __future__ import annotations
@@ -203,6 +205,12 @@ class _BlockLU:
     which moves a super entry into the du2 fill band; swap[i] records the
     choice so the solve can replay the permutation. d ends up holding the
     pivots (the diagonal of U).
+
+    pivoted[i] says whether any block swapped at step i. Where none did,
+    the factor and the solve take the plain step, without np.where selects,
+    and back substitution drops the du2[i] term, which is zero in every
+    block. The bits are those of the selecting step, except that a -0 in
+    the right-hand side can flip the sign of a zero in the solution.
     """
 
     def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> None:
@@ -210,8 +218,14 @@ class _BlockLU:
         dl, d, du = dl.copy(), d.copy(), du.copy()
         du2 = np.zeros((max(m - 2, 0), nblk), dtype=complex)
         swap = np.zeros((max(m - 1, 0), nblk), dtype=bool)
+        pivoted = []
         for i in range(m - 1):
             s = np.abs(d[i]) < np.abs(dl[i])
+            pivoted.append(bool(s.any()))
+            if not pivoted[i]:  # what the selects below do at s all False
+                dl[i] = dl[i] / d[i]
+                d[i + 1] -= dl[i] * du[i]
+                continue
             piv = np.where(s, dl[i], d[i])
             fact = np.where(s, d[i], dl[i]) / piv
             top = np.where(s, d[i + 1], du[i])
@@ -221,20 +235,28 @@ class _BlockLU:
                 du[i + 1] = np.where(s, -fact * du[i + 1], du[i + 1])
             d[i], du[i], dl[i], swap[i] = piv, top, fact, s
         self.dl, self.d, self.du, self.du2, self.swap = dl, d, du, du2, swap
+        self.pivoted = pivoted
 
     def solve(self, x: np.ndarray) -> np.ndarray:
         """Overwrite x, shape (m, P), with the block solves of its columns."""
         dl, d, du, du2, swap = self.dl, self.d, self.du, self.du2, self.swap
+        pivoted = self.pivoted
         m = d.shape[0]
         for i in range(m - 1):
-            top = np.where(swap[i], x[i + 1], x[i])
-            x[i + 1] = np.where(swap[i], x[i], x[i + 1]) - dl[i] * top
-            x[i] = top
+            if pivoted[i]:
+                top = np.where(swap[i], x[i + 1], x[i])
+                x[i + 1] = np.where(swap[i], x[i], x[i + 1]) - dl[i] * top
+                x[i] = top
+            else:
+                x[i + 1] -= dl[i] * x[i]
         x[m - 1] /= d[m - 1]
         if m > 1:
             x[m - 2] = (x[m - 2] - du[m - 2] * x[m - 1]) / d[m - 2]
         for i in range(m - 3, -1, -1):
-            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+            if pivoted[i]:
+                x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+            else:  # du2[i] is zero in every block
+                x[i] = (x[i] - du[i] * x[i + 1]) / d[i]
         return x
 
 

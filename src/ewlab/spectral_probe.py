@@ -20,6 +20,12 @@ Every reduction (norms, inner products, the Rayleigh quotient) is a numpy
 ufunc sum, never a BLAS call: BLAS splits dot products across its threads,
 which reorders the additions, so probe output would change in the last
 digits with the BLAS thread count.
+
+Each iteration step applies H once: the quotient and the residual share
+H x. The quotient's product takes H x as a temporary copy, because numpy
+computes x * tmp in place as tmp * x once tmp reaches 256 KiB, and a
+complex product can round apart when its operands swap; the product
+thus keeps the operand order it has had at every grid size.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ __all__ = [
     "free_laplacian_eigenvalue",
     "inverse_iteration",
     "probe_embedded",
-    "rayleigh_quotient",
+    "seeded_start",
 ]
 
 _TOL = 1e-10      # residual bound of inverse_iteration
@@ -106,16 +112,25 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.sum(x.real**2 + x.imag**2)))
 
 
-def rayleigh_quotient(t: ComplexTridiagonal, x: np.ndarray) -> complex:
-    """Bilinear quotient txHx / txx (no conjugation)."""
-    x = np.asarray(x, dtype=complex)
+def _rayleigh_residual(t: ComplexTridiagonal,
+                       x: np.ndarray) -> tuple[complex, float]:
+    """Bilinear quotient lam = txHx / txx (no conjugation) of a complex x,
+    and the 2-norm residual |H x - lam x|, from one H x.
+
+    The quotient multiplies x by a temporary copy of H x, as it multiplied
+    a fresh matvec before (see the module docstring: at 16,384 entries and
+    up numpy computes it as H x * x, below as x * H x). The residual then
+    consumes H x in place.
+    """
     txx = complex(np.sum(x * x))
     norm2 = float(np.sum(x.real**2 + x.imag**2))
     if norm2 == 0.0:
         raise ValueError("zero vector")
     if abs(txx) <= 1e-12 * norm2:
         raise IsotropicVectorError("txx vanishes relative to |x|^2")
-    return complex(np.sum(x * t.matvec(x))) / txx
+    hx = t.matvec(x)
+    lam = complex(np.sum(x * hx.copy())) / txx
+    return lam, _norm(np.subtract(hx, lam * x, out=hx))
 
 
 def aligned_correlation(x: np.ndarray, ref: np.ndarray) -> float:
@@ -128,6 +143,19 @@ def aligned_correlation(x: np.ndarray, ref: np.ndarray) -> float:
     return float(abs(np.sum(ref.conj() * x)) / denom)
 
 
+def seeded_start(k: int, seed: int) -> np.ndarray:
+    """K seeded complex values with zero imaginary part, each uniform in
+    [-1, 1): K little-endian 64-bit words of random.Random(seed).randbytes,
+    whose top 53 bits give the doubles."""
+    rng = random.Random(seed)  # 2^19 bytes a draw: one draw's bytes
+    words = b"".join(rng.randbytes(min(1 << 19, 8 * k - i))
+                     for i in range(0, 8 * k, 1 << 19))
+    start = (np.frombuffer(words, "<u8") >> 11).astype(complex)
+    start *= 2.0**-52  # in place: one complex array at a time
+    start -= 1.0
+    return start
+
+
 def inverse_iteration(t: ComplexTridiagonal, shift: complex,
                       start: np.ndarray | None = None,
                       seed: int = 0) -> ProbeResult:
@@ -135,22 +163,15 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
 
     Iterates x <- normalize((H - shift I)^{-1} x); the eigenvalue estimate is
     the bilinear Rayleigh quotient, and convergence means the 2-norm residual
-    |H x - lambda x| <= _TOL for the unit vector x. A shift landing exactly on
-    a discrete eigenvalue surfaces as SingularMatrixError from the
-    factorization; the shift is then nudged by a relative 1e-10 and retried.
-    Without a start vector the iteration starts from K seeded values, each
-    uniform in [-1, 1): K little-endian 64-bit words of
-    random.Random(seed).randbytes, whose top 53 bits give the doubles.
+    |H x - lambda x| <= _TOL for the unit vector x; both come from one H x
+    per step. A shift landing exactly on a discrete eigenvalue surfaces as
+    SingularMatrixError from the factorization; the shift is then nudged by
+    a relative 1e-10 and retried. Without a start vector the iteration
+    starts from seeded_start(K, seed).
     """
     k = t.size
     if start is None:
-        rng = random.Random(seed)  # 2^19 bytes a draw: one draw's bytes
-        words = b"".join(rng.randbytes(min(1 << 19, 8 * k - i))
-                         for i in range(0, 8 * k, 1 << 19))
-        start = (np.frombuffer(words, "<u8") >> 11).astype(complex)
-        start *= 2.0**-52  # in place: one complex array at a time
-        start -= 1.0
-        start_mode = "seeded random"
+        start, start_mode = seeded_start(k, seed), "seeded random"
     else:
         start = np.asarray(start, dtype=complex)
         start_mode = "sampled eigenfunction"
@@ -173,13 +194,12 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
         y = lu.solve(x)
         x = y / _norm(y)
         try:
-            lam = rayleigh_quotient(t, x)
+            lam, residual = _rayleigh_residual(t, x)
         except IsotropicVectorError:
             # quasi-isotropic iterate: perturb deterministically and continue
             x = x + 1e-8 * np.cos(np.arange(k))
             x /= _norm(x)
             continue
-        residual = _norm(t.matvec(x) - lam * x)
         if residual <= _TOL:
             return ProbeResult(
                 j=-1, shift=float(np.real(shift)), eigval_estimate=lam,

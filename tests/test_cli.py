@@ -475,6 +475,23 @@ def test_probe_free_modes(tmp_path):
         assert mode["abs_error"] <= 1e-10
 
 
+def test_probe_free_draws_its_start_once(tmp_path, monkeypatch):
+    # the three modes start from one seeded draw of the K interior values
+    draws = []
+    draw = ewlab.spectral_probe.seeded_start
+
+    def counted(k, seed):
+        draws.append((k, seed))
+        return draw(k, seed)
+
+    monkeypatch.setattr(ewlab.spectral_probe, "seeded_start", counted)
+    cfg = write_config(tmp_path, seed=4)
+    out = tmp_path / "free.json"
+    assert main(["probe", "--config", cfg, "--out", str(out), "--free"]) == 0
+    assert draws == [(999, 4)]
+    assert len(json.loads(out.read_text())["free_modes"]) == 3
+
+
 @pytest.mark.parametrize("command, config", [
     ("probe", "probe.json"), ("build", "demo_complex.json"),
     ("verify", "demo.json")], ids=["probe", "build", "verify"])

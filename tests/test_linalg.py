@@ -14,6 +14,7 @@ from ewlab.linalg import (
     PIVOT_RTOL,
     SingularMatrixError,
     TridiagonalLU,
+    _BlockLU,
     batched_solve,
 )
 from ewlab.spectral_probe import inverse_iteration
@@ -240,6 +241,85 @@ def test_nan_system_is_singular():
     with pytest.raises(SingularMatrixError, match="batch entry 2") as exc:
         DenseLU(mats)
     assert exc.value.entry == 2
+
+
+def _block_lu_reference(dl, d, du, x):
+    """(dl, d, du, du2, swap, solved x) of P tridiagonal blocks of m rows.
+
+    The lockstep elimination _BlockLU replaced, kept as its reference: every
+    row selects between its swapped and unswapped step with np.where in
+    every block, and every back substitution row carries the du2 term,
+    zero or not. Bands are (rows, P), one column per block, as in _BlockLU.
+    """
+    m, nblk = d.shape
+    dl, d, du = dl.copy(), d.copy(), du.copy()
+    du2 = np.zeros((max(m - 2, 0), nblk), dtype=complex)
+    swap = np.zeros((max(m - 1, 0), nblk), dtype=bool)
+    for i in range(m - 1):
+        s = np.abs(d[i]) < np.abs(dl[i])
+        piv = np.where(s, dl[i], d[i])
+        fact = np.where(s, d[i], dl[i]) / piv
+        top = np.where(s, d[i + 1], du[i])
+        d[i + 1] = np.where(s, du[i], d[i + 1]) - fact * top
+        if i < m - 2:
+            du2[i] = np.where(s, du[i + 1], 0.0)
+            du[i + 1] = np.where(s, -fact * du[i + 1], du[i + 1])
+        d[i], du[i], dl[i], swap[i] = piv, top, fact, s
+    x = x.copy()
+    for i in range(m - 1):
+        top = np.where(swap[i], x[i + 1], x[i])
+        x[i + 1] = np.where(swap[i], x[i], x[i + 1]) - dl[i] * top
+        x[i] = top
+    x[m - 1] /= d[m - 1]
+    if m > 1:
+        x[m - 2] = (x[m - 2] - du[m - 2] * x[m - 1]) / d[m - 2]
+    for i in range(m - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    return dl, d, du, du2, swap, x
+
+
+def mixed_blocks(rng, m, nblk, steady):
+    """(dl, d, du, x) of P random complex blocks of m rows whose diagonal
+    is scaled row by row: a row scaled by 100 swaps in no block, one scaled
+    by 0.3 in about three blocks of four. About `steady` of the rows take
+    100. One entry in four of x is an exact zero, as are its whole first
+    and last rows, and a part of one entry in four of the others. Every
+    zero is +0: a -0 in x can flip the sign of a zero in the solve where
+    the reference subtracts its du2 term, 0 * x = -0, from a -0."""
+    def c(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    scale = np.where(rng.random(m) < steady, 100.0, 0.3)[:, None]
+    dl, d, du, x = c(m - 1, nblk), scale * c(m, nblk), c(m - 1, nblk), c(m, nblk)
+    x[rng.random((m, nblk)) < 0.25] = 0.0
+    x[[0, -1]] = 0.0
+    x.real[rng.random((m, nblk)) < 0.25] = 0.0
+    x.imag[rng.random((m, nblk)) < 0.25] = 0.0
+    return dl, d, du, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 60), nblk=st.integers(1, 40),
+       steady=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(m=49, nblk=40, steady=0.5, seed=1)
+def test_block_lu_matches_the_where_everywhere_reference(m, nblk, steady,
+                                                         seed):
+    # rows where no block swaps take the plain step: the same bits
+    rng = np.random.default_rng(seed)
+    dl, d, du, x = mixed_blocks(rng, m, nblk, steady)
+    want = _block_lu_reference(dl, d, du, x)
+    lu = _BlockLU(dl, d, du)
+    got = (lu.dl, lu.d, lu.du, lu.du2, lu.swap, lu.solve(x.copy()))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    assert lu.pivoted == [bool(row.any()) for row in lu.swap]
+
+
+def test_block_lu_mixes_plain_and_pivoting_rows():
+    # the example above exercises both kinds of row, in the factor and in
+    # the solve
+    lu = _BlockLU(*mixed_blocks(np.random.default_rng(1), 49, 40, 0.5)[:3])
+    assert 0 < sum(lu.pivoted) < len(lu.pivoted)
 
 
 def test_tridiagonal_identity():

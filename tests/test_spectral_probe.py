@@ -1,5 +1,6 @@
 """Discretized half-line Hamiltonian and the shift-invert eigenvalue probe."""
 
+import math
 import random
 import tracemalloc
 
@@ -8,16 +9,16 @@ import pytest
 
 from ewlab.kernel import GridError, GridSpec, ModelConfig
 from ewlab.construct import sample_grid
-from ewlab.linalg import ComplexTridiagonal
+from ewlab.linalg import ComplexTridiagonal, TridiagonalLU
 from ewlab.spectral_probe import (
     IsotropicVectorError,
     NoConvergenceError,
+    _rayleigh_residual,
     aligned_correlation,
     build_hamiltonian,
     free_laplacian_eigenvalue,
     inverse_iteration,
     probe_embedded,
-    rayleigh_quotient,
 )
 
 CFG2 = ModelConfig([2.0, 1.0], [1.0, 1.0])
@@ -63,16 +64,22 @@ def test_free_spectrum_matches_dense_reference():
 def test_rayleigh_quotient_on_eigenvector():
     t = ComplexTridiagonal(np.full(2, -1.0), np.full(3, 2.0), np.full(2, -1.0))
     x = np.array([1.0, np.sqrt(2.0), 1.0], dtype=complex)  # eigenvalue 2-sqrt(2)
-    lam = rayleigh_quotient(t, x)
+    lam, residual = _rayleigh_residual(t, x)
     assert abs(lam - (2.0 - np.sqrt(2.0))) <= 1e-14
+    assert residual <= 1e-14
     # bilinear form: invariant under complex scaling, not just unitary
-    assert abs(rayleigh_quotient(t, (0.3 - 2.1j) * x) - lam) <= 1e-13
+    assert abs(_rayleigh_residual(t, (0.3 - 2.1j) * x)[0] - lam) <= 1e-13
+    # off an eigenvector the residual is |H x - lam x|
+    y = np.array([1.0, 0.5j, -2.0])
+    lam, residual = _rayleigh_residual(t, y)
+    assert residual == pytest.approx(np.linalg.norm(t.matvec(y) - lam * y),
+                                     rel=1e-14)
 
 
 def test_rayleigh_quotient_rejects_isotropic_vector():
     t = ComplexTridiagonal(np.zeros(1), np.ones(2), np.zeros(1))
     with pytest.raises(IsotropicVectorError):
-        rayleigh_quotient(t, np.array([1.0, 1.0j]))
+        _rayleigh_residual(t, np.array([1.0, 1.0j]))
 
 
 def test_aligned_correlation():
@@ -119,6 +126,57 @@ def test_seeded_start_is_one_draw_taken_in_chunks():
     res = inverse_iteration(t, 1.01, seed=5)
     words = np.frombuffer(random.Random(5).randbytes(8 * k), "<u8")
     assert np.array_equal(res.start_vector, (words >> 11) * 2.0**-52 - 1.0)
+
+
+def _inverse_iteration_reference(t, shift, start):
+    """(estimate, residual, iterations, vector) of the loop inverse_iteration
+    ran before its steps shared one H x: each step applied H twice, once in
+    the quotient's product, as a temporary, and once in the residual. The
+    nudges and isotropic retries, never reached here, are left out."""
+    def norm(x):
+        return math.sqrt(float(np.sum(x.real**2 + x.imag**2)))
+
+    x = start / norm(start)
+    lu = TridiagonalLU(ComplexTridiagonal(t.sub, t.diag - shift, t.super))
+    for it in range(1, 51):
+        y = lu.solve(x)
+        x = y / norm(y)
+        lam = complex(np.sum(x * t.matvec(x))) / complex(np.sum(x * x))
+        residual = norm(t.matvec(x) - lam * x)
+        if residual <= 1e-10:
+            return lam, residual, it, x
+    raise AssertionError("the reference did not converge")
+
+
+@pytest.mark.parametrize("mu, a, end", [
+    ((2.0, 1.0), (0.64 - 0.94j, 1.75 - 0.13j), 100.0),
+    ((2.0, 1.0), (1.24 - 0.1j, 1.48 + 0.58j), 200.0),
+    ((40.0, 1.0), (0.7 - 0.9j, 2.0 + 0.4j), 200.0)],
+    ids=["9999-nodes", "19999-nodes", "high-frequency"])
+def test_inverse_iteration_matches_the_two_matvec_loop(mu, a, end):
+    # 9,999 and 19,999 interior nodes lie on both sides of the 16,384
+    # entries from which numpy computes x * tmp as tmp * x in place; at
+    # mu_1 = 40 the 49-row blocks pivot in some rows and not in others.
+    # With these couplings a quotient of hx * x changes the bits of the
+    # first case, and one of x * hx those of the other two.
+    cfg = ModelConfig(list(mu), list(a))
+    grid = GridSpec(0.0, end, 0.01)
+    v, _, big_v, _ = sample_grid(cfg, grid.radii())
+    t = build_hamiltonian(grid, big_v[1:-1])
+    for j in range(cfg.n):
+        shift = mu[j] ** 2
+        start = v[1:-1, j].astype(complex)
+        res = inverse_iteration(t, shift, start=start)
+        lam, residual, iterations, vector = _inverse_iteration_reference(
+            t, shift, start)
+        # repr round-trips a float, so equal reprs are equal bits
+        assert (repr((res.eigval_estimate, res.residual, res.iterations))
+                == repr((lam, residual, iterations)))
+        assert res.vector.tobytes() == vector.tobytes()
+    if mu[0] == 40.0:
+        shifted = ComplexTridiagonal(t.sub, t.diag - mu[0] ** 2, t.super)
+        pivoted = TridiagonalLU(shifted)._root.lu.pivoted
+        assert 0 < sum(pivoted) < len(pivoted)
 
 
 def test_inverse_iteration_retries_exactly_singular_shift():

@@ -51,16 +51,20 @@ COMMANDS = (
 WORKERS = 2  # two runs at a time: each is one process of modest size
 
 # Configs whose verify fails or whose systems are ill-conditioned, so that
-# failing verdicts and exit 1 are compared too, and a real n = 12 config,
+# failing verdicts and exit 1 are compared too, a real n = 12 config,
 # whose sample blocks (546 radii) are shorter than its RK4 chunks (1,365
-# steps): (name, mu, a).
+# steps), and a complex high-frequency probe on 19,999 interior nodes,
+# where the 49-row tridiagonal blocks pivot in some rows and not in others
+# and numpy multiplies a 16,384-entry or longer temporary in place (the
+# other edges have 4,999): (name, mu, a, grid end).
 EDGES = (
-    ("low-frequency", [1e-3], [1.0]),
-    ("near-gap", [1.0000001, 1.0], [1.0, 1.0]),
-    ("tiny-coupling", [2.0, 1.0], [1e-12, 1.0]),
-    ("high-frequency", [40.0, 1.0], [1.0, 1.0]),
-    ("imaginary", [2.0, 1.0], [[0.0, 1.0], [0.0, 2.0]]),
-    ("real-n12", np.linspace(3.0, 0.5, 12).tolist(), [1.0] * 12),
+    ("low-frequency", [1e-3], [1.0], 50.0),
+    ("near-gap", [1.0000001, 1.0], [1.0, 1.0], 50.0),
+    ("tiny-coupling", [2.0, 1.0], [1e-12, 1.0], 50.0),
+    ("high-frequency", [40.0, 1.0], [1.0, 1.0], 50.0),
+    ("imaginary", [2.0, 1.0], [[0.0, 1.0], [0.0, 2.0]], 50.0),
+    ("real-n12", np.linspace(3.0, 0.5, 12).tolist(), [1.0] * 12, 50.0),
+    ("high-frequency-long", [40.0, 1.0], [[0.7, -0.9], [2.0, 0.4]], 200.0),
 )
 
 
@@ -73,10 +77,10 @@ def configs(directory: Path) -> list:
             paths += [path for path, _ in write_configs(w, seed, sub)]
     sub = directory / "edges"
     sub.mkdir()
-    for name, mu, a in EDGES:
+    for name, mu, a, end in EDGES:
         path = sub / f"{name}.json"
         path.write_text(json.dumps({"mu": mu, "a": a, "grid": {
-            "start": 0.0, "end": 50.0, "step": 0.01}, "seed": 0}))
+            "start": 0.0, "end": end, "step": 0.01}, "seed": 0}))
         paths.append(path)
     return paths
 
