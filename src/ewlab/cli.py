@@ -318,9 +318,13 @@ def cmd_expand(rc: RunConfig, radii: list) -> int:
     if not radii:
         radii = [50.0, 100.0, 200.0]
     for r in radii:
-        if not 0.0 < r < math.inf:
-            raise ConfigError(
-                f"expansion radius {r} must be positive and finite")
+        try:  # the table's r^3 and V's second term 8 / r^2 are floats too
+            fits = 0.0 < r and math.isfinite(r**3 + 8.0 / r**2)
+        except (OverflowError, ZeroDivisionError):
+            fits = False
+        if not fits:
+            raise ConfigError(f"expansion radius {r} must be positive and "
+                              f"finite, as must r^3 and 8/r^2")
     rc.model.check_radius(max(radii))
     from ewlab.construct import potential_terms, sample_blocks
     cols = ("r", "V_re", "V_im", "leading", "second_re", "second_im",

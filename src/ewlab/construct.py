@@ -25,8 +25,8 @@ Every function takes an array of K radii and factors the K systems
 A + G(r_k) as stacks, right-hand sides carried, in one solve that names the
 r of a singular system; a single radius is K = 1. `sample_blocks` cuts a
 grid into blocks sized by BLOCK_BYTES, each one `sample_grid` call, for
-`build`, `expand`, the probe and verify's residual, shooting and [0, 400]
-passes; only few-radius callers call `sample_grid` directly.
+`build` and `expand` (with W), the probe and verify's residual, shooting
+and [0, 400] passes; only few-radius callers call `sample_grid` directly.
 
 Large-r behaviour, used by the asymptotic checks:
 
@@ -63,7 +63,8 @@ __all__ = [
 # Blocks of sample_blocks: the real H/G stack and the complex elimination
 # buffer [A + G | s, M c], 8 n (3 n + 4) bytes a radius, come to about this
 # size: 143 radii at n = 24, 6,721 at n = 3, 13,107 at n = 2. A block's
-# working set peaks at 2.6 MB at n = 24 and 2.9 MB at n = 3 (real a_j).
+# working set peaks at 2.6 MB at n = 24 and 2.9 MB at n = 3 (real a_j),
+# with or without W, whose einsum ends before the elimination buffer exists.
 BLOCK_BYTES = 1 << 21
 
 
@@ -95,13 +96,25 @@ def resolvent_apply(config: ModelConfig, radii: np.ndarray,
     return _solve(config, radii, gram_matrix_stack(config, radii), b)
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=1) bitwise: numpy adds a row of fewer than 8 real or 4
+    complex entries in order from +0.0, as these column adds do, without its
+    per-row loop; longer rows it adds pairwise."""
+    if x.shape[1] >= (4 if np.iscomplexobj(x) else 8):
+        return np.sum(x, axis=1)
+    out = 0.0 + x[:, 0]
+    for j in range(1, x.shape[1]):
+        out += x[:, j]
+    return out
+
+
 def _w(s: np.ndarray, mc: np.ndarray, h: np.ndarray) -> np.ndarray:
     """W = (ts s)^2 + 2 t(Mc) H s per radius, from stacked s, Mc and H."""
     if len(s) == 1:
         # einsum sums a lone n = 2 system in another order than a stack of
         # two or more; a doubled stack gives a radius the bits of any grid
         return _w(*(np.concatenate([x, x]) for x in (s, mc, h)))[:1]
-    return np.sum(s * s, axis=1) ** 2 + 2.0 * np.einsum("ki,kij,kj->k", mc, h, s)
+    return _row_sums(s * s) ** 2 + 2.0 * np.einsum("ki,kij,kj->k", mc, h, s)
 
 
 def potential_terms(config: ModelConfig, radii: np.ndarray,
@@ -118,32 +131,34 @@ def potential_terms(config: ModelConfig, radii: np.ndarray,
     return leading, second
 
 
-def sample_grid(config: ModelConfig, radii) -> tuple:
+def sample_grid(config: ModelConfig, radii, *, with_w: bool = True) -> tuple:
     """(v, v', V, W) at the radii as one block, bitwise as in any block.
 
     v, v' are (K, n) and V (K,), real when every a_j is, else complex; W is
-    (K,) real. H(r) gives W and becomes G(r); one elimination adds A and
-    carries s and M c. sample_blocks bounds the working set of a long grid.
+    (K,) real, or None with with_w=False: only build, expand, the decay fits
+    and the W check read it. H(r) gives W and becomes G(r); one elimination
+    adds A and carries s and M c. sample_blocks bounds the working set of a
+    long grid.
     """
     radii = np.asarray(radii, dtype=float)
     s = trig_s(config, radii)
     mc = trig_c(config, radii) * config.mu
     g = h_matrix_stack(config, radii)  # H(r) for W, then G(r) in place
-    w = _w(s, mc, g)
+    w = _w(s, mc, g) if with_w else None
     g[:, np.arange(config.n), np.arange(config.n)] += 0.5 * radii[:, None]
     sol = _solve(config, radii, g, np.stack([s, mc], axis=2))
     v = -sol[:, :, 0]
-    v_prime = np.sum(s * v, axis=1)[:, None] * v - sol[:, :, 1]
-    big_v = 2.0 * (np.sum(mc * v, axis=1) + np.sum(s * v_prime, axis=1))
+    v_prime = _row_sums(s * v)[:, None] * v - sol[:, :, 1]
+    big_v = 2.0 * (_row_sums(mc * v) + _row_sums(s * v_prime))
     return v, v_prime, big_v, w
 
 
-def sample_blocks(config: ModelConfig, radii):
+def sample_blocks(config: ModelConfig, radii, *, with_w: bool = True):
     """Yield (block, r, v, v', V, W) per slice `block` of the radii, in order.
 
     radii is an array or a GridSpec, whose block radii r are computed alone,
     bitwise its radii()[block]. BLOCK_BYTES sets the block length, and each
-    block is one sample_grid call.
+    block is one sample_grid call, with_w passed on.
     """
     grid = isinstance(radii, GridSpec)
     radii = radii if grid else np.asarray(radii, dtype=float)
@@ -152,4 +167,4 @@ def sample_blocks(config: ModelConfig, radii):
         block = slice(start, start + step)
         r = radii.radii(block) if grid else radii[block]
         # the stacks die with sample_grid, before the consumer runs
-        yield (block, r, *sample_grid(config, r))
+        yield (block, r, *sample_grid(config, r, with_w=with_w))

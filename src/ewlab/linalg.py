@@ -83,12 +83,14 @@ class DenseLU:
     entry (i, j) of every system is a run of K values, so each pivot search,
     swap, multiplier and row update is one numpy loop over the stack. Each
     element takes the operations of a system-by-system elimination in the
-    same order. max and argmax are exact; every product runs along the batch
-    axis (strides pick numpy's complex multiply loop, and not all round
-    alike); back substitution adds u_kj x_j in index order, never pairwise;
-    `det` multiplies the pivots of a contiguous copy. A real x / y is
-    x * (1/y), as complex division computes it at zero imaginary part, so a
-    real stack gives the real part of its complex cast, bitwise.
+    same order. The pivot search takes np.max over the stack and argmax
+    only over the systems whose row k falls short of it, usually none; max
+    and argmax are exact, and a tie keeps the first row. Every product runs
+    along the batch axis (strides pick numpy's complex multiply loop, and
+    not all round alike); back substitution adds u_kj x_j in index order,
+    never pairwise; `det` multiplies the pivots of a contiguous copy. A real
+    x / y is x * (1/y), as complex division computes it at zero imaginary
+    part, so a real stack gives the real part of its complex cast, bitwise.
     """
 
     def __init__(self, mats, rhs=None, diag=None) -> None:
@@ -108,12 +110,12 @@ class DenseLU:
         swaps = np.zeros(nbatch, dtype=int)
         for k in range(n):
             size = np.abs(lu[k:, k])
-            p = np.argmax(size, axis=0)
             pivot = np.max(size, axis=0)  # |lu[k, k]| once the rows swap
-            # swap rows k and k + p of the systems whose pivot row is not k
-            moved = np.flatnonzero(p)
+            # the systems whose row k is not a largest entry (NaN is not)
+            # swap it with the first largest: argmax only over those few
+            moved = np.flatnonzero(~(size[0] >= pivot))
             if moved.size:
-                rows = k + p[moved]
+                rows = k + np.argmax(size[:, moved], axis=0)
                 for block in (lu, scale):
                     top = block[k, ..., moved]
                     block[k, ..., moved] = block[rows, ..., moved]

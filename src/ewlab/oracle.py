@@ -276,7 +276,8 @@ def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
     sups = np.full((2, len(dims), config.n), -math.inf)
     tails = [(np.empty(0), np.empty((0, config.n)), np.empty(0))] * 2
     for block, r, v, _, big_v, _ in construct.sample_blocks(
-            config, _refined(grid, 1, "residual_eigen_equation")):
+            config, _refined(grid, 1, "residual_eigen_equation"),
+            with_w=False):
         for k, stride in enumerate((2, 1)):
             h = grid.step * stride / 2.0
             rows = [x[-block.start % stride::stride] for x in (r, v, big_v)]
@@ -327,9 +328,11 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
     for all steps and all j at once. The chunk is a two-level blocked
     prefix product: prefix products inside blocks of about sqrt(m) steps,
     all blocks at once, then one pass over the blocks that carries the
-    state (u, p) through them. Products are kept as their difference from
-    I and states are updated by increments, as a step-by-step RK4 loop
-    does; that keeps the rounding error at the loop's level.
+    state (u, p) through them. The stack is copied once into step-major
+    order, (width, 2, 2, blocks, n), so that each prefix step runs on one
+    contiguous e[k]. Products are kept as their difference from I and
+    states are updated by increments, as a step-by-step RK4 loop does; that
+    keeps the rounding error at the loop's level.
     """
     m, n = (q.shape[0] - 1) // 2, q.shape[1]
     dtype = np.result_type(q, u, p)
@@ -339,25 +342,26 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
     e = np.zeros((2, 2, blocks * width, n), dtype=dtype)
     e[0, 0, :m], e[1, 0, :m] = _rk4_increment(1.0, 0.0, *stages)
     e[0, 1, :m], e[1, 1, :m] = _rk4_increment(0.0, 1.0, *stages)
-    e = e.reshape(2, 2, blocks, width, n)
+    e = e.reshape(2, 2, blocks, width, n).transpose(3, 0, 1, 2, 4).copy()
     for k in range(1, width):
-        e[:, :, :, k] = _compose(e[:, :, :, k], e[:, :, :, k - 1])
-    start = np.empty((2, blocks, 1, n), dtype=dtype)
+        e[k] = _compose(e[k], e[k - 1])
+    start = np.empty((2, blocks, n), dtype=dtype)
     for b in range(blocks):
-        start[:, b, 0] = u, p
-        last = e[:, :, b, -1]
+        start[:, b] = u, p
+        last = e[-1, :, :, b]
         u, p = (u + (last[0, 0] * u + last[0, 1] * p),
                 p + (last[1, 0] * u + last[1, 1] * p))
-    u_steps = start[0] + (e[0, 0] * start[0] + e[0, 1] * start[1])
-    return u_steps.reshape(-1, n)[:m], u, p
+    u_steps = start[0] + (e[:, 0, 0] * start[0] + e[:, 0, 1] * start[1])
+    return u_steps.swapaxes(0, 1).reshape(-1, n)[:m], u, p
 
 
 class _Trajectory:
     """One RK4 integration of u'' = q u, fed its rows as they are sampled.
 
     Each feed adds the next rows of q at the half steps and of v at the
-    nodes, every other half step. A chunk of m steps, whose (2, 2, m, n)
-    stack is a quarter of construct.BLOCK_BYTES, runs through
+    nodes, every other half step. A chunk of m steps, whose step-major
+    (width, 2, 2, blocks, n) stack is about a quarter of
+    construct.BLOCK_BYTES (real q), runs through
     _rk4_trajectory, after its |q| h^2 <= 0.1 guard, once its 2 m + 1 rows
     of q are in; so the chunks start at the same steps whatever the feeds'
     lengths. Held: the state (u, p), the rows not yet integrated, whose
@@ -408,7 +412,7 @@ def shooting_compare(config: ModelConfig,
     mu2 = config.mu**2
     runs = []
     for block, _, v, v_prime, big_v, _ in construct.sample_blocks(
-            config, half_steps):
+            config, half_steps, with_w=False):
         if not runs:
             runs = [_Trajectory(v[0].copy(), v_prime[0].copy(),
                                 fine.step * stride, (fine.count - 1) // stride)
@@ -505,7 +509,7 @@ def log_det_defects(config: ModelConfig,
     curvature = _log_det_ratios(config, radii, [
         radii + d * step for step in steps for d in (1.0, -1.0)
     ]).reshape(2, 2, -1).sum(axis=1) / steps[:, None] ** 2
-    v, _, big_v, _ = sample_grid(config, radii)
+    v, _, big_v, _ = sample_grid(config, radii, with_w=False)
     first = np.max(np.abs(slope + np.sum(trig_s(config, radii) * v, axis=1)))
     second = np.max(np.abs(big_v + 2.0 * curvature), axis=1)
     return float(first), float(second[0]), float(_halving_ratio(*second))

@@ -219,8 +219,9 @@ def probe_embedded(config: ModelConfig, grid: GridSpec) -> list[ProbeResult]:
     boundary_leak records |v_j(R)|, the size of the domain-truncation error
     committed by the hard wall. A failure names the eigenvalue it was at.
     """
-    v, big_v = map(np.concatenate, zip(*[
-        (v, big_v) for _, _, v, _, big_v, _ in sample_blocks(config, grid)]))
+    v, big_v = map(np.concatenate, zip(*[(v, big_v) for _, _, v, _, big_v, _
+                                         in sample_blocks(config, grid,
+                                                          with_w=False)]))
     t = build_hamiltonian(grid, big_v[1:-1])
     del big_v
     results = []

@@ -206,7 +206,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     checks.append(_upper("resolvent_origin", origin_defect, 1e-15))
 
     # --- construct: Dirichlet data at 0 are exact
-    v0, _, big_v0, _ = sample_grid(config, [0.0])
+    v0, _, big_v0, _ = sample_grid(config, [0.0], with_w=False)
     checks.append(_upper("dirichlet_origin",
                          np.max(np.abs(v0)) + abs(big_v0[0]), 0.0))
 
@@ -237,7 +237,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     # over every other radius r > 0 and over every radius r > 0
     top = np.full(6, -math.inf)
     for block, r, v, v_prime, big_v, _ in sample_blocks(
-            config, GridSpec(0.0, 400.0, 0.05).halved()):
+            config, GridSpec(0.0, 400.0, 0.05).halved(), with_w=False):
         on_grid = big_v[-block.start % 2::2]
         maxima = [np.abs(on_grid.imag), np.abs(on_grid)]
         for stride in (2, 1):
@@ -262,7 +262,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     # --- small-r orders of v: sin form is O(r^4), linear form O(r^3)
     r0 = 0.02
     small = np.array([r0, r0 / 2])
-    v_small = sample_grid(config, small)[0]
+    v_small = sample_grid(config, small, with_w=False)[0]
 
     def _small(ref):
         d = np.max(np.abs(v_small + ref / config.a), axis=1)

@@ -366,6 +366,12 @@ def test_expand_table(tmp_path, capsys):
     assert "must be positive" in read_err(capsys)
     assert main(["expand", "--config", cfg, "inf"]) == 2
     assert "must be positive and finite" in read_err(capsys)
+    # 8 / r^2 and r^3 overflow here: refused before any row is sampled
+    for r in ("1e-300", "6e+102"):
+        assert main(["expand", "--config", cfg, "50", r]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"expansion radius {r} " in err
+        assert "r^3 and 8/r^2" in err
 
 
 def test_expand_builds_one_h_stack(tmp_path, monkeypatch, capsys):

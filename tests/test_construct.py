@@ -12,6 +12,7 @@ import pytest
 import ewlab.construct
 from ewlab.construct import (
     InvertibilityError,
+    _row_sums,
     potential_terms,
     resolvent_apply,
     sample_blocks,
@@ -295,9 +296,9 @@ def test_block_length_bounds_one_stack_to_a_mebibyte():
 def test_sample_blocks_samples_every_block_through_sample_grid(monkeypatch):
     calls = []
 
-    def counted(config, radii):
+    def counted(config, radii, **kwargs):
         calls.append(len(radii))
-        return sample_grid(config, radii)
+        return sample_grid(config, radii, **kwargs)
 
     monkeypatch.setattr(ewlab.construct, "sample_grid", counted)
     grid = GridSpec(0.0, 3.0, 1e-3)  # 3,001 radii: 21 blocks at n = 24
@@ -347,6 +348,41 @@ def test_sample_grid_of_no_radii_is_empty():
         assert big_v.shape == w.shape == (0,)
         assert v.dtype == v_prime.dtype == big_v.dtype == dtype
         assert w.dtype == float
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_row_sums_are_np_sum_bit_for_bit(dtype, order):
+    # column adds where numpy adds a row in order, np.sum where pairwise;
+    # a row of -0.0 sums to +0.0 either way
+    rng = np.random.default_rng(23)
+    for n in range(1, 61):
+        for k in (1, 2, 7, 300):
+            x = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-9, 9, (k, n))
+            if dtype is complex:
+                x = x + 1j * rng.standard_normal((k, n)) * 10.0 ** rng.integers(
+                    -9, 9, (k, n))
+            x = np.asarray(x, order=order)
+            x[::3] = -0.0
+            got, want = _row_sums(x), np.sum(x, axis=1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (n, k)
+
+
+@pytest.mark.parametrize("cfg, end", [(CFG3, 30.0), (CFGC, 30.0),
+                                      (CFG24, 0.5)], ids=["n3", "n2", "n24"])
+def test_sampling_without_w_keeps_every_other_bit(cfg, end):
+    grid = GridSpec(0.0, end, 1e-3)  # 3 to 5 blocks
+    pairs = zip(sample_blocks(cfg, grid), sample_blocks(cfg, grid, with_w=False))
+    for (block, r, *want), (same, r_alone, *got) in pairs:
+        assert block == same and r.tobytes() == r_alone.tobytes()
+        assert got[3] is None and want[3].shape == r.shape
+        for g, w in zip(got[:3], want[:3]):
+            assert g.tobytes() == w.tobytes()
+    v, v_prime, big_v, w = sample_grid(cfg, [0.0, 7.5], with_w=False)
+    assert w is None
+    for g, want in zip((v, v_prime, big_v), sample_grid(cfg, [0.0, 7.5])):
+        assert g.tobytes() == want.tobytes()
 
 
 CFG24R = ModelConfig(CFG24.mu, CFG24.a.real)

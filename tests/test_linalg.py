@@ -15,6 +15,7 @@ from ewlab.linalg import (
     SingularMatrixError,
     TridiagonalLU,
     _BlockLU,
+    _divide,
     batched_solve,
 )
 from ewlab.spectral_probe import inverse_iteration
@@ -241,6 +242,92 @@ def test_nan_system_is_singular():
     with pytest.raises(SingularMatrixError, match="batch entry 2") as exc:
         DenseLU(mats)
     assert exc.value.entry == 2
+
+
+def _full_search_factors(mats, rhs):
+    """(factors, swaps) of DenseLU with its former pivot search, kept as its
+    reference: argmax over every system's column at every step, and a swap
+    wherever it is not row k. Raises SingularMatrixError as DenseLU does.
+    """
+    nbatch, n = mats.shape[0], mats.shape[1]
+    lu = np.empty((n, n + rhs.shape[2], nbatch),
+                  dtype=np.result_type(mats, rhs, float))
+    lu[:, :n] = mats.transpose(1, 2, 0)
+    lu[:, n:] = rhs.transpose(1, 2, 0)
+    scale = np.array([np.max(np.abs(row), axis=0) for row in lu[:, :n]])
+    swaps = np.zeros(nbatch, dtype=int)
+    for k in range(n):
+        size = np.abs(lu[k:, k])
+        p = np.argmax(size, axis=0)
+        pivot = np.max(size, axis=0)
+        moved = np.flatnonzero(p)
+        if moved.size:
+            rows = k + p[moved]
+            for block in (lu, scale):
+                top = block[k, ..., moved]
+                block[k, ..., moved] = block[rows, ..., moved]
+                block[rows, ..., moved] = top
+            swaps[moved] += 1
+        bad = ~(pivot > PIVOT_RTOL * scale[k])
+        if np.any(bad):
+            first = int(np.argmax(bad))
+            raise SingularMatrixError(f"pivot {k} below threshold in batch "
+                                      f"entry {first}", entry=first)
+        lu[k + 1:, k] = _divide(lu[k + 1:, k], lu[k, k])
+        for i in range(k + 1, n):
+            lu[i, k + 1:] -= lu[i:i + 1, k] * lu[k, k + 1:]
+    return lu, swaps
+
+
+def tied_stack(rng, k, n, real):
+    """Small-integer entries (with 3 + 4i beside 5 in complex): most pivot
+    columns hold equal magnitudes, so ties decide the rows."""
+    mats = rng.integers(-2, 3, (k, n, n)).astype(float)
+    if not real:
+        mats = mats + 1j * rng.integers(-2, 3, (k, n, n))
+        five = rng.random((k, n, n)) < 0.2
+        mats[five] = rng.choice([5.0, -5.0, 3 + 4j, -4 + 3j, 5j], five.sum())
+    return mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 200), n=st.integers(1, 8), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_lu_pivot_search_matches_the_full_argmax(k, n, real, seed):
+    # a tie keeps the first row, as argmax does; the factors and swaps are
+    # those of the full search, or both searches name the same system
+    rng = np.random.default_rng(seed)
+    mats = tied_stack(rng, k, n, real)
+    rhs = rng.standard_normal((k, n, 2))
+    try:
+        want = _full_search_factors(mats, rhs)
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError) as got:
+            DenseLU(mats, rhs)
+        assert got.value.entry == exc.entry and str(got.value) == str(exc)
+        return
+    got = DenseLU(mats, rhs)
+    assert got._factors.tobytes() == want[0].tobytes()
+    assert np.array_equal(got.swaps, want[1])
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("row, col", [(0, 0), (2, 0), (1, 1), (2, 1), (2, 2),
+                                      (0, 2)])
+def test_dense_lu_nan_pivot_names_the_full_search_entry(row, col, real):
+    rng = np.random.default_rng(row + 3 * col)
+    mats = rng.standard_normal((6, 3, 3)) + 3.0 * np.eye(3)
+    if not real:
+        mats = mats + 1j * rng.standard_normal((6, 3, 3))
+    mats[4, row, col] = np.nan
+    mats[5, 2, 2] = np.nan  # fails at the last step: entry 4 comes first
+    rhs = np.ones((6, 3, 1))
+    with pytest.raises(SingularMatrixError) as want:
+        _full_search_factors(mats, rhs)
+    with pytest.raises(SingularMatrixError) as got:
+        DenseLU(mats, rhs)
+    assert got.value.entry == want.value.entry == 4
+    assert str(got.value) == str(want.value)
 
 
 def _block_lu_reference(dl, d, du, x):

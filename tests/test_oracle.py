@@ -15,6 +15,8 @@ from ewlab.oracle import (
     SLOPE_TOL,
     QuadratureError,
     StepTooLargeError,
+    _compose,
+    _rk4_increment,
     _rk4_trajectory,
     condition_estimate,
     fd_second_derivative,
@@ -204,9 +206,9 @@ def test_residual_lift_needs_a_grid_off_the_origin():
 def test_residual_samples_once_for_every_dimension(monkeypatch):
     sampled = []
 
-    def counted(config, radii):
+    def counted(config, radii, **kwargs):
         sampled.append(radii.count)
-        yield from sample_blocks(config, radii)
+        yield from sample_blocks(config, radii, **kwargs)
 
     monkeypatch.setattr(construct, "sample_blocks", counted)
     grid = GridSpec(1.0, 30.0, 1e-3)
@@ -342,6 +344,49 @@ def test_transfer_matrix_rk4_matches_the_loop_on_drawn_q(steps, n, seed,
          + 20j * rng.standard_normal((2 * steps + 1, n)))
     v0, p = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     _assert_matches_reference(q, v0, p, h)
+
+
+def _strided_rk4_trajectory(q, u, p, h):
+    """_rk4_trajectory with its former (2, 2, blocks, width, n) stack, kept
+    as its reference: the same products in the same order, each prefix
+    step on the strided e[:, :, :, k]."""
+    m, n = (q.shape[0] - 1) // 2, q.shape[1]
+    dtype = np.result_type(q, u, p)
+    width = math.isqrt(m - 1) + 1
+    blocks = -(-m // width)
+    stages = (q[:-1:2], q[1::2], q[2::2], h)
+    e = np.zeros((2, 2, blocks * width, n), dtype=dtype)
+    e[0, 0, :m], e[1, 0, :m] = _rk4_increment(1.0, 0.0, *stages)
+    e[0, 1, :m], e[1, 1, :m] = _rk4_increment(0.0, 1.0, *stages)
+    e = e.reshape(2, 2, blocks, width, n)
+    for k in range(1, width):
+        e[:, :, :, k] = _compose(e[:, :, :, k], e[:, :, :, k - 1])
+    start = np.empty((2, blocks, 1, n), dtype=dtype)
+    for b in range(blocks):
+        start[:, b, 0] = u, p
+        last = e[:, :, b, -1]
+        u, p = (u + (last[0, 0] * u + last[0, 1] * p),
+                p + (last[1, 0] * u + last[1, 1] * p))
+    u_steps = start[0] + (e[0, 0] * start[0] + e[0, 1] * start[1])
+    return u_steps.reshape(-1, n)[:m], u, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=st.sampled_from(EDGE_STEPS) | st.integers(1, 6000),
+       n=st.integers(1, 5), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_major_rk4_is_the_strided_one_bit_for_bit(steps, n, real, seed):
+    rng = np.random.default_rng(seed)
+    q = -10.0 + 20.0 * rng.standard_normal((2 * steps + 1, n))
+    u, p = rng.standard_normal((2, n))
+    if not real:
+        q = q + 20j * rng.standard_normal(q.shape)
+        u = u + 1j * rng.standard_normal(n)
+    got = _rk4_trajectory(q, u, p, 0.01)
+    want = _strided_rk4_trajectory(q, u, p, 0.01)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("steps", [1, 4, 37])

@@ -53,10 +53,12 @@ WORKERS = 2  # two runs at a time: each is one process of modest size
 # Configs whose verify fails or whose systems are ill-conditioned, so that
 # failing verdicts and exit 1 are compared too, a real n = 12 config,
 # whose sample blocks (546 radii) are shorter than its RK4 chunks (1,365
-# steps), and a complex high-frequency probe on 19,999 interior nodes,
+# steps), a complex high-frequency probe on 19,999 interior nodes,
 # where the 49-row tridiagonal blocks pivot in some rows and not in others
 # and numpy multiplies a 16,384-entry or longer temporary in place (the
-# other edges have 4,999): (name, mu, a, grid end).
+# other edges have 4,999), and a complex n = 5 config, whose rows numpy
+# sums pairwise with a remainder (n = 12 is the real side of that
+# threshold, n <= 3 the in-order side): (name, mu, a, grid end).
 EDGES = (
     ("low-frequency", [1e-3], [1.0], 50.0),
     ("near-gap", [1.0000001, 1.0], [1.0, 1.0], 50.0),
@@ -65,6 +67,8 @@ EDGES = (
     ("imaginary", [2.0, 1.0], [[0.0, 1.0], [0.0, 2.0]], 50.0),
     ("real-n12", np.linspace(3.0, 0.5, 12).tolist(), [1.0] * 12, 50.0),
     ("high-frequency-long", [40.0, 1.0], [[0.7, -0.9], [2.0, 0.4]], 200.0),
+    ("complex-n5", np.linspace(3.0, 1.0, 5).tolist(), [[1.0, 0.5]] * 5,
+     50.0),
 )
 
 
