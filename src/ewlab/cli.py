@@ -250,6 +250,8 @@ def _probe_free(rc: RunConfig) -> dict:
 def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
     """Probe the discretized operator at each prescribed eigenvalue.
 
+    Result j (from 1) is the probe at mu_j^2, started from the sampled
+    eigenfunction v_j; --free starts its three modes from one seeded draw.
     With --sweep K, additionally reruns the probe for K admissible coupling
     matrices drawn from random.Random(seed) and reports the spread of the
     eigenvalue estimates next to the single-run error floor (the estimates
@@ -270,18 +272,19 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
     rc.model.check_radius(rc.grid.r_end)
     from ewlab.spectral_probe import aligned_correlation, probe_embedded
     doc["results"] = [{
-        "j": res.j + 1,
+        "j": j,
         "shift": res.shift,
         "eigval_estimate": [res.eigval_estimate.real,
                             res.eigval_estimate.imag],
         "abs_error": abs(res.eigval_estimate - res.shift),
         "residual": res.residual,
-        "boundary_leak": res.boundary_leak,
+        "boundary_leak": leak,
         "iterations": res.iterations,
-        "start_mode": res.start_mode,
+        "start_mode": "sampled eigenfunction",
         "correlation_vs_sampled": aligned_correlation(
             res.vector, res.start_vector),
-    } for res in probe_embedded(rc.model, rc.grid)]
+    } for j, (res, leak) in enumerate(probe_embedded(rc.model, rc.grid),
+                                      start=1)]
     if sweep > 0:
         rng, n = random.Random(rc.seed), rc.model.n
         # admissible by construction: Re in [0.5, 2.5], Im in [-1, 1]
@@ -291,8 +294,9 @@ def cmd_probe(rc: RunConfig, sweep: int = 0, free: bool = False) -> int:
         for k, a in enumerate(couplings, start=1):
             swept = ModelConfig(rc.model.mu, a)
             try:
-                for res in probe_embedded(swept, rc.grid):
-                    estimates[str(res.j + 1)].append(res.eigval_estimate)
+                for j, (res, _) in enumerate(probe_embedded(swept, rc.grid),
+                                             start=1):
+                    estimates[str(j)].append(res.eigval_estimate)
             except (ArithmeticError, RuntimeError, ValueError) as exc:
                 raise RuntimeError(
                     f"--sweep coupling {k} of {sweep}: {exc}") from exc

@@ -46,6 +46,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from ewlab import construct
 from ewlab.construct import potential_terms, resolvent_apply, sample_grid
@@ -120,13 +121,7 @@ class FitReport:
 
 @functools.cache
 def _gauss_legendre(nodes: int) -> tuple:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
-
-    numpy.polynomial is imported here, on first use, so that importing the
-    CLI does not load it.
-    """
-    from numpy.polynomial.legendre import leggauss
-
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
     x, w = leggauss(nodes)
     x.setflags(write=False)
     w.setflags(write=False)

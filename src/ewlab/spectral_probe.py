@@ -19,20 +19,15 @@ a box mode of the walls next to mu_j^2 can stall the iteration (mu =
 Every reduction (norms, inner products, the Rayleigh quotient) is a numpy
 ufunc sum, never a BLAS call: BLAS splits dot products across its threads,
 which reorders the additions, so probe output would change in the last
-digits with the BLAS thread count.
-
-Each iteration step applies H once: the quotient and the residual share
-H x. The quotient's product takes H x as a temporary copy, because numpy
-computes x * tmp in place as tmp * x once tmp reaches 256 KiB, and a
-complex product can round apart when its operands swap; the product
-thus keeps the operand order it has had at every grid size.
+digits with the BLAS thread count. Each iteration step applies H once: the
+quotient and the residual share H x.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,15 +61,12 @@ class NoConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ProbeResult:
-    """Converged inverse-iteration eigenpair near one prescribed shift."""
+    """Converged inverse-iteration eigenpair near one shift."""
 
-    j: int                    # 0-based eigen-index; -1 when not tied to one
     shift: float
     eigval_estimate: complex
     residual: float
-    boundary_leak: float      # |v_j(R)|; nan when no reference eigenfunction
     iterations: int
-    start_mode: str           # "sampled eigenfunction" or "seeded random"
     vector: np.ndarray
     start_vector: np.ndarray  # the iteration's start, before normalization
 
@@ -94,7 +86,7 @@ def build_hamiltonian(grid: GridSpec,
     h = grid.step
     diag = 2.0 / h**2 + np.asarray(v_interior, dtype=complex)
     off = np.full(diag.size - 1, -1.0 / h**2, dtype=complex)
-    return ComplexTridiagonal(sub=off, diag=diag, super=off.copy())
+    return ComplexTridiagonal(sub=off, diag=diag, super=off)
 
 
 def free_laplacian_eigenvalue(grid: GridSpec, k: int) -> float:
@@ -116,11 +108,6 @@ def _rayleigh_residual(t: ComplexTridiagonal,
                        x: np.ndarray) -> tuple[complex, float]:
     """Bilinear quotient lam = txHx / txx (no conjugation) of a complex x,
     and the 2-norm residual |H x - lam x|, from one H x.
-
-    The quotient multiplies x by a temporary copy of H x, as it multiplied
-    a fresh matvec before (see the module docstring: at 16,384 entries and
-    up numpy computes it as H x * x, below as x * H x). The residual then
-    consumes H x in place.
     """
     txx = complex(np.sum(x * x))
     norm2 = float(np.sum(x.real**2 + x.imag**2))
@@ -129,7 +116,7 @@ def _rayleigh_residual(t: ComplexTridiagonal,
     if abs(txx) <= 1e-12 * norm2:
         raise IsotropicVectorError("txx vanishes relative to |x|^2")
     hx = t.matvec(x)
-    lam = complex(np.sum(x * hx.copy())) / txx
+    lam = complex(np.sum(hx * x)) / txx
     return lam, _norm(np.subtract(hx, lam * x, out=hx))
 
 
@@ -157,8 +144,7 @@ def seeded_start(k: int, seed: int) -> np.ndarray:
 
 
 def inverse_iteration(t: ComplexTridiagonal, shift: complex,
-                      start: np.ndarray | None = None,
-                      seed: int = 0) -> ProbeResult:
+                      start: np.ndarray) -> ProbeResult:
     """Eigenpair of the discretization nearest the shift.
 
     Iterates x <- normalize((H - shift I)^{-1} x); the eigenvalue estimate is
@@ -166,15 +152,11 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
     |H x - lambda x| <= _TOL for the unit vector x; both come from one H x
     per step. A shift landing exactly on a discrete eigenvalue surfaces as
     SingularMatrixError from the factorization; the shift is then nudged by
-    a relative 1e-10 and retried. Without a start vector the iteration
-    starts from seeded_start(K, seed).
+    a relative 1e-10 and retried. The iteration starts from `start`, which
+    the result keeps as its start_vector.
     """
     k = t.size
-    if start is None:
-        start, start_mode = seeded_start(k, seed), "seeded random"
-    else:
-        start = np.asarray(start, dtype=complex)
-        start_mode = "sampled eigenfunction"
+    start = np.asarray(start, dtype=complex)
     norm = _norm(start)
     if norm == 0.0:
         raise ValueError("zero start vector")
@@ -202,22 +184,24 @@ def inverse_iteration(t: ComplexTridiagonal, shift: complex,
             continue
         if residual <= _TOL:
             return ProbeResult(
-                j=-1, shift=float(np.real(shift)), eigval_estimate=lam,
-                residual=residual, boundary_leak=math.nan, iterations=it,
-                start_mode=start_mode, vector=x, start_vector=start,
+                shift=float(np.real(shift)), eigval_estimate=lam,
+                residual=residual, iterations=it, vector=x,
+                start_vector=start,
             )
     raise NoConvergenceError(
         f"no convergence to {_TOL} within {_MAX_ITER} iterations"
     )
 
 
-def probe_embedded(config: ModelConfig, grid: GridSpec) -> list[ProbeResult]:
-    """Run the probe at every prescribed eigenvalue mu_j^2.
+def probe_embedded(config: ModelConfig,
+                   grid: GridSpec) -> list[tuple[ProbeResult, float]]:
+    """Run the probe at every prescribed eigenvalue mu_j^2, in order of j.
 
     The grid's v and V are sampled once, block by block: V at the interior
-    nodes builds the Hamiltonian, v_j there are the start vectors, and
-    boundary_leak records |v_j(R)|, the size of the domain-truncation error
-    committed by the hard wall. A failure names the eigenvalue it was at.
+    nodes builds the Hamiltonian and v_j there are the start vectors. Each
+    result comes with its boundary leak |v_j(R)|, the size of the
+    domain-truncation error committed by the hard wall. A failure names the
+    eigenvalue it was at.
     """
     v, big_v = map(np.concatenate, zip(*[(v, big_v) for _, _, v, _, big_v, _
                                          in sample_blocks(config, grid,
@@ -228,9 +212,9 @@ def probe_embedded(config: ModelConfig, grid: GridSpec) -> list[ProbeResult]:
     for j in range(config.n):
         shift = config.mu[j] ** 2
         try:
-            raw = inverse_iteration(t, shift, start=v[1:-1, j])
+            res = inverse_iteration(t, shift, start=v[1:-1, j])
         except NoConvergenceError as exc:
             raise NoConvergenceError(
                 f"probe at mu_{j + 1}^2 = {float(shift)!r}: {exc}") from exc
-        results.append(replace(raw, j=j, boundary_leak=float(abs(v[-1, j]))))
+        results.append((res, float(abs(v[-1, j]))))
     return results

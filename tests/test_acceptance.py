@@ -136,11 +136,12 @@ def test_criterion_7_spectral_probe():
     base = probe_embedded(cfg, GridSpec(0.0, 200.0, 0.01))
     wide = probe_embedded(cfg, GridSpec(0.0, 400.0, 0.01))
     v = sample_grid(cfg, GridSpec(0.0, 200.0, 0.01).radii())[0]
-    corr = [aligned_correlation(res.vector, v[1:-1, res.j]) for res in base]
+    corr = [aligned_correlation(res.vector, v[1:-1, j])
+            for j, (res, _) in enumerate(base)]
     err_base = [abs(res.eigval_estimate - mu**2)
-                for res, mu in zip(base, (2.0, 1.0))]
+                for (res, _), mu in zip(base, (2.0, 1.0))]
     err_wide = [abs(res.eigval_estimate - mu**2)
-                for res, mu in zip(wide, (2.0, 1.0))]
+                for (res, _), mu in zip(wide, (2.0, 1.0))]
     shrink = all(w < b for w, b in zip(err_wide, err_base))
 
     # couplings sweep: estimates must agree below the single-run error floor
@@ -150,7 +151,7 @@ def test_criterion_7_spectral_probe():
         a = rng.uniform(0.5, 2.5, size=2) + 1j * rng.uniform(-1.0, 1.0, size=2)
         swept = ModelConfig([2.0, 1.0], list(a))
         sweep.append([res.eigval_estimate
-                      for res in probe_embedded(swept, GridSpec(0.0, 200.0, 0.01))])
+                      for res, _ in probe_embedded(swept, GridSpec(0.0, 200.0, 0.01))])
     arr = np.array(sweep)
     spreads = [float(np.max(np.abs(arr[:, j] - arr[:, j].mean())))
                for j in range(2)]

@@ -3,7 +3,8 @@
 The oracles check the construction by independent routes, so the code they
 check must not depend on them, and the quadrature and RK4 oracles take
 nothing from it but sampled data. Every public name of a production module
-is used somewhere in the package, not only by tests. The modules are parsed,
+is used somewhere in the package, not only by tests, and so is every
+defaulted parameter of a public function. The modules are parsed,
 not imported, except by the import guards at the end, which run the CLI in
 a fresh interpreter and read its sys.modules.
 """
@@ -114,6 +115,48 @@ def test_public_names_are_used_in_the_package(module):
     unused = [name for name in public_names(PACKAGE / f"{module}.py")
               if not any(name in _used_names(tree, name) for tree in trees)]
     assert unused == [], f"ewlab.{module} exports names only tests reach"
+
+
+def _defaulted_parameters(func: ast.FunctionDef) -> list:
+    """(name, position) of each parameter of func with a default; a
+    keyword-only one has position None."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, default
+               in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def _passes(call: ast.Call, func: str, name: str, position) -> bool:
+    """Whether call calls func and passes its parameter name."""
+    callee = call.func
+    called = (callee.id if isinstance(callee, ast.Name) else
+              callee.attr if isinstance(callee, ast.Attribute) else None)
+    return called == func and (
+        any(k.arg == name for k in call.keywords)
+        or (position is not None and len(call.args) > position))
+
+
+def test_defaulted_parameters_are_passed_in_the_package():
+    # a default that no call in the package overrides is a path that no
+    # command takes; cli.main, the console script, is called from outside
+    # the package, which passes its argv
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    never = []
+    for module, tree in trees.items():
+        public = set(public_names(PACKAGE / f"{module}.py"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                never += [f"{module}.{node.name}: {name}"
+                          for name, position in _defaulted_parameters(node)
+                          if not any(_passes(call, node.name, name, position)
+                                     for call in calls)]
+    assert never == ["cli.main: argv"]
 
 
 def test_cli_leaves_blocking_to_sample_blocks():

@@ -19,6 +19,7 @@ from ewlab.spectral_probe import (
     free_laplacian_eigenvalue,
     inverse_iteration,
     probe_embedded,
+    seeded_start,
 )
 
 CFG2 = ModelConfig([2.0, 1.0], [1.0, 1.0])
@@ -98,10 +99,10 @@ def test_aligned_correlation():
 def test_inverse_iteration_free_ground_state():
     grid = GridSpec(0.0, 10.0, 0.01)
     lam1 = free_laplacian_eigenvalue(grid, 1)
-    res = inverse_iteration(free_laplacian(grid), lam1 * 1.001)
+    t = free_laplacian(grid)
+    res = inverse_iteration(t, lam1 * 1.001, start=seeded_start(t.size, 0))
     assert abs(res.eigval_estimate - lam1) <= 1e-10
     assert res.residual <= 1e-10
-    assert res.start_mode == "seeded random"
     # the converged mode is one arch of a sine
     want = np.sin(np.pi * grid.radii()[1:-1] / 10.0)
     assert aligned_correlation(res.vector, want.astype(complex)) >= 1.0 - 1e-8
@@ -111,8 +112,8 @@ def test_inverse_iteration_is_deterministic():
     grid = GridSpec(0.0, 10.0, 0.01)
     t = free_laplacian(grid)
     shift = free_laplacian_eigenvalue(grid, 2) * 1.001
-    a = inverse_iteration(t, shift, seed=7)
-    b = inverse_iteration(t, shift, seed=7)
+    a = inverse_iteration(t, shift, start=seeded_start(t.size, 7))
+    b = inverse_iteration(t, shift, start=seeded_start(t.size, 7))
     assert a.eigval_estimate == b.eigval_estimate
     assert np.array_equal(a.vector, b.vector)
 
@@ -121,18 +122,15 @@ def test_seeded_start_is_one_draw_taken_in_chunks():
     # 2^16 + 3 words: drawn 2^19 bytes at a time, they are the words of one
     # randbytes call
     k = (1 << 16) + 3
-    t = ComplexTridiagonal(np.zeros(k - 1), np.arange(1.0, k + 1),
-                           np.zeros(k - 1))
-    res = inverse_iteration(t, 1.01, seed=5)
     words = np.frombuffer(random.Random(5).randbytes(8 * k), "<u8")
-    assert np.array_equal(res.start_vector, (words >> 11) * 2.0**-52 - 1.0)
+    assert np.array_equal(seeded_start(k, 5), (words >> 11) * 2.0**-52 - 1.0)
 
 
 def _inverse_iteration_reference(t, shift, start):
     """(estimate, residual, iterations, vector) of the loop inverse_iteration
     ran before its steps shared one H x: each step applied H twice, once in
-    the quotient's product, as a temporary, and once in the residual. The
-    nudges and isotropic retries, never reached here, are left out."""
+    the quotient's product H x * x and once in the residual. The nudges and
+    isotropic retries, never reached here, are left out."""
     def norm(x):
         return math.sqrt(float(np.sum(x.real**2 + x.imag**2)))
 
@@ -141,7 +139,7 @@ def _inverse_iteration_reference(t, shift, start):
     for it in range(1, 51):
         y = lu.solve(x)
         x = y / norm(y)
-        lam = complex(np.sum(x * t.matvec(x))) / complex(np.sum(x * x))
+        lam = complex(np.sum(t.matvec(x) * x)) / complex(np.sum(x * x))
         residual = norm(t.matvec(x) - lam * x)
         if residual <= 1e-10:
             return lam, residual, it, x
@@ -155,10 +153,10 @@ def _inverse_iteration_reference(t, shift, start):
     ids=["9999-nodes", "19999-nodes", "high-frequency"])
 def test_inverse_iteration_matches_the_two_matvec_loop(mu, a, end):
     # 9,999 and 19,999 interior nodes lie on both sides of the 16,384
-    # entries from which numpy computes x * tmp as tmp * x in place; at
-    # mu_1 = 40 the 49-row blocks pivot in some rows and not in others.
-    # With these couplings a quotient of hx * x changes the bits of the
-    # first case, and one of x * hx those of the other two.
+    # entries from which numpy computes a product with a temporary in
+    # place; at mu_1 = 40 the 49-row blocks pivot in some rows and not in
+    # others. With these couplings a quotient of x * hx changes the bits
+    # of every case.
     cfg = ModelConfig(list(mu), list(a))
     grid = GridSpec(0.0, end, 0.01)
     v, _, big_v, _ = sample_grid(cfg, grid.radii())
@@ -182,9 +180,26 @@ def test_inverse_iteration_matches_the_two_matvec_loop(mu, a, end):
 def test_inverse_iteration_retries_exactly_singular_shift():
     # diagonal operator: shift == eigenvalue gives an exactly singular solve
     t = ComplexTridiagonal(np.zeros(2), np.array([1.0, 2.0, 3.0]), np.zeros(2))
-    res = inverse_iteration(t, 2.0)
+    res = inverse_iteration(t, 2.0, start=np.ones(3))
     assert abs(res.eigval_estimate - 2.0) <= 1e-12
     assert res.shift == 2.0 * (1.0 + 1e-10)  # nudged once, then factored
+
+
+def test_isotropic_iterate_is_perturbed_once_and_converges():
+    # (T - 1.1 I)^-1 takes the start to a multiple of (1, i), whose txx
+    # vanishes; the perturbed iterate then converges to the eigenvalue 1.
+    # Real T keeps the second entry imaginary: only the perturbation, which
+    # is real, gives it a real part.
+    t = ComplexTridiagonal(np.zeros(1), np.array([1.0, 3.0]), np.zeros(1))
+    lu = TridiagonalLU(ComplexTridiagonal(t.sub, t.diag - 1.1, t.super))
+    first = lu.solve(np.array([-0.1, 1.9j]))
+    with pytest.raises(IsotropicVectorError):
+        _rayleigh_residual(t, first / np.linalg.norm(first))
+    res = inverse_iteration(t, 1.1, start=np.array([-0.1, 1.9j]))
+    assert res.iterations == 10
+    assert res.vector[1].real != 0.0
+    assert abs(res.eigval_estimate - 1.0) <= 1e-12
+    assert res.residual <= 1e-10
 
 
 def test_inverse_iteration_reports_no_convergence():
@@ -197,28 +212,30 @@ def test_inverse_iteration_reports_no_convergence():
 
 
 def test_probe_embedded_two_frequencies():
-    results = probe_embedded(CFG2, GridSpec(0.0, 200.0, 0.01))
-    assert [res.j for res in results] == [0, 1]
-    for res, mu in zip(results, (2.0, 1.0)):
-        assert res.start_mode == "sampled eigenfunction"
+    grid = GridSpec(0.0, 200.0, 0.01)
+    results = probe_embedded(CFG2, grid)
+    v = sample_grid(CFG2, grid.radii())[0]
+    assert len(results) == 2
+    for j, ((res, leak), mu) in enumerate(zip(results, (2.0, 1.0))):
+        assert res.shift == mu**2
+        assert np.array_equal(res.start_vector, v[1:-1, j])
         assert res.residual <= 1e-10
         assert abs(res.eigval_estimate - mu**2) <= 1e-3
-        assert np.isfinite(res.boundary_leak)
+        assert leak == abs(v[-1, j])
     # distinct embedded modes converge to near-orthogonal vectors
-    cross = aligned_correlation(results[0].vector, results[1].vector)
+    cross = aligned_correlation(results[0][0].vector, results[1][0].vector)
     assert cross <= 0.1
 
 
 def test_probe_estimates_real_for_real_couplings():
-    results = probe_embedded(CFG2, GridSpec(0.0, 120.0, 0.01))
-    for res in results:
+    for res, _ in probe_embedded(CFG2, GridSpec(0.0, 120.0, 0.01)):
         assert abs(res.eigval_estimate.imag) <= 1e-10
 
 
 def test_probe_error_shrinks_with_domain():
     short = probe_embedded(CFG2, GridSpec(0.0, 100.0, 0.01))
     long = probe_embedded(CFG2, GridSpec(0.0, 200.0, 0.01))
-    for res_s, res_l, mu in zip(short, long, (2.0, 1.0)):
+    for (res_s, _), (res_l, _), mu in zip(short, long, (2.0, 1.0)):
         err_s = abs(res_s.eigval_estimate - mu**2)
         err_l = abs(res_l.eigval_estimate - mu**2)
         assert err_l < err_s
@@ -228,7 +245,7 @@ def test_probe_estimate_insensitive_to_couplings():
     grid = GridSpec(0.0, 100.0, 0.01)
     base = probe_embedded(CFG2, grid)
     other = probe_embedded(ModelConfig([2.0, 1.0], [2.5, 0.7]), grid)
-    for res_b, res_o in zip(base, other):
+    for (res_b, _), (res_o, _) in zip(base, other):
         assert abs(res_b.eigval_estimate - res_o.eigval_estimate) <= 5e-3
 
 
