@@ -1,12 +1,12 @@
 """Dense and tridiagonal linear algebra behind the solver paths.
 
-Everything is hand-written on plain numpy arrays, with no LAPACK/BLAS calls:
-every product and sum is an elementwise ufunc or a Python loop in a fixed
-order, so the solves are bitwise reproducible across runs and BLAS thread
-counts, and the error contract (SingularMatrixError at a relative pivot
-threshold) is part of the API. Sizes are modest: dense systems are the
-coupling dimension (n <= ~50), tridiagonal systems are discretization grids
-(up to ~10^6).
+Everything is hand-written, with no LAPACK/BLAS calls: every product and
+sum is an elementwise numpy ufunc or a Python loop, over arrays or Python
+complex numbers, in a fixed order, so the solves are bitwise reproducible
+across runs and BLAS thread counts, and the error contract
+(SingularMatrixError at a relative pivot threshold) is part of the API.
+Sizes are modest: dense systems are the coupling dimension (n <= ~50),
+tridiagonal systems are discretization grids (up to ~10^6).
 
 There is one dense LU, `DenseLU`, over a (K, n, n) stack vectorized across
 the stack index (one system per radius; a single matrix is K = 1), stored
@@ -18,7 +18,8 @@ give determinants. `batched_solve` is the one-shot factor-and-solve.
 There is one tridiagonal LU, `TridiagonalLU`, a partitioned (SPIKE) LU:
 the rows are cut into blocks of about 50, all blocks are eliminated in
 lockstep with one numpy operation per row position, and the rows between
-blocks solve a smaller tridiagonal system that is split the same way.
+blocks solve a smaller tridiagonal system, by a scalar banded LU on Python
+complex numbers unless it has enough blocks to be split the same way.
 
 Dense systems A + G(r) are non-Hermitian whenever the couplings are complex,
 and tridiagonal shifts can sit close to discrete eigenvalues, so partial
@@ -31,6 +32,7 @@ selects and the fill term, in the factor and in the solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
 
 import numpy as np
 
@@ -240,7 +242,7 @@ class _BlockLU:
         self.pivoted = pivoted
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        """Overwrite x, shape (m, P), with the block solves of its columns."""
+        """Overwrite x, shape (m, ..., P), with the solves of its blocks."""
         dl, d, du, du2, swap = self.dl, self.d, self.du, self.du2, self.swap
         pivoted = self.pivoted
         m = d.shape[0]
@@ -262,27 +264,73 @@ class _BlockLU:
         return x
 
 
+class _ScalarLU:
+    """_BlockLU's elimination of one tridiagonal matrix on Python complex
+    numbers, row by row. Every pivot, swapped or not, is tested against
+    `limit` before it divides (NaN fails); a failing one raises
+    SingularMatrixError naming its row. Magnitudes are hypot(re, im), as
+    np.abs takes them: abs() raises OverflowError past the float range.
+    """
+
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                 limit: float) -> None:
+        # zero-padded dl and du: row K-1 cannot swap, and no row is special
+        dl, d, du = sub.tolist() + [0j], diag.tolist(), sup.tolist() + [0j]
+        k = len(d)
+        du2, swap = [0j] * k, [False] * k
+        for i in range(k):
+            size = hypot(d[i].real, d[i].imag)
+            below = hypot(dl[i].real, dl[i].imag)
+            swap[i] = size < below
+            if not (below if swap[i] else size) > limit:  # NaN is small
+                raise SingularMatrixError(f"pivot {i} below threshold")
+            if swap[i]:
+                fact, top = d[i] / dl[i], d[i + 1]
+                d[i], d[i + 1] = dl[i], du[i] - fact * top
+                du[i], dl[i] = top, fact
+                du2[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            elif i < k - 1:
+                dl[i] /= d[i]
+                d[i + 1] -= dl[i] * du[i]
+        self.dl, self.d, self.du, self.du2, self.swap = dl, d, du, du2, swap
+        self.block_rows = k  # one block holding every row
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with T x = b, in a fresh array."""
+        dl, d, du, du2, swap = self.dl, self.d, self.du, self.du2, self.swap
+        k = len(d)
+        x = b.tolist() + [0j, 0j]
+        for i in range(k - 1):
+            if swap[i]:
+                x[i], x[i + 1] = x[i + 1], x[i] - dl[i] * x[i + 1]
+            else:
+                x[i + 1] -= dl[i] * x[i]
+        for i in range(k - 1, -1, -1):
+            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+        return np.array(x[:k], dtype=complex)
+
+
 class _SplitRejected(Exception):
     """A split into blocks failed its pivot or spike bound; try the next."""
 
 
 class _Partition:
-    """T x = b as P blocks of m rows with one separator row after each.
+    """T x = b as P >= 2 blocks of m rows with one separator row after each.
 
     Row q of T is row q % (m+1) of block q // (m+1), or that block's
     separator when q % (m+1) == m; rows past the end of T pad the last
     block with `pad` on the diagonal and no coupling. Arrays are stored
     (m+1, P), one column per block. With the block solves of the couplings
     to the neighbouring separators, left = T_p^-1 sub e_1 and right =
-    T_p^-1 super e_m (the spikes), block p of x is
-    T_p^-1 b_p - left y_(p-1) - right y_p, and the separator values y solve
-    a tridiagonal Schur complement of size P-1, factored by this same code.
+    T_p^-1 super e_m (the spikes, solved as one (m, 2, P) stack), block p
+    of x is T_p^-1 b_p - left y_(p-1) - right y_p, and the separator values
+    y solve a tridiagonal Schur complement of size P-1.
 
-    Raises _SplitRejected when a block pivot is at or below `limit`, or a
-    spike entry exceeds SPIKE_BOUND: a block whose own Dirichlet problem
-    resonates makes the spikes large, and they multiply the separator
-    values' rounding errors into x. A single block (P = 1) has no spikes,
-    and its failing pivot raises SingularMatrixError naming its row.
+    Raises _SplitRejected when a block pivot or a pivot of the Schur
+    complement is at or below `limit`, or a spike entry exceeds
+    SPIKE_BOUND: a block whose own Dirichlet problem resonates makes the
+    spikes large, and they multiply the separator values' rounding errors
+    into x.
     """
 
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -299,34 +347,28 @@ class _Partition:
         dg, lo, up = (np.ascontiguousarray(a.reshape(shape).T)
                       for a in (dg, lo, up))
         lu = _BlockLU(lo[1:m], dg[:m], up[:m - 1])
-        small = ~(np.abs(lu.d) > limit)  # NaN pivots count as small
-        if np.any(small):
-            if nblk == 1:
-                row = int(np.argmax(small[:, 0]))
-                raise SingularMatrixError(f"pivot {row} below threshold")
+        if not np.all(np.abs(lu.d) > limit):  # NaN pivots count as small
             raise _SplitRejected
-        self.size, self.block_rows, self.lu, self.reduced = k, m, lu, None
-        if nblk == 1:
-            return
-        left = np.zeros((m, nblk), dtype=complex)
-        left[0] = lo[0]
-        right = np.zeros((m, nblk), dtype=complex)
-        right[m - 1] = up[m - 1]
-        lu.solve(left)
-        lu.solve(right)
+        spikes = np.zeros((m, 2, nblk), dtype=complex)
+        spikes[0, 0] = lo[0]
+        spikes[m - 1, 1] = up[m - 1]
+        lu.solve(spikes)
         # written so that NaN spikes are rejected too
-        if not max(np.max(np.abs(left)), np.max(np.abs(right))) <= SPIKE_BOUND:
+        if not np.max(np.abs(spikes)) <= SPIKE_BOUND:
             raise _SplitRejected
-        gamma, delta = lo[m, :-1], up[m, :-1]
+        self.size, self.block_rows, self.lu = k, m, lu
+        self.left, self.right = left, right = spikes[:, 0], spikes[:, 1]
+        self.gamma, self.delta = gamma, delta = lo[m, :-1], up[m, :-1]
+        # a split pays only with at least as many blocks as rows per block:
+        # a lockstep step over fewer blocks does almost no work
+        lengths = [n for n in BLOCK_ROWS if -(-nblk // (n + 1)) >= n]
         try:
             self.reduced = _factor(
                 -gamma[1:] * left[m - 1, 1:-1],
                 dg[m, :-1] - gamma * right[m - 1, :-1] - delta * left[0, 1:],
-                -delta[:-1] * right[0, 1:-1], limit, pad)
+                -delta[:-1] * right[0, 1:-1], limit, pad, lengths)
         except SingularMatrixError:
             raise _SplitRejected from None
-        self.left, self.right = left, right
-        self.gamma, self.delta = gamma, delta
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         m, nblk = self.lu.d.shape
@@ -334,26 +376,23 @@ class _Partition:
         x[:self.size] = b
         x = np.ascontiguousarray(x.reshape(nblk, m + 1).T)
         g = self.lu.solve(x[:m])
-        if self.reduced is not None:
-            y = self.reduced.solve(x[m, :-1] - self.gamma * g[m - 1, :-1]
-                                   - self.delta * g[0, 1:])
-            g[:, 1:] -= self.left[:, 1:] * y
-            g[:, :-1] -= self.right[:, :-1] * y
-            x[m, :-1] = y
+        y = self.reduced.solve(x[m, :-1] - self.gamma * g[m - 1, :-1]
+                               - self.delta * g[0, 1:])
+        g[:, 1:] -= self.left[:, 1:] * y
+        g[:, :-1] -= self.right[:, :-1] * y
+        x[m, :-1] = y
         return x.T.ravel()[:self.size]
 
 
 def _factor(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-            limit: float, pad: float) -> _Partition:
-    """The first split of BLOCK_ROWS that passes its bounds, else one block."""
-    k = diag.size
-    for m in BLOCK_ROWS:
-        if m < k:
-            try:
-                return _Partition(sub, diag, sup, m, limit, pad)
-            except _SplitRejected:
-                pass
-    return _Partition(sub, diag, sup, k, limit, pad)
+            limit: float, pad: float, lengths: list) -> _Partition | _ScalarLU:
+    """The first split of `lengths` that passes its bounds, else _ScalarLU."""
+    for m in lengths:
+        try:
+            return _Partition(sub, diag, sup, m, limit, pad)
+        except _SplitRejected:
+            pass
+    return _ScalarLU(sub, diag, sup, limit)
 
 
 class TridiagonalLU:
@@ -362,17 +401,18 @@ class TridiagonalLU:
     The rows are cut into blocks of BLOCK_ROWS[0] rows with one separator
     row between neighbours; all blocks are factored in lockstep, one numpy
     operation per row position over the vector of blocks, and the separator
-    unknowns solve a tridiagonal Schur complement, which is split the same
-    way until one block is left. This is the SPIKE scheme (Polizzi & Sameh,
-    Parallel Computing 32, 2006) with the pivoting inside blocks of Chang,
-    Stratton & Hwu (SC 2012).
+    unknowns solve a tridiagonal Schur complement: split the same way when
+    that gives as many blocks as rows per block, else by the scalar LU.
+    This is the SPIKE scheme (Polizzi & Sameh, Parallel Computing 32, 2006)
+    with the pivoting inside blocks of Chang, Stratton & Hwu (SC 2012).
 
-    A split is rejected when a block pivot falls to the singularity
-    threshold or a spike entry |coupling * T_p^-1| exceeds SPIKE_BOUND;
-    the next length of BLOCK_ROWS is tried, and the last resort is a single
-    block holding every row, which is the plain banded LU. Only that single
-    block raises SingularMatrixError, at PIVOT_RTOL of the largest band
-    entry of T, naming the row of T. `block_rows` is the block length in use.
+    A split is rejected when a pivot of its blocks or of its Schur
+    complement falls to the singularity threshold or a spike entry
+    |coupling * T_p^-1| exceeds SPIKE_BOUND; the next length of BLOCK_ROWS
+    is tried, and the last resort is the scalar LU of every row, the only
+    one to raise SingularMatrixError, at PIVOT_RTOL of the largest band
+    entry of T, naming the row of T. `block_rows` is the block length in
+    use, K for the last resort.
     """
 
     def __init__(self, t: ComplexTridiagonal) -> None:
@@ -382,7 +422,7 @@ class TridiagonalLU:
                         float(np.max(np.abs(t.super))))
         with np.errstate(all="ignore"):
             self._root = _factor(t.sub, t.diag, t.super, PIVOT_RTOL * scale,
-                                 scale)
+                                 scale, [m for m in BLOCK_ROWS if m < t.size])
         self.size = t.size
         self.block_rows = self._root.block_rows
 

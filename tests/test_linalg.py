@@ -1,12 +1,16 @@
 """Solver layer against numpy.linalg as an independent reference."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ewlab.linalg
+from ewlab.cli import load_config
+from ewlab.construct import sample_grid
 from ewlab.linalg import (
     BLOCK_ROWS,
     ComplexTridiagonal,
@@ -18,7 +22,11 @@ from ewlab.linalg import (
     _divide,
     batched_solve,
 )
-from ewlab.spectral_probe import inverse_iteration, seeded_start
+from ewlab.spectral_probe import (
+    build_hamiltonian,
+    inverse_iteration,
+    seeded_start,
+)
 
 M = BLOCK_ROWS[0]
 
@@ -42,11 +50,18 @@ def swapping_bands(rng, k, sub=2.0, diag=3.0, sup=0.5):
     return ComplexTridiagonal(sub * c(k - 1), diag + c(k), sup * c(k - 1))
 
 
+def band_norm(t):
+    """|T| in the max norm, from the bands."""
+    rows = np.abs(t.diag)
+    rows[1:] += np.abs(t.sub)
+    rows[:-1] += np.abs(t.super)
+    return np.max(rows)
+
+
 def backward_error(t, x, b):
     """|T x - b| relative to |T| |x| + |b|, in the max norm."""
-    norm_t = np.max(np.abs(dense(t)).sum(axis=1))
     return (np.max(np.abs(t.matvec(x) - b))
-            / (norm_t * np.max(np.abs(x)) + np.max(np.abs(b))))
+            / (band_norm(t) * np.max(np.abs(x)) + np.max(np.abs(b))))
 
 
 def _dense_lu_reference(mats, b):
@@ -409,6 +424,23 @@ def test_block_lu_mixes_plain_and_pivoting_rows():
     assert 0 < sum(lu.pivoted) < len(lu.pivoted)
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 60), nblk=st.integers(1, 40),
+       steady=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(m=49, nblk=40, steady=0.5, seed=1)
+def test_block_lu_solves_a_stack_as_its_columns(m, nblk, steady, seed):
+    # _Partition solves both spikes as one (m, 2, P) stack: the bits of two
+    # (m, P) solves
+    rng = np.random.default_rng(seed)
+    dl, d, du, x = mixed_blocks(rng, m, nblk, steady)
+    lu = _BlockLU(dl, d, du)
+    stack = np.stack([x, x[::-1]], axis=1)
+    lu.solve(stack)
+    for i, column in enumerate((x, x[::-1])):
+        want = lu.solve(column.copy())
+        assert stack[:, i].tobytes() == want.tobytes()
+
+
 def test_tridiagonal_identity():
     t = ComplexTridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
     b = np.array([1.0, 2.0, 3.0], dtype=complex)
@@ -420,6 +452,16 @@ def test_tridiagonal_small_system():
     b = np.array([1.0, 0.0, 0.0], dtype=complex)
     x = TridiagonalLU(t).solve(b)
     assert np.max(np.abs(t.matvec(x) - b)) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [2, 10, 4 * M])
+def test_zero_diagonal_is_pivoted_away(k):
+    # every diagonal entry is an exact zero, so row i swaps with row i+1 at
+    # every step: the pivots tested are the swapped ones
+    t = ComplexTridiagonal(np.ones(k - 1), np.zeros(k), 2.0 * np.ones(k - 1))
+    b = np.arange(1.0, k + 1.0, dtype=complex)
+    x = TridiagonalLU(t).solve(b)
+    assert np.max(np.abs(x - dense_solve(dense(t), b))) <= 1e-13
 
 
 def test_tridiagonal_matvec_matches_dense():
@@ -493,6 +535,75 @@ def test_partitioned_solve_property(k, seed, sub, diag, sup):
     assert backward_error(t, x, b) <= 1e-14
     want = np.linalg.solve(a, b)
     assert np.max(np.abs(x - want)) <= 1e-14 * cond * np.max(np.abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(50 * (M + 1), 120 * (M + 1)),
+       seed=st.integers(0, 2**32 - 1), sub=st.floats(0.0, 3.0),
+       diag=st.floats(0.0, 4.0), sup=st.floats(0.0, 3.0))
+def test_partitioned_solve_property_with_long_separator_systems(k, seed, sub,
+                                                                diag, sup):
+    # 50 blocks or more: the scalar LU solves separator systems of 49 rows
+    # or more. Too large for a dense condition number: |T| |x| / |b| bounds
+    # it from below, and is NaN where x overflows (a near-bidiagonal draw's
+    # inverse grows exponentially along the band)
+    rng = np.random.default_rng(seed)
+    t = swapping_bands(rng, k, sub, diag, sup)
+    b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    try:
+        x = TridiagonalLU(t).solve(b)
+    except SingularMatrixError:
+        assume(False)  # a pivot at the threshold says nothing of the split
+    assume(band_norm(t) * np.max(np.abs(x)) / np.max(np.abs(b)) < 1e10)
+    assert backward_error(t, x, b) <= 1e-14
+
+
+def recorded_splits(monkeypatch):
+    """A list that collects the block length of every split tried, then
+    "rejected" after each one that fails its bounds."""
+    events = []
+    split = ewlab.linalg._Partition.__init__
+
+    def recording(self, sub, diag, sup, m, *args):
+        events.append(m)
+        try:
+            split(self, sub, diag, sup, m, *args)
+        except ewlab.linalg._SplitRejected:
+            events.append("rejected")
+            raise
+
+    monkeypatch.setattr(ewlab.linalg._Partition, "__init__", recording)
+    return events
+
+
+def test_probe_hamiltonian_is_split_once_at_every_shift(monkeypatch):
+    # configs/probe.json (K = 19,999) at each mu_j^2: the first split
+    # passes, and its separator system of 399 rows is not split again
+    root = Path(__file__).resolve().parent.parent
+    rc = load_config(str(root / "configs" / "probe.json"))
+    t = build_hamiltonian(rc.grid,
+                          sample_grid(rc.model, rc.grid.radii()[1:-1])[2])
+    events = recorded_splits(monkeypatch)
+    for mu in rc.model.mu:
+        events.clear()
+        lu = TridiagonalLU(ComplexTridiagonal(t.sub, t.diag - mu**2, t.super))
+        assert events == [M]
+        assert lu.block_rows == M
+
+
+@pytest.mark.parametrize("nblk, splits", [(783, [M]), (784, [M, 28])])
+def test_separator_system_is_split_with_as_many_blocks_as_rows(monkeypatch,
+                                                               nblk, splits):
+    # 783 blocks leave 782 separator rows, which split into 27 blocks of 28
+    # rows (fewer of 40 or 49): one block short; 784 blocks give 28 of 28
+    rng = np.random.default_rng(29)
+    k = nblk * (M + 1) - 1
+    t = swapping_bands(rng, k, sub=0.5, diag=6.0, sup=0.5)
+    events = recorded_splits(monkeypatch)
+    lu = TridiagonalLU(t)
+    assert events == splits
+    b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    assert backward_error(t, lu.solve(b), b) <= 1e-15
 
 
 def test_resonant_blocks_are_split_again():

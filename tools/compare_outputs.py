@@ -56,9 +56,11 @@ WORKERS = 2  # two runs at a time: each is one process of modest size
 # steps), a complex high-frequency probe on 19,999 interior nodes,
 # where the 49-row tridiagonal blocks pivot in some rows and not in others
 # and numpy multiplies a 16,384-entry or longer temporary in place (the
-# other edges have 4,999), and a complex n = 5 config, whose rows numpy
+# other edges have 4,999), a complex n = 5 config, whose rows numpy
 # sums pairwise with a remainder (n = 12 is the real side of that
-# threshold, n <= 3 the in-order side): (name, mu, a, grid end).
+# threshold, n <= 3 the in-order side), and a complex probe on 24 interior
+# nodes, too few for any block split, so the tridiagonal LU is one block
+# of every row: (name, mu, a, grid end).
 EDGES = (
     ("low-frequency", [1e-3], [1.0], 50.0),
     ("near-gap", [1.0000001, 1.0], [1.0, 1.0], 50.0),
@@ -69,6 +71,7 @@ EDGES = (
     ("high-frequency-long", [40.0, 1.0], [[0.7, -0.9], [2.0, 0.4]], 200.0),
     ("complex-n5", np.linspace(3.0, 1.0, 5).tolist(), [[1.0, 0.5]] * 5,
      50.0),
+    ("one-block-probe", [2.0, 1.0], [[1.0, 0.5], [2.0, -0.3]], 0.25),
 )
 
 
