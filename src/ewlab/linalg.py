@@ -18,8 +18,8 @@ give determinants. `batched_solve` is the one-shot factor-and-solve.
 There is one tridiagonal LU, `TridiagonalLU`, a partitioned (SPIKE) LU:
 the rows are cut into blocks of about 50, all blocks are eliminated in
 lockstep with one numpy operation per row position, and the rows between
-blocks solve a smaller tridiagonal system, by a scalar banded LU on Python
-complex numbers unless it has enough blocks to be split the same way.
+blocks solve a smaller tridiagonal system by a scalar banded LU on Python
+complex numbers.
 
 Dense systems A + G(r) are non-Hermitian whenever the couplings are complex,
 and tridiagonal shifts can sit close to discrete eigenvalues, so partial
@@ -268,8 +268,8 @@ class _ScalarLU:
     """_BlockLU's elimination of one tridiagonal matrix on Python complex
     numbers, row by row. Every pivot, swapped or not, is tested against
     `limit` before it divides (NaN fails); a failing one raises
-    SingularMatrixError naming its row. Magnitudes are hypot(re, im), as
-    np.abs takes them: abs() raises OverflowError past the float range.
+    SingularMatrixError naming its row. Magnitudes are hypot(re, im)
+    because abs() raises OverflowError past the float range.
     """
 
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -324,7 +324,9 @@ class _Partition:
     to the neighbouring separators, left = T_p^-1 sub e_1 and right =
     T_p^-1 super e_m (the spikes, solved as one (m, 2, P) stack), block p
     of x is T_p^-1 b_p - left y_(p-1) - right y_p, and the separator values
-    y solve a tridiagonal Schur complement of size P-1.
+    y solve a tridiagonal Schur complement of size P-1, factored by
+    _ScalarLU: with a few hundred separator rows, lockstep blocks of it
+    would each do almost no work per numpy call.
 
     Raises _SplitRejected when a block pivot or a pivot of the Schur
     complement is at or below `limit`, or a spike entry exceeds
@@ -359,14 +361,11 @@ class _Partition:
         self.size, self.block_rows, self.lu = k, m, lu
         self.left, self.right = left, right = spikes[:, 0], spikes[:, 1]
         self.gamma, self.delta = gamma, delta = lo[m, :-1], up[m, :-1]
-        # a split pays only with at least as many blocks as rows per block:
-        # a lockstep step over fewer blocks does almost no work
-        lengths = [n for n in BLOCK_ROWS if -(-nblk // (n + 1)) >= n]
         try:
-            self.reduced = _factor(
+            self.reduced = _ScalarLU(
                 -gamma[1:] * left[m - 1, 1:-1],
                 dg[m, :-1] - gamma * right[m - 1, :-1] - delta * left[0, 1:],
-                -delta[:-1] * right[0, 1:-1], limit, pad, lengths)
+                -delta[:-1] * right[0, 1:-1], limit)
         except SingularMatrixError:
             raise _SplitRejected from None
 
@@ -385,13 +384,14 @@ class _Partition:
 
 
 def _factor(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-            limit: float, pad: float, lengths: list) -> _Partition | _ScalarLU:
-    """The first split of `lengths` that passes its bounds, else _ScalarLU."""
-    for m in lengths:
-        try:
-            return _Partition(sub, diag, sup, m, limit, pad)
-        except _SplitRejected:
-            pass
+            limit: float, pad: float) -> _Partition | _ScalarLU:
+    """The first split of BLOCK_ROWS passing its bounds, else _ScalarLU."""
+    for m in BLOCK_ROWS:
+        if m < diag.size:
+            try:
+                return _Partition(sub, diag, sup, m, limit, pad)
+            except _SplitRejected:
+                pass
     return _ScalarLU(sub, diag, sup, limit)
 
 
@@ -401,8 +401,7 @@ class TridiagonalLU:
     The rows are cut into blocks of BLOCK_ROWS[0] rows with one separator
     row between neighbours; all blocks are factored in lockstep, one numpy
     operation per row position over the vector of blocks, and the separator
-    unknowns solve a tridiagonal Schur complement: split the same way when
-    that gives as many blocks as rows per block, else by the scalar LU.
+    unknowns solve a tridiagonal Schur complement by a scalar banded LU.
     This is the SPIKE scheme (Polizzi & Sameh, Parallel Computing 32, 2006)
     with the pivoting inside blocks of Chang, Stratton & Hwu (SC 2012).
 
@@ -422,7 +421,7 @@ class TridiagonalLU:
                         float(np.max(np.abs(t.super))))
         with np.errstate(all="ignore"):
             self._root = _factor(t.sub, t.diag, t.super, PIVOT_RTOL * scale,
-                                 scale, [m for m in BLOCK_ROWS if m < t.size])
+                                 scale)
         self.size = t.size
         self.block_rows = self._root.block_rows
 

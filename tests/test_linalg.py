@@ -558,10 +558,14 @@ def test_partitioned_solve_property_with_long_separator_systems(k, seed, sub,
     assert backward_error(t, x, b) <= 1e-14
 
 
-def recorded_splits(monkeypatch):
-    """A list that collects the block length of every split tried, then
-    "rejected" after each one that fails its bounds."""
-    events = []
+def test_probe_hamiltonian_is_split_once_at_every_shift(monkeypatch):
+    # configs/probe.json (K = 19,999) at each mu_j^2: the first split
+    # passes, and its separator system of 399 rows is not split again
+    root = Path(__file__).resolve().parent.parent
+    rc = load_config(str(root / "configs" / "probe.json"))
+    t = build_hamiltonian(rc.grid,
+                          sample_grid(rc.model, rc.grid.radii()[1:-1])[2])
+    events = []  # the block length of every split tried, then "rejected"
     split = ewlab.linalg._Partition.__init__
 
     def recording(self, sub, diag, sup, m, *args):
@@ -573,37 +577,11 @@ def recorded_splits(monkeypatch):
             raise
 
     monkeypatch.setattr(ewlab.linalg._Partition, "__init__", recording)
-    return events
-
-
-def test_probe_hamiltonian_is_split_once_at_every_shift(monkeypatch):
-    # configs/probe.json (K = 19,999) at each mu_j^2: the first split
-    # passes, and its separator system of 399 rows is not split again
-    root = Path(__file__).resolve().parent.parent
-    rc = load_config(str(root / "configs" / "probe.json"))
-    t = build_hamiltonian(rc.grid,
-                          sample_grid(rc.model, rc.grid.radii()[1:-1])[2])
-    events = recorded_splits(monkeypatch)
     for mu in rc.model.mu:
         events.clear()
         lu = TridiagonalLU(ComplexTridiagonal(t.sub, t.diag - mu**2, t.super))
         assert events == [M]
         assert lu.block_rows == M
-
-
-@pytest.mark.parametrize("nblk, splits", [(783, [M]), (784, [M, 28])])
-def test_separator_system_is_split_with_as_many_blocks_as_rows(monkeypatch,
-                                                               nblk, splits):
-    # 783 blocks leave 782 separator rows, which split into 27 blocks of 28
-    # rows (fewer of 40 or 49): one block short; 784 blocks give 28 of 28
-    rng = np.random.default_rng(29)
-    k = nblk * (M + 1) - 1
-    t = swapping_bands(rng, k, sub=0.5, diag=6.0, sup=0.5)
-    events = recorded_splits(monkeypatch)
-    lu = TridiagonalLU(t)
-    assert events == splits
-    b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    assert backward_error(t, lu.solve(b), b) <= 1e-15
 
 
 def test_resonant_blocks_are_split_again():
