@@ -23,7 +23,10 @@ from (v, v') exactly, V = 2 sum_j (mu_j cos(mu_j r) v_j + sin(mu_j r) v_j').
 
 Every function takes an array of K radii and factors the K systems
 A + G(r_k) as stacks, right-hand sides carried, in one solve that names the
-r of a singular system; a single radius is K = 1. `sample_blocks` cuts a
+r of a singular system; a single radius is K = 1. Inside `sample_grid`
+every stack is radius-last, (n, K) or (n, n, K), so that each numpy
+operation is one loop over the radii, and its sums over j keep np.sum's
+bits; v and v' are returned as (K, n) views. `sample_blocks` cuts a
 grid into blocks sized by BLOCK_BYTES, each one `sample_grid` call, for
 `build` and `expand` (with W), the probe and verify's residual, shooting
 and [0, 400] passes; only few-radius callers call `sample_grid` directly.
@@ -63,8 +66,9 @@ __all__ = [
 # Blocks of sample_blocks: the real H/G stack and the complex elimination
 # buffer [A + G | s, M c], 8 n (3 n + 4) bytes a radius, come to about this
 # size: 143 radii at n = 24, 6,721 at n = 3, 13,107 at n = 2. A block's
-# working set peaks at 2.6 MB at n = 24 and 2.9 MB at n = 3 (real a_j),
-# with or without W, whose einsum ends before the elimination buffer exists.
+# working set (tracemalloc peak of one sample_grid) is 2.6 MB at n = 24
+# (complex a_j) and 2.9 MB at n = 3 (real a_j; 4.4 MB complex), with or
+# without W, whose einsum ends before the elimination buffer exists.
 BLOCK_BYTES = 1 << 21
 
 
@@ -96,25 +100,36 @@ def resolvent_apply(config: ModelConfig, radii: np.ndarray,
     return _solve(config, radii, gram_matrix_stack(config, radii), b)
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """np.sum(x, axis=1) bitwise: numpy adds a row of fewer than 8 real or 4
-    complex entries in order from +0.0, as these column adds do, without its
-    per-row loop; longer rows it adds pairwise."""
-    if x.shape[1] >= (4 if np.iscomplexobj(x) else 8):
-        return np.sum(x, axis=1)
-    out = 0.0 + x[:, 0]
-    for j in range(1, x.shape[1]):
-        out += x[:, j]
-    return out
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of a radius-last (n, K) x, bitwise as np.sum adds each
+    radius's n entries held contiguously: in order from +0.0 below 8 floats;
+    up to 128, in 8 float lanes (4 complex), added pairwise, then the rest in
+    order; a longer row numpy halves, cut at a multiple of 8 floats."""
+    width = 2 if np.iscomplexobj(x) else 1
+    floats = len(x) * width
+    if floats > 128:
+        half = (floats // 2 - floats // 2 % 8) // width
+        return _column_sums(x[:half]) + _column_sums(x[half:])
+    lanes = 8 // width if floats >= 8 else 1
+    body = len(x) - len(x) % lanes
+    acc = 0.0 + x[:lanes]  # +0.0 on a leaf is numpy's +0.0 on the sum
+    for i in range(lanes, body, lanes):
+        acc += x[i:i + lanes]
+    while len(acc) > 1:
+        acc = acc[0::2] + acc[1::2]
+    for row in x[body:]:
+        acc += row
+    return acc[0]
 
 
 def _w(s: np.ndarray, mc: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """W = (ts s)^2 + 2 t(Mc) H s per radius, from stacked s, Mc and H."""
-    if len(s) == 1:
-        # einsum sums a lone n = 2 system in another order than a stack of
-        # two or more; a doubled stack gives a radius the bits of any grid
-        return _w(*(np.concatenate([x, x]) for x in (s, mc, h)))[:1]
-    return _row_sums(s * s) ** 2 + 2.0 * np.einsum("ki,kij,kj->k", mc, h, s)
+    """W = (ts s)^2 + 2 t(Mc) H s per radius, from radius-last s, Mc and H."""
+    if s.shape[1] == 1:
+        # einsum sums a lone system in another order than a stack of two or
+        # more; a doubled stack gives a radius the bits of any grid
+        return _w(*(np.concatenate([x, x], axis=-1) for x in (s, mc, h)))[:1]
+    return (_column_sums(s * s) ** 2
+            + 2.0 * np.einsum("ik,ijk,jk->k", mc, h, s))
 
 
 def potential_terms(config: ModelConfig, radii: np.ndarray,
@@ -134,23 +149,26 @@ def potential_terms(config: ModelConfig, radii: np.ndarray,
 def sample_grid(config: ModelConfig, radii, *, with_w: bool = True) -> tuple:
     """(v, v', V, W) at the radii as one block, bitwise as in any block.
 
-    v, v' are (K, n) and V (K,), real when every a_j is, else complex; W is
-    (K,) real, or None with with_w=False: only build, expand, the decay fits
-    and the W check read it. H(r) gives W and becomes G(r); one elimination
-    adds A and carries s and M c. sample_blocks bounds the working set of a
-    long grid.
+    v, v' are (K, n) views of radius-last (n, K) arrays and V (K,), real
+    when every a_j is, else complex; W is (K,) real, or None with
+    with_w=False: only build, expand, the decay fits and the W check read
+    it. H(r) gives W and becomes G(r); one elimination adds A and carries s
+    and M c. sample_blocks bounds the working set of a long grid.
     """
     radii = np.asarray(radii, dtype=float)
-    s = trig_s(config, radii)
-    mc = trig_c(config, radii) * config.mu
-    g = h_matrix_stack(config, radii)  # H(r) for W, then G(r) in place
+    s = trig_s(config, radii).T  # radius-last rows from here on
+    mc = trig_c(config, radii).T * config.mu[:, None]
+    g = h_matrix_stack(config, radii).transpose(1, 2, 0)  # H for W, then G
     w = _w(s, mc, g) if with_w else None
-    g[:, np.arange(config.n), np.arange(config.n)] += 0.5 * radii[:, None]
-    sol = _solve(config, radii, g, np.stack([s, mc], axis=2))
-    v = -sol[:, :, 0]
-    v_prime = _row_sums(s * v)[:, None] * v - sol[:, :, 1]
-    big_v = 2.0 * (_row_sums(mc * v) + _row_sums(s * v_prime))
-    return v, v_prime, big_v, w
+    diagonal = np.einsum("iik->ik", g)  # a writeable view
+    diagonal += 0.5 * radii
+    rhs = np.stack([s, mc], axis=1)  # (n, 2, K)
+    sol = _solve(config, radii, g.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
+    sol = sol.transpose(1, 2, 0)
+    v = -sol[:, 0]
+    v_prime = _column_sums(s * v) * v - sol[:, 1]
+    big_v = 2.0 * (_column_sums(mc * v) + _column_sums(s * v_prime))
+    return v.T, v_prime.T, big_v, w
 
 
 def sample_blocks(config: ModelConfig, radii, *, with_w: bool = True):

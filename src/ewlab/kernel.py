@@ -19,11 +19,16 @@ so H(r) is uniformly bounded in r while G(r) grows linearly on the diagonal.
 The closed forms are used everywhere; quadrature exists only as an oracle in
 the `oracle` module.
 
-Every function takes an array of K radii and stacks its results along the
-first axis; a single radius is K = 1. Entries are accurate to about machine
-epsilon in absolute terms at moderate radii; near-equal frequencies need no
-special treatment because the off-diagonal denominators are r-independent
-single terms, not cancellations. `GridSpec` is the radius grid of every layer.
+Every function takes an array of K radii and returns its results with the
+radius first, (K, n) or (K, n, n); a single radius is K = 1. s, c, H and G
+are stored radius-last, (n, K) and (n, n, K), and returned as transposed
+views: `.T` or `.transpose(1, 2, 0)` gives a caller rows of K contiguous
+values, so that each numpy operation on them is one loop over the radii.
+A caller whose sum or einsum depends on the layout takes a row-major copy.
+Entries are accurate to about machine epsilon in absolute terms at moderate
+radii; near-equal frequencies need no special treatment because the
+off-diagonal denominators are r-independent single terms, not
+cancellations. `GridSpec` is the radius grid of every layer.
 """
 
 from __future__ import annotations
@@ -149,12 +154,12 @@ class GridSpec:
 
 def trig_s(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """Sine vectors s(r), shape (K, n): entry (k, j) is sin(mu_j r_k)."""
-    return np.sin(np.outer(radii, config.mu))
+    return np.sin(np.multiply.outer(config.mu, radii)).T
 
 
 def trig_c(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """Cosine vectors c(r), shape (K, n): entry (k, j) is cos(mu_j r_k)."""
-    return np.cos(np.outer(radii, config.mu))
+    return np.cos(np.multiply.outer(config.mu, radii)).T
 
 
 def h_bound(config: ModelConfig) -> np.ndarray:
@@ -173,28 +178,32 @@ def h_matrix_stack(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     mirror. That is exact, not an approximation: (mu_j - mu_i) r is
     -((mu_i - mu_j) r) bit for bit, sin is odd bit for bit, and the sum
     mu_i + mu_j does not depend on the order, so h_ji = h_ij bitwise and
-    each stack is symmetric with half the sine evaluations.
+    each stack is symmetric with half the sine evaluations. Row i of the
+    pairs, h_ij for j > i, is copied as one block into h[i, i+1:] and
+    h[i+1:, i] of the radius-last storage.
     """
     mu = config.mu
     n = config.n
     radii = np.asarray(radii, dtype=float)
     upper, lower = np.triu_indices(n, 1)
-    diff = mu[upper] - mu[lower]
-    total = mu[upper] + mu[lower]
-    rr = radii[:, None]
-    pairs = np.sin(diff * rr) / (2.0 * diff) - np.sin(total * rr) / (2.0 * total)
-    h = np.empty((radii.size, n, n))
-    h[:, upper, lower] = pairs
-    h[:, lower, upper] = pairs
-    idx = np.arange(n)
-    h[:, idx, idx] = -np.sin(2.0 * mu * rr) / (4.0 * mu)
-    return h
+    diff = (mu[upper] - mu[lower])[:, None]
+    total = (mu[upper] + mu[lower])[:, None]
+    pairs = (np.sin(diff * radii) / (2.0 * diff)
+             - np.sin(total * radii) / (2.0 * total))
+    h = np.empty((n, n, radii.size))
+    for i in range(n - 1):  # row i of the pairs starts after i rows
+        start = i * (2 * n - i - 1) // 2
+        h[i, i + 1:] = h[i + 1:, i] = pairs[start:start + n - 1 - i]
+    diagonal = np.einsum("iik->ik", h)  # a writeable view
+    np.sin(np.multiply.outer(2.0 * mu, radii), out=diagonal)
+    diagonal /= -4.0 * mu[:, None]
+    return h.transpose(2, 0, 1)
 
 
 def gram_matrix_stack(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """G(r) for every radius at once, shape (len(radii), n, n)."""
     radii = np.asarray(radii, dtype=float)
     g = h_matrix_stack(config, radii)
-    idx = np.arange(config.n)
-    g[:, idx, idx] += 0.5 * radii[:, None]
+    diagonal = np.einsum("kii->ik", g)  # a writeable view
+    diagonal += 0.5 * radii
     return g

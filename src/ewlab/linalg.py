@@ -81,8 +81,10 @@ class DenseLU:
     L_k below its diagonal and U_k on and above. Each pivot magnitude found
     by the search is tested against its row's scale, taken from the input.
 
-    [A + D | B] is one batch-last (n, n + m, K) copy in their common dtype:
-    entry (i, j) of every system is a run of K values, so each pivot search,
+    [A + D | B] is one batch-last (n, n + m, K) copy in their common dtype,
+    a run of contiguous copies when A and B are transposed views of
+    radius-last stacks, as the kernel's and sample_grid's are: entry (i, j)
+    of every system is a run of K values, so each pivot search,
     swap, multiplier and row update is one numpy loop over the stack. Each
     element takes the operations of a system-by-system elimination in the
     same order. The pivot search takes np.max over the stack and argmax
@@ -105,7 +107,8 @@ class DenseLU:
         lu = np.empty((n, n + rhs.shape[2], nbatch), dtype=dtype)
         lu[:, :n] = mats.transpose(1, 2, 0)
         if diag is not None:
-            lu[np.arange(n), np.arange(n)] += np.asarray(diag)[:, None]
+            diagonal = np.einsum("iik->ik", lu[:, :n])  # a writeable view
+            diagonal += np.asarray(diag)[:, None]
         lu[:, n:] = rhs.transpose(1, 2, 0)
         # row by row: np.abs of the whole stack would be a second stack
         scale = np.array([np.max(np.abs(row), axis=0) for row in lu[:, :n]])

@@ -223,24 +223,23 @@ def _refined(grid: GridSpec, times: int, oracle: str) -> GridSpec:
 
 def _stencil_sups(r: np.ndarray, v: np.ndarray, big_v: np.ndarray, h: float,
                   dims: Sequence[int], mu2: np.ndarray) -> np.ndarray:
-    """Max |residual| over the interior rows of (r, v, V), (len(dims), n).
+    """Max |residual| over the interior radii of (r, v, V), (len(dims), n).
 
-    -inf where there are fewer than 3 rows, so that it drops out of a
-    running maximum.
+    v is radius-last, (n, K). -inf where there are fewer than 3 radii, so
+    that it drops out of a running maximum.
     """
-    out = np.full((len(dims), v.shape[1]), -math.inf)
+    out = np.full((len(dims), len(v)), -math.inf)
     if len(r) < 3:
         return out
-    r = r[:, None]
     for i, d in enumerate(dims):
-        # d = 1 skips the lift and the zero u' term, two (K, n) arrays
+        # d = 1 skips the lift and the zero u' term, two (n, K) arrays
         u = v if d == 1 else r ** ((1.0 - d) / 2.0) * v
-        residual = -fd_second_derivative(u, h)
+        residual = -fd_second_derivative(u.T, h).T
         if d != 1:
-            first = (u[2:] - u[:-2]) / (2.0 * h)
+            first = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
             residual = residual - (d - 1.0) / r[1:-1] * first
-        residual = residual + (big_v[1:-1, None] - mu2) * u[1:-1]
-        out[i] = np.max(np.abs(residual), axis=0)
+        residual = residual + (big_v[1:-1] - mu2[:, None]) * u[:, 1:-1]
+        out[i] = np.max(np.abs(residual), axis=1)
     return out
 
 
@@ -257,9 +256,10 @@ def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
     (len(dims), n), from one pass of sample_blocks over the halved grid:
     ratio is sup(h)/sup(h/2) (inf if that sup is 0). The grid is every
     other radius of its halving. Per block and per stride (2, then 1), the
-    stencil runs on the block's rows of that stride and on the seam, the
-    last two rows of the earlier blocks and the first two of this one; a
-    running maximum keeps the sups, exactly as one max over the whole grid.
+    stencil runs radius-last on the block's radii of that stride and on the
+    seam, the last two radii of the earlier blocks and the first two of this
+    one; a running maximum keeps the sups, exactly as one max over the
+    whole grid.
     """
     if any(d < 1 for d in dims):
         raise ValueError("dimension must be >= 1")
@@ -269,19 +269,21 @@ def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
         raise GridError("fewer than 8 interior points")
     mu2 = config.mu**2
     sups = np.full((2, len(dims), config.n), -math.inf)
-    tails = [(np.empty(0), np.empty((0, config.n)), np.empty(0))] * 2
+    tails = [(np.empty(0), np.empty((config.n, 0)), np.empty(0))] * 2
     for block, r, v, _, big_v, _ in construct.sample_blocks(
             config, _refined(grid, 1, "residual_eigen_equation"),
             with_w=False):
         for k, stride in enumerate((2, 1)):
             h = grid.step * stride / 2.0
-            rows = [x[-block.start % stride::stride] for x in (r, v, big_v)]
-            seam = [np.concatenate([t, x[:2]]) for t, x in zip(tails[k], rows)]
-            for part in (seam, rows):
+            cols = [x[..., -block.start % stride::stride]
+                    for x in (r, v.T, big_v)]
+            seam = [np.concatenate([t, x[..., :2]], axis=-1)
+                    for t, x in zip(tails[k], cols)]
+            for part in (seam, cols):
                 np.maximum(sups[k], _stencil_sups(*part, h, dims, mu2),
                            out=sups[k])
-            tails[k] = [np.concatenate([t, x[-2:]])[-2:]
-                        for t, x in zip(tails[k], rows)]
+            tails[k] = [np.concatenate([t, x[..., -2:]], axis=-1)[..., -2:]
+                        for t, x in zip(tails[k], cols)]
     return sups[0], _halving_ratio(*sups)
 
 
@@ -316,8 +318,9 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
                     h: float) -> tuple:
     """One chunk of RK4 steps of u'' = q u from (u, p): (u_steps, u, p).
 
-    q holds the half-step values of m steps, shape (2 m + 1, n); u_steps is
-    u after each step, shape (m, n), and (u, p) the state after the last.
+    q holds the half-step values of m steps, shape (2 m + 1, n), best as a
+    view of radius-last storage; u_steps is u after each step, shape (m, n),
+    such a view, and (u, p) the state after the last.
     RK4 is linear in (u, p), so each step is a 2x2 matrix I + E, where the
     columns of E are the step's increments from (1, 0) and (0, 1), built
     for all steps and all j at once. The chunk is a two-level blocked
@@ -333,11 +336,12 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
     dtype = np.result_type(q, u, p)
     width = math.isqrt(m - 1) + 1
     blocks = -(-m // width)
-    stages = (q[:-1:2], q[1::2], q[2::2], h)
-    e = np.zeros((2, 2, blocks * width, n), dtype=dtype)
-    e[0, 0, :m], e[1, 0, :m] = _rk4_increment(1.0, 0.0, *stages)
-    e[0, 1, :m], e[1, 1, :m] = _rk4_increment(0.0, 1.0, *stages)
-    e = e.reshape(2, 2, blocks, width, n).transpose(3, 0, 1, 2, 4).copy()
+    q = q.T  # radius-last rows: each stage operation one loop over the steps
+    stages = (q[:, :-1:2], q[:, 1::2], q[:, 2::2], h)
+    e = np.zeros((2, 2, n, blocks * width), dtype=dtype)
+    e[0, 0, :, :m], e[1, 0, :, :m] = _rk4_increment(1.0, 0.0, *stages)
+    e[0, 1, :, :m], e[1, 1, :, :m] = _rk4_increment(0.0, 1.0, *stages)
+    e = e.reshape(2, 2, n, blocks, width).transpose(4, 0, 1, 3, 2).copy()
     for k in range(1, width):
         e[k] = _compose(e[k], e[k - 1])
     start = np.empty((2, blocks, n), dtype=dtype)
@@ -347,41 +351,41 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
         u, p = (u + (last[0, 0] * u + last[0, 1] * p),
                 p + (last[1, 0] * u + last[1, 1] * p))
     u_steps = start[0] + (e[:, 0, 0] * start[0] + e[:, 0, 1] * start[1])
-    return u_steps.swapaxes(0, 1).reshape(-1, n)[:m], u, p
+    return u_steps.transpose(2, 1, 0).reshape(n, -1)[:, :m].T, u, p
 
 
 class _Trajectory:
-    """One RK4 integration of u'' = q u, fed its rows as they are sampled.
+    """One RK4 integration of u'' = q u, fed its radii as they are sampled.
 
-    Each feed adds the next rows of q at the half steps and of v at the
-    nodes, every other half step. A chunk of m steps, whose step-major
-    (width, 2, 2, blocks, n) stack is about a quarter of
-    construct.BLOCK_BYTES (real q), runs through
-    _rk4_trajectory, after its |q| h^2 <= 0.1 guard, once its 2 m + 1 rows
+    Each feed adds the next radii of q at the half steps and of v at the
+    nodes, every other half step, radius-last: (n, K) each. A chunk of m
+    steps, whose step-major (width, 2, 2, blocks, n) stack is about a
+    quarter of construct.BLOCK_BYTES (real q), runs through
+    _rk4_trajectory, after its |q| h^2 <= 0.1 guard, once its 2 m + 1 radii
     of q are in; so the chunks start at the same steps whatever the feeds'
-    lengths. Held: the state (u, p), the rows not yet integrated, whose
+    lengths. Held: the state (u, p), the radii not yet integrated, whose
     first is the current node, and dev, the running max |u - v| at nodes.
     """
 
     def __init__(self, u: np.ndarray, p: np.ndarray, h: float, steps: int):
         self.u, self.p, self.h, self.steps = u, p, h, steps
         self.chunk = max(1, construct.BLOCK_BYTES // (128 * len(u)))
-        self.q = self.v = u[None][:0]
+        self.q = self.v = u[:, None][:, :0]
         self.dev = np.abs(u - u)
 
     def feed(self, q: np.ndarray, v: np.ndarray) -> None:
-        self.q = np.concatenate([self.q, q])
-        self.v = np.concatenate([self.v, v])
-        while self.steps and len(self.q) > 2 * min(self.chunk, self.steps):
+        self.q = np.concatenate([self.q, q], axis=1)
+        self.v = np.concatenate([self.v, v], axis=1)
+        while self.steps and self.q.shape[1] > 2 * min(self.chunk, self.steps):
             m = min(self.chunk, self.steps)
-            qs = self.q[:2 * m + 1]
+            qs = self.q[:, :2 * m + 1]
             if float(np.max(np.abs(qs))) * self.h * self.h > 0.1:
                 raise StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step")
-            u_steps, self.u, self.p = _rk4_trajectory(qs, self.u, self.p,
+            u_steps, self.u, self.p = _rk4_trajectory(qs.T, self.u, self.p,
                                                       self.h)
-            np.maximum(self.dev, np.max(np.abs(u_steps - self.v[1:m + 1]),
+            np.maximum(self.dev, np.max(np.abs(u_steps - self.v[:, 1:m + 1].T),
                                         axis=0), out=self.dev)
-            self.q, self.v = self.q[2 * m:], self.v[m:]
+            self.q, self.v = self.q[:, 2 * m:], self.v[:, m:]
             self.steps -= m
 
 
@@ -413,8 +417,8 @@ def shooting_compare(config: ModelConfig,
                                 fine.step * stride, (fine.count - 1) // stride)
                     for stride in (2, 1)]
         for stride, run in zip((2, 1), runs):
-            run.feed(big_v[-block.start % stride::stride, None] - mu2,
-                     v[-block.start % (2 * stride)::2 * stride])
+            run.feed(big_v[-block.start % stride::stride] - mu2[:, None],
+                     v.T[:, -block.start % (2 * stride)::2 * stride])
     return runs[0].dev, _halving_ratio(runs[0].dev, runs[1].dev)
 
 
@@ -505,7 +509,9 @@ def log_det_defects(config: ModelConfig,
         radii + d * step for step in steps for d in (1.0, -1.0)
     ]).reshape(2, 2, -1).sum(axis=1) / steps[:, None] ** 2
     v, _, big_v, _ = sample_grid(config, radii, with_w=False)
-    first = np.max(np.abs(slope + np.sum(trig_s(config, radii) * v, axis=1)))
+    # a row-major s, as in decay_fits, keeps np.sum's order of addition
+    s = np.ascontiguousarray(trig_s(config, radii))
+    first = np.max(np.abs(slope + np.sum(s * v, axis=1)))
     second = np.max(np.abs(big_v + 2.0 * curvature), axis=1)
     return float(first), float(second[0]), float(_halving_ratio(*second))
 
@@ -534,9 +540,12 @@ def decay_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
     rr = radii[:, None, None]
     v, v_prime, big_v, w = sample_grid(config, radii)
     pot_lead, pot_second = potential_terms(config, radii, w)
-    s = trig_s(config, radii)
-    mc = config.mu * trig_c(config, radii)
-    h = h_matrix_stack(config, radii)
+    # row-major copies of the radius-last stacks: np.sum and einsum below
+    # add in an order set by the layout, and these copies keep the bits
+    s, c, h = (np.ascontiguousarray(x) for x in (
+        trig_s(config, radii), trig_c(config, radii),
+        h_matrix_stack(config, radii)))
+    mc = config.mu * c
     fits = {}
 
     def pair(stem, what, one, two, leading="leading term"):

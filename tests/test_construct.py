@@ -12,7 +12,7 @@ import pytest
 import ewlab.construct
 from ewlab.construct import (
     InvertibilityError,
-    _row_sums,
+    _column_sums,
     potential_terms,
     resolvent_apply,
     sample_blocks,
@@ -33,6 +33,9 @@ CFG3 = ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
 CFGC = ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0])
 CFG24 = ModelConfig(np.linspace(5.0, 0.5, 24),
                     1.0 + 0.1 * np.arange(24) + 0.5j * np.cos(np.arange(24)))
+# n = 66 complex: numpy halves a row of 132 floats before its 4 lanes
+CFG66 = ModelConfig(np.linspace(7.0, 0.5, 66),
+                    1.0 + 0.05 * np.arange(66) + 0.5j * np.sin(np.arange(66)))
 RADII = np.array([0.3, 1.0, 4.4, 17.0])
 
 
@@ -313,8 +316,8 @@ def streamed(cfg, radii):
     return [np.concatenate(field) for field in zip(*blocks)]
 
 
-@pytest.mark.parametrize("cfg, b", [(CFG24, 143), (CFGC, 13107)],
-                         ids=["n24", "n2"])
+@pytest.mark.parametrize("cfg, b", [(CFG24, 143), (CFGC, 13107), (CFG66, 19)],
+                         ids=["n24", "n2", "n66"])
 def test_every_block_boundary_gives_the_same_bits(cfg, b):
     radii = 0.01 * np.arange(2 * b + 3)
     assert block_slices(cfg, radii.size) == [
@@ -353,18 +356,20 @@ def test_sample_grid_of_no_radii_is_empty():
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_row_sums_are_np_sum_bit_for_bit(dtype, order):
-    # column adds where numpy adds a row in order, np.sum where pairwise;
+    # the radius-last column sums of x.T are np.sum's row sums of a
+    # contiguous x, in either layout of x.T: in order below 8 floats, in
+    # lanes up to 128 and halved above, n = 129 real and n = 65 complex on;
     # a row of -0.0 sums to +0.0 either way
     rng = np.random.default_rng(23)
-    for n in range(1, 61):
+    for n in range(1, 131):
         for k in (1, 2, 7, 300):
             x = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-9, 9, (k, n))
             if dtype is complex:
                 x = x + 1j * rng.standard_normal((k, n)) * 10.0 ** rng.integers(
                     -9, 9, (k, n))
-            x = np.asarray(x, order=order)
             x[::3] = -0.0
-            got, want = _row_sums(x), np.sum(x, axis=1)
+            cols = np.asarray(x.T, order=order)
+            got, want = _column_sums(cols), np.sum(x, axis=1)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (n, k)
 

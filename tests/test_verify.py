@@ -2,10 +2,14 @@
 
 import json
 import tracemalloc
+from fnmatch import fnmatch
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ewlab.construct
+import ewlab.oracle
 import ewlab.verify
 from ewlab.cli import load_config
 from ewlab.kernel import ModelConfig
@@ -109,6 +113,49 @@ def test_non_positive_gram_form_fails_its_check(monkeypatch):
     assert len(failing) == 2
     assert failing[0].startswith("FAIL gram_positivity: value=-")
     assert failing[1].startswith("FAIL overall")
+
+
+# A wrong sample must fail verify: (mutation of (r, v, V), check families
+# that must be among the failures). At 1e-6 shooting carries most of the
+# power; V + 1e-6 e^{-r} is also nonzero at the origin.
+MUTATIONS = {
+    "V_times_1_plus_1e-6": (
+        lambda r, v, big_v: (v, big_v * (1.0 + 1e-6)),
+        ("log_det_second_order", "eigen_residual_order_v*", "shooting_v*")),
+    "V_plus_1e-6_exp": (
+        lambda r, v, big_v: (v, big_v + 1e-6 * np.exp(-r)),
+        ("dirichlet_origin", "shooting_v*")),
+    "v_times_1_plus_1e-6": (
+        lambda r, v, big_v: (v * (1.0 + 1e-6), big_v),
+        ("shooting_v*", "shooting_order_v*")),
+}
+
+
+@pytest.mark.parametrize("mutation", ["none", *MUTATIONS])
+@pytest.mark.parametrize("cfg", [
+    ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0]),
+    ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0]),
+], ids=["real_n3", "complex_n2"])
+def test_a_mutated_sample_fails_its_check_families(cfg, mutation,
+                                                   monkeypatch):
+    # every sampling route (sample_blocks calls construct.sample_grid)
+    # returns the mutated (v, V); the unmutated sample verifies
+    sample = ewlab.construct.sample_grid
+    mutate, families = MUTATIONS.get(mutation, (None, ()))
+
+    def mutated(config, radii, **kwargs):
+        v, v_prime, big_v, w = sample(config, radii, **kwargs)
+        v, big_v = mutate(np.asarray(radii, dtype=float), v, big_v)
+        return v, v_prime, big_v, w
+
+    if mutate is not None:
+        for module in (ewlab.construct, ewlab.oracle, ewlab.verify):
+            monkeypatch.setattr(module, "sample_grid", mutated)
+    report = run_verification(cfg, seed=0)
+    failing = [c.name for c in report.checks if not c.passed]
+    assert report.passed == (mutate is None), failing
+    for family in families:
+        assert any(fnmatch(name, family) for name in failing), family
 
 
 def test_verification_memory_stays_below_six_mib():

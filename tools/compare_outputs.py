@@ -11,7 +11,8 @@ OPENBLAS_NUM_THREADS at 1 and at 2. Each run is `python -m ewlab.cli ...
 difference in stdout, stderr, exit code or the bytes of FILE, then one
 summary line, and exits 1 if anything differed.
 Where both FILEs parse as JSON, a difference in their bytes is printed as
-the dotted key paths whose values differ (`sweep.couplings`, say).
+the dotted key paths whose values differ, each with the largest relative
+change of its numeric leaves (`sweep.estimates (rel 4.6e-13)`, say).
 
 Both checkouts read the same config files, written once from this
 checkout's perfbench/workloads.py. Needs only the standard library and
@@ -21,6 +22,7 @@ numpy (for workloads.py).
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,7 +110,8 @@ def run(checkout: Path, command: tuple, config: Path, threads: str,
 
 
 def changed_fields(old, new, path: tuple = ()) -> list:
-    """Dotted key paths under which two parsed JSON documents differ.
+    """(dotted key path, old value, new value) where two parsed JSON
+    documents differ.
 
     Objects are compared key by key, and so are lists of objects of the same
     length, by index; any other value (a list of numbers, say) is one
@@ -120,25 +123,55 @@ def changed_fields(old, new, path: tuple = ()) -> list:
         old, new = dict(enumerate(old)), dict(enumerate(new))
     if not (isinstance(old, dict) and isinstance(new, dict)):
         differ = json.dumps(old) != json.dumps(new)
-        return [".".join(path) or "(document)"] if differ else []
+        return [(".".join(path) or "(document)", old, new)] if differ else []
     fields = []
     for key in {**old, **new}:
         if key in old and key in new:
             fields += changed_fields(old[key], new[key], (*path, str(key)))
         else:
-            fields.append(".".join((*path, str(key))))
+            fields.append((".".join((*path, str(key))), old.get(key),
+                           new.get(key)))
     return fields
 
 
+def numbers(value) -> list:
+    """The numeric leaves of a parsed JSON value, in document order."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in numbers(item)]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return [value] if is_number else []
+
+
+def relative_change(old, new) -> str:
+    """The largest |new - old| / |old| over the paired numeric leaves of two
+    values: inf where a zero or non-finite leaf changed, "n/a" where the
+    leaves do not pair up (a key or a list entry added, a string changed)."""
+    a, b = numbers(old), numbers(new)
+    if not a or len(a) != len(b):
+        return "n/a"
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        finite = x != 0 and math.isfinite(x) and math.isfinite(y)
+        worst = max(worst, abs(y - x) / abs(x) if finite else math.inf)
+    return f"{worst:.2g}"
+
+
 def describe(name: str, old, new) -> str:
-    """One difference: the changed JSON fields of --out, else both values."""
+    """One difference: the changed JSON fields of --out, each with its
+    largest relative change, else both values."""
     if name == "--out bytes" and old is not None and new is not None:
         try:
             fields = changed_fields(json.loads(old), json.loads(new))
         except ValueError:  # CSV or text
             fields = []
         if fields:  # none when only the formatting differs
-            return f"--out fields: {', '.join(fields)}"
+            return "--out fields: " + ", ".join(
+                f"{path} (rel {relative_change(a, b)})"
+                for path, a, b in fields)
     return f"{name}: {old!r:.200} -> {new!r:.200}"
 
 
