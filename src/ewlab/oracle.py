@@ -12,10 +12,11 @@ Three oracles that never reuse the closed form they check:
     prefix product.
 
 Each convergence check is one call that fixes its steps and returns the
-defect at h and defect(h)/defect(h/2). A grid check makes one pass of
-sample_blocks over the finer grid of its pair, whose every other radius is
-the coarser grid's, bit for bit, holds no whole-grid sample, and names
-itself when that grid is too fine. Few-radius checks take one sample_grid.
+defect at h and defect(h)/defect(h/2). A grid check samples the finer
+grid of its pair, whose every other radius is the coarser grid's, bit for
+bit, with sample_blocks: the residual in one pass, shooting one RK4 window
+at a time. Neither holds a whole-grid sample, and each names itself when
+that grid is too fine. Few-radius checks take one sample_grid.
 
 Plus the log-log fit machinery for the decay orders: every asymptotic claim
 is of the form |defect(r)| = O(r^-k), verified by fitting the decay exponent
@@ -255,11 +256,9 @@ def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
     |(d-1)(d-3)/4| r^{-2} |u| as h -> 0. Returns (sup, ratio), each of shape
     (len(dims), n), from one pass of sample_blocks over the halved grid:
     ratio is sup(h)/sup(h/2) (inf if that sup is 0). The grid is every
-    other radius of its halving. Per block and per stride (2, then 1), the
-    stencil runs radius-last on the block's radii of that stride and on the
-    seam, the last two radii of the earlier blocks and the first two of this
-    one; a running maximum keeps the sups, exactly as one max over the
-    whole grid.
+    other radius of its halving. The stencil runs radius-last once per
+    stride (2, then 1) on each block joined to the 4 radii before it; a
+    running maximum keeps the sups, exactly as one max over the whole grid.
     """
     if any(d < 1 for d in dims):
         raise ValueError("dimension must be >= 1")
@@ -269,21 +268,18 @@ def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
         raise GridError("fewer than 8 interior points")
     mu2 = config.mu**2
     sups = np.full((2, len(dims), config.n), -math.inf)
-    tails = [(np.empty(0), np.empty((config.n, 0)), np.empty(0))] * 2
+    tail = (np.empty(0), np.empty((config.n, 0)), np.empty(0))
     for block, r, v, _, big_v, _ in construct.sample_blocks(
             config, _refined(grid, 1, "residual_eigen_equation"),
             with_w=False):
+        first = block.start - len(tail[0])
+        x = [np.concatenate([t, y], axis=-1)
+             for t, y in zip(tail, (r, v.T, big_v))]
         for k, stride in enumerate((2, 1)):
-            h = grid.step * stride / 2.0
-            cols = [x[..., -block.start % stride::stride]
-                    for x in (r, v.T, big_v)]
-            seam = [np.concatenate([t, x[..., :2]], axis=-1)
-                    for t, x in zip(tails[k], cols)]
-            for part in (seam, cols):
-                np.maximum(sups[k], _stencil_sups(*part, h, dims, mu2),
-                           out=sups[k])
-            tails[k] = [np.concatenate([t, x[..., -2:]], axis=-1)[..., -2:]
-                        for t, x in zip(tails[k], cols)]
+            np.maximum(sups[k], _stencil_sups(
+                *(y[..., -first % stride::stride] for y in x),
+                grid.step * stride / 2.0, dims, mu2), out=sups[k])
+        tail = [y[..., -4:] for y in x]
     return sups[0], _halving_ratio(*sups)
 
 
@@ -354,72 +350,58 @@ def _rk4_trajectory(q: np.ndarray, u: np.ndarray, p: np.ndarray,
     return u_steps.transpose(2, 1, 0).reshape(n, -1)[:, :m].T, u, p
 
 
-class _Trajectory:
-    """One RK4 integration of u'' = q u, fed its radii as they are sampled.
-
-    Each feed adds the next radii of q at the half steps and of v at the
-    nodes, every other half step, radius-last: (n, K) each. A chunk of m
-    steps, whose step-major (width, 2, 2, blocks, n) stack is about a
-    quarter of construct.BLOCK_BYTES (real q), runs through
-    _rk4_trajectory, after its |q| h^2 <= 0.1 guard, once its 2 m + 1 radii
-    of q are in; so the chunks start at the same steps whatever the feeds'
-    lengths. Held: the state (u, p), the radii not yet integrated, whose
-    first is the current node, and dev, the running max |u - v| at nodes.
-    """
-
-    def __init__(self, u: np.ndarray, p: np.ndarray, h: float, steps: int):
-        self.u, self.p, self.h, self.steps = u, p, h, steps
-        self.chunk = max(1, construct.BLOCK_BYTES // (128 * len(u)))
-        self.q = self.v = u[:, None][:, :0]
-        self.dev = np.abs(u - u)
-
-    def feed(self, q: np.ndarray, v: np.ndarray) -> None:
-        self.q = np.concatenate([self.q, q], axis=1)
-        self.v = np.concatenate([self.v, v], axis=1)
-        while self.steps and self.q.shape[1] > 2 * min(self.chunk, self.steps):
-            m = min(self.chunk, self.steps)
-            qs = self.q[:, :2 * m + 1]
-            if float(np.max(np.abs(qs))) * self.h * self.h > 0.1:
-                raise StepTooLargeError("|V - mu^2| h^2 > 0.1; halve the step")
-            u_steps, self.u, self.p = _rk4_trajectory(qs.T, self.u, self.p,
-                                                      self.h)
-            np.maximum(self.dev, np.max(np.abs(u_steps - self.v[:, 1:m + 1].T),
-                                        axis=0), out=self.dev)
-            self.q, self.v = self.q[:, 2 * m:], self.v[:, m:]
-            self.steps -= m
-
-
 def shooting_compare(config: ModelConfig,
                      grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Max |u - v_j| per j after integrating -u'' + (V - mu_j^2) u = 0 by RK4.
 
     Returns (dev, ratio), each of shape (n,): dev on the grid, and ratio =
-    dev(h)/dev(h/2) against a second integration on the halved grid (inf if
+    dev(h)/dev(h/2) against a second integration at half the step (inf if
     that deviation is 0); RK4 is O(h^4), so the ratio should be near 16.
     The integration starts at delta = grid.r_start > 0 from the closed-form
     data (v_j(delta), v_j'(delta)): the solution is fixed by that frame, so
     the comparison tests the ODE, not the initial condition. V is evaluated
     exactly on the half-step grid, keeping the classical O(h^4) order
-    intact. One pass of sample_blocks over the halved grid's half steps
-    (every other one the halved grid's own, every fourth the grid's)
-    feeds both integrations, for every eigen-index, as the blocks arrive.
+    intact. The grid is cut into windows of m steps, whose step-major RK4
+    stack is about a quarter of construct.BLOCK_BYTES (real q). Each window
+    samples its 4 m + 1 quarter-step radii with sample_blocks, keeps v and
+    V, and runs one _rk4_trajectory chunk at h and up to two at h/2, each
+    after its |q| h^2 <= 0.1 guard; only (u, p) and dev cross windows.
     """
     if not grid.r_start > 0.0:
         raise GridError("shooting starts at r_start > 0")
-    half_steps = _refined(grid, 2, "shooting_compare")
-    fine = grid.halved()
-    mu2 = config.mu**2
+    quarter = _refined(grid, 2, "shooting_compare")
+    mu2 = config.mu[:, None] ** 2
+    chunk = max(1, construct.BLOCK_BYTES // (128 * config.n))
     runs = []
-    for block, _, v, v_prime, big_v, _ in construct.sample_blocks(
-            config, half_steps, with_w=False):
-        if not runs:
-            runs = [_Trajectory(v[0].copy(), v_prime[0].copy(),
-                                fine.step * stride, (fine.count - 1) // stride)
-                    for stride in (2, 1)]
-        for stride, run in zip((2, 1), runs):
-            run.feed(big_v[-block.start % stride::stride] - mu2[:, None],
-                     v.T[:, -block.start % (2 * stride)::2 * stride])
-    return runs[0].dev, _halving_ratio(runs[0].dev, runs[1].dev)
+    for first in range(0, grid.count - 1, chunk):
+        last = min(first + chunk, grid.count - 1)
+        vs, big_vs = [], []
+        for _, _, v, v_prime, big_v, _ in construct.sample_blocks(
+                config, quarter.radii(slice(4 * first, 4 * last + 1)),
+                with_w=False):
+            if not runs:
+                u = v[0].copy()
+                runs = [(u, v_prime[0].copy(), np.abs(u - u))] * 2
+            vs.append(v.T)
+            big_vs.append(big_v)
+        v, big_v = np.concatenate(vs, axis=1), np.concatenate(big_vs)
+        for k, stride in enumerate((2, 1)):
+            u, p, dev = runs[k]
+            h = grid.step * stride / 2.0
+            q = big_v[::stride] - mu2
+            nodes = v[:, ::2 * stride].copy()
+            steps = (q.shape[1] - 1) // 2
+            for a in range(0, steps, chunk):
+                b = min(a + chunk, steps)
+                if float(np.max(np.abs(q[:, 2 * a:2 * b + 1]))) * h * h > 0.1:
+                    raise StepTooLargeError(
+                        "|V - mu^2| h^2 > 0.1; halve the step")
+                u_steps, u, p = _rk4_trajectory(q[:, 2 * a:2 * b + 1].T,
+                                                u, p, h)
+                dev = np.maximum(dev, np.max(
+                    np.abs(u_steps - nodes[:, a + 1:b + 1].T), axis=0))
+            runs[k] = u, p, dev
+    return runs[0][2], _halving_ratio(runs[0][2], runs[1][2])
 
 
 def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,

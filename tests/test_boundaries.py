@@ -59,7 +59,7 @@ def test_no_module_imports_another_modules_private_names():
 # may take V and the initial frame from sample_blocks, and call no other
 # function of the code they check.
 INDEPENDENT = ("quadrature_gram", "_gauss_legendre", "_halving_ratio",
-               "_rk4_increment", "_compose", "_rk4_trajectory", "_Trajectory",
+               "_rk4_increment", "_compose", "_rk4_trajectory",
                "shooting_compare")
 
 

@@ -117,7 +117,8 @@ def test_non_positive_gram_form_fails_its_check(monkeypatch):
 
 # A wrong sample must fail verify: (mutation of (r, v, V), check families
 # that must be among the failures). At 1e-6 shooting carries most of the
-# power; V + 1e-6 e^{-r} is also nonzero at the origin.
+# power; V + 1e-6 e^{-r} is also nonzero at the origin. At 1e-3 the
+# log-det and residual defects fail too.
 MUTATIONS = {
     "V_times_1_plus_1e-6": (
         lambda r, v, big_v: (v, big_v * (1.0 + 1e-6)),
@@ -128,6 +129,15 @@ MUTATIONS = {
     "v_times_1_plus_1e-6": (
         lambda r, v, big_v: (v * (1.0 + 1e-6), big_v),
         ("shooting_v*", "shooting_order_v*")),
+    "V_times_1_plus_1e-3": (
+        lambda r, v, big_v: (v, big_v * (1.0 + 1e-3)),
+        ("log_det_second_defect", "eigen_residual_v*", "shooting_v*")),
+    "V_plus_1e-3_sin": (
+        lambda r, v, big_v: (v, big_v + 1e-3 * np.sin(6.0 * r) / (1.0 + r)),
+        ("log_det_*", "eigen_residual*", "shooting_v*")),
+    "v_times_1_plus_1e-3": (
+        lambda r, v, big_v: (v * (1.0 + 1e-3), big_v),
+        ("log_det_first_derivative", "shooting_v*", "shooting_order_v*")),
 }
 
 

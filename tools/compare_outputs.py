@@ -54,9 +54,10 @@ WORKERS = 2  # two runs at a time: each is one process of modest size
 
 # Configs whose verify fails or whose systems are ill-conditioned, so that
 # failing verdicts and exit 1 are compared too, a real n = 12 config,
-# whose sample blocks (546 radii) are shorter than its RK4 chunks (1,365
-# steps), a complex high-frequency probe on 19,999 interior nodes,
-# where the 49-row tridiagonal blocks pivot in some rows and not in others
+# whose RK4 windows (1,365 steps, 5,461 quarter-step radii) are each
+# sampled in several blocks of 546 radii, a complex high-frequency probe
+# on 19,999 interior nodes, where the 49-row tridiagonal blocks pivot in
+# some rows and not in others
 # and numpy multiplies a 16,384-entry or longer temporary in place (the
 # other edges have 4,999), a complex n = 5 config, whose rows numpy
 # sums pairwise with a remainder (n = 12 is the real side of that
