@@ -148,9 +148,6 @@ class GridSpec:
         i = range(self.count)[block]
         return self.r_start + self.step * np.arange(i.start, i.stop, i.step)
 
-    def halved(self) -> "GridSpec":
-        return GridSpec(self.r_start, self.r_end, self.step / 2.0)
-
 
 def trig_s(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """Sine vectors s(r), shape (K, n): entry (k, j) is sin(mu_j r_k)."""

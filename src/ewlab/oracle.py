@@ -31,19 +31,12 @@ The log-det route, `log_det_defects`, checks (log det(A+G))' = -ts v and
 V = -2 (log det(A+G))'' through ratios det(I+X), X a small resolvent
 increment, whose principal logarithm is branch-safe; the same resolvent
 gives the exact 1-norm condition numbers of A + G(r).
-
-Last, the radial lift: in R^d, u = r^{(1-d)/2} v_j leaves the residual
--u'' - ((d-1)/r) u' + (V - mu_j^2) u = ((d-1)(d-3)/4) r^{-2} u, so only
-d = 1 and d = 3 (u_j = v_j/r) give eigenfunctions of -Delta + V(|x|).
-residual_eigen_equation measures that residual by finite differences (at
-d = 1 it is v_j's own), and dimension_obstruction gives its r^{-2} u term.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +63,6 @@ __all__ = [
     "StepTooLargeError",
     "condition_estimate",
     "decay_fits",
-    "dimension_obstruction",
     "fd_second_derivative",
     "fit_decay_slope",
     "gram_derivative_defect",
@@ -222,63 +214,46 @@ def _refined(grid: GridSpec, times: int, oracle: str) -> GridSpec:
         raise GridError(f"{oracle} at step/{2**times}: {exc}") from exc
 
 
-def _stencil_sups(r: np.ndarray, v: np.ndarray, big_v: np.ndarray, h: float,
-                  dims: Sequence[int], mu2: np.ndarray) -> np.ndarray:
-    """Max |residual| over the interior radii of (r, v, V), (len(dims), n).
+def _stencil_sups(v: np.ndarray, big_v: np.ndarray, h: float,
+                  mu2: np.ndarray) -> np.ndarray:
+    """Max |residual| over the interior radii of (v, V), shape (n,).
 
     v is radius-last, (n, K). -inf where there are fewer than 3 radii, so
     that it drops out of a running maximum.
     """
-    out = np.full((len(dims), len(v)), -math.inf)
-    if len(r) < 3:
-        return out
-    for i, d in enumerate(dims):
-        # d = 1 skips the lift and the zero u' term, two (n, K) arrays
-        u = v if d == 1 else r ** ((1.0 - d) / 2.0) * v
-        residual = -fd_second_derivative(u.T, h).T
-        if d != 1:
-            first = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
-            residual = residual - (d - 1.0) / r[1:-1] * first
-        residual = residual + (big_v[1:-1] - mu2[:, None]) * u[:, 1:-1]
-        out[i] = np.max(np.abs(residual), axis=1)
-    return out
+    if len(big_v) < 3:
+        return np.full(len(v), -math.inf)
+    residual = -fd_second_derivative(v.T, h).T
+    residual = residual + (big_v[1:-1] - mu2[:, None]) * v[:, 1:-1]
+    return np.max(np.abs(residual), axis=1)
 
 
-def residual_eigen_equation(config: ModelConfig, grid: GridSpec,
-                            dims: Sequence[int]) -> tuple:
-    """Sup FD residuals of the radial eigen-equations on the grid interior.
+def residual_eigen_equation(config: ModelConfig, grid: GridSpec) -> tuple:
+    """Sup FD residuals of the eigen-equations on the grid interior.
 
-    Entry (i, j) lifts v_j to u = r^{(1-d)/2} v_j with d = dims[i] and is the
-    sup over interior nodes of |-u'' - ((d-1)/r) u' + (V - mu_j^2) u| with
-    3-point u'' and central u'; d = 1 is |-v_j'' + V v_j - mu_j^2 v_j|, the
-    one d that allows a grid starting at r = 0. For d = 1 and d = 3 this is
-    pure truncation error; otherwise it approaches the obstructing term
-    |(d-1)(d-3)/4| r^{-2} |u| as h -> 0. Returns (sup, ratio), each of shape
-    (len(dims), n), from one pass of sample_blocks over the halved grid:
-    ratio is sup(h)/sup(h/2) (inf if that sup is 0). The grid is every
-    other radius of its halving. The stencil runs radius-last once per
-    stride (2, then 1) on each block joined to the 4 radii before it; a
+    Entry j is the sup over interior nodes of |-v_j'' + V v_j - mu_j^2 v_j|
+    with 3-point v_j'', pure truncation error. Returns (sup, ratio), each
+    of shape (n,), from one pass of sample_blocks over the grid at half its
+    step: ratio is sup(h)/sup(h/2) (inf if that sup is 0). The grid is
+    every other radius of its halving. The stencil runs radius-last once
+    per stride (2, then 1) on each block joined to the 4 radii before it; a
     running maximum keeps the sups, exactly as one max over the whole grid.
     """
-    if any(d < 1 for d in dims):
-        raise ValueError("dimension must be >= 1")
-    if grid.r_start <= 0.0 and any(d != 1 for d in dims):
-        raise GridError("a lift to d != 1 needs a grid that starts at r > 0")
     if grid.count - 2 < 8:
         raise GridError("fewer than 8 interior points")
     mu2 = config.mu**2
-    sups = np.full((2, len(dims), config.n), -math.inf)
-    tail = (np.empty(0), np.empty((config.n, 0)), np.empty(0))
-    for block, r, v, _, big_v, _ in construct.sample_blocks(
+    sups = np.full((2, config.n), -math.inf)
+    tail = (np.empty((config.n, 0)), np.empty(0))
+    for block, _, v, _, big_v, _ in construct.sample_blocks(
             config, _refined(grid, 1, "residual_eigen_equation"),
             with_w=False):
-        first = block.start - len(tail[0])
+        first = block.start - len(tail[1])
         x = [np.concatenate([t, y], axis=-1)
-             for t, y in zip(tail, (r, v.T, big_v))]
+             for t, y in zip(tail, (v.T, big_v))]
         for k, stride in enumerate((2, 1)):
             np.maximum(sups[k], _stencil_sups(
                 *(y[..., -first % stride::stride] for y in x),
-                grid.step * stride / 2.0, dims, mu2), out=sups[k])
+                grid.step * stride / 2.0, mu2), out=sups[k])
         tail = [y[..., -4:] for y in x]
     return sups[0], _halving_ratio(*sups)
 
@@ -558,13 +533,3 @@ def decay_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
         pair(f"v{j + 1}", f"v_{j + 1}", one_v[:, j], two_v[:, j])
     return fits, v_rest * radii**3
 
-
-def dimension_obstruction(d: int) -> float:
-    """Coefficient -(d-1)(d-3)/4 of the r^{-2} u term blocking the lift.
-
-    Zero exactly when d is 1 or 3; the lift gives embedded eigenvalues only
-    in those dimensions.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return -(d - 1.0) * (d - 3.0) / 4.0 + 0.0  # + 0.0 folds -0.0 at d = 3

@@ -219,7 +219,7 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
     # --- oracle: eigen-equation residual and RK4 shooting, per eigenvalue
     res_grid = GridSpec(0.0, 50.0, 1e-3)
     shoot_grid = GridSpec(0.1, 30.0, 1e-3)
-    (sups,), (orders,) = residual_eigen_equation(config, res_grid, (1,))
+    sups, orders = residual_eigen_equation(config, res_grid)
     devs, shoot_orders = shooting_compare(config, shoot_grid)
     for j, (sup, order, dev, shoot_order) in enumerate(
             zip(sups, orders, devs, shoot_orders)):
@@ -231,13 +231,14 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
         checks.append(_band(f"shooting_order_v{j + 1}", shoot_order,
                             10.0, 24.0))
 
-    # --- reality dichotomy on [0, 400], from one pass over its halving:
-    # the grid is every other radius. The pass also takes the maxima of the
-    # bound certificates below: max |v| (1 + r^2)/r and max |v'| (1 + r)
-    # over every other radius r > 0 and over every radius r > 0
+    # --- reality dichotomy on [0, 400] step 0.05, from one pass over the
+    # step 0.025 grid, whose every other radius is the coarser grid's, bit
+    # for bit. The pass also takes the maxima of the bound certificates
+    # below: max |v| (1 + r^2)/r and max |v'| (1 + r) over every other
+    # radius r > 0 and over every radius r > 0
     top = np.full(6, -math.inf)
     for block, r, v, v_prime, big_v, _ in sample_blocks(
-            config, GridSpec(0.0, 400.0, 0.05).halved(), with_w=False):
+            config, GridSpec(0.0, 400.0, 0.025), with_w=False):
         on_grid = big_v[-block.start % 2::2]
         maxima = [np.abs(on_grid.imag), np.abs(on_grid)]
         for stride in (2, 1):

@@ -13,7 +13,6 @@ from ewlab.construct import sample_grid
 from ewlab.kernel import GridSpec, ModelConfig, gram_matrix_stack, trig_s
 from ewlab.oracle import (
     decay_fits,
-    dimension_obstruction,
     gram_derivative_defect,
     log_det_defects,
     quadrature_gram,
@@ -21,6 +20,8 @@ from ewlab.oracle import (
     shooting_compare,
 )
 from ewlab.spectral_probe import aligned_correlation, probe_embedded
+
+from radial_lift import obstruction, whole_grid_residual
 
 REAL1 = ModelConfig([1.0], [1.0])
 REAL3 = ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
@@ -53,7 +54,7 @@ def test_criterion_2_eigen_equation_residual():
     worst_sup = 0.0
     ratios = []
     for cfg in STOCK:
-        (sups,), (halving,) = residual_eigen_equation(cfg, grid, (1,))
+        sups, halving = residual_eigen_equation(cfg, grid)
         worst_sup = max(worst_sup, float(np.max(sups)))
         ratios.extend(halving)
     ok = worst_sup <= 1e-4 and all(3.0 <= q <= 5.0 for q in ratios)
@@ -171,8 +172,9 @@ def test_criterion_7_spectral_probe():
 def test_criterion_8_dimension_dichotomy():
     cfg = ModelConfig([2.0, 1.0], [1.0, 1.0])
     grid = GridSpec(1.0, 30.0, 1e-3)
-    # rows d = 3, 2, 4, 5; column 0 is the eigen-index j = 0
-    res, halving = (x[:, 0] for x in residual_eigen_equation(
+    # verify checks d = 1 only; the lift to R^d is measured here, on the
+    # whole-grid reference. Rows d = 3, 2, 4, 5; column 0 is j = 0
+    res, halving = (x[:, 0] for x in whole_grid_residual(
         cfg, grid, (3, 2, 4, 5)))
     r3, r3_ratio = res[0], halving[0]
     vanish_ok = r3 <= 1e-4 and 3.0 <= r3_ratio <= 5.0
@@ -181,7 +183,7 @@ def test_criterion_8_dimension_dichotomy():
     for rd, rd_ratio in zip(res[1:], halving[1:]):
         stuck.append(rd > 0.05 and 0.9 <= rd_ratio <= 1.1)
 
-    table = [dimension_obstruction(d) for d in (1, 3, 5, 2)]
+    table = [obstruction(d) for d in (1, 3, 5, 2)]
     table_ok = table == [0.0, 0.0, -2.0, 0.25]
 
     ok = vanish_ok and all(stuck) and table_ok

@@ -2,8 +2,8 @@
 
 The oracles check the construction by independent routes, so the code they
 check must not depend on them, and the quadrature and RK4 oracles take
-nothing from it but sampled data. Every public name of a production module
-is used somewhere in the package, not only by tests, and so is every
+nothing from it but sampled data. Every public name of a module is used
+somewhere in the package, not only by tests, and so is every
 defaulted parameter of a public function. The modules are parsed,
 not imported, except by the import guards at the end, which run the CLI in
 a fresh interpreter and read its sys.modules.
@@ -109,7 +109,7 @@ def public_names(path: Path) -> list:
     return []
 
 
-@pytest.mark.parametrize("module", PRODUCTION)
+@pytest.mark.parametrize("module", PRODUCTION + ("oracle", "verify"))
 def test_public_names_are_used_in_the_package(module):
     trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
     unused = [name for name in public_names(PACKAGE / f"{module}.py")

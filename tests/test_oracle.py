@@ -28,6 +28,8 @@ from ewlab.oracle import (
     shooting_compare,
 )
 
+from radial_lift import whole_grid_residual
+
 CFG1 = ModelConfig([1.0], [1.0])
 CFG3 = ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
 CFGC = ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0])
@@ -101,8 +103,9 @@ def test_grid_spec_basics():
     g = GridSpec(0.0, 1.0, 0.25)
     assert g.count == 5
     assert np.allclose(g.radii(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert g.halved().step == 0.125
-    assert g.halved().count == 9
+    fine = GridSpec(0.0, 1.0, 0.125)
+    assert fine.count == 9
+    assert np.array_equal(fine.radii()[::2], g.radii())
 
 
 def test_grid_spec_validation():
@@ -145,16 +148,14 @@ def test_gram_derivative_defect_order():
 
 
 def test_residual_eigen_equation_converges():
-    (sup,), (ratio,) = residual_eigen_equation(CFG1, GridSpec(0.0, 20.0, 2e-3),
-                                               (1,))
+    sup, ratio = residual_eigen_equation(CFG1, GridSpec(0.0, 20.0, 2e-3))
     assert sup.shape == ratio.shape == (1,)
     assert sup[0] <= 1e-3
     assert 3.0 <= ratio[0] <= 5.0
 
 
 def test_residual_eigen_equation_all_indices():
-    (sup,), (ratio,) = residual_eigen_equation(CFG3, GridSpec(0.0, 10.0, 2e-3),
-                                               (1,))
+    sup, ratio = residual_eigen_equation(CFG3, GridSpec(0.0, 10.0, 2e-3))
     assert sup.shape == ratio.shape == (3,)
     assert np.all(sup <= 1e-2)
     assert np.all((3.0 <= ratio) & (ratio <= 5.0))
@@ -165,7 +166,15 @@ def test_residual_eigen_equation_all_indices():
     GridSpec(0.0, 400.0, 0.05), GridSpec(0.3, 7.7, 0.037),
 ])
 def test_halved_grid_holds_the_grid_bit_for_bit(grid):
-    assert np.array_equal(grid.halved().radii()[::2], grid.radii())
+    # the oracles sample the grid at half its step in its place
+    fine = GridSpec(grid.r_start, grid.r_end, grid.step / 2)
+    assert np.array_equal(fine.radii()[::2], grid.radii())
+
+
+def test_verify_fine_grid_holds_the_coarse_grid_bit_for_bit():
+    # verify's [0, 400] pass samples the first for the second
+    assert np.array_equal(GridSpec(0.0, 400.0, 0.025).radii()[::2],
+                          GridSpec(0.0, 400.0, 0.05).radii())
 
 
 @pytest.mark.parametrize("cfg", [CFG3, CFGC], ids=["n3_real", "n2_complex"])
@@ -178,29 +187,11 @@ def test_residual_stride_matches_separate_samples(cfg):
         residual = -second + (big_v[1:-1, None] - cfg.mu**2) * v[1:-1]
         return np.max(np.abs(residual), axis=0)
 
-    (got,), (ratio,) = residual_eigen_equation(cfg, grid, (1,))
+    got, ratio = residual_eigen_equation(cfg, grid)
     want = sup(grid)
     assert np.array_equal(got, want)
-    assert np.array_equal(ratio, want / sup(grid.halved()))
-
-
-def test_residual_rows_match_separate_dimensions():
-    grid = GridSpec(0.3, 10.3, 2e-3)
-    sup, ratio = residual_eigen_equation(CFGC, grid, (1, 3))
-    for i, d in enumerate((1, 3)):
-        (one_sup,), (one_ratio,) = residual_eigen_equation(CFGC, grid, (d,))
-        assert np.array_equal(sup[i], one_sup)
-        assert np.array_equal(ratio[i], one_ratio)
-
-
-def test_residual_lift_needs_a_grid_off_the_origin():
-    grid = GridSpec(0.0, 10.0, 2e-3)
-    sup, _ = residual_eigen_equation(CFG3, grid, (1,))
-    assert np.all(np.isfinite(sup))
-    with pytest.raises(GridError):
-        residual_eigen_equation(CFG3, grid, (3,))
-    with pytest.raises(GridError):
-        residual_eigen_equation(CFG3, grid, (1, 3))
+    assert np.array_equal(
+        ratio, want / sup(GridSpec(grid.r_start, grid.r_end, grid.step / 2)))
 
 
 def test_residual_samples_once_for_every_dimension(monkeypatch):
@@ -211,14 +202,14 @@ def test_residual_samples_once_for_every_dimension(monkeypatch):
         yield from sample_blocks(config, radii, **kwargs)
 
     monkeypatch.setattr(construct, "sample_blocks", counted)
-    grid = GridSpec(1.0, 30.0, 1e-3)
-    residual_eigen_equation(CFG3, grid, (3, 2, 4, 5))
-    assert sampled == [grid.halved().count]
+    # one pass over the grid at half its step serves both steps
+    residual_eigen_equation(CFG3, GridSpec(1.0, 30.0, 1e-3))
+    assert sampled == [GridSpec(1.0, 30.0, 5e-4).count]
 
 
 def test_residual_needs_enough_interior_points():
     with pytest.raises(GridError):
-        residual_eigen_equation(CFG1, GridSpec(0.0, 1.0, 0.2), (1,))
+        residual_eigen_equation(CFG1, GridSpec(0.0, 1.0, 0.2))
 
 
 def test_shooting_reproduces_eigenfunction():
@@ -240,7 +231,7 @@ def test_a_refined_grid_too_large_names_its_oracle():
         shooting_compare(CFG1, GridSpec(0.1, 3000.1, 1e-3))
     with pytest.raises(GridError, match=r"^residual_eigen_equation at "
                        r"step/2: more than 1e7 grid points$"):
-        residual_eigen_equation(CFG1, GridSpec(0.0, 6000.0, 1e-3), (1,))
+        residual_eigen_equation(CFG1, GridSpec(0.0, 6000.0, 1e-3))
 
 
 def test_shooting_rejects_unstable_step():
@@ -403,29 +394,9 @@ def test_real_rk4_is_the_real_part_of_its_complex_cast(steps):
     assert not np.any(cplx.imag)
 
 
-def _whole_grid_residual(cfg, grid, dims):
-    """residual_eigen_equation from one sample_grid of the halved grid."""
-    radii = grid.halved().radii()
-    v_all, _, big_v_all, _ = sample_grid(cfg, radii)
-    sups = np.empty((2, len(dims), cfg.n))
-    for stride, out in zip((2, 1), sups):
-        h = grid.step * stride / 2.0
-        r, v, big_v = (radii[::stride, None], v_all[::stride],
-                       big_v_all[::stride])
-        for i, d in enumerate(dims):
-            u = v if d == 1 else r ** ((1.0 - d) / 2.0) * v
-            residual = -fd_second_derivative(u, h)
-            if d != 1:
-                first = (u[2:] - u[:-2]) / (2.0 * h)
-                residual = residual - (d - 1.0) / r[1:-1] * first
-            residual = residual + (big_v[1:-1, None] - cfg.mu**2) * u[1:-1]
-            out[i] = np.max(np.abs(residual), axis=0)
-    return sups[0], sups[0] / sups[1]
-
-
 def _whole_grid_shooting(cfg, grid):
     """shooting_compare from one sample_grid of the half-step radii."""
-    fine = grid.halved()
+    fine = GridSpec(grid.r_start, grid.r_end, grid.step / 2)
     h = fine.step
     v, v_prime, big_v, _ = sample_grid(
         cfg, fine.r_start + 0.5 * h * np.arange(2 * fine.count - 1))
@@ -449,10 +420,9 @@ def test_streamed_oracles_equal_the_whole_grid_bitwise(cfg, radii,
                                                        monkeypatch):
     monkeypatch.setattr(construct, "BLOCK_BYTES",
                         radii * 8 * cfg.n * (3 * cfg.n + 4))
-    for grid, dims in ((GridSpec(0.0, 1.0, 0.01), (1,)),
-                       (GridSpec(0.3, 1.3, 0.01), (1, 3))):
-        got = residual_eigen_equation(cfg, grid, dims)
-        want = _whole_grid_residual(cfg, grid, dims)
+    for grid in (GridSpec(0.0, 1.0, 0.01), GridSpec(0.3, 1.3, 0.01)):
+        got = residual_eigen_equation(cfg, grid)
+        want = (x[0] for x in whole_grid_residual(cfg, grid, (1,)))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
     # 107 steps: at n = 3, chunks of 5 and 10 leave a short last window
     for grid in (GridSpec(0.1, 1.1, 0.01), GridSpec(0.1, 1.17, 0.01)):
@@ -465,7 +435,7 @@ def test_oracle_memory_does_not_grow_with_the_grid(monkeypatch):
     # 100 radii a block at n = 3: both grids are many blocks long
     monkeypatch.setattr(construct, "BLOCK_BYTES", 100 * 312)
     oracles = {
-        "residual": lambda grid: residual_eigen_equation(CFG3, grid, (1, 3)),
+        "residual": lambda grid: residual_eigen_equation(CFG3, grid),
         "shooting": lambda grid: shooting_compare(CFG3, grid)}
     for name, run in oracles.items():
         peaks = []
