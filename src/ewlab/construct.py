@@ -27,7 +27,8 @@ r of a singular system; a single radius is K = 1. Inside `sample_grid`
 every stack is radius-last, (n, K) or (n, n, K), so that each numpy
 operation is one loop over the radii, and its sums over j keep np.sum's
 bits; v and v' are returned as (K, n) views. `sample_blocks` cuts a
-grid into blocks sized by BLOCK_BYTES, each one `sample_grid` call, for
+grid into blocks sized by BLOCK_BYTES, with a floor of 512 radii while a
+block's stacks stay within 4 BLOCK_BYTES, each one `sample_grid` call, for
 `build` and `expand` (with W), the probe and verify's residual, shooting
 and [0, 400] passes; only few-radius callers call `sample_grid` directly.
 
@@ -65,10 +66,14 @@ __all__ = [
 
 # Blocks of sample_blocks: the real H/G stack and the complex elimination
 # buffer [A + G | s, M c], 8 n (3 n + 4) bytes a radius, come to about this
-# size: 143 radii at n = 24, 6,721 at n = 3, 13,107 at n = 2. A block's
-# working set (tracemalloc peak of one sample_grid) is 2.6 MB at n = 24
-# (complex a_j) and 2.9 MB at n = 3 (real a_j; 4.4 MB complex), with or
-# without W, whose einsum ends before the elimination buffer exists.
+# size up to n = 12: 6,721 radii at n = 3, 13,107 at n = 2. From n = 13 on
+# that would leave the batched LU's numpy calls too few radii to loop over,
+# so a block keeps BLOCK_BYTES // 4096 radii (512) while its stacks stay
+# within four times this size: 512 radii at n = 24, 147 at n = 48, 37 at
+# n = 96. A block's working set (tracemalloc peak of one sample_grid) is
+# then under 10 MB at every n, 9.1 MB at n = 24 (complex a_j) and 2.9 MB
+# at n = 3 (real a_j; 4.4 MB complex), with or without W, whose einsum
+# ends before the elimination buffer exists.
 BLOCK_BYTES = 1 << 21
 
 
@@ -175,12 +180,16 @@ def sample_blocks(config: ModelConfig, radii, *, with_w: bool = True):
     """Yield (block, r, v, v', V, W) per slice `block` of the radii, in order.
 
     radii is an array or a GridSpec, whose block radii r are computed alone,
-    bitwise its radii()[block]. BLOCK_BYTES sets the block length, and each
-    block is one sample_grid call, with_w passed on.
+    bitwise its radii()[block]. BLOCK_BYTES sets the block length: the
+    radii whose stacks fill BLOCK_BYTES, but at least BLOCK_BYTES // 4096
+    as long as the stacks fill at most 4 BLOCK_BYTES. Each block is one
+    sample_grid call, with_w passed on.
     """
     grid = isinstance(radii, GridSpec)
     radii = radii if grid else np.asarray(radii, dtype=float)
-    step = max(1, BLOCK_BYTES // (8 * config.n * (3 * config.n + 4)))
+    row = 8 * config.n * (3 * config.n + 4)
+    step = max(1, min(max(BLOCK_BYTES // row, BLOCK_BYTES // 4096),
+                      4 * BLOCK_BYTES // row))
     for start in range(0, radii.count if grid else radii.size, step):
         block = slice(start, start + step)
         r = radii.radii(block) if grid else radii[block]

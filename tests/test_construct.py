@@ -36,6 +36,9 @@ CFG24 = ModelConfig(np.linspace(5.0, 0.5, 24),
 # n = 66 complex: numpy halves a row of 132 floats before its 4 lanes
 CFG66 = ModelConfig(np.linspace(7.0, 0.5, 66),
                     1.0 + 0.05 * np.arange(66) + 0.5j * np.sin(np.arange(66)))
+# n = 96 complex: blocks capped at 4 BLOCK_BYTES, below the 512-radius floor
+CFG96 = ModelConfig(np.linspace(9.0, 0.5, 96),
+                    1.0 + 0.05 * np.arange(96) + 0.5j * np.cos(np.arange(96)))
 RADII = np.array([0.3, 1.0, 4.4, 17.0])
 
 
@@ -290,8 +293,11 @@ def block_slices(cfg, count):
 
 def test_block_length_bounds_one_stack_to_a_mebibyte():
     # about 2 MiB per block of the real H/G stack and the complex
-    # elimination buffer [A + G | s, M c] together, at least 1 radius
-    for n, b in ((24, 143), (3, 6721), (2, 13107), (1, 37449), (300, 1)):
+    # elimination buffer [A + G | s, M c] together up to n = 12; from
+    # n = 13 on at least 512 radii, as long as they fit in 8 MiB; at least
+    # 1 radius
+    for n, b in ((1, 37449), (2, 13107), (3, 6721), (12, 546), (13, 512),
+                 (24, 512), (48, 147), (96, 37), (300, 3)):
         cfg = ModelConfig(np.arange(n, 0, -1.0), np.ones(n))
         assert block_slices(cfg, b + 1) == [range(b), range(b, b + 1)], n
 
@@ -304,9 +310,9 @@ def test_sample_blocks_samples_every_block_through_sample_grid(monkeypatch):
         return sample_grid(config, radii, **kwargs)
 
     monkeypatch.setattr(ewlab.construct, "sample_grid", counted)
-    grid = GridSpec(0.0, 3.0, 1e-3)  # 3,001 radii: 21 blocks at n = 24
+    grid = GridSpec(0.0, 10.0, 1e-3)  # 10,001 radii: 20 blocks at n = 24
     lengths = [len(r) for _, r, *_ in sample_blocks(CFG24, grid)]
-    assert calls == lengths and len(calls) == 21
+    assert calls == lengths and len(calls) == 20
     assert sum(calls) == grid.count
 
 
@@ -316,8 +322,9 @@ def streamed(cfg, radii):
     return [np.concatenate(field) for field in zip(*blocks)]
 
 
-@pytest.mark.parametrize("cfg, b", [(CFG24, 143), (CFGC, 13107), (CFG66, 19)],
-                         ids=["n24", "n2", "n66"])
+@pytest.mark.parametrize("cfg, b", [(CFG24, 512), (CFGC, 13107), (CFG66, 78),
+                                    (CFG96, 37)],
+                         ids=["n24", "n2", "n66", "n96"])
 def test_every_block_boundary_gives_the_same_bits(cfg, b):
     radii = 0.01 * np.arange(2 * b + 3)
     assert block_slices(cfg, radii.size) == [
@@ -326,8 +333,9 @@ def test_every_block_boundary_gives_the_same_bits(cfg, b):
     # the grid as one block of sample_grid is the blocked stream, bit for bit
     for got, want in zip(sample_grid(cfg, radii), full):
         assert got.tobytes() == want.tobytes()
-    # each radius alone is the reference: every row at n = 24, and at n = 2
-    # (26,217 radii) every 102nd row plus the rows around each boundary
+    # each radius alone is the reference: every row at n = 66 and n = 96,
+    # every 4th at n = 24 (1,027 radii) and every 102nd at n = 2 (26,217),
+    # plus the rows around each boundary
     rows = np.unique(np.concatenate([
         np.arange(0, radii.size, max(1, radii.size // 256)),
         np.clip(np.arange(-2, 3)[:, None] + [0, b, 2 * b], 0, radii.size - 1)
@@ -424,12 +432,14 @@ def test_real_couplings_sample_the_complex_path_in_float64(cfg, monkeypatch):
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
 
-@pytest.mark.parametrize("cfg, before", [(CFG24, 3989602), (CFG3, 3498960)],
-                         ids=["n24", "n3"])
+@pytest.mark.parametrize("cfg, before", [(CFG24, 2623912 * 512 // 143),
+                                         (CFG3, 3498960)], ids=["n24", "n3"])
 def test_one_block_needs_no_more_memory_than_before(cfg, before):
-    # the tracemalloc peak of one default block under the earlier solve,
-    # which copied A + G into a complex stack, then into a batch-last one,
-    # and solved s and M c after the LU: 113 radii at n = 24, 7,281 at n = 3
+    # at n = 3 the tracemalloc peak of one default block under the earlier
+    # solve, which copied A + G into a complex stack, then into a batch-last
+    # one, and solved s and M c after the LU: 7,281 radii; at n = 24 the
+    # peak per radius of the 143-radius blocks before the 512-radius floor
+    # (2,623,912 B a block), times 512
     blocks = sample_blocks(cfg, 0.01 * np.arange(20000))
     next(blocks)
     tracemalloc.start()
@@ -441,8 +451,26 @@ def test_one_block_needs_no_more_memory_than_before(cfg, before):
     assert peak <= before
 
 
+@pytest.mark.parametrize("n", [1, 3, 24, 48, 96])
+def test_one_block_stays_under_ten_megabytes_at_any_n(n):
+    # the 512-radius floor grows a block's stacks up to 4 BLOCK_BYTES from
+    # n = 13 on, so that one bound holds at every n: 9.4 MB at n = 48
+    # (complex a_j), 7.8 MB at n = 1; the second block, once warm
+    cfg = ModelConfig(np.linspace(9.0, 0.5, n) if n > 1 else [1.0],
+                      1.0 + 0.05 * np.arange(n) + 0.5j * np.cos(np.arange(n)))
+    blocks = sample_blocks(cfg, GridSpec(0.0, 1000.0, 0.01))
+    next(blocks)
+    tracemalloc.start()
+    try:
+        next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+
+
 def test_sample_blocks_working_memory_is_bounded():
-    # blocked, the stream peaks at 2.6 MiB; one whole-grid block, with its
+    # blocked, the stream peaks at 9.1 MiB; one whole-grid block, with its
     # (K, n, n) complex stack of 18 MB, at 33.8 MiB
     tracemalloc.start()
     try:

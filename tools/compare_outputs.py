@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py PARENT_CHECKOUT
 
 Runs `build`, `verify`, `probe` (single, `--sweep 5` and `--free`) and
-`expand` (default radii, `1 7.5 300` and 150 radii from 0.5 to 75) on
+`expand` (default radii, `1 7.5 300` and 1,100 radii from 0.5 to 550) on
 `configs/*.json`, on the seed-3 and seed-101 configs of every perfbench
 workload and on the EDGES below, in both checkouts, each with
 OPENBLAS_NUM_THREADS at 1 and at 2. Each run is `python -m ewlab.cli ...
@@ -47,8 +47,8 @@ COMMANDS = (
     ("probe", "--free"),
     ("expand",),
     ("expand", "1", "7.5", "300"),
-    # 150 radii: more than one 143-radius block at n = 24
-    ("expand", *(f"{k / 2:g}" for k in range(1, 151))),
+    # 1,100 radii: three 512-radius blocks at n = 24, so two boundaries
+    ("expand", *(f"{k / 2:g}" for k in range(1, 1101))),
 )
 WORKERS = 2  # two runs at a time: each is one process of modest size
 
