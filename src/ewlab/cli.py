@@ -171,6 +171,139 @@ def _emit(text: str, out: str | None) -> None:
         _write_atomic(out, text)
 
 
+def _split(a: np.ndarray) -> tuple:
+    """Dekker's split of a into two halves of at most 26 significant bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+# 10^k for k <= 22 is a double (5^22 < 2^53); built from Python ints, so
+# that no numpy kernel rounds them
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+_DIGITS = 17
+_MARK = 1  # a byte that no formatted value contains
+# values formatted at a time: _format_rows holds about 200 bytes a value,
+# so 1.6 MB here (8,192 and 16,384 ran fastest in-process on build-wide's
+# tables, 4,096 and 32,768 about 10% slower)
+_SLICE_VALUES = 8192
+
+
+def _two_product(a: np.ndarray, k: np.ndarray) -> tuple:
+    """(hi, lo) with hi = fl(a 10^k) and hi + lo = a 10^k exactly (Dekker)."""
+    hi = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _decimal(ax: np.ndarray) -> tuple:
+    """(q, e) for each ax in (1e-6, 1e17): ax rounded half to even to 17
+    significant digits is q 10^(e - 16), with q in [10^16, 10^17).
+
+    np.log10 only guesses e: e moves until |x| 10^(16-e), formed exactly as
+    hi + lo, lies in [10^16, 10^17), so q does not depend on its last bits.
+    """
+    k = 16 - np.clip(np.floor(np.log10(ax)), -6, 16).astype(np.intp)
+    hi, lo = _two_product(ax, k)
+    while True:
+        up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+        down = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+        off = np.flatnonzero(up | down)
+        if not off.size:
+            break
+        k[off] += down[off].astype(np.intp) - up[off]
+        hi[off], lo[off] = _two_product(ax[off], k[off])
+    # hi >= 2^53 is an even integer, so rint's ties to even are q's
+    q = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    e = 16 - k
+    carry = q == 10**_DIGITS
+    q[carry] = 10**(_DIGITS - 1)
+    e[carry] += 1
+    return q, e
+
+
+def _format_rows(table: np.ndarray) -> str:
+    """The rows of a 2-D float table as CSV text: each value exactly as
+    '%.17g' % x gives it, ',' between values and '\\n' after each row.
+
+    x = 0 and 1e-6 < |x| < 1e17 take _decimal's digits in %g's layout
+    (fixed from e = -4 to 16, else d.ddde-0X; trailing zeros and a bare
+    point dropped). Every other value (nan, inf, tiny or huge) takes
+    '%.17g' itself.
+    """
+    x = table.ravel()
+    m, count = table.shape[1], x.size
+    ax = np.abs(x)
+    zero = ax == 0.0
+    fast = zero | ((ax > 1e-6) & (ax < 1e17))
+    q, e = _decimal(np.where(fast & ~zero, ax, 1.0))
+    q[zero] = 0
+    e[zero] = 0
+    # the 17 digits, most significant first, by int32 division in 3 parts
+    top = q // 10**12
+    rest = q - top * 10**12
+    mid = rest // 10**6
+    parts = (top.astype(np.int32), mid.astype(np.int32),
+             (rest - mid * 10**6).astype(np.int32))
+    # rows 1 to 17 of pad hold the digits and rows 0 and 18 stay empty, so
+    # that pad[:-1] is the digits one slot later, behind a point
+    pad = np.zeros((_DIGITS + 2, count), np.uint8)
+    row = _DIGITS + 1
+    for part, width in zip(parts[::-1], (6, 6, 5)):
+        for _ in range(width):
+            row -= 1
+            tens = part // 10
+            pad[row] = part - tens * 10
+            part = tens
+    # the digits up to the last nonzero one; 0 for x = 0
+    rank = np.arange(1, _DIGITS + 1, dtype=np.uint8)[:, None]
+    significant = (rank * (pad[1:-1] != 0)).max(axis=0)
+    pad[1:-1] += ord("0")
+    sci = e < -4
+    # digits before the point: e + 1 in fixed notation, 1 in scientific,
+    # none below 1 (there the point sits ahead of the digits, at slot 2)
+    whole = np.where(sci, 1, np.maximum(e + 1, 0)).astype(np.uint8)
+    # the point's slot among the digits (255: none there), and the count
+    # of those slots that stay: the point and every digit before it or up
+    # to the last nonzero one
+    shown = (whole > 0) & (significant > whole)
+    point = np.where(shown, whole, 255).astype(np.uint8)
+    used = np.maximum(significant, whole) + shown
+    # 29 slots a value, 0 where empty: sign, "0." and up to three zeros
+    # below 1, 17 digits with a point among them, e-0X, separator
+    slots = np.zeros((29, count), np.uint8)
+    slots[0] = np.where(np.signbit(x), ord("-"), 0)
+    below = ~sci & (e < 0)
+    slots[1] = np.where(below, ord("0"), 0)
+    slots[2] = np.where(below, ord("."), 0)
+    for j in range(3):  # e = -2, -3, -4 put 1, 2, 3 zeros after the point
+        slots[3 + j] = np.where(below & (e < -1 - j), ord("0"), 0)
+    at = np.arange(_DIGITS + 1, dtype=np.uint8)[:, None]
+    area = slots[6:24]
+    area[...] = pad[1:]
+    np.copyto(area, pad[:-1], where=at > point)
+    area *= at < used
+    np.copyto(area, ord("."), where=at == point)
+    slots[24] = np.where(sci, ord("e"), 0)
+    slots[25] = np.where(sci, ord("-"), 0)
+    slots[26] = np.where(sci, ord("0"), 0)
+    slots[27] = np.where(sci, ord("0") - e, 0)
+    slow = np.flatnonzero(~fast)
+    slots[:28, slow] = 0
+    slots[0, slow] = _MARK
+    slots[28] = ord(",")
+    slots[28, m - 1::m] = ord("\n")
+    text = slots.T.tobytes().translate(None, b"\0").decode("ascii")
+    if not slow.size:
+        return text
+    pieces = text.split(chr(_MARK))
+    others = ["%.17g" % v for v in x[slow].tolist()]
+    return pieces[0] + "".join(f + p for f, p in zip(others, pieces[1:]))
+
+
 def _config_echo(rc: RunConfig) -> dict:
     return {
         "mu": [float(x) for x in rc.model.mu],
@@ -185,19 +318,20 @@ def _config_echo(rc: RunConfig) -> dict:
 def cmd_build(rc: RunConfig) -> int:
     """Sample the construction on the grid and emit one CSV row per radius.
 
-    Columns: r, V_re, V_im, then (vj_re, vj_im) for j = 1..n, then W; all
-    floats at 17 significant digits so the file round-trips doubles exactly.
+    Columns: r, V_re, V_im, then (vj_re, vj_im) for j = 1..n, then W; each
+    float as '%.17g' writes it, so the file round-trips doubles exactly.
     Rows are formatted and written one block of construct.sample_blocks at
     a time, into the atomic temp file with --out, so neither the sample nor
     the text exists in full (on stdout, a failing block follows the rows
-    printed before it); each block is one % over its repeated row template.
+    printed before it). _format_rows writes the text with numpy, in slices
+    of _SLICE_VALUES values.
     """
     rc.model.check_radius(rc.grid.r_end)
     from ewlab.construct import sample_blocks
     n = rc.model.n
     header = "r,V_re,V_im," + ",".join(
         f"v{j}_re,v{j}_im" for j in range(1, n + 1)) + ",W\n"
-    row = ",".join(["%.17g"] * (2 * n + 4)) + "\n"
+    rows = max(1, _SLICE_VALUES // (2 * n + 4))
     out = rc.output_path
     with (contextlib.nullcontext(sys.stdout) if out is None
           else _atomic_file(out)) as fh:
@@ -208,7 +342,8 @@ def cmd_build(rc: RunConfig) -> int:
             table = np.column_stack([r, big_v.real, big_v.imag,
                                      v.astype(complex, order="C").view(float),
                                      w]) + 0.0
-            fh.write(row * len(table) % tuple(table.ravel().tolist()))
+            for start in range(0, len(table), rows):
+                fh.write(_format_rows(table[start:start + rows]))
     return 0
 
 

@@ -7,10 +7,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ewlab.cli
 import ewlab.construct
@@ -18,7 +21,8 @@ import ewlab.spectral_probe
 import ewlab.verify
 from ewlab.cli import main
 from ewlab.construct import InvertibilityError, sample_grid
-from ewlab.kernel import ConfigError, GridError, ModelConfig, gram_matrix_stack
+from ewlab.kernel import (ConfigError, GridError, GridSpec, ModelConfig,
+                          gram_matrix_stack)
 from ewlab.linalg import SingularMatrixError
 from ewlab.oracle import QuadratureError, StepTooLargeError
 from ewlab.spectral_probe import NoConvergenceError
@@ -148,24 +152,98 @@ def test_build_csv_round_trips_doubles(tmp_path):
 
 
 def test_build_csv_matches_per_cell_format(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, mu=[2.0, 1.0], a=[[1.0, 1.0], [2.0, 0.0]],
-                       grid={"start": 0.0, "end": 5.0, "step": 0.01})
-    radii = np.arange(501) * 0.01
-    v, _, big_v, w = sample_grid(ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0]),
-                                 radii)
-    rows = []
-    for k, r in enumerate(radii):
-        cells = [r, big_v[k].real, big_v[k].imag]
-        for z in v[k]:
-            cells += [z.real, z.imag]
-        cells.append(w[k])
-        rows.append(",".join(f"{x + 0.0:.17g}" for x in cells))
-    # one block, then seven radii per block at n = 2 (72 blocks)
-    for block_bytes in (ewlab.construct.BLOCK_BYTES, 7 * 160):
-        monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", block_bytes)
-        out = tmp_path / "out.csv"
-        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[1:] == rows, block_bytes
+    model = ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0])
+    # the second grid's radii print as d.ddde-05, and its v and W fall
+    # below 1e-6, where the formatter hands them to '%.17g'
+    for grid in (GridSpec(0.0, 5.0, 0.01), GridSpec(0.0, 1e-3, 1e-5)):
+        cfg = write_config(tmp_path, mu=[2.0, 1.0], a=[[1.0, 1.0], [2.0, 0.0]],
+                           grid={"start": grid.r_start, "end": grid.r_end,
+                                 "step": grid.step})
+        radii = grid.radii()
+        v, _, big_v, w = sample_grid(model, radii)
+        rows = []
+        for k, r in enumerate(radii):
+            cells = [r, big_v[k].real, big_v[k].imag]
+            for z in v[k]:
+                cells += [z.real, z.imag]
+            cells.append(w[k])
+            rows.append(",".join(f"{x + 0.0:.17g}" for x in cells))
+        # one block and slice; then 7 radii a block at n = 2, each row its
+        # own slice; then 38-radius blocks cut into slices of 3 rows
+        for block_bytes, values in ((ewlab.construct.BLOCK_BYTES,
+                                     ewlab.cli._SLICE_VALUES),
+                                    (7 * 160, 8), (6144, 24)):
+            monkeypatch.setattr(ewlab.construct, "BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(ewlab.cli, "_SLICE_VALUES", values)
+            out = tmp_path / "out.csv"
+            assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[1:] == rows, block_bytes
+            monkeypatch.undo()
+
+
+def _percent_g(table) -> str:
+    return "".join(",".join("%.17g" % x for x in row) + "\n"
+                   for row in table.tolist())
+
+
+def _hard_values() -> np.ndarray:
+    """Powers of ten and their neighbours, exact ties at the 17th digit,
+    the ends of the fast path, zeros, subnormals, huge and non-finite
+    values, and a seeded sweep of bit patterns."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308,
+              np.nan, np.inf, -np.inf, 1234567890123456.75,
+              -1234567890123456.25, 1e-6, 1e-5, 1e-4, 1e16, 1e17]
+    for k in range(-8, 19):
+        for x in (float(f"1e{k}"), float(f"-1e{k}")):
+            up = down = x
+            for _ in range(4):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                values += [up, down]
+            values.append(x)
+    rng = np.random.default_rng(20)
+    ties = []
+    for j in range(2, 26):  # m 2^-j with m 5^j of 18 digits, the last a 5
+        low = -(-10**17 // 5**j)
+        high = min(2**53, 10**18 // 5**j)
+        m = rng.integers(low, high, 40) | 1
+        ties += (m * 2.0**-j).tolist()
+    assert all(len(Decimal(x).as_tuple().digits) == 18 for x in ties)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64,
+                        endpoint=False).view(float)
+    scaled = rng.uniform(-7.0, 17.5, 20_000)
+    signs = rng.choice([-1.0, 1.0], 20_000)
+    return np.concatenate([values, ties, bits, signs * 10.0**scaled])
+
+
+def test_format_rows_matches_percent_g_on_hard_values():
+    values = _hard_values()
+    table = values[:values.size // 7 * 7].reshape(-1, 7)
+    assert ewlab.cli._format_rows(table) == _percent_g(table)
+    # one value a row, so every value ends its row
+    assert ewlab.cli._format_rows(values[:, None]) == _percent_g(
+        values[:, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=24),
+       st.integers(min_value=1, max_value=4))
+def test_format_rows_matches_percent_g(values, width):
+    values += [0.0] * (-len(values) % width)
+    table = np.array(values).reshape(-1, width)
+    assert ewlab.cli._format_rows(table) == _percent_g(table)
+
+
+@pytest.mark.parametrize("shift", [0.9, -0.9])
+def test_format_rows_does_not_depend_on_log10s_bits(monkeypatch, shift):
+    table = _hard_values()[:, None]
+    expected = ewlab.cli._format_rows(table)
+    log10 = np.log10
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guesses = np.floor(log10(np.abs(table)))
+        assert np.any(np.floor(log10(np.abs(table)) + shift) != guesses)
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    assert ewlab.cli._format_rows(table) == expected
 
 
 def test_build_is_deterministic(tmp_path):

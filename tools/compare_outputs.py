@@ -5,14 +5,20 @@
 Runs `build`, `verify`, `probe` (single, `--sweep 5` and `--free`) and
 `expand` (default radii, `1 7.5 300` and 1,100 radii from 0.5 to 550) on
 `configs/*.json`, on the seed-3 and seed-101 configs of every perfbench
-workload and on the EDGES below, in both checkouts, each with
-OPENBLAS_NUM_THREADS at 1 and at 2. Each run is `python -m ewlab.cli ...
+workload and on the EDGES below, in both checkouts, on each of three AXES:
+OPENBLAS_NUM_THREADS at 1, at 2, and at 1 with numpy's run-time CPU
+dispatch held to its baseline kernels (NPY_DISABLE_CPU_FEATURES, set in
+the child only; ROADMAP item 8). Each run is `python -m ewlab.cli ...
 --out FILE` with PYTHONPATH set to the checkout's src/. It prints every
-difference in stdout, stderr, exit code or the bytes of FILE, then one
-summary line, and exits 1 if anything differed.
+difference in stdout, stderr, exit code or the bytes of FILE, then for
+each axis the number of runs that differ and, for each command, the
+fields or columns that differ, then one summary line, and exits 1 if
+anything differed.
 Where both FILEs parse as JSON, a difference in their bytes is printed as
 the dotted key paths whose values differ, each with the largest relative
-change of its numeric leaves (`sweep.estimates (rel 4.6e-13)`, say).
+change of its numeric leaves (`sweep.estimates (rel 4.6e-13)`, say);
+where both are CSV of the same shape, as the columns that differ, each
+with the number of rows in which it does.
 
 Both checkouts read the same config files, written once from this
 checkout's perfbench/workloads.py. Needs only the standard library and
@@ -38,7 +44,15 @@ sys.path.insert(0, str(HERE / "perfbench"))
 from workloads import WORKLOADS, write_configs  # noqa: E402
 
 SEEDS = (3, 101)
-THREADS = ("1", "2")
+# (name, environment of the child): BLAS threads, and numpy's dispatch held
+# to the kernels it builds without AVX2 or AVX-512
+AXES = (
+    ("threads=1", {"OPENBLAS_NUM_THREADS": "1"}),
+    ("threads=2", {"OPENBLAS_NUM_THREADS": "2"}),
+    ("dispatch=baseline", {"OPENBLAS_NUM_THREADS": "1",
+                           "NPY_DISABLE_CPU_FEATURES":
+                               "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}),
+)
 COMMANDS = (
     ("build",),
     ("verify",),
@@ -95,12 +109,14 @@ def configs(directory: Path) -> list:
     return paths
 
 
-def run(checkout: Path, command: tuple, config: Path, threads: str,
+def run(checkout: Path, command: tuple, config: Path, axis: dict,
         out: Path) -> tuple:
     """(exit code, stdout, stderr, --out bytes or None) of one CLI run."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-               MKL_NUM_THREADS=threads)
+    threads = axis["OPENBLAS_NUM_THREADS"]
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env.update(PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads, **axis)
     argv = [sys.executable, "-m", "ewlab.cli", command[0], "--config",
             str(config), "--out", str(out), *command[1:]]
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
@@ -161,32 +177,76 @@ def relative_change(old, new) -> str:
     return f"{worst:.2g}"
 
 
-def describe(name: str, old, new) -> str:
-    """One difference: the changed JSON fields of --out, each with its
-    largest relative change, else both values."""
+def changed_columns(old: bytes, new: bytes) -> list:
+    """(column name, rows that differ) where two CSV texts of the same shape
+    and at least two columns differ; [] where they are not such texts."""
+    old_rows = [line.split(b",") for line in old.splitlines()]
+    new_rows = [line.split(b",") for line in new.splitlines()]
+    if (len(old_rows) < 2 or len(old_rows[0]) < 2
+            or len(old_rows) != len(new_rows)
+            or old_rows[0] != new_rows[0]
+            or len({len(row) for row in old_rows + new_rows}) != 1):
+        return []
+    header = old_rows[0]
+    counts = [sum(a[c] != b[c] for a, b in zip(old_rows[1:], new_rows[1:]))
+              for c in range(len(header))]
+    return [(header[c].decode(), count) for c, count in enumerate(counts)
+            if count]
+
+
+def differing_fields(name: str, old, new) -> tuple:
+    """Where one output differs: ("fields", [(key path, largest relative
+    change)]) for changed JSON, ("columns", [(column, changed rows)]) for
+    changed CSV of the same shape, else ("", [(name, both values)])."""
     if name == "--out bytes" and old is not None and new is not None:
         try:
             fields = changed_fields(json.loads(old), json.loads(new))
         except ValueError:  # CSV or text
-            fields = []
-        if fields:  # none when only the formatting differs
-            return "--out fields: " + ", ".join(
-                f"{path} (rel {relative_change(a, b)})"
-                for path, a, b in fields)
-    return f"{name}: {old!r:.200} -> {new!r:.200}"
+            columns = changed_columns(old, new)
+            if columns:
+                return "columns", [(column, f"{count} rows")
+                                   for column, count in columns]
+        else:
+            if fields:  # none when only the formatting differs
+                return "fields", [(path, f"rel {relative_change(a, b)}")
+                                  for path, a, b in fields]
+    return "", [(name, f"{old!r:.200} -> {new!r:.200}")]
 
 
-def compare(job: tuple) -> list:
-    parent, command, config, threads, scratch = job
-    tag = f"{' '.join(command)} {config.parent.name}/{config.name} " \
-          f"threads={threads}"
+def describe(name: str, old, new) -> str:
+    """One difference: the changed JSON fields or CSV columns of --out, each
+    with its largest relative change or its count of changed rows, else
+    both values."""
+    kind, fields = differing_fields(name, old, new)
+    if not kind:
+        return f"{name}: {fields[0][1]}"
+    return f"--out {kind}: " + ", ".join(
+        f"{field} ({detail})" for field, detail in fields)
+
+
+def label(command: tuple) -> str:
+    """A command's words, or its subcommand and count of radii when long."""
+    if len(command) > 4:
+        return f"{command[0]} ({len(command) - 1} radii)"
+    return " ".join(command)
+
+
+def compare(job: tuple) -> tuple:
+    """(axis name, command label, differing field names, DIFF lines) of one
+    job."""
+    parent, command, config, (axis, env), scratch = job
+    tag = f"{label(command)} {config.parent.name}/{config.name} {axis}"
     key = f"{COMMANDS.index(command)}-{config.parent.name}-{config.stem}-" \
-          f"{threads}"
-    results = [run(root, command, config, threads, scratch / f"{key}-{side}")
+          f"{axis.replace('=', '-')}"
+    results = [run(root, command, config, env, scratch / f"{key}-{side}")
                for side, root in (("parent", parent), ("change", HERE))]
     names = ("exit code", "stdout", "stderr", "--out bytes")
-    return [f"DIFF {tag}: {describe(name, old, new)}"
-            for name, old, new in zip(names, *results) if old != new]
+    differ = [(name, old, new) for name, old, new in zip(names, *results)
+              if old != new]
+    fields = sorted({field for item in differ
+                     for field, _ in differing_fields(*item)[1]})
+    return (axis, label(command), fields,
+            [f"DIFF {tag}: {describe(*item)}" for item in differ])
 
 
 def main(argv=None) -> int:
@@ -197,17 +257,25 @@ def main(argv=None) -> int:
     parent = Path(args[0]).resolve()
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         scratch = Path(tmp)
-        jobs = [(parent, command, config, threads, scratch)
+        jobs = [(parent, command, config, axis, scratch)
                 for config in configs(scratch)
-                for command in COMMANDS for threads in THREADS]
-        differ = 0
+                for command in COMMANDS for axis in AXES]
+        differ = {name: 0 for name, _ in AXES}
+        where: dict = {name: {} for name, _ in AXES}
         with ThreadPoolExecutor(WORKERS) as pool:
-            for lines in pool.map(compare, jobs):
-                differ += bool(lines)
+            for axis, command, fields, lines in pool.map(compare, jobs):
+                differ[axis] += bool(lines)
+                where[axis].setdefault(command, set()).update(fields)
                 for line in lines:
                     print(line, flush=True)
-    print(f"{len(jobs)} runs compared, {differ} differ")
-    return 1 if differ else 0
+    for name, _ in AXES:
+        print(f"{name}: {len(jobs) // len(AXES)} runs, {differ[name]} differ")
+        for command, fields in sorted(where[name].items()):
+            if fields:
+                print(f"  {command}: {', '.join(sorted(fields))}")
+    total = sum(differ.values())
+    print(f"{len(jobs)} runs compared, {total} differ")
+    return 1 if total else 0
 
 
 if __name__ == "__main__":
