@@ -29,8 +29,9 @@ operation is one loop over the radii, and its sums over j keep np.sum's
 bits; v and v' are returned as (K, n) views. `sample_blocks` cuts a
 grid into blocks sized by BLOCK_BYTES, with a floor of 512 radii while a
 block's stacks stay within 4 BLOCK_BYTES, each one `sample_grid` call, for
-`build` and `expand` (with W), the probe and verify's residual, shooting
-and [0, 400] passes; only few-radius callers call `sample_grid` directly.
+`build`, `expand` and the decay fits (with W), the probe and verify's
+residual, shooting and [0, 400] passes; only few-radius callers call
+`sample_grid` directly.
 
 Large-r behaviour, used by the asymptotic checks:
 
@@ -162,8 +163,10 @@ def sample_grid(config: ModelConfig, radii, *, with_w: bool = True) -> tuple:
     """
     radii = np.asarray(radii, dtype=float)
     s = trig_s(config, radii).T  # radius-last rows from here on
-    mc = trig_c(config, radii).T * config.mu[:, None]
-    g = h_matrix_stack(config, radii).transpose(1, 2, 0)  # H for W, then G
+    c = trig_c(config, radii).T
+    mc = c * config.mu[:, None]
+    # H for W, then G
+    g = h_matrix_stack(config, radii, s.T, c.T).transpose(1, 2, 0)
     w = _w(s, mc, g) if with_w else None
     diagonal = np.einsum("iik->ik", g)  # a writeable view
     diagonal += 0.5 * radii

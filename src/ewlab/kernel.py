@@ -25,10 +25,8 @@ are stored radius-last, (n, K) and (n, n, K), and returned as transposed
 views: `.T` or `.transpose(1, 2, 0)` gives a caller rows of K contiguous
 values, so that each numpy operation on them is one loop over the radii.
 A caller whose sum or einsum depends on the layout takes a row-major copy.
-Entries are accurate to about machine epsilon in absolute terms at moderate
-radii; near-equal frequencies need no special treatment because the
-off-diagonal denominators are r-independent single terms, not
-cancellations. `GridSpec` is the radius grid of every layer.
+`h_matrix_stack` builds H from s and c, and keeps the sines above only for
+near-equal frequencies. `GridSpec` is the radius grid of every layer.
 """
 
 from __future__ import annotations
@@ -168,39 +166,41 @@ def h_bound(config: ModelConfig) -> np.ndarray:
     return np.where(diff == 0.0, 1.0 / (4.0 * mu), off)
 
 
-def h_matrix_stack(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
-    """H(r) for every radius at once, shape (len(radii), n, n).
+def h_matrix_stack(config: ModelConfig, radii: np.ndarray, s: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """H(r) for every radius, shape (len(radii), n, n), from the trig_s and
+    trig_c of the same radii: with d = mu_i - mu_j and t = mu_i + mu_j,
 
-    Only the upper triangle i < j is evaluated; the lower one is its
-    mirror. That is exact, not an approximation: (mu_j - mu_i) r is
-    -((mu_i - mu_j) r) bit for bit, sin is odd bit for bit, and the sum
-    mu_i + mu_j does not depend on the order, so h_ji = h_ij bitwise and
-    each stack is symmetric with half the sine evaluations. Row i of the
-    pairs, h_ij for j > i, is copied as one block into h[i, i+1:] and
-    h[i+1:, i] of the radius-last storage.
+        h_ij = alpha_ij s_i c_j - beta_ij c_i s_j,  h_ii = -s_i c_i / (2 mu_i),
+
+    alpha_ij = mu_j / d / t and beta_ij = mu_i / d / t. The products lose
+    about 4 eps (1 + mu_i r) / d, the sines sin(d r) / (2 d) - sin(t r) / (2 t)
+    about eps r, so a close pair, d < mu_i / 2^10, keeps its sines: the rule
+    reads mu alone. Row i of the upper triangle is mirrored into column i.
     """
     mu = config.mu
-    n = config.n
     radii = np.asarray(radii, dtype=float)
-    upper, lower = np.triu_indices(n, 1)
-    diff = (mu[upper] - mu[lower])[:, None]
-    total = (mu[upper] + mu[lower])[:, None]
-    pairs = (np.sin(diff * radii) / (2.0 * diff)
-             - np.sin(total * radii) / (2.0 * total))
-    h = np.empty((n, n, radii.size))
-    for i in range(n - 1):  # row i of the pairs starts after i rows
-        start = i * (2 * n - i - 1) // 2
-        h[i, i + 1:] = h[i + 1:, i] = pairs[start:start + n - 1 - i]
-    diagonal = np.einsum("iik->ik", h)  # a writeable view
-    np.sin(np.multiply.outer(2.0 * mu, radii), out=diagonal)
-    diagonal /= -4.0 * mu[:, None]
+    s, c = s.T, c.T  # radius-last rows
+    h = np.empty((config.n, config.n, radii.size))
+    for i in range(config.n - 1):
+        m = i + 1 + int(np.sum(mu[i] - mu[i + 1:] < mu[i] / 1024))
+        for j in range(i + 1, m):  # the close pairs: mu decreases
+            d, t = mu[i] - mu[j], mu[i] + mu[j]
+            h[i, j] = np.sin(d * radii) / (2 * d) - np.sin(t * radii) / (2 * t)
+        d, t = mu[i] - mu[m:, None], mu[i] + mu[m:, None]
+        row = np.multiply(s[i], c[m:], out=h[i, m:])
+        row *= mu[m:, None] / d / t
+        row -= mu[i] / d / t * (c[i] * s[m:])
+        h[i + 1:, i] = h[i, i + 1:]
+    np.divide(s * c, -2.0 * mu[:, None], out=np.einsum("iik->ik", h))
     return h.transpose(2, 0, 1)
 
 
 def gram_matrix_stack(config: ModelConfig, radii: np.ndarray) -> np.ndarray:
     """G(r) for every radius at once, shape (len(radii), n, n)."""
     radii = np.asarray(radii, dtype=float)
-    g = h_matrix_stack(config, radii)
+    g = h_matrix_stack(config, radii, trig_s(config, radii),
+                       trig_c(config, radii))
     diagonal = np.einsum("kii->ik", g)  # a writeable view
     diagonal += 0.5 * radii
     return g

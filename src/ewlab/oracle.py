@@ -75,8 +75,10 @@ __all__ = [
 # Decay exponents are asymptotic statements; fitted slopes get this margin.
 SLOPE_TOL = 0.2
 
-# Radii of every large-r fit: 200 log-spaced on [50, 400].
-FIT_RADII = np.geomspace(50.0, 400.0, 200)
+# Radii of every large-r fit: 2,000 log-spaced on [50, 400], 0.001 r apart
+# (0.42 at r = 400), so that a bin's maximum finds the envelope of V's
+# half-period pi / (2 mu_1) oscillation (0.52 at mu_1 = 3).
+FIT_RADII = np.geomspace(50.0, 400.0, 2000)
 FIT_RADII.setflags(write=False)
 
 
@@ -480,8 +482,9 @@ def decay_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
     order: "potential", "resolvent", "vprime", "v1".."vn", each with a
     "_one_term" fit, whose defect should fall like r^-2, and a "_two_term"
     fit, like r^-3; "resolvent_small_r" follows the resolvent's pair. The
-    large-r fits share one sample of FIT_RADII, and remainder is
-    |V - leading - second| r^3 there.
+    large-r fits share one pass of sample_blocks over FIT_RADII, each block
+    reduced to its defects at once, and remainder is |V - leading - second|
+    r^3 there.
 
       V:     the two terms of construct.potential_terms, from the sample's W;
       (A+G)^{-1} = (2/r) I - (4/r^2)(A+H) + ..., max entry;
@@ -489,47 +492,62 @@ def decay_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
       v' = -(2/r) M c + (4/r^2) ((ts s) s + A M c + H M c) + ..., max entry;
       v = -(2/r) s + (4/r^2) (A s + H s) + ..., per v_j.
 
-    s, M c and H are built once here and shared by the v', resolvent and
-    v_j defects.
+    s, M c and H are built once a block and shared by the v', resolvent
+    and v_j defects.
     """
     radii = FIT_RADII
-    r = radii[:, None]
-    rr = radii[:, None, None]
-    v, v_prime, big_v, w = sample_grid(config, radii)
-    pot_lead, pot_second = potential_terms(config, radii, w)
-    # row-major copies of the radius-last stacks: np.sum and einsum below
-    # add in an order set by the layout, and these copies keep the bits
-    s, c, h = (np.ascontiguousarray(x) for x in (
-        trig_s(config, radii), trig_c(config, radii),
-        h_matrix_stack(config, radii)))
-    mc = config.mu * c
+    blocks = construct.sample_blocks(config, radii)
+    defects = np.concatenate(
+        [_large_r_defects(config, *block[1:]) for block in blocks], axis=1)
     fits = {}
 
-    def pair(stem, what, one, two, leading="leading term"):
+    def pair(stem, what, row, leading="leading term"):
         fits[f"{stem}_one_term"], fits[f"{stem}_two_term"] = (
-            fit_decay_slope(radii, one, -2.0, f"{what} minus {leading}"),
-            fit_decay_slope(radii, two, -3.0, f"{what} minus two terms"))
+            fit_decay_slope(radii, defects[row], -2.0,
+                            f"{what} minus {leading}"),
+            fit_decay_slope(radii, defects[row + 1], -3.0,
+                            f"{what} minus two terms"))
 
-    v_rest = np.abs(big_v - pot_lead - pot_second)
-    pair("potential", "V", np.abs(big_v - pot_lead), v_rest)
-    bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
-    refined = bare + (4.0 / rr**2) * (np.diag(config.a) + h)
-    pair("resolvent", "resolvent", _max_entry(bare), _max_entry(refined),
-         leading="2/r")
+    pair("potential", "V", 0)
+    pair("resolvent", "resolvent", 2, leading="2/r")
     small = np.geomspace(1e-3, 0.3, 60)
     fits["resolvent_small_r"] = fit_decay_slope(
         small, _max_entry(_inverse(config, small) - np.diag(1.0 / config.a)),
         3.0, "resolvent minus A^{-1}", bins=12)
+    pair("vprime", "v'", 4)
+    for j in range(config.n):
+        pair(f"v{j + 1}", f"v_{j + 1}", 6 + 2 * j)
+    return fits, defects[1] * radii**3
+
+
+def _large_r_defects(config: ModelConfig, radii: np.ndarray, v: np.ndarray,
+                     v_prime: np.ndarray, big_v: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+    """decay_fits' large-r defects at one block's radii and sample, shape
+    (6 + 2 n, K): the one- and two-term defects of V, the resolvent, v'
+    and each v_j, in that order."""
+    r = radii[:, None]
+    rr = radii[:, None, None]
+    pot_lead, pot_second = potential_terms(config, radii, w)
+    # row-major copies of the radius-last stacks: np.sum and einsum below
+    # add in an order set by the layout, and these copies keep the bits
+    s, c = trig_s(config, radii), trig_c(config, radii)
+    s, c, h = (np.ascontiguousarray(x)
+               for x in (s, c, h_matrix_stack(config, radii, s, c)))
+    mc = config.mu * c
+    bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
+    refined = bare + (4.0 / rr**2) * (np.diag(config.a) + h)
     lead = -(2.0 / r) * mc
     nxt = (4.0 / r ** 2) * (np.sum(s * s, axis=1)[:, None] * s
                             + config.a * mc + np.einsum("kij,kj->ki", h, mc))
-    pair("vprime", "v'", np.max(np.abs(v_prime - lead), axis=1),
-         np.max(np.abs(v_prime - lead - nxt), axis=1))
     v_two = -(2.0 / r) * s + (4.0 / r**2) * (
         config.a * s + np.einsum("kjl,kl->kj", h, s))
     one_v = np.abs(v + (2.0 / r) * s)
     two_v = np.abs(v - v_two)
-    for j in range(config.n):
-        pair(f"v{j + 1}", f"v_{j + 1}", one_v[:, j], two_v[:, j])
-    return fits, v_rest * radii**3
+    return np.vstack([
+        np.abs(big_v - pot_lead), np.abs(big_v - pot_lead - pot_second),
+        _max_entry(bare), _max_entry(refined),
+        np.max(np.abs(v_prime - lead), axis=1),
+        np.max(np.abs(v_prime - lead - nxt), axis=1),
+        *(x for j in range(config.n) for x in (one_v[:, j], two_v[:, j]))])
 

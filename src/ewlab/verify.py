@@ -177,7 +177,9 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
                    / (np.outer(mu, mu) * sweep[:, None, None] ** 3))
     checks.append(_upper("gram_entry_cubic_bound", ratio, 1.0))
     hsweep = np.arange(0.05, 400.0, 0.05)[::40]
-    hratio = np.max(np.abs(h_matrix_stack(config, hsweep)) / h_bound(config))
+    h = h_matrix_stack(config, hsweep, trig_s(config, hsweep),
+                       trig_c(config, hsweep))
+    hratio = np.max(np.abs(h) / h_bound(config))
     # the diagonal ratio is |sin|, which can graze 1; allow rounding slack
     checks.append(_upper("h_entry_uniform_bound", hratio, 1.0 + 1e-12))
 

@@ -457,9 +457,9 @@ def test_expand_builds_one_h_stack(tmp_path, monkeypatch, capsys):
     calls = []
     stack = ewlab.construct.h_matrix_stack
 
-    def counted(config, radii):
+    def counted(config, radii, s, c):
         calls.append(len(radii))
-        return stack(config, radii)
+        return stack(config, radii, s, c)
 
     monkeypatch.setattr(ewlab.construct, "h_matrix_stack", counted)
     cfg = write_config(tmp_path, mu=[2.0, 1.0], a=[[1.0, 0.5], [2.0, 0.0]])

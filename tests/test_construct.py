@@ -191,7 +191,8 @@ def test_eigenfunction_expansion_error_decays_cubically():
     # v_j ~ -(2/r) s_j + (4/r^2) (a_j s_j + (H s)_j), with an O(r^-3) error
     radii = np.geomspace(50.0, 400.0, 200)
     s, r = trig_s(CFG3, radii), radii[:, None]
-    hs = np.einsum("kjl,kl->kj", h_matrix_stack(CFG3, radii), s)
+    h = h_matrix_stack(CFG3, radii, s, trig_c(CFG3, radii))
+    hs = np.einsum("kjl,kl->kj", h, s)
     two_terms = -(2.0 / r) * s + (4.0 / r**2) * (CFG3.a * s + hs)
     err = np.abs(sample_grid(CFG3, radii)[0] - two_terms)
     assert np.max(err * radii[:, None] ** 3) <= 60.0

@@ -1,5 +1,6 @@
 """Kernel closed forms: trig vectors, Gram matrices, bounds, validation."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,11 @@ def taylor_cos(x: float) -> float:
 MU3 = ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
 MU1 = ModelConfig([1.0], [1.0])
 MU21 = ModelConfig([2.0, 1.0], [1.0, 1.0])
+
+
+def h_stack(config, radii):
+    return h_matrix_stack(config, radii, trig_s(config, radii),
+                          trig_c(config, radii))
 
 
 def test_trig_s_special_values():
@@ -125,13 +131,14 @@ def test_quadrature_agreement_on_seeded_triples():
 
 def test_h_matrix_values():
     r = 0.9
-    h = h_matrix_stack(MU1, [r])
+    h = h_stack(MU1, [r])
     assert h[0, 0, 0] == pytest.approx(-np.sin(2 * r) / 4, abs=1e-16)
-    assert np.all(h_matrix_stack(MU3, [0.0]) == 0.0)
+    assert np.all(h_stack(MU3, [0.0]) == 0.0)
 
 
 def test_sin_is_bitwise_odd():
-    # h_matrix_stack mirrors its upper triangle on this property
+    # mirroring a close pair's h_ij gives the bits of h_ji's own sines:
+    # d r and t r change sign, not bits
     x = np.random.default_rng(9).uniform(-1e5, 1e5, 100_000)
     x = np.concatenate([x, [0.0, 1e-300, np.pi, 1e4 * np.pi]])
     assert np.array_equal(np.sin(-x), -np.sin(x))
@@ -141,37 +148,83 @@ admissible_mu = st.lists(st.floats(0.01, 50.0), min_size=1, max_size=8,
                          unique=True).map(lambda v: sorted(v, reverse=True))
 
 
+def h_reference(mu, radii):
+    """H at each radius to 40 digits from the float mu and r taken as exact:
+    mu_i -+ mu_j and the sine arguments are formed without rounding."""
+    exact = {"exact": True}
+    with mpmath.workdps(40):
+        def h(mi, mj, r):
+            if mi == mj:
+                return -mpmath.sin(2 * mpmath.fmul(mi, r, **exact)) / (4 * mi)
+            d, t = mpmath.fsub(mi, mj, **exact), mpmath.fadd(mi, mj, **exact)
+            return (mpmath.sin(mpmath.fmul(d, r, **exact)) / (2 * d)
+                    - mpmath.sin(mpmath.fmul(t, r, **exact)) / (2 * t))
+        mu = [mpmath.mpf(float(m)) for m in mu]
+        return [[[h(mi, mj, mpmath.mpf(float(r))) for mj in mu] for mi in mu]
+                for r in radii]
+
+
+def h_error_bound(mu, radii):
+    """The builder's rounding estimate per entry, mu_i the larger frequency:
+    4 eps (1 + mu_i r) / (mu_i - mu_j) for a product pair, mu_i in place of
+    the difference on the diagonal, and 4 eps (r + 1 / (mu_i + mu_j)) for a
+    close pair, mu_i - mu_j < mu_i / 2^10, which keeps its two sines."""
+    mu, r = np.asarray(mu), np.asarray(radii)[:, None, None]
+    big = np.maximum.outer(mu, mu)
+    d = np.abs(np.subtract.outer(mu, mu)) + np.diag(mu)
+    close = d < big / 1024
+    eps = np.finfo(float).eps
+    return np.where(close, 4 * eps * (r + 1.0 / np.add.outer(mu, mu)),
+                    4 * eps * (1.0 + big * r) / d)
+
+
+def assert_h_accurate(mu, radii):
+    cfg = ModelConfig(mu, np.ones(len(mu)))
+    radii = np.array(radii, dtype=float)
+    h = h_stack(cfg, radii)
+    assert np.array_equal(h, h.transpose(0, 2, 1))
+    with mpmath.workdps(40):
+        error = np.array([[[float(abs(mpmath.mpf(float(x)) - want))
+                            for x, want in zip(row, wrow)]
+                           for row, wrow in zip(hk, wk)]
+                          for hk, wk in zip(h, h_reference(cfg.mu, radii))])
+    assert np.all(error <= h_error_bound(cfg.mu, radii))
+
+
+BUILD_WIDE_MU = [4.950718, 4.776975, 4.564229, 4.388213, 4.205101, 4.047009,
+                 3.867318, 3.645063, 3.494856, 3.333929, 3.142881, 2.96525,
+                 2.768815, 2.600906, 2.347741, 2.162964, 2.005424, 1.852445,
+                 1.646509, 1.43719, 1.262763, 1.110716, 0.770777, 0.561909]
+
+
+@pytest.mark.parametrize("mu, radii", [
+    (BUILD_WIDE_MU, np.concatenate([[0.0], np.geomspace(1e-3, 4e3, 9)])),
+    ([1.001, 1.0], np.geomspace(1e-3, 4e3, 40)),  # products, d = mu_1 / 1001
+    ([1.0000001, 1.0], np.geomspace(1e-3, 4e3, 40)),  # a close pair: sines
+    ([1e306, 1.0], [0.0, 1e-300, 1e-3, 0.5, 7.3, 80.0]),  # 2 mu_1 r finite
+], ids=["n24", "product_pair", "close_pair", "mu_1e306"])
+def test_h_matrix_stack_is_accurate_and_symmetric(mu, radii):
+    assert_h_accurate(mu, radii)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mu=admissible_mu,
        radii=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=40))
-def test_h_matrix_stack_is_the_closed_form_and_symmetric(mu, radii):
-    cfg = ModelConfig(mu, np.ones(len(mu)))
-    radii = np.array(radii)
-    h = h_matrix_stack(cfg, radii)
-    assert np.array_equal(h, h.transpose(0, 2, 1))
-    want = np.empty_like(h)
-    for i, mi in enumerate(cfg.mu):
-        for j, mj in enumerate(cfg.mu):
-            if i == j:
-                want[:, i, i] = -np.sin(2.0 * mi * radii) / (4.0 * mi)
-            else:
-                d, t = mi - mj, mi + mj
-                want[:, i, j] = (np.sin(d * radii) / (2.0 * d)
-                                 - np.sin(t * radii) / (2.0 * t))
-    assert np.array_equal(h, want)
+def test_h_matrix_stack_is_accurate_and_symmetric_property(mu, radii):
+    assert_h_accurate(mu, radii)
 
 
 def test_h_relation_to_gram():
     # g_ij = h_ij off the diagonal, g_ii = r/2 + h_ii
     r = 3.3
     g = gram_matrix_stack(MU3, [r])[0]
-    h = h_matrix_stack(MU3, [r])[0]
+    h = h_stack(MU3, [r])[0]
     assert np.allclose(g - h, np.diag([r / 2] * 3), atol=1e-15, rtol=0.0)
 
 
 def test_h_uniform_bound_two_frequencies():
     cap = 0.5 + 1.0 / 6.0  # 1/(2|2-1|) + 1/(2(2+1))
-    h = h_matrix_stack(MU21, np.linspace(0.0, 200.0, 4001))
+    h = h_stack(MU21, np.linspace(0.0, 200.0, 4001))
     assert np.max(np.abs(h[:, 0, 1])) <= cap
     assert h_bound(MU21)[0, 1] == pytest.approx(cap, abs=1e-16)
     assert h_bound(MU21)[1, 0] == pytest.approx(cap, abs=1e-16)

@@ -541,12 +541,15 @@ def test_partitioned_solve_property(k, seed, sub, diag, sup):
 @given(k=st.integers(50 * (M + 1), 120 * (M + 1)),
        seed=st.integers(0, 2**32 - 1), sub=st.floats(0.0, 3.0),
        diag=st.floats(0.0, 4.0), sup=st.floats(0.0, 3.0))
+# max|x| = 3.8e307 here: finite, but |T| max|x| would overflow
+@example(k=4096, seed=6895, sub=0.994140625, diag=0.390625, sup=2.296875)
 def test_partitioned_solve_property_with_long_separator_systems(k, seed, sub,
                                                                 diag, sup):
     # 50 blocks or more: the scalar LU solves separator systems of 49 rows
     # or more. Too large for a dense condition number: |T| |x| / |b| bounds
-    # it from below, and is NaN where x overflows (a near-bidiagonal draw's
-    # inverse grows exponentially along the band)
+    # it from below. x can be huge or overflow (a near-bidiagonal draw's
+    # inverse grows exponentially along the band), so the bound is compared
+    # as |x| / |b| < 1e10 / |T|, which forms no product that can overflow
     rng = np.random.default_rng(seed)
     t = swapping_bands(rng, k, sub, diag, sup)
     b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -554,7 +557,7 @@ def test_partitioned_solve_property_with_long_separator_systems(k, seed, sub,
         x = TridiagonalLU(t).solve(b)
     except SingularMatrixError:
         assume(False)  # a pivot at the threshold says nothing of the split
-    assume(band_norm(t) * np.max(np.abs(x)) / np.max(np.abs(b)) < 1e10)
+    assume(np.max(np.abs(x)) / np.max(np.abs(b)) < 1e10 / band_norm(t))
     assert backward_error(t, x, b) <= 1e-14
 
 

@@ -519,6 +519,25 @@ def test_vprime_asymptotics_fits():
     assert within_tol(fits["vprime_two_term"])
 
 
+def test_decay_fits_stream_the_fit_radii_in_blocks(monkeypatch):
+    # the 2,000 fit radii pass through sample_blocks, so the fits' working
+    # set is a block's at any n; 20 blocks of 100 radii give the same bits
+    whole = decay_fits(CFG3)
+    sizes = []
+
+    def counted(config, radii, **kwargs):
+        for block in sample_blocks(config, radii, **kwargs):
+            sizes.append(block[1].size)
+            yield block
+
+    monkeypatch.setattr(construct, "BLOCK_BYTES", 100 * 312)
+    monkeypatch.setattr(construct, "sample_blocks", counted)
+    fits, remainder = decay_fits(CFG3)
+    assert sizes == [100] * 20
+    assert np.array_equal(remainder, whole[1])
+    assert fits == whole[0]
+
+
 MU24 = np.linspace(5.0, 0.5, 24)
 CONDITION_CONFIGS = {
     "n1": CFG1,

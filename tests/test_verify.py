@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ewlab.construct
+import ewlab.kernel
 import ewlab.oracle
 import ewlab.verify
 from ewlab.cli import load_config
@@ -113,6 +114,28 @@ def test_non_positive_gram_form_fails_its_check(monkeypatch):
     assert len(failing) == 2
     assert failing[0].startswith("FAIL gram_positivity: value=-")
     assert failing[1].startswith("FAIL overall")
+
+
+def test_swapped_h_coefficients_fail_the_gram_checks(monkeypatch):
+    # commutator_identity is the coefficient form's own identity, so on a
+    # right H it reads only the builder's rounding; the checks independent
+    # of that form must still catch alpha_12 and beta_12 swapped
+    stack = ewlab.kernel.h_matrix_stack
+
+    def swapped(config, radii, s, c):
+        h = stack(config, radii, s, c)
+        mu = config.mu
+        alpha = mu[1] / (mu[0] - mu[1]) / (mu[0] + mu[1])
+        beta = mu[0] / (mu[0] - mu[1]) / (mu[0] + mu[1])
+        h[:, 0, 1] = h[:, 1, 0] = (beta * (s[:, 0] * c[:, 1])
+                                   - alpha * (c[:, 0] * s[:, 1]))
+        return h
+
+    for module in (ewlab.kernel, ewlab.construct, ewlab.oracle, ewlab.verify):
+        monkeypatch.setattr(module, "h_matrix_stack", swapped)
+    report = run_verification(ModelConfig([3.0, 2.0, 1.0], [1.0] * 3), seed=0)
+    failing = {c.name for c in report.checks if not c.passed}
+    assert {"gram_vs_quadrature", "gram_derivative_defect"} <= failing
 
 
 # A wrong sample must fail verify: (mutation of (r, v, V), check families
