@@ -25,8 +25,8 @@ Every function takes an array of K radii and factors the K systems
 A + G(r_k) as stacks, right-hand sides carried, in one solve that names the
 r of a singular system; a single radius is K = 1. Inside `sample_grid`
 every stack is radius-last, (n, K) or (n, n, K), so that each numpy
-operation is one loop over the radii, and its sums over j keep np.sum's
-bits; v and v' are returned as (K, n) views. `sample_blocks` cuts a
+operation is one loop over the radii and each sum over j (`sum_rows`)
+adds in order; v and v' are returned as (K, n) views. `sample_blocks` cuts a
 grid into blocks sized by BLOCK_BYTES, with a floor of 512 radii while a
 block's stacks stay within 4 BLOCK_BYTES, each one `sample_grid` call, for
 `build`, `expand` and the decay fits (with W), the probe and verify's
@@ -54,7 +54,7 @@ from ewlab.kernel import (
     trig_c,
     trig_s,
 )
-from ewlab.linalg import SingularMatrixError, batched_solve
+from ewlab.linalg import SingularMatrixError, batched_solve, sum_rows
 
 __all__ = [
     "BLOCK_BYTES",
@@ -73,8 +73,8 @@ __all__ = [
 # within four times this size: 512 radii at n = 24, 147 at n = 48, 37 at
 # n = 96. A block's working set (tracemalloc peak of one sample_grid) is
 # then under 10 MB at every n, 9.1 MB at n = 24 (complex a_j) and 2.9 MB
-# at n = 3 (real a_j; 4.4 MB complex), with or without W, whose einsum
-# ends before the elimination buffer exists.
+# at n = 3 (real a_j; 4.4 MB complex), with or without W, whose sums end
+# before the elimination buffer exists.
 BLOCK_BYTES = 1 << 21
 
 
@@ -106,36 +106,10 @@ def resolvent_apply(config: ModelConfig, radii: np.ndarray,
     return _solve(config, radii, gram_matrix_stack(config, radii), b)
 
 
-def _column_sums(x: np.ndarray) -> np.ndarray:
-    """Sums over axis 0 of a radius-last (n, K) x, bitwise as np.sum adds each
-    radius's n entries held contiguously: in order from +0.0 below 8 floats;
-    up to 128, in 8 float lanes (4 complex), added pairwise, then the rest in
-    order; a longer row numpy halves, cut at a multiple of 8 floats."""
-    width = 2 if np.iscomplexobj(x) else 1
-    floats = len(x) * width
-    if floats > 128:
-        half = (floats // 2 - floats // 2 % 8) // width
-        return _column_sums(x[:half]) + _column_sums(x[half:])
-    lanes = 8 // width if floats >= 8 else 1
-    body = len(x) - len(x) % lanes
-    acc = 0.0 + x[:lanes]  # +0.0 on a leaf is numpy's +0.0 on the sum
-    for i in range(lanes, body, lanes):
-        acc += x[i:i + lanes]
-    while len(acc) > 1:
-        acc = acc[0::2] + acc[1::2]
-    for row in x[body:]:
-        acc += row
-    return acc[0]
-
-
 def _w(s: np.ndarray, mc: np.ndarray, h: np.ndarray) -> np.ndarray:
     """W = (ts s)^2 + 2 t(Mc) H s per radius, from radius-last s, Mc and H."""
-    if s.shape[1] == 1:
-        # einsum sums a lone system in another order than a stack of two or
-        # more; a doubled stack gives a radius the bits of any grid
-        return _w(*(np.concatenate([x, x], axis=-1) for x in (s, mc, h)))[:1]
-    return (_column_sums(s * s) ** 2
-            + 2.0 * np.einsum("ik,ijk,jk->k", mc, h, s))
+    hs = sum_rows(hj * sj for hj, sj in zip(h, s))  # H is symmetric
+    return sum_rows(s * s) ** 2 + 2.0 * sum_rows(mc * hs)
 
 
 def potential_terms(config: ModelConfig, radii: np.ndarray,
@@ -174,8 +148,8 @@ def sample_grid(config: ModelConfig, radii, *, with_w: bool = True) -> tuple:
     sol = _solve(config, radii, g.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
     sol = sol.transpose(1, 2, 0)
     v = -sol[:, 0]
-    v_prime = _column_sums(s * v) * v - sol[:, 1]
-    big_v = 2.0 * (_column_sums(mc * v) + _column_sums(s * v_prime))
+    v_prime = sum_rows(s * v) * v - sol[:, 1]
+    big_v = 2.0 * (sum_rows(mc * v) + sum_rows(s * v_prime))
     return v.T, v_prime.T, big_v, w
 
 

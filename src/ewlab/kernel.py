@@ -24,7 +24,6 @@ radius first, (K, n) or (K, n, n); a single radius is K = 1. s, c, H and G
 are stored radius-last, (n, K) and (n, n, K), and returned as transposed
 views: `.T` or `.transpose(1, 2, 0)` gives a caller rows of K contiguous
 values, so that each numpy operation on them is one loop over the radii.
-A caller whose sum or einsum depends on the layout takes a row-major copy.
 `h_matrix_stack` builds H from s and c, and keeps the sines above only for
 near-equal frequencies. `GridSpec` is the radius grid of every layer.
 """

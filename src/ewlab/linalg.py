@@ -14,6 +14,7 @@ batch-last so that each elimination step is one numpy loop over all K
 systems, in its dtype. The right-hand sides ride through the elimination
 as extra columns, so a solve is back substitution alone; the factors also
 give determinants. `batched_solve` is the one-shot factor-and-solve.
+`sum_rows` adds rows in order, the one written order of every sum over j.
 
 There is one tridiagonal LU, `TridiagonalLU`, a partitioned (SPIKE) LU:
 the rows are cut into blocks of about 50, all blocks are eliminated in
@@ -43,6 +44,7 @@ __all__ = [
     "SingularMatrixError",
     "TridiagonalLU",
     "batched_solve",
+    "sum_rows",
 ]
 
 # A pivot at or below this times the row scale counts as singular.
@@ -91,10 +93,10 @@ class DenseLU:
     only over the systems whose row k falls short of it, usually none; max
     and argmax are exact, and a tie keeps the first row. Every product runs
     along the batch axis (strides pick numpy's complex multiply loop, and
-    not all round alike); back substitution adds u_kj x_j in index order,
-    never pairwise; `det` multiplies the pivots of a contiguous copy. A real
-    x / y is x * (1/y), as complex division computes it at zero imaginary
-    part, so a real stack gives the real part of its complex cast, bitwise.
+    not all round alike); back substitution adds u_kj x_j by `sum_rows`;
+    `det` multiplies the pivots of a contiguous copy. A real x / y is
+    x * (1/y), as complex division computes it at zero imaginary part, so
+    a real stack gives the real part of its complex cast, bitwise.
     """
 
     def __init__(self, mats, rhs=None, diag=None) -> None:
@@ -149,9 +151,7 @@ class DenseLU:
         x = np.empty(y.shape, dtype=lu.dtype)
         for k in range(n - 1, -1, -1):
             terms = lu[k, k + 1:n, None] * x[k + 1:]
-            if x[k].size == 1:  # np.sum would add a lone run pairwise
-                terms = np.cumsum(terms, axis=0)[-1:]
-            x[k] = _divide(y[k] - np.sum(terms, axis=0), lu[k, k])
+            x[k] = _divide(y[k] - sum_rows(terms), lu[k, k])
         return x.transpose(2, 0, 1)
 
     def det(self) -> np.ndarray:
@@ -165,6 +165,15 @@ class DenseLU:
 
 def _divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x / y if np.iscomplexobj(x) or np.iscomplexobj(y) else x * (1.0 / y)
+
+
+def sum_rows(rows):
+    """The rows added in order to +0.0, first to last (0.0 for none): over a
+    radius-last stack, a sum over j whose bits no layout or loop can move."""
+    total = 0.0
+    for row in rows:
+        total = total + row
+    return total
 
 
 def batched_solve(mats: np.ndarray, rhs: np.ndarray, diag=None) -> np.ndarray:

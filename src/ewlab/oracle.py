@@ -53,7 +53,7 @@ from ewlab.kernel import (
     trig_c,
     trig_s,
 )
-from ewlab.linalg import DenseLU
+from ewlab.linalg import DenseLU, sum_rows
 
 __all__ = [
     "FIT_RADII",
@@ -75,10 +75,18 @@ __all__ = [
 # Decay exponents are asymptotic statements; fitted slopes get this margin.
 SLOPE_TOL = 0.2
 
+
+def _geomspace(start: float, stop: float, num: int) -> np.ndarray:
+    """np.geomspace from Python-float powers: numpy's SIMD logarithms and
+    powers round differently under each CPU dispatch."""
+    start, ratio = float(start), float(stop) / float(start)
+    return np.array([start * ratio ** (k / (num - 1)) for k in range(num)])
+
+
 # Radii of every large-r fit: 2,000 log-spaced on [50, 400], 0.001 r apart
 # (0.42 at r = 400), so that a bin's maximum finds the envelope of V's
 # half-period pi / (2 mu_1) oscillation (0.52 at mu_1 = 3).
-FIT_RADII = np.geomspace(50.0, 400.0, 2000)
+FIT_RADII = _geomspace(50.0, 400.0, 2000)
 FIT_RADII.setflags(write=False)
 
 
@@ -393,7 +401,7 @@ def fit_decay_slope(radii: np.ndarray, defects: np.ndarray, expected: float,
     defects = np.abs(np.asarray(defects, dtype=float))
     if radii.shape != defects.shape or radii.ndim != 1:
         raise ValueError("radii and defects must be matching 1-d arrays")
-    edges = np.geomspace(radii.min(), radii.max(), bins + 1)
+    edges = _geomspace(radii.min(), radii.max(), bins + 1)
     edges[-1] *= 1.0 + 1e-12  # right-closed last bin
     log_r = []
     log_d = []
@@ -468,9 +476,7 @@ def log_det_defects(config: ModelConfig,
         radii + d * step for step in steps for d in (1.0, -1.0)
     ]).reshape(2, 2, -1).sum(axis=1) / steps[:, None] ** 2
     v, _, big_v, _ = sample_grid(config, radii, with_w=False)
-    # a row-major s, as in decay_fits, keeps np.sum's order of addition
-    s = np.ascontiguousarray(trig_s(config, radii))
-    first = np.max(np.abs(slope + np.sum(s * v, axis=1)))
+    first = np.max(np.abs(slope + sum_rows(trig_s(config, radii).T * v.T)))
     second = np.max(np.abs(big_v + 2.0 * curvature), axis=1)
     return float(first), float(second[0]), float(_halving_ratio(*second))
 
@@ -510,14 +516,14 @@ def decay_fits(config: ModelConfig) -> tuple[dict, np.ndarray]:
 
     pair("potential", "V", 0)
     pair("resolvent", "resolvent", 2, leading="2/r")
-    small = np.geomspace(1e-3, 0.3, 60)
+    small = _geomspace(1e-3, 0.3, 60)
     fits["resolvent_small_r"] = fit_decay_slope(
         small, _max_entry(_inverse(config, small) - np.diag(1.0 / config.a)),
         3.0, "resolvent minus A^{-1}", bins=12)
     pair("vprime", "v'", 4)
     for j in range(config.n):
         pair(f"v{j + 1}", f"v_{j + 1}", 6 + 2 * j)
-    return fits, defects[1] * radii**3
+    return fits, defects[1] * (radii * radii * radii)  # ** 3 varies with SIMD
 
 
 def _large_r_defects(config: ModelConfig, radii: np.ndarray, v: np.ndarray,
@@ -526,28 +532,25 @@ def _large_r_defects(config: ModelConfig, radii: np.ndarray, v: np.ndarray,
     """decay_fits' large-r defects at one block's radii and sample, shape
     (6 + 2 n, K): the one- and two-term defects of V, the resolvent, v'
     and each v_j, in that order."""
-    r = radii[:, None]
     rr = radii[:, None, None]
     pot_lead, pot_second = potential_terms(config, radii, w)
-    # row-major copies of the radius-last stacks: np.sum and einsum below
-    # add in an order set by the layout, and these copies keep the bits
-    s, c = trig_s(config, radii), trig_c(config, radii)
-    s, c, h = (np.ascontiguousarray(x)
-               for x in (s, c, h_matrix_stack(config, radii, s, c)))
-    mc = config.mu * c
+    s, c = trig_s(config, radii).T, trig_c(config, radii).T  # radius-last
+    h = h_matrix_stack(config, radii, s.T, c.T)
+    mc, a = config.mu[:, None] * c, config.a[:, None]
     bare = _inverse(config, radii) - (2.0 / rr) * np.eye(config.n)
     refined = bare + (4.0 / rr**2) * (np.diag(config.a) + h)
-    lead = -(2.0 / r) * mc
-    nxt = (4.0 / r ** 2) * (np.sum(s * s, axis=1)[:, None] * s
-                            + config.a * mc + np.einsum("kij,kj->ki", h, mc))
-    v_two = -(2.0 / r) * s + (4.0 / r**2) * (
-        config.a * s + np.einsum("kjl,kl->kj", h, s))
-    one_v = np.abs(v + (2.0 / r) * s)
+    lead = -(2.0 / radii) * mc
+    nxt = (4.0 / radii**2) * (sum_rows(s * s) * s + a * mc + sum_rows(
+        hj * mcj for hj, mcj in zip(h.T, mc)))
+    v_two = -(2.0 / radii) * s + (4.0 / radii**2) * (
+        a * s + sum_rows(hj * sj for hj, sj in zip(h.T, s)))
+    v, v_prime = v.T, v_prime.T
+    one_v = np.abs(v + (2.0 / radii) * s)
     two_v = np.abs(v - v_two)
     return np.vstack([
         np.abs(big_v - pot_lead), np.abs(big_v - pot_lead - pot_second),
         _max_entry(bare), _max_entry(refined),
-        np.max(np.abs(v_prime - lead), axis=1),
-        np.max(np.abs(v_prime - lead - nxt), axis=1),
-        *(x for j in range(config.n) for x in (one_v[:, j], two_v[:, j]))])
+        np.max(np.abs(v_prime - lead), axis=0),
+        np.max(np.abs(v_prime - lead - nxt), axis=0),
+        *(x for j in range(config.n) for x in (one_v[j], two_v[j]))])
 

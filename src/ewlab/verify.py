@@ -172,9 +172,9 @@ def run_verification(config: ModelConfig, seed: int = 0) -> VerificationReport:
                          trials=100))
 
     # --- kernel: |g_ij| <= mu_i mu_j r^3 and the uniform h bounds
-    sweep = np.linspace(0.01, 5.0, 200)
-    ratio = np.max(np.abs(gram_matrix_stack(config, sweep))
-                   / (np.outer(mu, mu) * sweep[:, None, None] ** 3))
+    sweep = np.linspace(0.01, 5.0, 200)[:, None, None]
+    ratio = np.max(np.abs(gram_matrix_stack(config, sweep.ravel()))
+                   / (np.outer(mu, mu) * (sweep * sweep * sweep)))  # not ** 3
     checks.append(_upper("gram_entry_cubic_bound", ratio, 1.0))
     hsweep = np.arange(0.05, 400.0, 0.05)[::40]
     h = h_matrix_stack(config, hsweep, trig_s(config, hsweep),

@@ -597,6 +597,30 @@ def test_bytes_independent_of_blas_threads(tmp_path, command, config):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("config", ["demo.json", "probe.json"])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_real_config_bytes_independent_of_cpu_dispatch(tmp_path, command,
+                                                       config):
+    # numpy picks its SIMD kernels when it loads, so each run is a new
+    # process; the second child alone is held to the baseline kernels
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES":
+                          "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}):
+        env = {k: v for k, v in os.environ.items()
+               if k != "NPY_DISABLE_CPU_FEATURES"}
+        env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", **disabled)
+        out = tmp_path / f"{command}-{len(disabled)}.out"
+        run = subprocess.run(
+            [sys.executable, "-m", "ewlab.cli", command, "--config",
+             str(root / "configs" / config), "--out", str(out)],
+            env=env, capture_output=True, check=True, timeout=300)
+        outputs.append((run.stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command, lines", [("build", 1), ("verify", 0)])
 def test_closed_stdout_is_one_error_line(tmp_path, command, lines):
     # build's reader leaves after one line of a CSV far larger than the

@@ -32,9 +32,28 @@ def test_a_csv_difference_names_its_columns():
     old = b"r,V_re,V_im,W\n0,1,2,3\n1,4,5,6\n2,7,8,9\n"
     new = b"r,V_re,V_im,W\n0,1,2,3\n1,4,5.5,6\n2,7.5,8.5,9\n"
     got = compare_outputs.describe("--out bytes", old, new)
-    assert got == "--out columns: V_re (1 rows), V_im (2 rows)"
+    assert got == ("--out columns: V_re (1 rows, rel 0.071), "
+                   "V_im (2 rows, rel 0.062)")
     assert compare_outputs.differing_fields("--out bytes", old, new)[1] == [
-        ("V_re", "1 rows"), ("V_im", "2 rows")]
+        ("V_re", "1 rows, rel 0.071"), ("V_im", "2 rows, rel 0.062")]
+
+
+def test_a_csv_column_change_is_relative_to_the_column_scale():
+    # the largest |new - old| over the column's largest |old|, not over
+    # each old value: a change at a zero is finite while the column is not
+    # all zero
+    change = compare_outputs.column_change
+    assert change([b"0", b"-4", b"2"], [b"1e-15", b"-4", b"2"]) == "2.5e-16"
+    assert change([b"1", b"-8"], [b"1.5", b"-8.25"]) == "0.062"
+    assert change([b"0", b"0"], [b"0", b"1"]) == "inf"
+    assert change([b"1", b"nan"], [b"1", b"2"]) == "inf"
+    assert change([b"1", b"inf"], [b"1", b"2"]) == "inf"
+    assert change([b"nan", b"2"], [b"nan", b"2.5"]) == "0.25"
+    assert change([b"a", b"1"], [b"b", b"1"]) == "n/a"
+    old = b"r,W\n0,1e-300\n1,3\n"
+    new = b"r,W\n0,2e-300\n1,3\n"
+    assert compare_outputs.describe("--out bytes", old, new) == (
+        "--out columns: W (1 rows, rel 3.3e-301)")
 
 
 def test_a_non_json_difference_shows_both_values():
@@ -62,7 +81,7 @@ def test_every_axis_runs_the_parent_and_the_change_alike(tmp_path,
             (tmp_path, ("build",), config, (name, env), tmp_path))
         assert got[:3] == (name, "build", ["y"])
         assert got[3] == [f"DIFF build edges/c.json {name}: "
-                          "--out columns: y (1 rows)"]
+                          "--out columns: y (1 rows, rel 0.5)"]
     assert [s[1] for s in seen[::2]] == [s[1] for s in seen[1::2]]
     names = [name for name, _ in compare_outputs.AXES]
     assert names == ["threads=1", "threads=2", "dispatch=baseline"]

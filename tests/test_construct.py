@@ -12,7 +12,6 @@ import pytest
 import ewlab.construct
 from ewlab.construct import (
     InvertibilityError,
-    _column_sums,
     potential_terms,
     resolvent_apply,
     sample_blocks,
@@ -33,9 +32,11 @@ CFG3 = ModelConfig([3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
 CFGC = ModelConfig([2.0, 1.0], [1.0 + 1.0j, 2.0])
 CFG24 = ModelConfig(np.linspace(5.0, 0.5, 24),
                     1.0 + 0.1 * np.arange(24) + 0.5j * np.cos(np.arange(24)))
-# n = 66 complex: numpy halves a row of 132 floats before its 4 lanes
+# n = 66 complex: blocks capped at 4 BLOCK_BYTES, 78 radii
 CFG66 = ModelConfig(np.linspace(7.0, 0.5, 66),
                     1.0 + 0.05 * np.arange(66) + 0.5j * np.sin(np.arange(66)))
+# n = 5 complex: 2,759-radius blocks, sized by BLOCK_BYTES alone
+CFG5 = ModelConfig(np.linspace(3.0, 1.0, 5), [1.0 + 0.5j] * 5)
 # n = 96 complex: blocks capped at 4 BLOCK_BYTES, below the 512-radius floor
 CFG96 = ModelConfig(np.linspace(9.0, 0.5, 96),
                     1.0 + 0.05 * np.arange(96) + 0.5j * np.cos(np.arange(96)))
@@ -324,8 +325,8 @@ def streamed(cfg, radii):
 
 
 @pytest.mark.parametrize("cfg, b", [(CFG24, 512), (CFGC, 13107), (CFG66, 78),
-                                    (CFG96, 37)],
-                         ids=["n24", "n2", "n66", "n96"])
+                                    (CFG96, 37), (CFG3, 6721), (CFG5, 2759)],
+                         ids=["n24", "n2", "n66", "n96", "n3", "n5"])
 def test_every_block_boundary_gives_the_same_bits(cfg, b):
     radii = 0.01 * np.arange(2 * b + 3)
     assert block_slices(cfg, radii.size) == [
@@ -335,8 +336,9 @@ def test_every_block_boundary_gives_the_same_bits(cfg, b):
     for got, want in zip(sample_grid(cfg, radii), full):
         assert got.tobytes() == want.tobytes()
     # each radius alone is the reference: every row at n = 66 and n = 96,
-    # every 4th at n = 24 (1,027 radii) and every 102nd at n = 2 (26,217),
-    # plus the rows around each boundary
+    # every 4th at n = 24 (1,027 radii), every 21st at n = 5 (5,521), every
+    # 52nd at n = 3 (13,445) and every 102nd at n = 2 (26,217), plus the
+    # rows around each boundary
     rows = np.unique(np.concatenate([
         np.arange(0, radii.size, max(1, radii.size // 256)),
         np.clip(np.arange(-2, 3)[:, None] + [0, b, 2 * b], 0, radii.size - 1)
@@ -360,27 +362,6 @@ def test_sample_grid_of_no_radii_is_empty():
         assert big_v.shape == w.shape == (0,)
         assert v.dtype == v_prime.dtype == big_v.dtype == dtype
         assert w.dtype == float
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_row_sums_are_np_sum_bit_for_bit(dtype, order):
-    # the radius-last column sums of x.T are np.sum's row sums of a
-    # contiguous x, in either layout of x.T: in order below 8 floats, in
-    # lanes up to 128 and halved above, n = 129 real and n = 65 complex on;
-    # a row of -0.0 sums to +0.0 either way
-    rng = np.random.default_rng(23)
-    for n in range(1, 131):
-        for k in (1, 2, 7, 300):
-            x = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-9, 9, (k, n))
-            if dtype is complex:
-                x = x + 1j * rng.standard_normal((k, n)) * 10.0 ** rng.integers(
-                    -9, 9, (k, n))
-            x[::3] = -0.0
-            cols = np.asarray(x.T, order=order)
-            got, want = _column_sums(cols), np.sum(x, axis=1)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (n, k)
 
 
 @pytest.mark.parametrize("cfg, end", [(CFG3, 30.0), (CFGC, 30.0),
@@ -412,25 +393,11 @@ def test_real_couplings_sample_the_complex_path_in_float64(cfg, monkeypatch):
     monkeypatch.setattr(ModelConfig, "is_real", property(lambda self: False))
     cplx = sample_grid(cfg, radii)
     assert real[3].tobytes() == cplx[3].tobytes()
+    # the sums over j add in one order for real and complex terms alike
     for got, want in zip(real[:3], cplx[:3]):
         assert got.dtype == float and want.dtype == complex
         assert not np.any(want.imag)
-    v, vp, big_v, _ = real
-    assert v.tobytes() == cplx[0].real.tobytes()
-    pairs = [(vp, cplx[1].real), (big_v, cplx[2].real)]
-    if cfg.n <= 3:
-        for got, want in pairs:
-            assert got.tobytes() == want.tobytes()
-        return
-    # numpy's pairwise sums over the n terms of ts v and of V group them
-    # differently for real and complex arrays from n = 4 on: a few ulp of
-    # the terms' magnitudes
-    s = trig_s(cfg, radii)
-    mc = cfg.mu * trig_c(cfg, radii)
-    scales = [np.sum(np.abs(s * v), axis=1)[:, None] * np.abs(v) + np.abs(vp),
-              np.sum(np.abs(mc * v) + np.abs(s * vp), axis=1)]
-    for (got, want), scale in zip(pairs, scales):
-        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+        assert got.tobytes() == want.real.tobytes()
 
 
 @pytest.mark.parametrize("cfg, before", [(CFG24, 2623912 * 512 // 143),

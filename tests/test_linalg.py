@@ -21,6 +21,7 @@ from ewlab.linalg import (
     _BlockLU,
     _divide,
     batched_solve,
+    sum_rows,
 )
 from ewlab.spectral_probe import (
     build_hamiltonian,
@@ -138,6 +139,35 @@ def test_dense_lu_matches_the_radius_first_reference(k, n, m, boost, real,
     x = got.solve()
     assert x.shape == (k, n, m)
     assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sum_rows_adds_each_radius_in_order(dtype):
+    # over the rows j of a radius-last (n, K) x, each radius's sum is the
+    # Python left fold from 0.0, and a lone radius has its bits in a stack;
+    # a radius of -0.0 rows sums to +0.0
+    rng = np.random.default_rng(23)
+    for n in range(1, 131):
+        for k in (1, 2, 7, 300):
+            x = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-9, 9, (n, k))
+            if dtype is complex:
+                x = x + 1j * rng.standard_normal((n, k)) * 10.0 ** rng.integers(
+                    -9, 9, (n, k))
+            x[:, ::3] = -0.0
+            got = sum_rows(x)
+            assert got.dtype == dtype and got.shape == (k,)
+            want = []
+            for column in x.T.tolist():
+                total = 0.0
+                for value in column:
+                    total = total + value
+                want.append(total)
+            assert got.tobytes() == np.array(want, dtype=dtype).tobytes(), (
+                n, k)
+            for j in range(0, k, 37):
+                alone = sum_rows(x[:, j:j + 1])
+                assert alone.tobytes() == got[j:j + 1].tobytes(), (n, k, j)
+    assert sum_rows([]) == 0.0 and sum_rows(iter(())) == 0.0
 
 
 @settings(max_examples=60, deadline=None)

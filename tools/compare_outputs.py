@@ -8,7 +8,7 @@ Runs `build`, `verify`, `probe` (single, `--sweep 5` and `--free`) and
 workload and on the EDGES below, in both checkouts, on each of three AXES:
 OPENBLAS_NUM_THREADS at 1, at 2, and at 1 with numpy's run-time CPU
 dispatch held to its baseline kernels (NPY_DISABLE_CPU_FEATURES, set in
-the child only; ROADMAP item 8). Each run is `python -m ewlab.cli ...
+the child only; ROADMAP item 7). Each run is `python -m ewlab.cli ...
 --out FILE` with PYTHONPATH set to the checkout's src/. It prints every
 difference in stdout, stderr, exit code or the bytes of FILE, then for
 each axis the number of runs that differ and, for each command, the
@@ -18,7 +18,8 @@ Where both FILEs parse as JSON, a difference in their bytes is printed as
 the dotted key paths whose values differ, each with the largest relative
 change of its numeric leaves (`sweep.estimates (rel 4.6e-13)`, say);
 where both are CSV of the same shape, as the columns that differ, each
-with the number of rows in which it does.
+with the number of rows in which it does and the largest |new - old| /
+max|old| over the column (`W (12 rows, rel 5.7e-16)`).
 
 Both checkouts read the same config files, written once from this
 checkout's perfbench/workloads.py. Needs only the standard library and
@@ -73,11 +74,9 @@ WORKERS = 2  # two runs at a time: each is one process of modest size
 # on 19,999 interior nodes, where the 49-row tridiagonal blocks pivot in
 # some rows and not in others
 # and numpy multiplies a 16,384-entry or longer temporary in place (the
-# other edges have 4,999), a complex n = 5 config, whose rows numpy
-# sums pairwise with a remainder (n = 12 is the real side of that
-# threshold, n <= 3 the in-order side), and a complex probe on 24 interior
-# nodes, too few for any block split, so the tridiagonal LU is one block
-# of every row: (name, mu, a, grid end).
+# other edges have 4,999), a complex n = 5 config, and a complex probe on
+# 24 interior nodes, too few for any block split, so the tridiagonal LU is
+# one block of every row: (name, mu, a, grid end).
 EDGES = (
     ("low-frequency", [1e-3], [1.0], 50.0),
     ("near-gap", [1.0000001, 1.0], [1.0, 1.0], 50.0),
@@ -177,9 +176,28 @@ def relative_change(old, new) -> str:
     return f"{worst:.2g}"
 
 
+def column_change(old: list, new: list) -> str:
+    """The largest |new - old| over the paired cells of a CSV column, relative
+    to the column's largest finite |old|: inf where that is 0 or a changed
+    pair's difference is not finite, "n/a" where a cell is not a number."""
+    try:
+        a, b = [float(x) for x in old], [float(x) for x in new]
+    except ValueError:
+        return "n/a"
+    scale = max((abs(x) for x in a if math.isfinite(x)), default=0.0)
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        finite = scale > 0.0 and math.isfinite(y - x)
+        worst = max(worst, abs(y - x) / scale if finite else math.inf)
+    return f"{worst:.2g}"
+
+
 def changed_columns(old: bytes, new: bytes) -> list:
-    """(column name, rows that differ) where two CSV texts of the same shape
-    and at least two columns differ; [] where they are not such texts."""
+    """(column name, rows that differ, largest change relative to the
+    column's largest |old| value) where two CSV texts of the same shape and
+    at least two columns differ; [] where they are not such texts."""
     old_rows = [line.split(b",") for line in old.splitlines()]
     new_rows = [line.split(b",") for line in new.splitlines()]
     if (len(old_rows) < 2 or len(old_rows[0]) < 2
@@ -188,24 +206,30 @@ def changed_columns(old: bytes, new: bytes) -> list:
             or len({len(row) for row in old_rows + new_rows}) != 1):
         return []
     header = old_rows[0]
-    counts = [sum(a[c] != b[c] for a, b in zip(old_rows[1:], new_rows[1:]))
-              for c in range(len(header))]
-    return [(header[c].decode(), count) for c, count in enumerate(counts)
-            if count]
+    columns = []
+    for c, name in enumerate(header):
+        old_cells = [row[c] for row in old_rows[1:]]
+        new_cells = [row[c] for row in new_rows[1:]]
+        count = sum(x != y for x, y in zip(old_cells, new_cells))
+        if count:
+            columns.append((name.decode(), count,
+                            column_change(old_cells, new_cells)))
+    return columns
 
 
 def differing_fields(name: str, old, new) -> tuple:
     """Where one output differs: ("fields", [(key path, largest relative
-    change)]) for changed JSON, ("columns", [(column, changed rows)]) for
-    changed CSV of the same shape, else ("", [(name, both values)])."""
+    change)]) for changed JSON, ("columns", [(column, changed rows and
+    largest change relative to the column)]) for changed CSV of the same
+    shape, else ("", [(name, both values)])."""
     if name == "--out bytes" and old is not None and new is not None:
         try:
             fields = changed_fields(json.loads(old), json.loads(new))
         except ValueError:  # CSV or text
             columns = changed_columns(old, new)
             if columns:
-                return "columns", [(column, f"{count} rows")
-                                   for column, count in columns]
+                return "columns", [(column, f"{count} rows, rel {change}")
+                                   for column, count, change in columns]
         else:
             if fields:  # none when only the formatting differs
                 return "fields", [(path, f"rel {relative_change(a, b)}")
@@ -215,8 +239,8 @@ def differing_fields(name: str, old, new) -> tuple:
 
 def describe(name: str, old, new) -> str:
     """One difference: the changed JSON fields or CSV columns of --out, each
-    with its largest relative change or its count of changed rows, else
-    both values."""
+    with its largest relative change (and a column with its count of
+    changed rows), else both values."""
     kind, fields = differing_fields(name, old, new)
     if not kind:
         return f"{name}: {fields[0][1]}"
